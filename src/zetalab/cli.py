@@ -2,14 +2,16 @@
 
 Exit codes: 0 success, 2 validation error (bad flags/config), 3 numerical
 failure (pole, singular system, unreachable precision, ...).
+
+The experiment subcommands are shortcuts for `run <preset>`: each passes its
+flags as overrides of one preset, so it writes that preset's files and
+manifest.json.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-import io
-import json
 import sys
 from pathlib import Path
 
@@ -22,28 +24,13 @@ from .experiments import (
     list_presets,
     parse_config_file,
     run_preset,
+    sigmoid_outputs,
+    write_outputs,
 )
 from .precision import ComplexAP, PrecisionContext, make_complex, to_string
 from .oracle import zeta as zeta_eval_op
-from .series import (
-    CALIBRATION_DIGITS,
-    calibrate_b,
-    fit_power_law,
-    fit_sigma_dependence,
-    truncation_length,
-)
-from .sigmoid import construct_fit, sigmoid_eval
-from .solver import (
-    DEFAULT_STABILITY_THRESHOLD,
-    CoefficientSet,
-    GridSpec,
-    half_crossing,
-    solve_grid,
-)
-from .spiral import DISPLAY_DIGITS, raw_partial_sums, weighted_partial_sums
-from .svgplot import spiral_svg
-
-from mpmath.libmp import to_str as _mpf_to_str
+from .series import CALIBRATION_DIGITS
+from .solver import DEFAULT_STABILITY_THRESHOLD, CoefficientSet
 
 
 def _numerics_exit(fn):
@@ -69,22 +56,23 @@ def _parse_s(text: str, ctx: PrecisionContext) -> ComplexAP:
     return make_complex(re_part.strip(), im_part.strip(), ctx)
 
 
-def _write(path: Path, content: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(content)
-    click.echo(f"wrote {path}")
+def _echo_outputs(checksums: dict):
+    for filename, digest in sorted(checksums.items()):
+        click.echo(f"  {filename}  sha256:{digest[:16]}")
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _run(preset: str, overrides: dict, output_dir, jobs: int = 1):
+    manifest = run_preset(ExperimentConfig(preset=preset, overrides=overrides), output_dir, jobs)
+    click.echo(f"preset {manifest.preset} done in {manifest.wall_time_s:.1f}s")
+    _echo_outputs(manifest.outputs)
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+# options shared by the preset shortcuts; each flag is named after its preset key
+_sigma = click.option("--sigma", default="0.5", show_default=True)
+_t = click.option("--t", required=True, type=float)
+_bracket = click.option("--bracket", default="0.1,100", show_default=True)
+_calibration_digits = click.option("--digits", default=CALIBRATION_DIGITS, show_default=True)
+_output_dir = click.option("--output-dir", default=".", show_default=True)
 
 
 @click.group()
@@ -110,40 +98,17 @@ def zeta_eval(s_text: str, digits: int):
 
 
 @main.command("solve-coeffs")
-@click.option("--sigma", default="0.5", show_default=True)
+@_sigma
 @click.option("--t1", required=True)
 @click.option("--dt", required=True)
 @click.option("--n", default=100, show_default=True)
 @click.option("--digits", default=100, show_default=True)
 @click.option("--stability-threshold", default=DEFAULT_STABILITY_THRESHOLD, show_default=True)
-@click.option("--output-dir", default=".", show_default=True)
+@_output_dir
 @_numerics_exit
-def solve_coeffs(sigma, t1, dt, n, digits, stability_threshold, output_dir):
-    """Solve the coefficient system; write coeffs.csv + diagnostics.jsonl."""
-    spec = GridSpec(sigma=sigma, t1=t1, dt=dt, n_rows=n, digits=digits)
-    cs = solve_grid(spec)
-    rows = [
-        [str(i), _mpf_to_str(z.re._mpf_, digits, strip_zeros=False),
-         _mpf_to_str(z.im._mpf_, digits, strip_zeros=False)]
-        for i, z in enumerate(cs.deltas, start=1)
-    ]
-    out = Path(output_dir)
-    _write(out / "coeffs.csv", _csv_text(["n", "re_delta", "im_delta"], rows))
-    diag = {
-        "residual_inf": _mpf_to_str(cs.residual_inf._mpf_, 12, strip_zeros=False),
-        "im_stability": _mpf_to_str(cs.im_stability._mpf_, 12, strip_zeros=False),
-        "stable": bool(cs.im_stability < stability_threshold),
-        "stability_threshold": stability_threshold,
-        "ordinate_bound_ok": spec.ordinate_bound_ok,
-    }
-    try:
-        crossing = half_crossing(cs)
-        diag["n_hat_star"] = crossing.value
-        diag["crossings"] = crossing.crossings
-    except NumericalError as exc:
-        diag["n_hat_star"] = None
-        diag["crossing_error"] = str(exc)
-    _write(out / "diagnostics.jsonl", json.dumps(diag, sort_keys=True) + "\n")
+def solve_coeffs(output_dir, **flags):
+    """Shortcut for `run fig-coeffs-stable`: coeffs.csv + diagnostics.jsonl."""
+    _run("fig-coeffs-stable", flags, output_dir)
 
 
 def _load_coeff_csv(path: Path, digits: int) -> CoefficientSet:
@@ -165,152 +130,62 @@ def _load_coeff_csv(path: Path, digits: int) -> CoefficientSet:
 @main.command("fit-sigmoid")
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True, path_type=Path))
 @click.option("--digits", default=50, show_default=True, help="parse precision for the CSV")
-@click.option("--output-dir", default=".", show_default=True)
+@_output_dir
 @_numerics_exit
 def fit_sigmoid(input_path: Path, digits: int, output_dir):
     """Fit the sigmoid to a coefficient CSV; write sigmoid.csv + fit.json."""
-    cs = _load_coeff_csv(input_path, digits)
-    fit = construct_fit(cs)
-    rows = [
-        [str(i), _mpf_to_str(z.re._mpf_, digits, strip_zeros=False), repr(sigmoid_eval(i, fit))]
-        for i, z in enumerate(cs.deltas, start=1)
-    ]
-    out = Path(output_dir)
-    _write(out / "sigmoid.csv", _csv_text(["n", "re_delta", "sigmoid_value"], rows))
-    _write(
-        out / "fit.json",
-        _json_text({"a_param": fit.a_param, "b_param": fit.b_param, "residual": fit.residual}),
-    )
-
-
-def _bracket_option(text: str) -> tuple[float, float]:
-    try:
-        lo, hi = (float(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ValidationError(f"--bracket expects 'lo,hi', got {text!r}") from exc
-    return lo, hi
+    outputs = sigmoid_outputs(_load_coeff_csv(input_path, digits), digits)
+    _echo_outputs(write_outputs(outputs, output_dir))
 
 
 @main.command("search-b")
-@click.option("--sigma", default="0.5", show_default=True)
-@click.option("--t", required=True, type=float)
-@click.option("--bracket", default="0.1,100", show_default=True)
-@click.option("--digits", default=CALIBRATION_DIGITS, show_default=True)
-@click.option("--output-dir", default=".", show_default=True)
+@_sigma
+@_t
+@_bracket
+@_calibration_digits
+@_output_dir
 @_numerics_exit
-def search_b(sigma, t, bracket, digits, output_dir):
-    """Calibrate the scale factor at s = sigma + it; write JSON + trace CSV."""
-    ctx = PrecisionContext(digits)
-    s = make_complex(sigma, t, ctx)
-    cal = calibrate_b(s, ctx, _bracket_option(bracket))
-    out = Path(output_dir)
-    _write(out / "trace.csv", _csv_text(["B", "err"], [[repr(b), repr(e)] for b, e in sorted(cal.trace)]))
-    _write(
-        out / "calibration.json",
-        _json_text(
-            {
-                "sigma": sigma,
-                "t": t,
-                "b_hat": cal.b_hat,
-                "err_at_opt": cal.err_at_opt,
-                "digits_gained": cal.digits_gained,
-                "terms": cal.terms,
-            }
-        ),
-    )
-
-
-def _float_list(text: str, flag: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise ValidationError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
+def search_b(output_dir, **flags):
+    """Shortcut for `run fig-eps-vs-b`: calibration.json + trace.csv."""
+    _run("fig-eps-vs-b", flags, output_dir)
 
 
 @main.command("scaling-law")
-@click.option("--sigma", default="0.5", show_default=True)
+@_sigma
 @click.option("--t-list", required=True, help="comma-separated ordinates")
-@click.option("--bracket", default="0.1,100", show_default=True)
-@click.option("--digits", default=CALIBRATION_DIGITS, show_default=True)
-@click.option("--output-dir", default=".", show_default=True)
+@_bracket
+@_calibration_digits
+@_output_dir
 @_numerics_exit
-def scaling_law(sigma, t_list, bracket, digits, output_dir):
-    """Calibrate a t sweep and fit the power law; write CSV + fit JSON."""
-    ctx = PrecisionContext(digits)
-    br = _bracket_option(bracket)
-    rows, samples = [], []
-    for t in _float_list(t_list, "--t-list"):
-        cal = calibrate_b(make_complex(sigma, t, ctx), ctx, br)
-        rows.append([repr(t), repr(cal.b_hat), repr(cal.digits_gained)])
-        samples.append((t, cal.b_hat))
-    fit = fit_power_law(samples, sigma=float(sigma))
-    out = Path(output_dir)
-    _write(out / "accuracy.csv", _csv_text(["t", "b_hat", "digits_gained"], rows))
-    _write(
-        out / "powerfit.json",
-        _json_text(
-            {
-                "sigma": float(sigma),
-                "c_coef": fit.c_coef,
-                "d_exp": fit.d_exp,
-                "r_squared": fit.r_squared,
-            }
-        ),
-    )
+def scaling_law(output_dir, **flags):
+    """Shortcut for `run fig-b-power-law`: accuracy.csv + powerfit.json."""
+    _run("fig-b-power-law", flags, output_dir)
 
 
 @main.command("sigma-law")
-@click.option("--t", required=True, type=float)
+@_t
 @click.option("--sigma-list", required=True, help="comma-separated real parts")
-@click.option("--bracket", default="0.1,100", show_default=True)
-@click.option("--digits", default=CALIBRATION_DIGITS, show_default=True)
-@click.option("--output-dir", default=".", show_default=True)
+@_bracket
+@_calibration_digits
+@_output_dir
 @_numerics_exit
-def sigma_law(t, sigma_list, bracket, digits, output_dir):
-    """Calibrate a sigma sweep at fixed t and fit the exponential law."""
-    ctx = PrecisionContext(digits)
-    br = _bracket_option(bracket)
-    rows, samples = [], []
-    for sigma in [part.strip() for part in sigma_list.split(",") if part.strip()]:
-        cal = calibrate_b(make_complex(sigma, t, ctx), ctx, br)
-        rows.append([sigma, repr(cal.b_hat), repr(cal.digits_gained)])
-        samples.append((float(sigma), cal.b_hat))
-    fit = fit_sigma_dependence(samples)
-    out = Path(output_dir)
-    _write(out / "b_sigma.csv", _csv_text(["sigma", "b_hat", "digits_gained"], rows))
-    _write(out / "expfit.json", _json_text({"p": fit.p, "q": fit.q, "r_squared": fit.r_squared}))
+def sigma_law(output_dir, **flags):
+    """Shortcut for `run fig-b-sigma`: b_sigma.csv + expfit.json."""
+    _run("fig-b-sigma", flags, output_dir)
 
 
 @main.command("spiral")
-@click.option("--sigma", default="0.5", show_default=True)
-@click.option("--t", required=True, type=float)
+@_sigma
+@_t
 @click.option("--weighted", is_flag=True, default=False)
 @click.option("--b", type=float, default=None, help="scale factor; calibrated when omitted")
 @click.option("--n-terms", type=int, default=None, help="defaults to twice the truncation length")
-@click.option("--digits", default=CALIBRATION_DIGITS, show_default=True)
-@click.option("--output-dir", default=".", show_default=True)
+@_calibration_digits
+@_output_dir
 @_numerics_exit
-def spiral(sigma, t, weighted, b, n_terms, digits, output_dir):
-    """Emit the partial-sum trace (CSV) and its SVG rendering."""
-    ctx = PrecisionContext(digits)
-    s = make_complex(sigma, t, ctx)
-    if b is None and (weighted or n_terms is None):
-        b = calibrate_b(s, ctx).b_hat
-    if n_terms is None:
-        n_terms = 2 * truncation_length(s, b, 10.0 ** (-digits))
-    trace = (
-        weighted_partial_sums(s, b, n_terms, ctx)
-        if weighted
-        else raw_partial_sums(s, n_terms, ctx)
-    )
-    rows = [
-        [str(k), _mpf_to_str(p.re._mpf_, DISPLAY_DIGITS, strip_zeros=False),
-         _mpf_to_str(p.im._mpf_, DISPLAY_DIGITS, strip_zeros=False)]
-        for k, p in enumerate(trace.points, start=1)
-    ]
-    out = Path(output_dir)
-    _write(out / "spiral.csv", _csv_text(["k", "re", "im"], rows))
-    _write(out / "spiral.svg", spiral_svg([(float(p.re), float(p.im)) for p in trace.points]))
+def spiral(weighted, output_dir, **flags):
+    """Shortcut for `run fig-spiral-raw` (`fig-spiral-weighted` with --weighted)."""
+    _run("fig-spiral-weighted" if weighted else "fig-spiral-raw", flags, output_dir)
 
 
 @main.command("run")
@@ -330,10 +205,7 @@ def run_cmd(preset, config_path, assignments, output_dir, jobs):
             raise ValidationError(f"--set expects key=value, got {assignment!r}")
         key, _, value = assignment.partition("=")
         overrides[key.strip()] = value.strip()
-    manifest = run_preset(ExperimentConfig(preset=preset, overrides=overrides), output_dir, jobs)
-    click.echo(f"preset {manifest.preset} done in {manifest.wall_time_s:.1f}s")
-    for filename, digest in sorted(manifest.outputs.items()):
-        click.echo(f"  {filename}  sha256:{digest[:16]}")
+    _run(preset, overrides, output_dir, jobs)
 
 
 @main.command("list-presets")
@@ -346,7 +218,8 @@ def list_presets_cmd():
         for key, value in entry["parameters"].items():
             if isinstance(value, (list, tuple)):
                 value = ",".join(str(v) for v in value)
-            click.echo(f"{key} = {value}")
+            # a None default has no text form; leave it unset in the stub
+            click.echo(f"# {key} = None" if value is None else f"{key} = {value}")
         click.echo("")
 
 

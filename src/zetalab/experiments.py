@@ -21,11 +21,12 @@ from pathlib import Path
 from mpmath.libmp import to_str as _mpf_to_str
 
 from . import __version__
-from .errors import ValidationError
-from .precision import ComplexAP, PrecisionContext
+from .errors import NumericalError, ValidationError
+from .precision import PrecisionContext, make_complex
 from .sigmoid import construct_fit, sigmoid_eval
 from .solver import (
     DEFAULT_STABILITY_THRESHOLD,
+    CoefficientSet,
     GridSpec,
     half_crossing,
     solve_grid,
@@ -81,35 +82,46 @@ class ExperimentConfig:
         preset = _preset(self.preset)
         params = dict(preset.defaults)
         for key, raw in self.overrides.items():
-            if key in _GLOBAL_KEYS:
-                params[key] = _coerce(key, raw)
-            elif key in preset.defaults:
-                params[key] = _coerce(key, raw)
-            else:
+            if key not in preset.defaults and key not in _GLOBAL_KEYS:
                 raise ValidationError(
                     f"unknown key {key!r} for preset {self.preset!r} "
                     f"(allowed: {sorted(preset.defaults) + sorted(_GLOBAL_KEYS)})"
                 )
+            params[key] = _coerce(key, raw)
         return params
 
 
-_GLOBAL_KEYS = {"seed", "jobs"}
+_GLOBAL_KEYS = {"jobs"}
+_INT_KEYS = {"n", "digits", "t", "jobs", "n_terms"}
+_FLOAT_KEYS = {"b", "stability_threshold"}
+
+
+def _number(key: str, text: str, kind):
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ValidationError(f"{key} expects {kind.__name__} values, got {text!r}") from exc
 
 
 def _coerce(key: str, raw):
+    """Turn override text into the preset's value type; non-strings pass through."""
     if not isinstance(raw, str):
         return raw
-    if key in {"n", "digits", "t", "seed", "jobs"}:
-        return int(raw)
-    if key == "b":
-        return float(raw)
+    if key in _INT_KEYS:
+        return _number(key, raw, int)
+    if key in _FLOAT_KEYS:
+        return _number(key, raw, float)
+    parts = [part.strip() for part in raw.split(",") if part.strip()]
     if key == "bracket":
-        lo, hi = (float(part) for part in raw.split(","))
-        return (lo, hi)
+        if len(parts) != 2:
+            raise ValidationError(f"bracket expects 'lo,hi', got {raw!r}")
+        return tuple(_number(key, part, float) for part in parts)
     if key == "t_list":
-        return [float(part) for part in raw.split(",")]
+        return [_number(key, part, float) for part in parts]
     if key == "sigma_list":
-        return [part.strip() for part in raw.split(",")]
+        for part in parts:
+            _number(key, part, float)
+        return parts
     # sigma, t1, dt stay as decimal text
     return raw
 
@@ -132,9 +144,14 @@ def parse_config_file(path: Path) -> dict:
 # shared output builders
 
 
-def _coeff_outputs(spec: GridSpec, threshold: float = DEFAULT_STABILITY_THRESHOLD) -> dict:
+def _coeff_outputs(params: dict):
+    spec = GridSpec(
+        sigma=params["sigma"], t1=params["t1"], dt=params["dt"],
+        n_rows=params["n"], digits=params["digits"],
+    )
     cs = solve_grid(spec)
     digits = spec.digits
+    threshold = params["stability_threshold"]
     rows = [
         [str(i), _ap(z.re, digits), _ap(z.im, digits)]
         for i, z in enumerate(cs.deltas, start=1)
@@ -150,7 +167,7 @@ def _coeff_outputs(spec: GridSpec, threshold: float = DEFAULT_STABILITY_THRESHOL
         crossing = half_crossing(cs)
         diag["n_hat_star"] = crossing.value
         diag["crossings"] = crossing.crossings
-    except Exception as exc:  # profile may be too broken to cross once
+    except NumericalError as exc:  # profile may be too broken to cross once
         diag["n_hat_star"] = None
         diag["crossing_error"] = str(exc)
     outputs = {
@@ -160,9 +177,24 @@ def _coeff_outputs(spec: GridSpec, threshold: float = DEFAULT_STABILITY_THRESHOL
     return outputs, cs
 
 
+def sigmoid_outputs(cs: CoefficientSet, digits: int) -> dict:
+    """sigmoid.csv + fit.json for a coefficient profile printed at `digits`."""
+    fit = construct_fit(cs)
+    rows = [
+        [str(i), _ap(z.re, digits), _f(sigmoid_eval(i, fit))]
+        for i, z in enumerate(cs.deltas, start=1)
+    ]
+    return {
+        "sigmoid.csv": _csv(["n", "re_delta", "sigmoid_value"], rows),
+        "fit.json": _json(
+            {"a_param": fit.a_param, "b_param": fit.b_param, "residual": fit.residual}
+        ),
+    }
+
+
 def _calibration_point(sigma: str, t: float, digits: int, bracket) -> dict:
     ctx = PrecisionContext(digits)
-    s = ComplexAP(ctx.real(sigma), ctx.real(t))
+    s = make_complex(sigma, t, ctx)
     cal = calibrate_b(s, ctx, bracket)
     return {
         "t": t,
@@ -182,29 +214,13 @@ def _star_calibration(args):
 
 
 def _run_coeffs(params: dict, jobs: int) -> dict:
-    spec = GridSpec(
-        sigma=params["sigma"], t1=params["t1"], dt=params["dt"],
-        n_rows=params["n"], digits=params["digits"],
-    )
-    outputs, _ = _coeff_outputs(spec)
+    outputs, _ = _coeff_outputs(params)
     return outputs
 
 
 def _run_sigmoid(params: dict, jobs: int) -> dict:
-    spec = GridSpec(
-        sigma=params["sigma"], t1=params["t1"], dt=params["dt"],
-        n_rows=params["n"], digits=params["digits"],
-    )
-    outputs, cs = _coeff_outputs(spec)
-    fit = construct_fit(cs)
-    rows = [
-        [str(i), _ap(z.re, spec.digits), _f(sigmoid_eval(i, fit))]
-        for i, z in enumerate(cs.deltas, start=1)
-    ]
-    outputs["sigmoid.csv"] = _csv(["n", "re_delta", "sigmoid_value"], rows)
-    outputs["fit.json"] = _json(
-        {"a_param": fit.a_param, "b_param": fit.b_param, "residual": fit.residual}
-    )
+    outputs, cs = _coeff_outputs(params)
+    outputs.update(sigmoid_outputs(cs, params["digits"]))
     return outputs
 
 
@@ -221,7 +237,7 @@ def _run_nhat_sweep(params: dict, jobs: int) -> dict:
         n_hat_formula = mean_t / math.pi
         try:
             n_hat_star = half_crossing(cs).value
-        except Exception:
+        except NumericalError:
             n_hat_star = float("nan")
         rows.append(
             [
@@ -241,7 +257,7 @@ def _run_nhat_sweep(params: dict, jobs: int) -> dict:
 
 def _run_eps_vs_b(params: dict, jobs: int) -> dict:
     ctx = PrecisionContext(params["digits"])
-    s = ComplexAP(ctx.real(params["sigma"]), ctx.real(params["t"]))
+    s = make_complex(params["sigma"], params["t"], ctx)
     cal = calibrate_b(s, ctx, params["bracket"])
     trace_rows = [[_f(b), _f(e)] for b, e in sorted(cal.trace)]
     return {
@@ -259,29 +275,33 @@ def _run_eps_vs_b(params: dict, jobs: int) -> dict:
     }
 
 
-def _sweep_rows(params: dict, jobs: int) -> list[dict]:
-    items = [
-        (params["sigma"], float(t), params["digits"], params["bracket"])
-        for t in params["t_list"]
-    ]
+def _sweep_rows(points: list, params: dict, jobs: int) -> list[dict]:
+    """Calibrate each (sigma, t) point in input order, in a process pool if jobs > 1."""
+    items = [(sigma, float(t), params["digits"], params["bracket"]) for sigma, t in points]
     if jobs > 1 and len(items) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_star_calibration, items))
     return [_star_calibration(item) for item in items]
 
 
-def _run_eps_vs_t(params: dict, jobs: int) -> dict:
-    points = _sweep_rows(params, jobs)
+def _t_sweep(params: dict, jobs: int) -> list[dict]:
+    return _sweep_rows([(params["sigma"], t) for t in params["t_list"]], params, jobs)
+
+
+def _accuracy_csv(points: list[dict]) -> str:
     rows = [[_f(p["t"]), _f(p["b_hat"]), _f(p["digits_gained"])] for p in points]
-    return {"accuracy.csv": _csv(["t", "b_hat", "digits_gained"], rows)}
+    return _csv(["t", "b_hat", "digits_gained"], rows)
+
+
+def _run_eps_vs_t(params: dict, jobs: int) -> dict:
+    return {"accuracy.csv": _accuracy_csv(_t_sweep(params, jobs))}
 
 
 def _run_power_law(params: dict, jobs: int) -> dict:
-    points = _sweep_rows(params, jobs)
-    rows = [[_f(p["t"]), _f(p["b_hat"]), _f(p["digits_gained"])] for p in points]
+    points = _t_sweep(params, jobs)
     fit = fit_power_law([(p["t"], p["b_hat"]) for p in points], sigma=float(params["sigma"]))
     return {
-        "accuracy.csv": _csv(["t", "b_hat", "digits_gained"], rows),
+        "accuracy.csv": _accuracy_csv(points),
         "powerfit.json": _json(
             {
                 "sigma": float(params["sigma"]),
@@ -297,8 +317,7 @@ def _run_cd_sigma(params: dict, jobs: int) -> dict:
     rows = []
     c_samples, d_samples = [], []
     for sigma in params["sigma_list"]:
-        sub = dict(params, sigma=sigma)
-        points = _sweep_rows(sub, jobs)
+        points = _t_sweep(dict(params, sigma=sigma), jobs)
         fit = fit_power_law([(p["t"], p["b_hat"]) for p in points], sigma=float(sigma))
         rows.append([_f(sigma), _f(fit.c_coef), _f(fit.d_exp), _f(fit.r_squared)])
         c_samples.append((float(sigma), fit.c_coef))
@@ -309,22 +328,15 @@ def _run_cd_sigma(params: dict, jobs: int) -> dict:
         try:
             efit = fit_sigma_dependence(samples)
             fits[label] = {"p": efit.p, "q": efit.q, "r_squared": efit.r_squared}
-        except Exception as exc:  # d_exp may go non-positive; report, don't abort
+        except (NumericalError, ValidationError) as exc:
+            # d_exp may go non-positive, or too few sigmas to fit; report, don't abort
             fits[label] = {"error": str(exc)}
     outputs["expfits.json"] = _json(fits)
     return outputs
 
 
 def _run_b_sigma(params: dict, jobs: int) -> dict:
-    items = [
-        (sigma, float(params["t"]), params["digits"], params["bracket"])
-        for sigma in params["sigma_list"]
-    ]
-    if jobs > 1 and len(items) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            points = list(pool.map(_star_calibration, items))
-    else:
-        points = [_star_calibration(item) for item in items]
+    points = _sweep_rows([(sigma, params["t"]) for sigma in params["sigma_list"]], params, jobs)
     rows = [
         [_f(sigma), _f(p["b_hat"]), _f(p["digits_gained"])]
         for sigma, p in zip(params["sigma_list"], points)
@@ -340,11 +352,12 @@ def _run_b_sigma(params: dict, jobs: int) -> dict:
 
 def _run_spiral(params: dict, jobs: int, weighted: bool) -> dict:
     ctx = PrecisionContext(params["digits"])
-    s = ComplexAP(ctx.real(params["sigma"]), ctx.real(params["t"]))
-    b = params.get("b")
-    if b is None:
+    s = make_complex(params["sigma"], params["t"], ctx)
+    b, n_terms = params["b"], params["n_terms"]
+    if b is None and (weighted or n_terms is None):
         b = calibrate_b(s, ctx, params["bracket"]).b_hat
-    n_terms = 2 * truncation_length(s, b, 10.0 ** (-ctx.digits))
+    if n_terms is None:
+        n_terms = 2 * truncation_length(s, b, 10.0 ** (-ctx.digits))
     if weighted:
         trace = weighted_partial_sums(s, b, n_terms, ctx)
     else:
@@ -386,6 +399,7 @@ _STABLE_GRID = {
     "dt": "0.628318531",
     "n": 100,
     "digits": 100,
+    "stability_threshold": DEFAULT_STABILITY_THRESHOLD,
 }
 
 _SIGMA_LADDER = ["0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.8", "0.9"]
@@ -488,6 +502,7 @@ _PRESETS: dict[str, _Preset] = {
             "digits": CALIBRATION_DIGITS,
             "bracket": DEFAULT_BRACKET,
             "b": None,
+            "n_terms": None,
         },
         lambda params, jobs: _run_spiral(params, jobs, weighted=False),
     ),
@@ -499,6 +514,7 @@ _PRESETS: dict[str, _Preset] = {
             "digits": CALIBRATION_DIGITS,
             "bracket": DEFAULT_BRACKET,
             "b": None,
+            "n_terms": None,
         },
         lambda params, jobs: _run_spiral(params, jobs, weighted=True),
     ),
@@ -540,22 +556,12 @@ class RunManifest:
         payload = {
             "preset": self.preset,
             "figure": self.figure,
-            "config": _jsonable(self.config),
+            "config": self.config,
             "version": self.version,
             "outputs": self.outputs,
             "wall_time_s": self.wall_time_s,
         }
         return _json(payload)
-
-
-def _jsonable(params: dict) -> dict:
-    out = {}
-    for key, value in params.items():
-        if isinstance(value, tuple):
-            out[key] = list(value)
-        else:
-            out[key] = value
-    return out
 
 
 def run_preset(config: ExperimentConfig, output_dir: str | Path = ".", jobs: int = 1) -> RunManifest:
@@ -569,6 +575,20 @@ def run_preset(config: ExperimentConfig, output_dir: str | Path = ".", jobs: int
     outputs = preset.runner(runner_params, jobs)
     wall = time.perf_counter() - start
 
+    manifest = RunManifest(
+        preset=config.preset,
+        figure=preset.figure,
+        config=params,
+        version=__version__,
+        outputs=write_outputs(outputs, output_dir),
+        wall_time_s=wall,
+    )
+    (Path(output_dir) / "manifest.json").write_text(manifest.to_json())
+    return manifest
+
+
+def write_outputs(outputs: dict, output_dir: str | Path) -> dict:
+    """Write {filename: text} into output_dir; return {filename: sha256}."""
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     checksums = {}
@@ -576,14 +596,4 @@ def run_preset(config: ExperimentConfig, output_dir: str | Path = ".", jobs: int
         data = content.encode("utf-8")
         (out_dir / filename).write_bytes(data)
         checksums[filename] = hashlib.sha256(data).hexdigest()
-
-    manifest = RunManifest(
-        preset=config.preset,
-        figure=preset.figure,
-        config=params,
-        version=__version__,
-        outputs=checksums,
-        wall_time_s=wall,
-    )
-    (out_dir / "manifest.json").write_text(manifest.to_json())
-    return manifest
+    return checksums

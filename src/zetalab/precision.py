@@ -58,7 +58,10 @@ class PrecisionContext:
 
     def real(self, x) -> "mpmath.mpf":
         """Convert int/float/str/mpf to this context's precision."""
-        return self._mp.mpf(x)
+        try:
+            return self._mp.mpf(x)
+        except (ValueError, TypeError) as exc:
+            raise ValidationError(f"not a number: {x!r}") from exc
 
     def with_digits(self, digits: int, guard_digits: int | None = None) -> "PrecisionContext":
         return PrecisionContext(digits, self.guard_digits if guard_digits is None else guard_digits)

@@ -81,6 +81,9 @@ class TestPipelines:
         assert result.exit_code == 0, result.output
         cal = json.loads((tmp_path / "calibration.json").read_text())
         assert cal["b_hat"] > 0
+        assert cal["t"] == 100.0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["preset"] == "fig-eps-vs-b"
         trace_lines = (tmp_path / "trace.csv").read_text().splitlines()
         assert trace_lines[0] == "B,err"
         assert len(trace_lines) > 64
@@ -93,6 +96,8 @@ class TestPipelines:
         )
         assert result.exit_code == 0, result.output
         assert (tmp_path / "spiral.svg").exists()
+        meta = json.loads((tmp_path / "spiral.json").read_text())
+        assert meta["weighted"] and meta["b_used"] == 1.2
 
     def test_run_preset_and_exit_codes(self, runner, tmp_path):
         result = runner.invoke(
@@ -141,3 +146,29 @@ class TestListPresets:
             lines = block.strip().splitlines()
             pairs = dict(line.split(" = ", 1) for line in lines)
             assert "preset" in pairs and "figure" in pairs
+
+
+# every malformed number must surface as a validation error before any output
+OUT = ["--output-dir", "{out}"]
+MALFORMED = {
+    "zeta-eval-s": ["zeta", "eval", "--s", "0.5,abc", "--digits", "20"],
+    "run-t": ["run", "fig-eps-vs-b", "--set", "t=abc", *OUT],
+    "run-bracket": ["run", "fig-eps-vs-b", "--set", "bracket=1", *OUT],
+    "run-t-list": ["run", "fig-eps-vs-t", "--set", "t_list=100,,abc", *OUT],
+    "run-n": ["run", "fig-coeffs-stable", "--set", "n=abc", *OUT],
+    "run-t1": ["run", "fig-coeffs-stable", "--set", "t1=abc", *OUT],
+    "solve-coeffs-t1": ["solve-coeffs", "--t1", "abc", "--dt", "1", "--n", "4", *OUT],
+    "sigma-law-list": ["sigma-law", "--t", "100", "--sigma-list", "0.3,abc,0.7", *OUT],
+    "fit-sigmoid-cell": ["fit-sigmoid", "--input", "{csv}", "--digits", "20", *OUT],
+}
+
+
+@pytest.mark.parametrize("args", list(MALFORMED.values()), ids=list(MALFORMED))
+def test_malformed_input_exits_2(runner, tmp_path, args):
+    csv_path = tmp_path / "coeffs.csv"
+    csv_path.write_text("n,re_delta,im_delta\n1,0.5,0\n2,abc,0\n")
+    result = runner.invoke(main, [arg.format(csv=csv_path, out=tmp_path / "out") for arg in args])
+    assert result.exit_code == 2, result.output
+    assert "error:" in result.stderr
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()

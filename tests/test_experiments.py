@@ -2,7 +2,10 @@ import hashlib
 import json
 
 import pytest
+from click.testing import CliRunner
 
+from zetalab import experiments
+from zetalab.cli import main
 from zetalab.errors import ValidationError
 from zetalab.experiments import (
     ExperimentConfig,
@@ -27,23 +30,21 @@ class TestPresetTable:
         for entry in list_presets():
             assert entry["figure"].strip()
 
-    def test_round_trip_as_config_stub(self):
-        # the listed parameters feed back through the override coercion
-        for entry in list_presets():
-            overrides = {}
+    def test_round_trip_as_config_stub(self, tmp_path):
+        # every block `list-presets` prints feeds back through --config parsing
+        # and the override coercion to the preset's own defaults
+        output = CliRunner().invoke(main, ["list-presets"]).output
+        blocks = [block for block in output.split("\n\n") if block.strip()]
+        entries = list_presets()
+        assert len(blocks) == len(entries)
+        for block, entry in zip(blocks, entries):
+            stub = tmp_path / f"{entry['preset']}.cfg"
+            stub.write_text(block)
+            overrides = parse_config_file(stub)
+            assert overrides.pop("preset") == entry["preset"]
+            assert overrides.pop("figure") == entry["figure"]
+            resolved = ExperimentConfig(preset=entry["preset"], overrides=overrides).resolved()
             for key, value in entry["parameters"].items():
-                if isinstance(value, (list, tuple)):
-                    text = ",".join(str(v) for v in value)
-                elif value is None:
-                    continue
-                else:
-                    text = str(value)
-                overrides[key] = text
-            config = ExperimentConfig(preset=entry["preset"], overrides=overrides)
-            resolved = config.resolved()
-            for key, value in entry["parameters"].items():
-                if value is None:
-                    continue
                 if isinstance(value, tuple):
                     assert tuple(resolved[key]) == value
                 else:
@@ -71,6 +72,24 @@ class TestConfig:
         assert _coerce("t_list", "1,2.5,3") == [1.0, 2.5, 3.0]
         assert _coerce("sigma_list", "0.1, 0.5") == ["0.1", "0.5"]
         assert _coerce("sigma", "0.5") == "0.5"
+        assert _coerce("t_list", "100,,200") == [100.0, 200.0]
+        assert _coerce("stability_threshold", "0.5") == 0.5
+        assert _coerce("n_terms", "30") == 30
+        assert _coerce("t", 100.0) == 100.0
+
+    @pytest.mark.parametrize(
+        "key,raw",
+        [("n", "abc"), ("t", "1e3x"), ("b", "abc"), ("bracket", "1"), ("bracket", "1,x"),
+         ("t_list", "100,,abc"), ("sigma_list", "0.3,abc")],
+    )
+    def test_bad_coercion_names_key(self, key, raw):
+        with pytest.raises(ValidationError, match=key):
+            _coerce(key, raw)
+
+    def test_seed_is_not_a_key(self):
+        config = ExperimentConfig(preset="fig-eps-vs-b", overrides={"seed": "1"})
+        with pytest.raises(ValidationError):
+            config.resolved()
 
     def test_config_file_parsing(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -165,15 +184,57 @@ class TestRunPreset:
         assert "accuracy.csv" in manifest.outputs
 
     def test_jobs_parallel_sweep_matches_serial(self, tmp_path):
-        overrides = {"t_list": "100,150", "digits": "20"}
-        serial = run_preset(
-            ExperimentConfig(preset="fig-eps-vs-t", overrides=dict(overrides)),
-            tmp_path / "serial",
-            jobs=1,
+        # a t sweep and a sigma sweep both go through the shared pool path
+        cases = {
+            "fig-eps-vs-t": {"t_list": "100,150", "digits": "20"},
+            "fig-b-sigma": {"sigma_list": "0.3,0.5,0.7", "t": "100", "digits": "20"},
+        }
+        for preset, overrides in cases.items():
+            serial = run_preset(
+                ExperimentConfig(preset=preset, overrides=dict(overrides)),
+                tmp_path / preset / "serial",
+                jobs=1,
+            )
+            parallel = run_preset(
+                ExperimentConfig(preset=preset, overrides=dict(overrides)),
+                tmp_path / preset / "parallel",
+                jobs=2,
+            )
+            assert serial.outputs == parallel.outputs
+
+    @pytest.mark.parametrize(
+        "preset,overrides",
+        [("fig-coeffs-stable", TINY_SOLVE),
+         ("fig-nhat-sweep", {"n": "12", "digits": "30", "t_list": "31.41592653"})],
+        ids=["coeffs", "nhat-sweep"],
+    )
+    def test_crossing_bug_is_not_written_as_data(self, tmp_path, monkeypatch, preset, overrides):
+        def broken(cs):
+            raise RuntimeError("bug in half_crossing")
+
+        monkeypatch.setattr(experiments, "half_crossing", broken)
+        with pytest.raises(RuntimeError):
+            run_preset(ExperimentConfig(preset=preset, overrides=dict(overrides)), tmp_path)
+
+    def test_spiral_n_terms_skips_calibration(self, tmp_path, monkeypatch):
+        def no_calibration(*args):
+            raise AssertionError("raw spiral with n_terms must not calibrate")
+
+        monkeypatch.setattr(experiments, "calibrate_b", no_calibration)
+        config = ExperimentConfig(
+            preset="fig-spiral-raw", overrides={"t": "50", "digits": "20", "n_terms": "30"}
         )
-        parallel = run_preset(
-            ExperimentConfig(preset="fig-eps-vs-t", overrides=dict(overrides)),
-            tmp_path / "parallel",
-            jobs=2,
+        run_preset(config, tmp_path)
+        assert len((tmp_path / "spiral.csv").read_text().splitlines()) == 31
+        meta = json.loads((tmp_path / "spiral.json").read_text())
+        assert meta["n_terms"] == 30 and meta["b_used"] is None
+
+    def test_two_sigma_cd_fit_reports_error(self, tmp_path):
+        config = ExperimentConfig(
+            preset="fig-c-d-sigma",
+            overrides={"sigma_list": "0.3,0.5", "t_list": "100,200", "digits": "20"},
         )
-        assert serial.outputs == parallel.outputs
+        run_preset(config, tmp_path)
+        fits = json.loads((tmp_path / "expfits.json").read_text())
+        assert set(fits) == {"c_coef", "d_exp"}
+        assert all("error" in fit for fit in fits.values())
