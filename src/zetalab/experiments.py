@@ -92,7 +92,7 @@ class ExperimentConfig:
 
 
 _GLOBAL_KEYS = {"jobs"}
-_INT_KEYS = {"n", "digits", "t", "jobs", "n_terms"}
+_INT_KEYS = {"n", "digits", "jobs", "n_terms"}
 _FLOAT_KEYS = {"b", "stability_threshold"}
 
 
@@ -109,6 +109,15 @@ def _coerce(key: str, raw):
         return raw
     if key in _INT_KEYS:
         return _number(key, raw, int)
+    if key == "t":
+        # a real ordinate; integral text stays an int, so outputs keep "t": 100
+        try:
+            return int(raw)
+        except ValueError:
+            value = _number(key, raw, float)
+        if not math.isfinite(value):
+            raise ValidationError(f"t expects a finite number, got {raw!r}")
+        return value
     if key in _FLOAT_KEYS:
         return _number(key, raw, float)
     parts = [part.strip() for part in raw.split(",") if part.strip()]

@@ -24,11 +24,13 @@ from .errors import (
     ValidationError,
 )
 from .oracle import zeta
-from .precision import ComplexAP, PrecisionContext, _raw, _wrap
+from .powers import PowerTable, center, power_table, sigmoid_weight, weighted_sum
+from .precision import ComplexAP, PrecisionContext, _raw
 
 DEFAULT_BRACKET = (0.1, 100.0)
 CALIBRATION_DIGITS = 30
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_SCAN_LIMIT = "truncation scan exceeded 1e8 terms; check b/tail_eps"
 
 
 def _require_off_axis(s: ComplexAP):
@@ -49,58 +51,74 @@ def generalized_delta(n: int, s: ComplexAP, b: float, ctx: PrecisionContext | No
     _require_scale(b)
     if ctx is None:
         ctx = PrecisionContext(CALIBRATION_DIGITS)
-    mp = ctx._mp
-    center = abs(mp.mpf(s.im)) / mp.pi  # even in t: conjugates share weights
-    x = (n - center) / mp.mpf(b)
-    return 1 / (1 + mp.exp(x))
+    return sigmoid_weight(n, center(s, ctx), b, ctx)
 
 
 def truncation_length(s: ComplexAP, b: float, tail_eps: float) -> int:
     """Smallest N with weight(N) * N^(-sigma) < tail_eps, floored at ceil(t/pi)+1.
 
-    The scan runs in log-domain double precision: the tail test only gates
-    truncation noise, which sits far below the measured error.
+    The test runs in log-domain double precision: it only gates truncation
+    noise, which sits far below the measured error.  Past the floor the
+    log-weight falls in n, and for sigma >= 0 so does -sigma ln n, so the
+    test flips once: a galloping search plus bisection finds the first N.
+    For sigma < 0 the scan is linear.
     """
     _require_off_axis(s)
     _require_scale(b)
     if not tail_eps > 0:
         raise ValidationError("tail_eps must be > 0")
     sigma = float(s.re)
-    center = abs(float(s.im)) / math.pi
-    floor_n = max(math.ceil(center) + 1, 1)
+    c = abs(float(s.im)) / math.pi
+    floor_n = max(math.ceil(c) + 1, 1)
     log_eps = math.log(tail_eps)
 
     def below(n: int) -> bool:
-        x = (n - center) / b
+        x = (n - c) / b
         if x > 0:
             log_w = -x - math.log1p(math.exp(-x)) if x < 700 else -x
         else:
             log_w = -math.log1p(math.exp(x))
         return log_w - sigma * math.log(n) < log_eps
 
-    n = floor_n
-    while not below(n):
-        n += 1
-        if n > floor_n + 100_000_000:
-            raise ValidationError("truncation scan exceeded 1e8 terms; check b/tail_eps")
-    return n
+    limit = floor_n + 100_000_000
+    if sigma < 0:
+        n = floor_n
+        while not below(n):
+            n += 1
+            if n > limit:
+                raise ValidationError(_SCAN_LIMIT)
+        return n
+    if below(floor_n):
+        return floor_n
+    lo, hi, step = floor_n, floor_n + 1, 1  # below(lo) is false throughout
+    while not below(hi):
+        if hi == limit:
+            raise ValidationError(_SCAN_LIMIT)
+        lo, step = hi, 2 * step
+        hi = min(floor_n + step, limit)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if below(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
-def weighted_zeta(s: ComplexAP, b: float, n_terms: int, ctx: PrecisionContext) -> ComplexAP:
-    """sum_{n=1}^{N} weight(n) * n^(-s), summed in increasing n."""
+def weighted_zeta(
+    s: ComplexAP, b: float, n_terms: int, ctx: PrecisionContext, powers: PowerTable | None = None
+) -> ComplexAP:
+    """sum_{n=1}^{N} weight(n) * n^(-s) in fixed point, from `powers` or a table built here.
+
+    `powers` must be power_table(s, M, ctx) with M >= n_terms.
+    """
     if n_terms < 1:
         raise ValidationError(f"n_terms must be >= 1, got {n_terms}")
     _require_off_axis(s)
     _require_scale(b)
-    mp = ctx._mp
-    sw = _raw(s, ctx)
-    center = abs(mp.mpf(s.im)) / mp.pi
-    scale = mp.mpf(b)
-    total = mp.mpc(0)
-    for n in range(1, n_terms + 1):
-        weight = 1 / (1 + mp.exp((n - center) / scale))
-        total += weight * mp.exp(-sw * mp.ln(mp.mpf(n)))
-    return _wrap(total)
+    if powers is None:
+        powers = power_table(s, n_terms, ctx)
+    return weighted_sum(powers, center(s, ctx), b, n_terms)
 
 
 @dataclass(frozen=True)
@@ -141,11 +159,14 @@ def calibrate_b(
     eps = 10.0 ** (-ctx.digits) if tail_eps is None else tail_eps
 
     reference = _raw(zeta(s, ctx).value, ctx)
+    # the truncation length grows with b and the coarse scan evaluates hi,
+    # so one table serves every evaluation
+    powers = power_table(s, truncation_length(s, hi, eps), ctx)
     trace: list[tuple[float, float]] = []
 
     def err(b: float) -> float:
         n = truncation_length(s, b, eps)
-        approx = _raw(weighted_zeta(s, b, n, ctx), ctx)
+        approx = _raw(weighted_zeta(s, b, n, ctx, powers), ctx)
         value = float(abs(reference - approx))
         trace.append((b, value))
         return value

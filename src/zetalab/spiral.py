@@ -8,10 +8,12 @@ point is the functional-equation residual.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import PoleError, ValidationError
 from .oracle import chi
+from .powers import center, frac_bits, from_fixed, power_table, to_fixed, weights
 from .precision import ComplexAP, PrecisionContext, _raw, _wrap
 from .series import _require_off_axis, _require_scale
 
@@ -28,32 +30,44 @@ class SpiralTrace:
     b_used: float | None = None
 
 
-def _term_factory(s: ComplexAP, ctx: PrecisionContext):
+def _terms(s: ComplexAP, n_terms: int, ctx: PrecisionContext):
+    """Yield n^(-s) - chi(s) n^(s-1) for n = 1..N as fixed-point int pairs scaled by 2^(2F).
+
+    n^(s-1) = n^(-(1-s)) comes from a power table for 1 - s.
+    """
     if s.im == 0 and s.re == 1:
         raise PoleError("trace undefined at s = 1")
     _require_off_axis(s)
-    mp = ctx._mp
-    sw = _raw(s, ctx)
+    bits = frac_bits(ctx)
     chi_s = _raw(chi(s, ctx), ctx)
+    chi_re, chi_im = to_fixed(chi_s.real._mpf_, bits), to_fixed(chi_s.imag._mpf_, bits)
+    direct = power_table(s, n_terms, ctx)
+    mirror = power_table(_wrap(1 - _raw(s, ctx)), n_terms, ctx)
+    for n in range(1, n_terms + 1):
+        m_re, m_im = mirror.re[n], mirror.im[n]
+        yield (
+            (direct.re[n] << bits) - (chi_re * m_re - chi_im * m_im),
+            (direct.im[n] << bits) - (chi_re * m_im + chi_im * m_re),
+        )
 
-    def term(n: int):
-        ln_n = mp.ln(mp.mpf(n))
-        return mp.exp(-sw * ln_n) - chi_s * mp.exp((sw - 1) * ln_n)
 
-    return term
+def _partial_sums(s: ComplexAP, n_terms: int, ctx: PrecisionContext, factors, bits: int):
+    """Running sums of factor * term, each rounded once from bits-scaled ints."""
+    acc_re = acc_im = 0
+    points = []
+    for (term_re, term_im), w in zip(_terms(s, n_terms, ctx), factors):
+        acc_re += w * term_re
+        acc_im += w * term_im
+        points.append(from_fixed(acc_re, acc_im, bits, ctx))
+    return tuple(points)
 
 
 def raw_partial_sums(s: ComplexAP, n_terms: int, ctx: PrecisionContext) -> SpiralTrace:
     """Partial sums of the unweighted (divergent) combination."""
     if n_terms < 1:
         raise ValidationError(f"n_terms must be >= 1, got {n_terms}")
-    term = _term_factory(s, ctx)
-    acc = ctx._mp.mpc(0)
-    points = []
-    for n in range(1, n_terms + 1):
-        acc += term(n)
-        points.append(_wrap(acc))
-    return SpiralTrace(s=s, weighted=False, points=tuple(points))
+    points = _partial_sums(s, n_terms, ctx, itertools.repeat(1), 2 * frac_bits(ctx))
+    return SpiralTrace(s=s, weighted=False, points=points)
 
 
 def weighted_partial_sums(s: ComplexAP, b: float, n_terms: int, ctx: PrecisionContext) -> SpiralTrace:
@@ -61,17 +75,9 @@ def weighted_partial_sums(s: ComplexAP, b: float, n_terms: int, ctx: PrecisionCo
     if n_terms < 1:
         raise ValidationError(f"n_terms must be >= 1, got {n_terms}")
     _require_scale(b)
-    term = _term_factory(s, ctx)
-    mp = ctx._mp
-    center = abs(mp.mpf(s.im)) / mp.pi
-    scale = mp.mpf(b)
-    acc = mp.mpc(0)
-    points = []
-    for n in range(1, n_terms + 1):
-        weight = 1 / (1 + mp.exp((n - center) / scale))
-        acc += weight * term(n)
-        points.append(_wrap(acc))
-    return SpiralTrace(s=s, weighted=True, points=tuple(points), b_used=b)
+    w = weights(center(s, ctx), b, ctx)
+    points = _partial_sums(s, n_terms, ctx, w, 3 * frac_bits(ctx))
+    return SpiralTrace(s=s, weighted=True, points=points, b_used=b)
 
 
 def functional_residual(s: ComplexAP, b: float, n_terms: int, ctx: PrecisionContext) -> float:

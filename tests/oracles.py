@@ -4,9 +4,16 @@ The alternating-series zeta lives here (not in the library) so the library's
 Euler-Maclaurin path is cross-checked against a genuinely different method:
 Cohen-Rodriguez Villegas-Zagier acceleration of the eta series, with the depth
 doubled until two successive depths agree to the target.
+
+The exp/ln weighted sum, spiral sums and linear truncation scan are the
+direct paths the library's fixed-point power tables and galloping search
+replaced; they stay here as the reference those fast paths are checked
+against.
 """
 
 from __future__ import annotations
+
+import math
 
 import mpmath
 
@@ -46,3 +53,52 @@ def eta_zeta(s_re: str, s_im: str, digits: int):
     else:
         raise RuntimeError(f"CVZ eta failed to self-certify {digits} digits at s = {s}")
     return eta / (1 - ref.power(2, 1 - s))
+
+
+# ---------------------------------------------------------------------------
+# the direct exp/ln paths that the fixed-point power tables replace
+
+
+def exp_ln_weighted_zeta(s, b, n_terms: int, mp):
+    """sum_{n=1}^{N} n^(-s) / (1 + exp((n - |t|/pi)/b)), each term by exp/ln at mp's precision."""
+    sw = mp.mpc(s.re, s.im)
+    center = abs(mp.mpf(s.im)) / mp.pi
+    scale = mp.mpf(b)
+    total = mp.mpc(0)
+    for n in range(1, n_terms + 1):
+        weight = 1 / (1 + mp.exp((n - center) / scale))
+        total += weight * mp.exp(-sw * mp.ln(mp.mpf(n)))
+    return total
+
+
+def exp_ln_spiral_sums(s, chi_s, b, n_terms: int, mp):
+    """Partial sums of w_n (n^(-s) - chi_s n^(s-1)); w_n = 1 when b is None."""
+    sw = mp.mpc(s.re, s.im)
+    center = abs(mp.mpf(s.im)) / mp.pi
+    acc = mp.mpc(0)
+    points = []
+    for n in range(1, n_terms + 1):
+        ln_n = mp.ln(mp.mpf(n))
+        term = mp.exp(-sw * ln_n) - chi_s * mp.exp((sw - 1) * ln_n)
+        if b is not None:
+            term /= 1 + mp.exp((n - center) / mp.mpf(b))
+        acc += term
+        points.append(acc)
+    return points
+
+
+def linear_truncation_length(s, b: float, tail_eps: float) -> int:
+    """The first N >= ceil(t/pi)+1 passing the log-domain tail test, by a linear scan."""
+    sigma = float(s.re)
+    center = abs(float(s.im)) / math.pi
+    n = max(math.ceil(center) + 1, 1)
+    log_eps = math.log(tail_eps)
+    while True:
+        x = (n - center) / b
+        if x > 0:
+            log_w = -x - math.log1p(math.exp(-x)) if x < 700 else -x
+        else:
+            log_w = -math.log1p(math.exp(x))
+        if log_w - sigma * math.log(n) < log_eps:
+            return n
+        n += 1

@@ -153,6 +153,7 @@ OUT = ["--output-dir", "{out}"]
 MALFORMED = {
     "zeta-eval-s": ["zeta", "eval", "--s", "0.5,abc", "--digits", "20"],
     "run-t": ["run", "fig-eps-vs-b", "--set", "t=abc", *OUT],
+    "run-t-nan": ["run", "fig-eps-vs-b", "--set", "t=nan", *OUT],
     "run-bracket": ["run", "fig-eps-vs-b", "--set", "bracket=1", *OUT],
     "run-t-list": ["run", "fig-eps-vs-t", "--set", "t_list=100,,abc", *OUT],
     "run-n": ["run", "fig-coeffs-stable", "--set", "n=abc", *OUT],
@@ -161,6 +162,26 @@ MALFORMED = {
     "sigma-law-list": ["sigma-law", "--t", "100", "--sigma-list", "0.3,abc,0.7", *OUT],
     "fit-sigmoid-cell": ["fit-sigmoid", "--input", "{csv}", "--digits", "20", *OUT],
 }
+
+
+@pytest.mark.parametrize(
+    "preset,extra,filename,text,expected",
+    [
+        ("fig-eps-vs-b", [], "calibration.json", "1000.5", 1000.5),
+        ("fig-eps-vs-b", [], "calibration.json", "100", 100),
+        ("fig-spiral-raw", ["--set", "b=1.2"], "spiral.json", "100", 100),
+    ],
+)
+def test_run_takes_real_t(runner, tmp_path, preset, extra, filename, text, expected):
+    # integral text stays an int in the output files
+    result = runner.invoke(
+        main,
+        ["run", preset, "--set", f"t={text}", "--set", "digits=20", *extra,
+         "--output-dir", str(tmp_path)],
+    )
+    assert result.exit_code == 0, result.output
+    saved = json.loads((tmp_path / filename).read_text())["t"]
+    assert saved == expected and type(saved) is type(expected)
 
 
 @pytest.mark.parametrize("args", list(MALFORMED.values()), ids=list(MALFORMED))

@@ -76,6 +76,8 @@ class TestConfig:
         assert _coerce("stability_threshold", "0.5") == 0.5
         assert _coerce("n_terms", "30") == 30
         assert _coerce("t", 100.0) == 100.0
+        assert _coerce("t", "1000.5") == 1000.5
+        assert type(_coerce("t", "100")) is int
 
     @pytest.mark.parametrize(
         "key,raw",

@@ -199,6 +199,7 @@ class TestCalibration:
         down = calibrate_b(make_complex("0.5", "-300", ctx30), ctx30)
         assert up.b_hat == down.b_hat
         assert up.err_at_opt == down.err_at_opt
+        assert up.trace == down.trace
 
     def test_no_interior_minimum(self, ctx30):
         s = make_complex("0.5", "300", ctx30)
