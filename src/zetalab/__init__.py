@@ -14,17 +14,9 @@ from .oracle import OracleResult, chi, gamma, zeta
 from .precision import (
     ComplexAP,
     PrecisionContext,
-    add,
-    cabs,
-    carg,
-    cexp,
-    cln,
-    div,
     make_complex,
-    mul,
     parse_complex,
     power_term,
-    sub,
     to_string,
 )
 from .series import (
@@ -63,14 +55,6 @@ __all__ = [
     "ComplexAP",
     "make_complex",
     "power_term",
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "cexp",
-    "cln",
-    "cabs",
-    "carg",
     "to_string",
     "parse_complex",
     "OracleResult",

@@ -22,14 +22,6 @@ class NonFiniteValueError(NumericalError):
     """A NaN or infinity tried to escape an arithmetic operation."""
 
 
-class DivisionByZeroError(NumericalError):
-    """Complex division with a zero denominator."""
-
-
-class LogOfZeroError(NumericalError):
-    """Complex logarithm of zero."""
-
-
 class PoleError(NumericalError):
     """Evaluation requested at a pole of the function."""
 

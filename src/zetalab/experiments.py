@@ -18,11 +18,11 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from mpmath.libmp import to_str as _mpf_to_str
+import mpmath
 
 from . import __version__
 from .errors import NumericalError, ValidationError
-from .precision import PrecisionContext, make_complex
+from .precision import PrecisionContext, _format_real, make_complex
 from .sigmoid import construct_fit, sigmoid_eval
 from .solver import (
     DEFAULT_STABILITY_THRESHOLD,
@@ -48,11 +48,6 @@ from .svgplot import spiral_svg
 
 def _f(x) -> str:
     return repr(float(x))
-
-
-def _ap(x, digits: int) -> str:
-    """Arbitrary-precision real to exactly `digits` significant digits."""
-    return _mpf_to_str(x._mpf_, digits, strip_zeros=False)
 
 
 def _csv(header: list[str], rows: list[list[str]]) -> str:
@@ -93,7 +88,8 @@ class ExperimentConfig:
 
 _GLOBAL_KEYS = {"jobs"}
 _INT_KEYS = {"n", "digits", "jobs", "n_terms"}
-_FLOAT_KEYS = {"b", "stability_threshold"}
+_REAL_KEYS = {"t", "b", "stability_threshold"}
+_DECIMAL_KEYS = {"sigma", "t1", "dt"}  # real values kept as decimal text
 
 
 def _number(key: str, text: str, kind):
@@ -103,35 +99,52 @@ def _number(key: str, text: str, kind):
         raise ValidationError(f"{key} expects {kind.__name__} values, got {text!r}") from exc
 
 
+def _finite(key: str, raw, parse=float):
+    """A finite real: text is parsed, a number keeps its type."""
+    try:
+        value = parse(raw) if isinstance(raw, str) else raw
+        finite = math.isfinite(value)
+    except (ValueError, TypeError):
+        finite = False
+    if not finite:
+        raise ValidationError(f"{key} expects a finite number, got {raw!r}")
+    return value
+
+
 def _coerce(key: str, raw):
-    """Turn override text into the preset's value type; non-strings pass through."""
-    if not isinstance(raw, str):
+    """Turn an override into the preset's value type; reals must be finite.
+
+    Text is parsed; other values (click numbers, Python API values) keep
+    their type, but a real-valued key rejects NaN and infinity either way.
+    """
+    if raw is None:
         return raw
     if key in _INT_KEYS:
-        return _number(key, raw, int)
-    if key == "t":
+        return _number(key, raw, int) if isinstance(raw, str) else raw
+    if key == "t" and isinstance(raw, str):
         # a real ordinate; integral text stays an int, so outputs keep "t": 100
         try:
             return int(raw)
         except ValueError:
-            value = _number(key, raw, float)
-        if not math.isfinite(value):
-            raise ValidationError(f"t expects a finite number, got {raw!r}")
-        return value
-    if key in _FLOAT_KEYS:
-        return _number(key, raw, float)
-    parts = [part.strip() for part in raw.split(",") if part.strip()]
+            pass
+    if key in _REAL_KEYS:
+        return _finite(key, raw)
+    if key in _DECIMAL_KEYS:
+        _finite(key, raw, mpmath.mpf)  # parsed later at the run's precision
+        return raw
+    parts = raw
+    if isinstance(raw, str):
+        parts = [part.strip() for part in raw.split(",") if part.strip()]
     if key == "bracket":
         if len(parts) != 2:
             raise ValidationError(f"bracket expects 'lo,hi', got {raw!r}")
-        return tuple(_number(key, part, float) for part in parts)
+        return tuple(_finite(key, part) for part in parts)
     if key == "t_list":
-        return [_number(key, part, float) for part in parts]
+        return [_finite(key, part) for part in parts]
     if key == "sigma_list":
         for part in parts:
-            _number(key, part, float)
-        return parts
-    # sigma, t1, dt stay as decimal text
+            _finite(key, part)
+        return list(parts)
     return raw
 
 
@@ -162,12 +175,12 @@ def _coeff_outputs(params: dict):
     digits = spec.digits
     threshold = params["stability_threshold"]
     rows = [
-        [str(i), _ap(z.re, digits), _ap(z.im, digits)]
+        [str(i), _format_real(z.re, digits), _format_real(z.im, digits)]
         for i, z in enumerate(cs.deltas, start=1)
     ]
     diag = {
-        "residual_inf": _ap(cs.residual_inf, 12),
-        "im_stability": _ap(cs.im_stability, 12),
+        "residual_inf": _format_real(cs.residual_inf, 12),
+        "im_stability": _format_real(cs.im_stability, 12),
         "stable": bool(cs.im_stability < threshold),
         "stability_threshold": threshold,
         "ordinate_bound_ok": spec.ordinate_bound_ok,
@@ -190,7 +203,7 @@ def sigmoid_outputs(cs: CoefficientSet, digits: int) -> dict:
     """sigmoid.csv + fit.json for a coefficient profile printed at `digits`."""
     fit = construct_fit(cs)
     rows = [
-        [str(i), _ap(z.re, digits), _f(sigmoid_eval(i, fit))]
+        [str(i), _format_real(z.re, digits), _f(sigmoid_eval(i, fit))]
         for i, z in enumerate(cs.deltas, start=1)
     ]
     return {
@@ -254,7 +267,7 @@ def _run_nhat_sweep(params: dict, jobs: int) -> dict:
                 _f(n_hat_star),
                 _f(n_hat_formula),
                 _f(mean_t / float(spec.t1)),
-                _ap(cs.im_stability, 12),
+                _format_real(cs.im_stability, 12),
             ]
         )
     return {
@@ -372,7 +385,7 @@ def _run_spiral(params: dict, jobs: int, weighted: bool) -> dict:
     else:
         trace = raw_partial_sums(s, n_terms, ctx)
     rows = [
-        [str(k), _ap(p.re, DISPLAY_DIGITS), _ap(p.im, DISPLAY_DIGITS)]
+        [str(k), _format_real(p.re, DISPLAY_DIGITS), _format_real(p.im, DISPLAY_DIGITS)]
         for k, p in enumerate(trace.points, start=1)
     ]
     points_f = [(float(p.re), float(p.im)) for p in trace.points]

@@ -168,12 +168,6 @@ def zeta(s: ComplexAP, ctx: PrecisionContext) -> OracleResult:
 # gamma via Stirling
 
 
-def _is_nonpositive_int(z: ComplexAP) -> bool:
-    if z.im != 0:
-        return False
-    return z.re <= 0 and z.re == mpmath.floor(z.re)
-
-
 def _lngamma_stirling(w, mp, cutoff, max_order: int):
     """ln gamma by the Stirling series; needs |w| large, Re w  > 0."""
     acc = (w - mp.mpf(1) / 2) * mp.ln(w) - w + mp.ln(2 * mp.pi) / 2
@@ -194,23 +188,17 @@ def _lngamma_stirling(w, mp, cutoff, max_order: int):
     return acc, False
 
 
-def gamma(s: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
-    """gamma(s) to the digit budget; poles at non-positive integers."""
-    if _is_nonpositive_int(s):
-        raise PoleError(f"gamma has a pole at s = {s.re}")
-
-    digits = ctx.digits
-    work = PrecisionContext(digits, ctx.guard_digits + _ORACLE_GUARD)
+def _gamma_at(z, work: PrecisionContext):
+    """gamma(z) for an mpc z of work's type, computed at work's precision."""
     mp = work._mp
-    z = _raw(s, work)
+    if z.imag == 0 and z.real <= 0 and z.real == mp.floor(z.real):
+        raise PoleError(f"gamma has a pole at s = {z.real}")
 
     if z.real < mp.mpf(1) / 2:
         # reflection: gamma(z) gamma(1-z) = pi / sin(pi z)
-        refl = _raw(gamma(_wrap(1 - z), work), work)
-        val = mp.pi / (mp.sin(mp.pi * z) * refl)
-        return _wrap(ctx._mp.mpc(val))
+        return mp.pi / (mp.sin(mp.pi * z) * _gamma_one_minus(z, work))
 
-    wp_digits = digits + ctx.guard_digits + _ORACLE_GUARD
+    wp_digits = work.digits + work.guard_digits
     cutoff = mp.mpf(10) ** (-(wp_digits + 2))
     # shift along the real axis until |z+shift| ~ 0.4*wp, enough Stirling room
     target = 0.4 * wp_digits + 8
@@ -223,12 +211,24 @@ def gamma(s: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
     lg, certified = _lngamma_stirling(zs, mp, cutoff, max_order=4 * wp_digits)
     if not certified:
         raise PrecisionUnreachableError(
-            f"Stirling series cannot certify {digits} digits for gamma at |z| = {abs(z)}"
+            f"Stirling series cannot certify {work.digits} digits for gamma at |z| = {abs(z)}"
         )
     val = mp.exp(lg)
     for j in range(shift):
         val /= z + j
-    return _wrap(ctx._mp.mpc(val))
+    return val
+
+
+def _gamma_one_minus(z, work: PrecisionContext):
+    """gamma(1 - z) with ten more guard digits, rounded to work's precision."""
+    inner = PrecisionContext(work.digits, work.guard_digits + _ORACLE_GUARD)
+    return work._mp.mpc(_gamma_at(inner._mp.mpc(1 - z), inner))
+
+
+def gamma(s: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
+    """gamma(s) to the digit budget; poles at non-positive integers."""
+    work = PrecisionContext(ctx.digits, ctx.guard_digits + _ORACLE_GUARD)
+    return _wrap(ctx._mp.mpc(_gamma_at(_raw(s, work), work)))
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +248,6 @@ def chi(s: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
     work = PrecisionContext(digits, ctx.guard_digits + _ORACLE_GUARD)
     mp = work._mp
     z = _raw(s, work)
-    g = _raw(gamma(_wrap(1 - z), work), work)
+    g = _gamma_one_minus(z, work)
     val = mp.exp(z * mp.ln(2)) * mp.exp((z - 1) * mp.ln(mp.pi)) * mp.sin(mp.pi * z / 2) * g
     return _wrap(ctx._mp.mpc(val))

@@ -3,8 +3,11 @@
 Every other module computes through this layer.  A PrecisionContext owns a
 private mpmath context sized to ceil(P*log2(10)) + 32 bits, so a context is
 never mutated after construction and values from different budgets cannot be
-mixed accidentally.  All operations are pure; contexts and ComplexAP values
-are immutable and safe to share across threads.
+mixed accidentally.  Arithmetic runs on the context's mpc; ComplexAP is the
+immutable, finite-checked value that public functions take and return, and
+_raw/_wrap are the only bridge between the two.  to_string/parse_complex
+give ComplexAP its text form.  Contexts and ComplexAP values are immutable
+and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -17,12 +20,7 @@ import mpmath
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import to_str as _mpf_to_str
 
-from .errors import (
-    DivisionByZeroError,
-    LogOfZeroError,
-    NonFiniteValueError,
-    ValidationError,
-)
+from .errors import NonFiniteValueError, ValidationError
 
 _LOG2_10 = math.log2(10)
 _GUARD_BITS = 32
@@ -63,9 +61,6 @@ class PrecisionContext:
         except (ValueError, TypeError) as exc:
             raise ValidationError(f"not a number: {x!r}") from exc
 
-    def with_digits(self, digits: int, guard_digits: int | None = None) -> "PrecisionContext":
-        return PrecisionContext(digits, self.guard_digits if guard_digits is None else guard_digits)
-
 
 @dataclass(frozen=True)
 class ComplexAP:
@@ -86,10 +81,6 @@ class ComplexAP:
     def conjugate(self) -> "ComplexAP":
         return ComplexAP(self.re, -self.im)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
 
 def make_complex(re, im, ctx: PrecisionContext) -> ComplexAP:
     return ComplexAP(ctx.real(re), ctx.real(im))
@@ -104,44 +95,6 @@ def _wrap(v) -> ComplexAP:
     return ComplexAP(v.real, v.imag)
 
 
-def add(a: ComplexAP, b: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
-    return _wrap(_raw(a, ctx) + _raw(b, ctx))
-
-
-def sub(a: ComplexAP, b: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
-    return _wrap(_raw(a, ctx) - _raw(b, ctx))
-
-
-def mul(a: ComplexAP, b: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
-    return _wrap(_raw(a, ctx) * _raw(b, ctx))
-
-
-def div(a: ComplexAP, b: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
-    if b.is_zero:
-        raise DivisionByZeroError("complex division by zero")
-    return _wrap(_raw(a, ctx) / _raw(b, ctx))
-
-
-def cexp(z: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
-    return _wrap(ctx._mp.exp(_raw(z, ctx)))
-
-
-def cln(z: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
-    if z.is_zero:
-        raise LogOfZeroError("complex logarithm of zero")
-    return _wrap(ctx._mp.ln(_raw(z, ctx)))
-
-
-def cabs(z: ComplexAP, ctx: PrecisionContext):
-    return abs(_raw(z, ctx))
-
-
-def carg(z: ComplexAP, ctx: PrecisionContext):
-    if z.is_zero:
-        raise LogOfZeroError("argument of zero is undefined")
-    return ctx._mp.arg(_raw(z, ctx))
-
-
 def power_term(n: int, s: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
     """n^(-s) for a positive integer n, computed as exp(-s * ln n)."""
     if n < 1:
@@ -151,6 +104,7 @@ def power_term(n: int, s: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
 
 
 def _format_real(x, digits: int) -> str:
+    """An mpf as decimal text with exactly `digits` significant digits."""
     return _mpf_to_str(x._mpf_, digits, strip_zeros=False)
 
 

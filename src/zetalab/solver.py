@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from mpmath.libmp import to_str as _mpf_to_str
-
 from .errors import (
     NearZeroRowError,
     NoCrossingError,
@@ -25,7 +23,7 @@ from .errors import (
     ValidationError,
 )
 from .oracle import zeta
-from .precision import ComplexAP, PrecisionContext, _raw, _wrap, power_term
+from .precision import ComplexAP, PrecisionContext, _format_real, _raw, _wrap, power_term
 
 
 def _decimal_text(value) -> str:
@@ -114,8 +112,8 @@ def build_grid(spec: GridSpec) -> list[ComplexAP]:
 def _round_to_digits(z: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
     """Round both components to exactly P significant decimal digits."""
     p = ctx.digits
-    re = ctx.real(_mpf_to_str(ctx.real(z.re)._mpf_, p, strip_zeros=False))
-    im = ctx.real(_mpf_to_str(ctx.real(z.im)._mpf_, p, strip_zeros=False))
+    re = ctx.real(_format_real(ctx.real(z.re), p))
+    im = ctx.real(_format_real(ctx.real(z.im), p))
     return ComplexAP(re, im)
 
 
@@ -237,13 +235,10 @@ def solve_coefficients(
                 f"residual {float(residual):.3e} above 10^(-P/2) after the 2P retry"
             )
 
-    im_sum = mp.mpf(0)
-    for z in solution:
-        im_sum += z.im
     return CoefficientSet(
         deltas=tuple(solution),
         residual_inf=residual,
-        im_stability=abs(im_sum),
+        im_stability=_abs_im_sum(solution),
         grid=grid,
     )
 
@@ -264,8 +259,12 @@ DEFAULT_STABILITY_THRESHOLD = 1.0
 
 def stability_metric(cs: CoefficientSet):
     """|sum_n Im d_n| -- the stable-regime diagnostic."""
+    return _abs_im_sum(cs.deltas)
+
+
+def _abs_im_sum(deltas):
     total = 0
-    for z in cs.deltas:
+    for z in deltas:
         total = z.im + total
     return abs(total)
 

@@ -156,6 +156,14 @@ MALFORMED = {
     "run-t-nan": ["run", "fig-eps-vs-b", "--set", "t=nan", *OUT],
     "run-bracket": ["run", "fig-eps-vs-b", "--set", "bracket=1", *OUT],
     "run-t-list": ["run", "fig-eps-vs-t", "--set", "t_list=100,,abc", *OUT],
+    "run-t-list-inf": ["run", "fig-eps-vs-t", "--set", "t_list=100,inf", *OUT],
+    "run-sigma-nan": ["run", "fig-eps-vs-b", "--set", "sigma=nan", *OUT],
+    "run-stability-threshold-nan": [
+        "run", "fig-coeffs-stable", "--set", "n=4", "--set", "stability_threshold=nan", *OUT
+    ],
+    "search-b-t-inf": ["search-b", "--t", "inf", *OUT],
+    "search-b-t-nan": ["search-b", "--t", "nan", *OUT],
+    "spiral-b-inf": ["spiral", "--t", "200", "--b", "inf", "--n-terms", "10", *OUT],
     "run-n": ["run", "fig-coeffs-stable", "--set", "n=abc", *OUT],
     "run-t1": ["run", "fig-coeffs-stable", "--set", "t1=abc", *OUT],
     "solve-coeffs-t1": ["solve-coeffs", "--t1", "abc", "--dt", "1", "--n", "4", *OUT],

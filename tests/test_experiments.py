@@ -82,7 +82,10 @@ class TestConfig:
     @pytest.mark.parametrize(
         "key,raw",
         [("n", "abc"), ("t", "1e3x"), ("b", "abc"), ("bracket", "1"), ("bracket", "1,x"),
-         ("t_list", "100,,abc"), ("sigma_list", "0.3,abc")],
+         ("t_list", "100,,abc"), ("sigma_list", "0.3,abc"), ("t", float("inf")),
+         ("t", "nan"), ("b", float("nan")), ("stability_threshold", "nan"),
+         ("bracket", "0.1,inf"), ("t_list", [100.0, float("nan")]), ("sigma_list", "0.3,nan"),
+         ("sigma", "nan"), ("t1", "inf")],
     )
     def test_bad_coercion_names_key(self, key, raw):
         with pytest.raises(ValidationError, match=key):
