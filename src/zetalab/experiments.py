@@ -135,6 +135,8 @@ def _coerce(key: str, raw):
     parts = raw
     if isinstance(raw, str):
         parts = [part.strip() for part in raw.split(",") if part.strip()]
+    if key in ("t_list", "sigma_list") and not parts:
+        raise ValidationError(f"{key} needs at least one entry, got {raw!r}")
     if key == "bracket":
         if len(parts) != 2:
             raise ValidationError(f"bracket expects 'lo,hi', got {raw!r}")
@@ -255,7 +257,7 @@ def _run_nhat_sweep(params: dict, jobs: int) -> dict:
         )
         cs = solve_grid(spec)
         n = spec.n_rows
-        mean_t = float(spec.t1) + (n - 1) * float(spec.dt) / 2.0
+        mean_t = float(spec.t1) + (n - 1) * float(spec.context().real(spec.dt)) / 2.0
         n_hat_formula = mean_t / math.pi
         try:
             n_hat_star = half_crossing(cs).value
@@ -321,12 +323,13 @@ def _run_eps_vs_t(params: dict, jobs: int) -> dict:
 
 def _run_power_law(params: dict, jobs: int) -> dict:
     points = _t_sweep(params, jobs)
-    fit = fit_power_law([(p["t"], p["b_hat"]) for p in points], sigma=float(params["sigma"]))
+    sigma = float(PrecisionContext(params["digits"]).real(params["sigma"]))
+    fit = fit_power_law([(p["t"], p["b_hat"]) for p in points], sigma=sigma)
     return {
         "accuracy.csv": _accuracy_csv(points),
         "powerfit.json": _json(
             {
-                "sigma": float(params["sigma"]),
+                "sigma": sigma,
                 "c_coef": fit.c_coef,
                 "d_exp": fit.d_exp,
                 "r_squared": fit.r_squared,

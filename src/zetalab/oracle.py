@@ -4,13 +4,17 @@ zeta(s) uses the Euler-Maclaurin expansion: a truncated Dirichlet sum plus the
 integral tail N^(1-s)/(s-1), the half-term correction, and a Bernoulli-number
 correction series.  The cutoff N0 starts at max(ceil(|t|/pi)+10, ceil(1.3*P))
 and escalates until the first neglected correction term certifies the digit
-budget.  gamma(s) uses the Stirling series after an upward recurrence shift,
-with reflection for Re s < 1/2.  Everything is computed with ten extra guard
-digits and rounded back to the requested budget.
+budget.  The Dirichlet head streams the fixed-point n^(-s) entries of
+powers.py (exp/ln at primes only, 16 bits past the working precision), sums
+them exactly in integers and rounds once.  gamma(s) uses the Stirling series
+after an upward recurrence shift, with reflection for Re s < 1/2.  Everything
+is computed with ten extra guard digits and rounded back to the requested
+budget.
 
 Bernoulli numbers come from the tangent-number recurrence in exact integer
 arithmetic (the floating-point defining recurrence cancels catastrophically)
-and are cached once per process; readers never observe a partial table.
+and are cached once per process, as are the correction coefficients
+B_2k/(2k)! at each working precision; readers never observe a partial table.
 """
 
 from __future__ import annotations
@@ -21,11 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+from mpmath import libmp
 
 from .errors import ChiDegenerateError, PoleError, PrecisionUnreachableError
+from .powers import _power_entries, frac_bits, from_fixed
 from .precision import ComplexAP, PrecisionContext, _raw, _wrap
 
 _ORACLE_GUARD = 10
+_RND = libmp.round_nearest
 
 # ---------------------------------------------------------------------------
 # Bernoulli cache
@@ -76,6 +83,42 @@ def bernoulli_even(k: int) -> Fraction:
     return _BERNOULLI.even(k)
 
 
+class _CoefficientTables:
+    """B_{2k}/(2k)! as raw mpfs, one table per working precision in bits.
+
+    Each value is rounded exactly as mpf(B.numerator) / mpf(B.denominator
+    * (2k)!) is at that precision.  Readers take an atomic snapshot of a
+    table and never observe a partial one.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._tables: dict[int, tuple] = {}
+
+    def get(self, k: int, prec: int):
+        """B_{2k}/(2k)! at prec bits for k >= 1."""
+        table = self._tables.get(prec, ())  # atomic snapshot
+        if k <= len(table):
+            return table[k - 1]
+        with self._lock:
+            table = self._tables.get(prec, ())
+            if k > len(table):
+                size = max(k, 2 * len(table), 16)
+                table += tuple(self._coefficient(j, prec) for j in range(len(table) + 1, size + 1))
+                self._tables[prec] = table
+            return table[k - 1]
+
+    @staticmethod
+    def _coefficient(k: int, prec: int):
+        b = bernoulli_even(k)
+        num = libmp.from_int(b.numerator, prec, _RND)
+        den = libmp.from_int(b.denominator * math.factorial(2 * k), prec, _RND)
+        return libmp.mpf_div(num, den, prec, _RND)
+
+
+_EM_COEFFICIENTS = _CoefficientTables()
+
+
 # ---------------------------------------------------------------------------
 # zeta via Euler-Maclaurin
 
@@ -90,15 +133,20 @@ class OracleResult:
     correction_order: int
 
 
-def _euler_maclaurin(s, n0: int, mp, cutoff, max_order: int):
-    """One Euler-Maclaurin pass at fixed cutoff N0 inside mp's precision.
+def _euler_maclaurin(s, n0: int, work: PrecisionContext, cutoff, max_order: int):
+    """One Euler-Maclaurin pass at fixed cutoff N0 at work's precision (s an mpc of work).
 
-    Returns (value, order, certified): certified means the first neglected
-    Bernoulli term fell below `cutoff` while terms were still shrinking.
+    The head sum over n <= N0 streams the fixed-point power entries and is
+    rounded once.  Returns (value, order, certified): certified means the
+    first neglected Bernoulli term fell below `cutoff` while terms were
+    still shrinking.
     """
-    head = mp.mpf(0)
-    for n in range(1, n0 + 1):
-        head += mp.exp(-s * mp.ln(mp.mpf(n)))
+    mp = work._mp
+    head_re = head_im = 0
+    for _, re, im in _power_entries(_wrap(s), n0, work):
+        head_re += re
+        head_im += im
+    head = _raw(from_fixed(head_re, head_im, frac_bits(work), work), work)
     n0r = mp.mpf(n0)
     inv_n = 1 / n0r
     n_pow_ms = mp.exp(-s * mp.ln(n0r))  # N^(-s)
@@ -108,14 +156,11 @@ def _euler_maclaurin(s, n0: int, mp, cutoff, max_order: int):
     rising = s
     npow = n_pow_ms * inv_n  # N^(-s-1)
     inv_n2 = inv_n * inv_n
-    fact = 2  # (2k)!
     prev_mag = None
     order = 0
     certified = False
     for k in range(1, max_order + 1):
-        b = bernoulli_even(k)
-        coef = mp.mpf(b.numerator) / mp.mpf(b.denominator * fact)
-        term = coef * rising * npow
+        term = mp.make_mpf(_EM_COEFFICIENTS.get(k, mp.prec)) * rising * npow
         mag = abs(term)
         if mag <= cutoff:
             certified = True
@@ -128,7 +173,6 @@ def _euler_maclaurin(s, n0: int, mp, cutoff, max_order: int):
         # advance to k+1
         rising *= (s + 2 * k - 1) * (s + 2 * k)
         npow *= inv_n2
-        fact *= (2 * k + 1) * (2 * k + 2)
     return total, order, certified
 
 
@@ -154,7 +198,7 @@ def zeta(s: ComplexAP, ctx: PrecisionContext) -> OracleResult:
 
     n0 = max(math.ceil(t / math.pi) + 10, math.ceil(1.3 * digits))
     for _ in range(9):
-        value, order, certified = _euler_maclaurin(sw, n0, mp, cutoff, max_order=8 * n0)
+        value, order, certified = _euler_maclaurin(sw, n0, work, cutoff, max_order=8 * n0)
         if certified:
             rounded = _wrap(ctx._mp.mpc(value))
             return OracleResult(rounded, digits, n0, order)

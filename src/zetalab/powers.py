@@ -5,7 +5,8 @@ F = context precision + 16 bits.  n^(-s) is completely multiplicative, so
 exp/ln run only at primes; each composite is the rounded product of its
 smallest prime factor's entry and its cofactor's.  The table is built for
 |Im s| and conjugated when Im s < 0, so s and its conjugate give exactly
-conjugate sums.
+conjugate sums.  One generator runs this loop; power_table keeps every
+entry, and the zeta oracle streams it to sum its Euler-Maclaurin head.
 
 The weight 1/(1 + E_n), E_n = exp((n - c)/B), enters the sums as the int
 w_n = floor(2^(2F) / (2^F + floor(E_n 2^F))).  E_n follows the recurrence
@@ -138,19 +139,24 @@ def _smallest_prime_factors(n_max: int) -> list[int]:
     return spf
 
 
-def power_table(s: ComplexAP, n_max: int, ctx: PrecisionContext) -> PowerTable:
-    """n^(-s) for n = 1..n_max as fixed-point ints with frac_bits(ctx) fraction bits."""
-    if n_max < 1:
-        raise ValidationError(f"n_max must be >= 1, got {n_max}")
+def _power_entries(s: ComplexAP, n_max: int, ctx: PrecisionContext):
+    """Yield (n, re, im), n^(-s) = (re + i im) / 2^frac_bits(ctx), for n = 1..n_max.
+
+    Entries are built for |Im s| and conjugated as they are yielded when
+    Im s < 0.  Only n <= n_max // 2 are kept: a composite n = p m has
+    p, m <= n/2, so a caller that needs no table holds half of one.
+    """
     mp = ctx._mp
     bits = frac_bits(ctx)
     sigma, t = mp.mpf(s.re), abs(mp.mpf(s.im))
     neg_s = (libmp.mpf_neg(sigma._mpf_), libmp.mpf_neg(t._mpf_))
+    conjugate = s.im < 0
     half = 1 << (bits - 1)
     spf = _smallest_prime_factors(n_max)
-    re = [0] * (n_max + 1)
-    im = [0] * (n_max + 1)
-    re[1] = 1 << bits
+    keep = n_max // 2
+    re = [0] * (keep + 1)
+    im = [0] * (keep + 1)
+    yield 1, 1 << bits, 0
     for n in range(2, n_max + 1):
         p = spf[n]
         if p == n:
@@ -158,15 +164,27 @@ def power_table(s: ComplexAP, n_max: int, ctx: PrecisionContext) -> PowerTable:
             wp = bits + 16 + int(float(t) * math.log(n)).bit_length()
             log_n = libmp.mpf_log(libmp.from_int(n), wp, _RND)
             z_re, z_im = libmp.mpc_exp(libmp.mpc_mul_mpf(neg_s, log_n, wp, _RND), wp, _RND)
-            re[n], im[n] = to_fixed(z_re, bits), to_fixed(z_im, bits)
+            e_re, e_im = to_fixed(z_re, bits), to_fixed(z_im, bits)
         else:
             m = n // p
             a_re, a_im, b_re, b_im = re[p], im[p], re[m], im[m]
-            re[n] = (a_re * b_re - a_im * b_im + half) >> bits
-            im[n] = (a_re * b_im + a_im * b_re + half) >> bits
-    if s.im < 0:
-        im = [-v for v in im]
-    head = min(int(mp.floor(t / mp.pi)), n_max) + 1
+            e_re = (a_re * b_re - a_im * b_im + half) >> bits
+            e_im = (a_re * b_im + a_im * b_re + half) >> bits
+        if n <= keep:
+            re[n], im[n] = e_re, e_im
+        yield n, e_re, -e_im if conjugate else e_im
+
+
+def power_table(s: ComplexAP, n_max: int, ctx: PrecisionContext) -> PowerTable:
+    """n^(-s) for n = 1..n_max as fixed-point ints with frac_bits(ctx) fraction bits."""
+    if n_max < 1:
+        raise ValidationError(f"n_max must be >= 1, got {n_max}")
+    re, im = [0], [0]
+    for _, e_re, e_im in _power_entries(s, n_max, ctx):
+        re.append(e_re)
+        im.append(e_im)
+    mp = ctx._mp
+    head = min(int(mp.floor(abs(mp.mpf(s.im)) / mp.pi)), n_max) + 1
     return PowerTable(
         ctx=ctx,
         re=re,

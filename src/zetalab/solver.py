@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from mpmath import libmp
+
 from .errors import (
     NearZeroRowError,
     NoCrossingError,
@@ -23,7 +25,12 @@ from .errors import (
     ValidationError,
 )
 from .oracle import zeta
-from .precision import ComplexAP, PrecisionContext, _format_real, _raw, _wrap, power_term
+from .powers import frac_bits, from_fixed, power_table
+
+# power_term has no caller here; the benchmark tracer still patches this name
+from .precision import ComplexAP, PrecisionContext, _format_real, _raw, _wrap, power_term  # noqa: F401
+
+_RND = libmp.round_nearest
 
 
 def _decimal_text(value) -> str:
@@ -69,7 +76,8 @@ class GridSpec:
 
     @property
     def max_ordinate(self) -> float:
-        return float(self.t1) + (self.n_rows - 1) * float(self.dt)
+        ctx = self.context()
+        return float(ctx.real(self.t1) + (self.n_rows - 1) * ctx.real(self.dt))
 
     @property
     def ordinate_bound_ok(self) -> bool:
@@ -109,12 +117,50 @@ def build_grid(spec: GridSpec) -> list[ComplexAP]:
     return [ComplexAP(sigma, t1 + m * dt) for m in range(spec.n_rows)]
 
 
+# the ratio mpmath's to_str sizes its digit string with (not math.log2(10))
+_TO_STR_LOG2_10 = math.log(10, 2)
+
+
+def _round_real(x, digits: int, ctx: PrecisionContext):
+    """ctx.real(_format_real(x, digits)) for an mpf x, computed in integers.
+
+    _format_real truncates x to a fixed-point decimal of about digits + 3
+    digits, rounds the (digits + 1)-th digit half-up, and the parse rounds
+    that decimal D 10^e to the nearest mpf: both are repeated here on D and
+    e.  Exponents where the parse or the formatting take another route
+    fall back to the text round trip.
+    """
+    sign, man, exp, bc = x._mpf_
+    if not man or abs(exp + bc) > 3500:
+        return ctx.real(_format_real(x, digits))
+    fixprec = max(int((digits + 3) * _TO_STR_LOG2_10) + 10 - exp - bc, 0)
+    fixdps = int(fixprec / _TO_STR_LOG2_10 + 0.5)
+    shift = exp + fixprec
+    dec = (man << shift if shift >= 0 else man >> -shift) * 10**fixdps >> fixprec
+    dropped = len(str(dec)) - digits
+    e10 = -fixdps
+    if dropped > 0:
+        dec, last = divmod(dec // 10 ** (dropped - 1), 10)
+        dec += last >= 5
+        e10 += dropped
+    if e10 < -400 or e10 + digits > 400:
+        return ctx.real(_format_real(x, digits))
+    prec = ctx.prec_bits
+    if e10 >= 0:
+        num, bin_exp = dec * 10**e10, 0
+    else:
+        # a quotient of prec + 5 bits plus a sticky bit rounds as mpf division does
+        den = 10**-e10
+        extra = max(prec - dec.bit_length() + den.bit_length() + 5, 5)
+        quot, rem = divmod(dec << extra, den)
+        num, bin_exp = quot << 1 | (rem != 0), -extra - 1
+    return ctx._mp.make_mpf(libmp.from_man_exp(-num if sign else num, bin_exp, prec, _RND))
+
+
 def _round_to_digits(z: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
     """Round both components to exactly P significant decimal digits."""
     p = ctx.digits
-    re = ctx.real(_format_real(ctx.real(z.re), p))
-    im = ctx.real(_format_real(ctx.real(z.im), p))
-    return ComplexAP(re, im)
+    return ComplexAP(_round_real(ctx.real(z.re), p, ctx), _round_real(ctx.real(z.im), p, ctx))
 
 
 def assemble_system(
@@ -134,9 +180,14 @@ def assemble_system(
         if modulus <= near_zero:
             raise NearZeroRowError(m, float(modulus), near_zero)
         rhs.append(_round_to_digits(value, ctx))
+    bits = frac_bits(ctx)
     matrix = []
     for s in grid:
-        row = [_round_to_digits(power_term(n, s, ctx), ctx) for n in range(1, n_coeffs + 1)]
+        table = power_table(s, n_coeffs, ctx)
+        row = [
+            _round_to_digits(from_fixed(table.re[n], table.im[n], bits, ctx), ctx)
+            for n in range(1, n_coeffs + 1)
+        ]
         matrix.append(row)
     return matrix, rhs
 

@@ -5,10 +5,10 @@ Euler-Maclaurin path is cross-checked against a genuinely different method:
 Cohen-Rodriguez Villegas-Zagier acceleration of the eta series, with the depth
 doubled until two successive depths agree to the target.
 
-The exp/ln weighted sum, spiral sums and linear truncation scan are the
-direct paths the library's fixed-point power tables and galloping search
-replaced; they stay here as the reference those fast paths are checked
-against.
+The exp/ln weighted sum, spiral sums, Euler-Maclaurin pass and linear
+truncation scan are the direct paths the library's fixed-point power tables,
+cached coefficients and galloping search replaced; they stay here as the
+reference those fast paths are checked against.
 """
 
 from __future__ import annotations
@@ -102,3 +102,43 @@ def linear_truncation_length(s, b: float, tail_eps: float) -> int:
         if log_w - sigma * math.log(n) < log_eps:
             return n
         n += 1
+
+
+def exp_ln_euler_maclaurin(s, n0: int, work, cutoff, max_order: int):
+    """The Euler-Maclaurin pass of zetalab.oracle with its head summed one
+    exp(-s ln n) at a time and each coefficient B_2k/(2k)! divided out per term.
+    """
+    from zetalab.oracle import bernoulli_even
+
+    mp = work._mp
+    head = mp.mpf(0)
+    for n in range(1, n0 + 1):
+        head += mp.exp(-s * mp.ln(mp.mpf(n)))
+    n0r = mp.mpf(n0)
+    inv_n = 1 / n0r
+    n_pow_ms = mp.exp(-s * mp.ln(n0r))
+    total = head + n_pow_ms * n0r / (s - 1) - n_pow_ms / 2
+    rising = s
+    npow = n_pow_ms * inv_n
+    inv_n2 = inv_n * inv_n
+    fact = 2
+    prev_mag = None
+    order = 0
+    certified = False
+    for k in range(1, max_order + 1):
+        b = bernoulli_even(k)
+        coef = mp.mpf(b.numerator) / mp.mpf(b.denominator * fact)
+        term = coef * rising * npow
+        mag = abs(term)
+        if mag <= cutoff:
+            certified = True
+            break
+        if prev_mag is not None and mag >= prev_mag:
+            break
+        total += term
+        order = k
+        prev_mag = mag
+        rising *= (s + 2 * k - 1) * (s + 2 * k)
+        npow *= inv_n2
+        fact *= (2 * k + 1) * (2 * k + 2)
+    return total, order, certified

@@ -27,6 +27,25 @@ class TestZetaEval:
         result = runner.invoke(main, ["zeta", "eval", "--s", "2,0", "--digits", "5"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "point,digits,text",
+        [
+            ("0.5,14.134725", "50",
+             "0.000000017674298356433245354517983702553163385619509486772"
+             "-0.00000011102028894857664356480441909730415983541551246544i"),
+            ("0.3,-45", "50",
+             "3.1696538970143533653402051802648913058529820689323"
+             "-2.4695222137042171744879816568484911212319214932525i"),
+            ("2,0", "50", "1.6449340668482264364724151666460251892189499012068+0.0i"),
+            ("0.5,40000", "30", "3.26966619582050948386385727757+5.92999696213917340449718493860i"),
+        ],
+    )
+    def test_golden_text(self, runner, point, digits, text):
+        # recorded from the exp/ln Euler-Maclaurin head
+        result = runner.invoke(main, ["zeta", "eval", "--s", point, "--digits", digits])
+        assert result.exit_code == 0
+        assert result.output.strip() == text
+
     def test_near_zero_row_exits_3(self, runner, tmp_path):
         # first grid row sits on the first zeta zero
         result = runner.invoke(
@@ -125,6 +144,34 @@ class TestPipelines:
         fit = json.loads((tmp_path / "powerfit.json").read_text())
         assert fit["r_squared"] == pytest.approx(1.0)  # two points interpolate
 
+    def test_power_law_reads_sigma_as_mpmath_text(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["run", "fig-b-power-law", "--set", "sigma=1/2", "--set", "t_list=100,200",
+             "--set", "digits=20", "--output-dir", str(tmp_path)],
+        )
+        assert result.exit_code == 0, result.output
+        assert json.loads((tmp_path / "powerfit.json").read_text())["sigma"] == 0.5
+
+    def test_grid_reads_t1_as_mpmath_text(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["run", "fig-coeffs-stable", "--set", "t1=1/3", "--set", "n=4",
+             "--set", "digits=20", "--output-dir", str(tmp_path)],
+        )
+        assert result.exit_code == 0, result.output
+        assert json.loads((tmp_path / "diagnostics.jsonl").read_text())["ordinate_bound_ok"]
+
+    def test_nhat_sweep_reads_dt_as_mpmath_text(self, runner, tmp_path):
+        result = runner.invoke(
+            main,
+            ["run", "fig-nhat-sweep", "--set", "t_list=100", "--set", "dt=1/3", "--set", "n=4",
+             "--set", "digits=20", "--output-dir", str(tmp_path)],
+        )
+        assert result.exit_code == 0, result.output
+        row = (tmp_path / "nhat_sweep.csv").read_text().splitlines()[1].split(",")
+        assert float(row[3]) == pytest.approx(1.005)  # mean t / t1 = (100 + 1/2) / 100
+
     def test_sigma_law_command(self, runner, tmp_path):
         result = runner.invoke(
             main,
@@ -157,6 +204,9 @@ MALFORMED = {
     "run-bracket": ["run", "fig-eps-vs-b", "--set", "bracket=1", *OUT],
     "run-t-list": ["run", "fig-eps-vs-t", "--set", "t_list=100,,abc", *OUT],
     "run-t-list-inf": ["run", "fig-eps-vs-t", "--set", "t_list=100,inf", *OUT],
+    "run-t-list-empty": ["run", "fig-eps-vs-t", "--set", "t_list=,", *OUT],
+    "run-nhat-t-list-empty": ["run", "fig-nhat-sweep", "--set", "t_list=,", *OUT],
+    "run-sigma-list-empty": ["run", "fig-c-d-sigma", "--set", "sigma_list=,", *OUT],
     "run-sigma-nan": ["run", "fig-eps-vs-b", "--set", "sigma=nan", *OUT],
     "run-stability-threshold-nan": [
         "run", "fig-coeffs-stable", "--set", "n=4", "--set", "stability_threshold=nan", *OUT

@@ -85,7 +85,8 @@ class TestConfig:
          ("t_list", "100,,abc"), ("sigma_list", "0.3,abc"), ("t", float("inf")),
          ("t", "nan"), ("b", float("nan")), ("stability_threshold", "nan"),
          ("bracket", "0.1,inf"), ("t_list", [100.0, float("nan")]), ("sigma_list", "0.3,nan"),
-         ("sigma", "nan"), ("t1", "inf")],
+         ("sigma", "nan"), ("t1", "inf"), ("t_list", ","), ("sigma_list", " , "),
+         ("t_list", [])],
     )
     def test_bad_coercion_names_key(self, key, raw):
         with pytest.raises(ValidationError, match=key):

@@ -1,4 +1,7 @@
+import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -6,10 +9,11 @@ import pytest
 
 from zetalab import PrecisionContext, chi, gamma, make_complex, zeta
 from zetalab.errors import ChiDegenerateError, PoleError
-from zetalab.oracle import _euler_maclaurin, bernoulli_even
+from zetalab import oracle
+from zetalab.oracle import _CoefficientTables, _euler_maclaurin, bernoulli_even
 from zetalab.precision import ComplexAP, _raw
 
-from .oracles import eta_zeta
+from .oracles import eta_zeta, exp_ln_euler_maclaurin
 
 
 def _ref(dps=130):
@@ -99,10 +103,64 @@ class TestZeta:
         s = _raw(make_complex("0.3", "45.0", ctx), ctx)
         cutoff = mp.mpf(10) ** (-(digits + 5))
         n0 = 120
-        v1, order1, cert1 = _euler_maclaurin(s, n0, mp, cutoff, max_order=8 * n0)
-        v2, order2, cert2 = _euler_maclaurin(s, 2 * n0, mp, mp.mpf(0), max_order=order1 + 2)
+        v1, order1, cert1 = _euler_maclaurin(s, n0, ctx, cutoff, max_order=8 * n0)
+        v2, order2, cert2 = _euler_maclaurin(s, 2 * n0, ctx, mp.mpf(0), max_order=order1 + 2)
         assert cert1
         assert abs(v1 - v2) < mp.mpf(10) ** (-digits) * max(1, abs(v1))
+
+
+    def test_streamed_head_matches_exp_ln_head(self, monkeypatch):
+        # same context-precision value and schedule as summing exp(-s ln n) per term
+        rng = random.Random(6)
+        points = []
+        for digits in (15, 30, 100):
+            for _ in range(8):
+                sigma, t = rng.uniform(-0.5, 1.5), rng.choice((-1, 1)) * rng.uniform(0, 2000)
+                points.append((digits, f"{sigma:.3f}", f"{t:.3f}"))
+        points.append((30, "0.5", "50000"))
+        for digits, sigma, t in points:
+            ctx = PrecisionContext(digits)
+            s = make_complex(sigma, t, ctx)
+            got = zeta(s, ctx)
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_euler_maclaurin", exp_ln_euler_maclaurin)
+                want = zeta(s, ctx)
+            assert got == want, (digits, sigma, t)
+
+
+def test_coefficient_tables_under_contention():
+    # every thread sees B_2k/(2k)! rounded as mpf(num) / mpf(den * (2k)!) at its precision
+    tables = _CoefficientTables()
+    precs = (90, 200)
+    want = {}
+    for prec in precs:
+        ctx = mpmath.mp.clone()
+        ctx.prec = prec
+        for k in range(1, 121):
+            b = bernoulli_even(k)
+            den = b.denominator * math.factorial(2 * k)
+            want[prec, k] = (ctx.mpf(b.numerator) / ctx.mpf(den))._mpf_
+    wrong = []
+
+    def reader(seed):
+        rng = random.Random(seed)
+        for _ in range(400):
+            prec, k = rng.choice(precs), rng.randint(1, 120)
+            if tables.get(k, prec) != want[prec, k]:
+                wrong.append((prec, k))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 class TestGamma:

@@ -1,5 +1,7 @@
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetalab import (
     PrecisionContext,
@@ -16,7 +18,8 @@ from zetalab.errors import (
     SingularMatrixError,
     ValidationError,
 )
-from zetalab.solver import CoefficientSet, GridSpec
+from zetalab.precision import _format_real, power_term
+from zetalab.solver import CoefficientSet, GridSpec, _round_real, _round_to_digits
 
 
 def _ref(dps=130):
@@ -47,6 +50,11 @@ class TestGridSpec:
         assert not spec.ordinate_bound_ok
         ok = GridSpec(sigma="0.5", t1="188.4955592", dt="0.628318531", n_rows=100, digits=30)
         assert ok.ordinate_bound_ok
+
+    def test_max_ordinate_reads_mpmath_text(self):
+        spec = GridSpec(sigma="1/2", t1="1/3", dt="1/7", n_rows=4, digits=20)
+        assert spec.max_ordinate == pytest.approx(1 / 3 + 3 / 7, rel=1e-15)
+        assert spec.ordinate_bound_ok
 
     def test_float_parameters_normalized(self):
         spec = GridSpec(sigma=0.5, t1=10.25, dt=0.125, n_rows=4, digits=30)
@@ -105,6 +113,16 @@ class TestAssemble:
         assert err < ref.mpf(10) ** (-19)
         assert err > ref.mpf(10) ** (-25)  # quantization is really there
 
+    def test_rows_match_exp_ln_powers(self):
+        # table-built rows equal exp(-s ln n) per entry once both are rounded to P digits
+        for digits, sigma, t1 in ((50, "0.5", "188.4955592"), (100, "0.3", "1000.25")):
+            ctx = PrecisionContext(digits)
+            dt = ctx.real("0.628318531")
+            grid = [make_complex(sigma, ctx.real(t1) + m * dt, ctx) for m in range(3)]
+            matrix, _ = assemble_system(grid, 60, ctx)
+            for s, row in zip(grid, matrix):
+                assert row == [_round_to_digits(power_term(n, s, ctx), ctx) for n in range(1, 61)]
+
     def test_near_zero_row(self):
         # grid through the first zeta zero ordinate
         ctx = PrecisionContext(40)
@@ -115,6 +133,50 @@ class TestAssemble:
         with pytest.raises(NearZeroRowError) as err:
             assemble_system(grid, 2, ctx)
         assert err.value.row == 1
+
+
+def _near(text, ulps, ctx):
+    """The mpf `ulps` units in the last place of ctx away from the decimal `text`."""
+    sign, man, exp, bc = ctx.real(text)._mpf_
+    shift = ctx.prec_bits - bc
+    man = (man << shift) + ulps
+    return ctx._mp.mpf((-man if sign else man, exp - shift))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    digits=st.integers(15, 120),
+    data=st.data(),
+    scale=st.integers(-450, 450),
+    ulps=st.integers(-3, 3),
+    tail=st.sampled_from(["5", "4", "49999999", "50000001", "5" + "0" * 40, "0", "9"]),
+    negative=st.booleans(),
+)
+def test_integer_rounding_matches_text_round_trip(digits, data, scale, ulps, tail, negative):
+    # P-digit leads, carries (all nines) and values next to the half-up boundary
+    lead = data.draw(
+        st.one_of(
+            st.just(10**digits - 1),
+            st.just(10 ** (digits - 1)),
+            st.integers(10 ** (digits - 1), 10**digits - 1),
+        )
+    )
+    ctx = PrecisionContext(digits)
+    x = _near(f"{'-' if negative else ''}{lead}{tail}e{scale}", ulps, ctx)
+    assert _round_real(x, digits, ctx)._mpf_ == ctx.real(_format_real(x, digits))._mpf_
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    digits=st.integers(15, 120),
+    man=st.integers(1, 2**500),
+    exp=st.integers(-4000, 4000),
+    negative=st.booleans(),
+)
+def test_integer_rounding_matches_text_round_trip_anywhere(digits, man, exp, negative):
+    ctx = PrecisionContext(digits)
+    x = ctx._mp.mpf((-man if negative else man, exp))
+    assert _round_real(x, digits, ctx)._mpf_ == ctx.real(_format_real(x, digits))._mpf_
 
 
 class TestSolve:
