@@ -115,7 +115,8 @@ def _coerce(key: str, raw):
     """Turn an override into the preset's value type; reals must be finite.
 
     Text is parsed; other values (click numbers, Python API values) keep
-    their type, but a real-valued key rejects NaN and infinity either way.
+    their type, but a real-valued key rejects NaN and infinity either way,
+    t rejects 0 and t_list needs positive, strictly increasing entries.
     """
     if raw is None:
         return raw
@@ -124,11 +125,15 @@ def _coerce(key: str, raw):
     if key == "t" and isinstance(raw, str):
         # a real ordinate; integral text stays an int, so outputs keep "t": 100
         try:
-            return int(raw)
+            raw = int(raw)
         except ValueError:
             pass
     if key in _REAL_KEYS:
-        return _finite(key, raw)
+        value = _finite(key, raw)
+        if key == "t" and value == 0:
+            # the generalized coefficients are undefined on the real axis
+            raise ValidationError(f"t must be nonzero, got {raw!r}")
+        return value
     if key in _DECIMAL_KEYS:
         _finite(key, raw, mpmath.mpf)  # parsed later at the run's precision
         return raw
@@ -142,7 +147,10 @@ def _coerce(key: str, raw):
             raise ValidationError(f"bracket expects 'lo,hi', got {raw!r}")
         return tuple(_finite(key, part) for part in parts)
     if key == "t_list":
-        return [_finite(key, part) for part in parts]
+        values = [_finite(key, part) for part in parts]
+        if values[0] <= 0 or any(b <= a for a, b in zip(values, values[1:])):
+            raise ValidationError(f"t_list expects positive, increasing values, got {raw!r}")
+        return values
     if key == "sigma_list":
         for part in parts:
             _finite(key, part)

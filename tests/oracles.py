@@ -5,10 +5,11 @@ Euler-Maclaurin path is cross-checked against a genuinely different method:
 Cohen-Rodriguez Villegas-Zagier acceleration of the eta series, with the depth
 doubled until two successive depths agree to the target.
 
-The exp/ln weighted sum, spiral sums, Euler-Maclaurin pass and linear
-truncation scan are the direct paths the library's fixed-point power tables,
-cached coefficients and galloping search replaced; they stay here as the
-reference those fast paths are checked against.
+The exp/ln weighted sum, spiral sums, Euler-Maclaurin pass, linear
+truncation scan and mpc elimination are the direct paths the library's
+fixed-point power tables, cached coefficients, galloping search and integer
+elimination sweep replaced; they stay here as the reference those fast paths
+are checked against.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import math
 
 import mpmath
+
+from zetalab.errors import SingularMatrixError
 
 
 def _cvz_eta(s, n: int, ref):
@@ -142,3 +145,43 @@ def exp_ln_euler_maclaurin(s, n0: int, work, cutoff, max_order: int):
         npow *= inv_n2
         fact *= (2 * k + 1) * (2 * k + 2)
     return total, order, certified
+
+
+def mpc_eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
+    """Gaussian elimination with partial pivoting by modulus, every step on mp's mpc."""
+    n = len(raw_matrix)
+    m = [row[:] for row in raw_matrix]
+    b = raw_rhs[:]
+    for k in range(n):
+        piv = k
+        best = abs(m[k][k])
+        for r in range(k + 1, n):
+            cand = abs(m[r][k])
+            if cand > best:
+                piv, best = r, cand
+        if best < pivot_floor:
+            raise SingularMatrixError(
+                f"pivot modulus {float(best):.3e} below {float(pivot_floor):.3e} at column {k}"
+            )
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            b[k], b[piv] = b[piv], b[k]
+        inv = 1 / m[k][k]
+        row_k = m[k]
+        for r in range(k + 1, n):
+            factor = m[r][k] * inv
+            if factor == 0:
+                continue
+            row_r = m[r]
+            for c in range(k + 1, n):
+                row_r[c] -= factor * row_k[c]
+            row_r[k] = mp.mpc(0)
+            b[r] -= factor * b[k]
+    x = [mp.mpc(0)] * n
+    for r in range(n - 1, -1, -1):
+        acc = b[r]
+        row_r = m[r]
+        for c in range(r + 1, n):
+            acc -= row_r[c] * x[c]
+        x[r] = acc / m[r][r]
+    return x

@@ -201,10 +201,17 @@ MALFORMED = {
     "zeta-eval-s": ["zeta", "eval", "--s", "0.5,abc", "--digits", "20"],
     "run-t": ["run", "fig-eps-vs-b", "--set", "t=abc", *OUT],
     "run-t-nan": ["run", "fig-eps-vs-b", "--set", "t=nan", *OUT],
+    "run-t-zero": ["run", "fig-eps-vs-b", "--set", "t=0", *OUT],
+    "spiral-t-zero": ["spiral", "--t", "0", "--b", "1", "--n-terms", "10", *OUT],
     "run-bracket": ["run", "fig-eps-vs-b", "--set", "bracket=1", *OUT],
     "run-t-list": ["run", "fig-eps-vs-t", "--set", "t_list=100,,abc", *OUT],
     "run-t-list-inf": ["run", "fig-eps-vs-t", "--set", "t_list=100,inf", *OUT],
     "run-t-list-empty": ["run", "fig-eps-vs-t", "--set", "t_list=,", *OUT],
+    "run-t-list-negative": [
+        "run", "fig-eps-vs-t", "--set", "t_list=-5,100", "--set", "digits=20", *OUT
+    ],
+    "run-t-list-unsorted": ["run", "fig-eps-vs-t", "--set", "t_list=300,100", *OUT],
+    "run-nhat-t-list-repeated": ["run", "fig-nhat-sweep", "--set", "t_list=180,180", *OUT],
     "run-nhat-t-list-empty": ["run", "fig-nhat-sweep", "--set", "t_list=,", *OUT],
     "run-sigma-list-empty": ["run", "fig-c-d-sigma", "--set", "sigma_list=,", *OUT],
     "run-sigma-nan": ["run", "fig-eps-vs-b", "--set", "sigma=nan", *OUT],

@@ -78,6 +78,7 @@ class TestConfig:
         assert _coerce("t", 100.0) == 100.0
         assert _coerce("t", "1000.5") == 1000.5
         assert type(_coerce("t", "100")) is int
+        assert _coerce("t", "-100") == -100
 
     @pytest.mark.parametrize(
         "key,raw",
@@ -86,7 +87,8 @@ class TestConfig:
          ("t", "nan"), ("b", float("nan")), ("stability_threshold", "nan"),
          ("bracket", "0.1,inf"), ("t_list", [100.0, float("nan")]), ("sigma_list", "0.3,nan"),
          ("sigma", "nan"), ("t1", "inf"), ("t_list", ","), ("sigma_list", " , "),
-         ("t_list", [])],
+         ("t_list", []), ("t", "0"), ("t", "-0.0"), ("t", 0.0), ("t_list", "-5,100"),
+         ("t_list", "300,100"), ("t_list", "100,100"), ("t_list", [0.0, 100.0])],
     )
     def test_bad_coercion_names_key(self, key, raw):
         with pytest.raises(ValidationError, match=key):

@@ -9,17 +9,35 @@ import importlib.util
 from pathlib import Path
 
 import zetalab
+from zetalab import PrecisionContext, solver
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
-def test_tracer_patch_targets_resolve():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    for module, name, span, _ in spans.LAYER_PATCHES:
+    return spans
+
+
+def test_tracer_patch_targets_resolve():
+    for module, name, span, _ in _spans().LAYER_PATCHES:
         assert callable(getattr(module, name, None)), f"{module.__name__}.{name} for {span}"
 
 
 def test_public_names_resolve():
     assert [name for name in zetalab.__all__ if not hasattr(zetalab, name)] == []
+
+
+def test_eliminate_counts_read_a_real_call():
+    # the tracer counts multiply-subtracts from the arguments after the call,
+    # so the kernel must leave its first argument as it was
+    mp = PrecisionContext(30)._mp
+    matrix = [[mp.mpc(1 + r * c + 4 * (r == c), r - c) for c in range(3)] for r in range(3)]
+    rhs = [mp.mpc(1, r) for r in range(3)]
+    args = (matrix, rhs, mp, mp.mpf(10) ** -25)
+    before = [row[:] for row in matrix]
+    result = solver._eliminate(*args)
+    assert len(result) == 3 and matrix == before
+    assert _spans().eliminate_counts(result, args) == {"solver.eliminate.mulsub": 11}

@@ -1,7 +1,10 @@
+import random
+
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import libmp
 
 from zetalab import (
     PrecisionContext,
@@ -18,8 +21,17 @@ from zetalab.errors import (
     SingularMatrixError,
     ValidationError,
 )
-from zetalab.precision import _format_real, power_term
-from zetalab.solver import CoefficientSet, GridSpec, _round_real, _round_to_digits
+from zetalab.precision import _format_real, _raw, power_term
+from zetalab.solver import (
+    CoefficientSet,
+    GridSpec,
+    _eliminate,
+    _round_real,
+    _round_to_digits,
+    _sum_bits,
+)
+
+from .oracles import mpc_eliminate
 
 
 def _ref(dps=130):
@@ -177,6 +189,208 @@ def test_integer_rounding_matches_text_round_trip_anywhere(digits, man, exp, neg
     ctx = PrecisionContext(digits)
     x = ctx._mp.mpf((-man if negative else man, exp))
     assert _round_real(x, digits, ctx)._mpf_ == ctx.real(_format_real(x, digits))._mpf_
+
+
+def _signs(draw, p, q):
+    """p and q with drawn signs."""
+    return p * draw(st.sampled_from([1, -1])), q * draw(st.sampled_from([1, -1]))
+
+
+@st.composite
+def _addends(draw):
+    """(prec, p, ep, q, eq) for p 2^ep + q 2^eq: ties, carries, zeros, any gap."""
+    prec = draw(st.integers(82, 700))  # P = 15 up to the 2P retry at P = 100
+    kind = draw(st.sampled_from(["any", "tie", "carry", "zero"]))
+    ep = draw(st.integers(-2000, 2000))
+    if kind in ("tie", "carry"):
+        # the exact sum is halfway between two prec-bit values (last kept bit
+        # even or odd), or all ones with at least a half to round up by
+        s = draw(st.integers(1, 200))
+        if kind == "tie":
+            kept = draw(st.integers(1 << prec - 1, (1 << prec) - 1))
+            low = 1 << s - 1
+        else:
+            kept = (1 << prec) - 1
+            low = draw(st.integers(1 << s - 1, (1 << s) - 1))
+        total = kept << s | low
+        q = draw(st.integers(-total, total))
+        return prec, total - q, ep, q, ep
+    p = draw(st.integers(-(1 << 2 * prec), 1 << 2 * prec))
+    q = draw(st.integers(-(1 << 2 * prec), 1 << 2 * prec))
+    if kind == "zero":
+        p, q = draw(st.sampled_from([(0, q), (p, 0), (0, 0)]))
+    eq = ep + draw(st.integers(-2 * prec - 200, 2 * prec + 200))
+    p, q = _signs(draw, p, q)
+    return prec, p, ep, q, eq
+
+
+@st.composite
+def _nudged_addends(draw):
+    """q lies more than 100 bits below p's last bit and more than prec + 4
+    bits below its top, where mpf_add only nudges p, or just short of that;
+    p has up to 2 prec bits, as an exact product does, and sits within a few
+    units of a rounding midpoint."""
+    prec = draw(st.integers(82, 700))
+    s = draw(st.integers(2, prec + 10))
+    kept = draw(st.integers(1 << prec - 1, (1 << prec) - 1))
+    p = (kept << s | 1 << s - 1) + draw(st.sampled_from([0, 0, 1, -1, 3, -3]))
+    top_gap = prec + draw(st.sampled_from([3, 4, 5, 6, 9, 40]))
+    low_gap = draw(st.sampled_from([99, 100, 101, 102, 150, 300]))
+    q_bits = low_gap + s + prec - top_gap
+    q = draw(st.integers(1 << q_bits - 1, (1 << q_bits) - 1)) | 1
+    ep = draw(st.integers(-2000, 2000))
+    p, q = _signs(draw, p, q)
+    return prec, p, ep, q, ep - low_gap
+
+
+def _check_sum_bits(prec, p, ep, q, eq):
+    e = min(ep, eq)
+    a, b = libmp.from_man_exp(p, ep), libmp.from_man_exp(q, eq)
+    added = _sum_bits(p << ep - e, q << eq - e, e, prec)
+    assert libmp.from_man_exp(*added) == libmp.mpf_add(a, b, prec, libmp.round_nearest)
+    subtracted = _sum_bits(p << ep - e, -q << eq - e, e, prec)
+    assert libmp.from_man_exp(*subtracted) == libmp.mpf_sub(a, b, prec, libmp.round_nearest)
+    swapped = _sum_bits(q << eq - e, p << ep - e, e, prec)
+    assert libmp.from_man_exp(*swapped) == libmp.mpf_add(b, a, prec, libmp.round_nearest)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_addends())
+def test_sum_bits_matches_mpf_add(case):
+    _check_sum_bits(*case)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_nudged_addends())
+def test_sum_bits_matches_mpf_add_nudge(case):
+    _check_sum_bits(*case)
+
+
+def _random_real(rng, mp, scale_bits=0):
+    man = rng.getrandbits(mp.prec) * rng.choice((1, -1))
+    return mp.mpf((man, -mp.prec - scale_bits))
+
+
+def _random_system(n, mp, seed, scale=lambda rng, r, c: 0):
+    """A seeded n x n system; scale(rng, r, c) gives an extra binary scale per component."""
+    rng = random.Random(seed)
+    matrix = [
+        [
+            mp.mpc(_random_real(rng, mp, scale(rng, r, c)), _random_real(rng, mp, scale(rng, r, c)))
+            for c in range(n)
+        ]
+        for r in range(n)
+    ]
+    return matrix, [mp.mpc(_random_real(rng, mp), _random_real(rng, mp)) for _ in range(n)]
+
+
+def _assert_kernel_matches_oracle(matrix, rhs, mp):
+    floor = mp.mpf(2) ** (-mp.prec // 2)
+    before = [row[:] for row in matrix]
+    got = _eliminate(matrix, rhs, mp, floor)
+    want = mpc_eliminate(matrix, rhs, mp, floor)
+    assert [z._mpc_ for z in got] == [z._mpc_ for z in want]
+    assert matrix == before
+
+
+class TestEliminationKernel:
+    """The integer sweep of _eliminate against the mpc elimination, bit for bit."""
+
+    @pytest.mark.parametrize("digits", [15, 50, 100, 200])
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    def test_random_systems(self, n, digits):
+        mp = PrecisionContext(digits)._mp
+        for seed in range(3 if n < 30 else 1):
+            _assert_kernel_matches_oracle(*_random_system(n, mp, seed), mp)
+
+    def test_zeros_in_pivot_columns(self):
+        # exact zeros below a pivot skip the row (factor == 0), zero entries elsewhere
+        mp = PrecisionContext(50)._mp
+        for seed in range(4):
+            matrix, rhs = _random_system(9, mp, seed)
+            rng = random.Random(seed)
+            for r in range(9):
+                for c in rng.sample(range(9), 3):
+                    if r != c:
+                        matrix[r][c] = mp.mpc(0)
+            matrix[5][0] = matrix[7][0] = matrix[8][3] = mp.mpc(0)
+            _assert_kernel_matches_oracle(matrix, rhs, mp)
+
+    def test_forced_row_swaps(self):
+        # later rows are larger, so partial pivoting swaps at nearly every column
+        mp = PrecisionContext(100)._mp
+        matrix, rhs = _random_system(12, mp, 11, scale=lambda rng, r, c: -12 * r)
+        assert max(range(12), key=lambda r: abs(matrix[r][0])) != 0
+        _assert_kernel_matches_oracle(matrix, rhs, mp)
+
+    @pytest.mark.parametrize("digits", [15, 100, 200])
+    def test_entries_spanning_600_bits(self, digits):
+        # components of about 1e-200 beside components of about 1, in the same rows and entries
+        mp = PrecisionContext(digits)._mp
+        for seed in range(3):
+            matrix, rhs = _random_system(
+                10, mp, seed, scale=lambda rng, r, c: rng.choice((0, 0, 664, 600 + r))
+            )
+            _assert_kernel_matches_oracle(matrix, rhs, mp)
+
+    @pytest.mark.parametrize("digits", [15, 50, 100])
+    def test_products_mpf_add_only_nudges(self, digits):
+        # off column 0, half the components are 2^-(prec + 5..8) smaller, so
+        # the two products of a component with a full factor lie just over
+        # prec + 4 bits apart; where their last bits are also more than 100
+        # bits apart (P = 50 and 100), mpf_add nudges instead of adding
+        mp = PrecisionContext(digits)._mp
+
+        def scale(rng, r, c):
+            return 0 if c == 0 or rng.random() < 0.5 else mp.prec + rng.randrange(5, 9)
+
+        for seed in range(8):
+            _assert_kernel_matches_oracle(*_random_system(12, mp, seed, scale), mp)
+
+    def test_product_ties(self):
+        # a unit pivot leaves each factor exact, and an odd factor mantissa of
+        # prec bits times 3 has prec + 1 odd bits: a tie for the product rounding
+        mp = PrecisionContext(50)._mp
+        prec = mp.prec
+        rng = random.Random(5)
+
+        def tie_factor():
+            return mp.mpf((rng.randrange(1 << prec - 1, (1 << prec + 1) // 3) | 1, -prec))
+
+        matrix = [[mp.mpc(1)] + [mp.mpc(3)] * 7]
+        for _ in range(7):
+            row = [mp.mpc(_random_real(rng, mp), _random_real(rng, mp)) for _ in range(7)]
+            matrix.append([mp.mpc(tie_factor(), tie_factor()), *row])
+        _assert_kernel_matches_oracle(matrix, [mp.mpc(1)] * 8, mp)
+
+    def test_ill_conditioned_grid(self):
+        spec = GridSpec(sigma="0.5", t1="62.83185307", dt="0.628318531", n_rows=30, digits=50)
+        ctx = spec.context()
+        matrix, rhs = assemble_system(build_grid(spec), 30, ctx)
+        ref = _ref(80)
+        cond = ref.cond(ref.matrix([[ref.mpc(e.re, e.im) for e in row] for row in matrix]))
+        assert cond >= 1e20
+        raw_m = [[_raw(e, ctx) for e in row] for row in matrix]
+        _assert_kernel_matches_oracle(raw_m, [_raw(e, ctx) for e in rhs], ctx._mp)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 2, 3], [2, 4, 6], [3, 5, 7]],
+            [[0, 1], [0, 2]],
+            [[1, 1, 1], [1, 1, 1], [1, 1, 2]],
+        ],
+    )
+    def test_singular_same_message_same_column(self, rows):
+        mp = PrecisionContext(30)._mp
+        matrix = [[mp.mpc(v) for v in row] for row in rows]
+        rhs = [mp.mpc(1)] * len(rows)
+        floor = mp.mpf(10) ** -25
+        with pytest.raises(SingularMatrixError) as got:
+            _eliminate(matrix, rhs, mp, floor)
+        with pytest.raises(SingularMatrixError) as want:
+            mpc_eliminate(matrix, rhs, mp, floor)
+        assert str(got.value) == str(want.value)
 
 
 class TestSolve:
