@@ -20,11 +20,9 @@ from .precision import (
     to_string,
 )
 from .series import (
-    AccuracyPoint,
     BCalibration,
     ExponentialFit,
     ScalingFit,
-    accuracy_profile,
     calibrate_b,
     fit_power_law,
     fit_sigma_dependence,
@@ -76,14 +74,12 @@ __all__ = [
     "fit_residual",
     "construct_fit",
     "BCalibration",
-    "AccuracyPoint",
     "ScalingFit",
     "ExponentialFit",
     "generalized_delta",
     "truncation_length",
     "weighted_zeta",
     "calibrate_b",
-    "accuracy_profile",
     "fit_power_law",
     "fit_sigma_dependence",
     "SpiralTrace",

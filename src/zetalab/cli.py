@@ -4,8 +4,8 @@ Exit codes: 0 success, 2 validation error (bad flags/config), 3 numerical
 failure (pole, singular system, unreachable precision, ...).
 
 The experiment subcommands are shortcuts for `run <preset>`: each passes its
-flags as overrides of one preset, so it writes that preset's files and
-manifest.json.
+flags, as text, as overrides of one preset, so it writes that preset's files
+and manifest.json. A flag left out keeps the preset's default.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from .experiments import (
 )
 from .precision import ComplexAP, PrecisionContext, make_complex, to_string
 from .oracle import zeta as zeta_eval_op
-from .series import CALIBRATION_DIGITS
-from .solver import DEFAULT_STABILITY_THRESHOLD, CoefficientSet
+from .solver import CoefficientSet
 
 
 def _numerics_exit(fn):
@@ -68,10 +67,11 @@ def _run(preset: str, overrides: dict, output_dir, jobs: int = 1):
 
 
 # options shared by the preset shortcuts; each flag is named after its preset key
-_sigma = click.option("--sigma", default="0.5", show_default=True)
-_t = click.option("--t", required=True, type=float)
-_bracket = click.option("--bracket", default="0.1,100", show_default=True)
-_calibration_digits = click.option("--digits", default=CALIBRATION_DIGITS, show_default=True)
+# and passed on as text, so `run --set` parses it
+_sigma = click.option("--sigma")
+_t = click.option("--t", required=True)
+_bracket = click.option("--bracket")
+_digits = click.option("--digits")
 _output_dir = click.option("--output-dir", default=".", show_default=True)
 
 
@@ -101,9 +101,9 @@ def zeta_eval(s_text: str, digits: int):
 @_sigma
 @click.option("--t1", required=True)
 @click.option("--dt", required=True)
-@click.option("--n", default=100, show_default=True)
-@click.option("--digits", default=100, show_default=True)
-@click.option("--stability-threshold", default=DEFAULT_STABILITY_THRESHOLD, show_default=True)
+@click.option("--n")
+@_digits
+@click.option("--stability-threshold")
 @_output_dir
 @_numerics_exit
 def solve_coeffs(output_dir, **flags):
@@ -142,7 +142,7 @@ def fit_sigmoid(input_path: Path, digits: int, output_dir):
 @_sigma
 @_t
 @_bracket
-@_calibration_digits
+@_digits
 @_output_dir
 @_numerics_exit
 def search_b(output_dir, **flags):
@@ -154,7 +154,7 @@ def search_b(output_dir, **flags):
 @_sigma
 @click.option("--t-list", required=True, help="comma-separated ordinates")
 @_bracket
-@_calibration_digits
+@_digits
 @_output_dir
 @_numerics_exit
 def scaling_law(output_dir, **flags):
@@ -166,7 +166,7 @@ def scaling_law(output_dir, **flags):
 @_t
 @click.option("--sigma-list", required=True, help="comma-separated real parts")
 @_bracket
-@_calibration_digits
+@_digits
 @_output_dir
 @_numerics_exit
 def sigma_law(output_dir, **flags):
@@ -178,9 +178,9 @@ def sigma_law(output_dir, **flags):
 @_sigma
 @_t
 @click.option("--weighted", is_flag=True, default=False)
-@click.option("--b", type=float, default=None, help="scale factor; calibrated when omitted")
-@click.option("--n-terms", type=int, default=None, help="defaults to twice the truncation length")
-@_calibration_digits
+@click.option("--b", help="scale factor; calibrated when omitted")
+@click.option("--n-terms", help="defaults to twice the truncation length")
+@_digits
 @_output_dir
 @_numerics_exit
 def spiral(weighted, output_dir, **flags):

@@ -15,14 +15,15 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import mpmath
 
 from . import __version__
 from .errors import NumericalError, ValidationError
-from .precision import PrecisionContext, _format_real, make_complex
+from .precision import MIN_DIGITS, PrecisionContext, _format_real, make_complex
 from .sigmoid import construct_fit, sigmoid_eval
 from .solver import (
     DEFAULT_STABILITY_THRESHOLD,
@@ -63,99 +64,137 @@ def _json(obj) -> str:
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# configuration: every preset key is declared once, in PARAMS
+
+# Work bounds. The zeta oracle's head and the weighted sums run about |t|/pi
+# terms, so t, the t_list entries and a grid's first ordinate are capped;
+# elimination is O(n^3) multiplications at `digits` precision.
+T_MAX = 10**6
+N_MAX = 400
+DIGITS_MAX = 1000
+N_TERMS_MAX = 10**6
+
+
+class DecimalText(str):
+    """A finite real kept as its decimal text, which each run parses at its
+    own precision; `value` is the nearest float, for fits and CSV columns."""
+
+    def __new__(cls, text: str):
+        self = super().__new__(cls, text)
+        self.value = float(mpmath.mpf(text))
+        if not math.isfinite(self.value):
+            raise ValueError(f"not finite: {text!r}")
+        return self
+
+
+def _real(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {text!r}")
+    return value
+
+
+def _ordinate(text: str) -> int | float:
+    """A real ordinate; integral text stays an int, so outputs keep "t": 100."""
+    try:
+        return int(text)
+    except ValueError:
+        return _real(text)
+
+
+def _any(value) -> bool:
+    return True
+
+
+def _positive(value) -> bool:
+    return value > 0
+
+
+@dataclass(frozen=True)
+class Param:
+    """One preset key: how its text parses and which values it accepts."""
+
+    parse: Callable[[str], object]  # one entry of text to int, float or DecimalText
+    accepts: Callable[[object], bool]  # each entry's number (a DecimalText's value)
+    rule: str  # what the key expects, as error messages state it
+    shape: str = "one"  # "one", "list" (comma-separated, non-empty) or "pair"
+    order: str = ""  # "increasing" or "distinct" entries
+
+    def read(self, key: str, text):
+        """The key's value parsed from text, or a ValidationError naming the key."""
+        error = ValidationError(f"{key} expects {self.rule}, got {text!r}")
+        if not isinstance(text, str):
+            raise error
+        parts = [text] if self.shape == "one" else text.split(",")
+        try:
+            values = [self.parse(part.strip()) for part in parts if part.strip()]
+        except (ValueError, ArithmeticError):
+            raise error from None
+        numbers = [v.value if isinstance(v, DecimalText) else v for v in values]
+        if not (
+            values
+            and all(self.accepts(number) for number in numbers)
+            and (self.shape != "pair" or len(values) == 2)
+            and (self.order != "increasing" or all(a < b for a, b in zip(numbers, numbers[1:])))
+            and (self.order != "distinct" or len(set(numbers)) == len(numbers))
+        ):
+            raise error
+        if self.shape == "one":
+            return values[0]
+        return tuple(values) if self.shape == "pair" else values
+
+
+PARAMS: dict[str, Param] = {
+    "sigma": Param(DecimalText, _any, "a finite real"),
+    "t1": Param(DecimalText, lambda v: 0 < v <= T_MAX, f"a real in (0, {T_MAX}]"),
+    "dt": Param(DecimalText, _positive, "a positive real"),
+    "n": Param(int, lambda v: 2 <= v <= N_MAX, f"an integer in [2, {N_MAX}]"),
+    "digits": Param(
+        int, lambda v: MIN_DIGITS <= v <= DIGITS_MAX, f"an integer in [{MIN_DIGITS}, {DIGITS_MAX}]"
+    ),
+    "stability_threshold": Param(_real, _positive, "a positive real"),
+    "t": Param(_ordinate, lambda v: 0 < abs(v) <= T_MAX, f"a nonzero real with |t| <= {T_MAX}"),
+    "b": Param(_real, _positive, "a positive real"),
+    "n_terms": Param(int, lambda v: 1 <= v <= N_TERMS_MAX, f"an integer in [1, {N_TERMS_MAX}]"),
+    "bracket": Param(_real, _positive, "'lo,hi' with 0 < lo < hi", "pair", "increasing"),
+    "t_list": Param(
+        _real, lambda v: 0 < v <= T_MAX, f"increasing reals in (0, {T_MAX}]", "list", "increasing"
+    ),
+    "sigma_list": Param(DecimalText, _any, "distinct finite reals", "list", "distinct"),
+}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A preset name plus raw string overrides (from CLI flags or key=value file)."""
+    """A preset name plus text overrides (from CLI flags or key=value file)."""
 
     preset: str
     overrides: dict
 
     def resolved(self) -> dict:
+        """Every key of the preset, parsed once from its override or default text.
+
+        An override of None leaves the default in place.
+        """
         preset = _preset(self.preset)
-        params = dict(preset.defaults)
-        for key, raw in self.overrides.items():
-            if key not in preset.defaults and key not in _GLOBAL_KEYS:
+        for key in self.overrides:
+            if key not in preset.defaults:
                 raise ValidationError(
                     f"unknown key {key!r} for preset {self.preset!r} "
-                    f"(allowed: {sorted(preset.defaults) + sorted(_GLOBAL_KEYS)})"
+                    f"(allowed: {sorted(preset.defaults)})"
                 )
-            params[key] = _coerce(key, raw)
+        params = {}
+        for key, default in preset.defaults.items():
+            text = self.overrides.get(key)
+            text = default if text is None else text
+            params[key] = None if text is None else PARAMS[key].read(key, text)
+        for key, least in preset.min_entries.items():
+            if len(params[key]) < least:
+                raise ValidationError(
+                    f"{key} needs at least {least} entries for {self.preset!r}, "
+                    f"got {len(params[key])}"
+                )
         return params
-
-
-_GLOBAL_KEYS = {"jobs"}
-_INT_KEYS = {"n", "digits", "jobs", "n_terms"}
-_REAL_KEYS = {"t", "b", "stability_threshold"}
-_DECIMAL_KEYS = {"sigma", "t1", "dt"}  # real values kept as decimal text
-
-
-def _number(key: str, text: str, kind):
-    try:
-        return kind(text)
-    except ValueError as exc:
-        raise ValidationError(f"{key} expects {kind.__name__} values, got {text!r}") from exc
-
-
-def _finite(key: str, raw, parse=float):
-    """A finite real: text is parsed, a number keeps its type."""
-    try:
-        value = parse(raw) if isinstance(raw, str) else raw
-        finite = math.isfinite(value)
-    except (ValueError, TypeError):
-        finite = False
-    if not finite:
-        raise ValidationError(f"{key} expects a finite number, got {raw!r}")
-    return value
-
-
-def _coerce(key: str, raw):
-    """Turn an override into the preset's value type; reals must be finite.
-
-    Text is parsed; other values (click numbers, Python API values) keep
-    their type, but a real-valued key rejects NaN and infinity either way,
-    t rejects 0 and t_list needs positive, strictly increasing entries.
-    """
-    if raw is None:
-        return raw
-    if key in _INT_KEYS:
-        return _number(key, raw, int) if isinstance(raw, str) else raw
-    if key == "t" and isinstance(raw, str):
-        # a real ordinate; integral text stays an int, so outputs keep "t": 100
-        try:
-            raw = int(raw)
-        except ValueError:
-            pass
-    if key in _REAL_KEYS:
-        value = _finite(key, raw)
-        if key == "t" and value == 0:
-            # the generalized coefficients are undefined on the real axis
-            raise ValidationError(f"t must be nonzero, got {raw!r}")
-        return value
-    if key in _DECIMAL_KEYS:
-        _finite(key, raw, mpmath.mpf)  # parsed later at the run's precision
-        return raw
-    parts = raw
-    if isinstance(raw, str):
-        parts = [part.strip() for part in raw.split(",") if part.strip()]
-    if key in ("t_list", "sigma_list") and not parts:
-        raise ValidationError(f"{key} needs at least one entry, got {raw!r}")
-    if key == "bracket":
-        if len(parts) != 2:
-            raise ValidationError(f"bracket expects 'lo,hi', got {raw!r}")
-        return tuple(_finite(key, part) for part in parts)
-    if key == "t_list":
-        values = [_finite(key, part) for part in parts]
-        if values[0] <= 0 or any(b <= a for a, b in zip(values, values[1:])):
-            raise ValidationError(f"t_list expects positive, increasing values, got {raw!r}")
-        return values
-    if key == "sigma_list":
-        for part in parts:
-            _finite(key, part)
-        return list(parts)
-    return raw
 
 
 def parse_config_file(path: Path) -> dict:
@@ -260,12 +299,11 @@ def _run_nhat_sweep(params: dict, jobs: int) -> dict:
     rows = []
     for t1 in params["t_list"]:
         spec = GridSpec(
-            sigma=params["sigma"], t1=repr(float(t1)), dt=params["dt"],
+            sigma=params["sigma"], t1=t1, dt=params["dt"],
             n_rows=params["n"], digits=params["digits"],
         )
         cs = solve_grid(spec)
-        n = spec.n_rows
-        mean_t = float(spec.t1) + (n - 1) * float(spec.context().real(spec.dt)) / 2.0
+        mean_t = t1 + (params["n"] - 1) * params["dt"].value / 2.0
         n_hat_formula = mean_t / math.pi
         try:
             n_hat_star = half_crossing(cs).value
@@ -276,7 +314,7 @@ def _run_nhat_sweep(params: dict, jobs: int) -> dict:
                 _f(t1),
                 _f(n_hat_star),
                 _f(n_hat_formula),
-                _f(mean_t / float(spec.t1)),
+                _f(mean_t / t1),
                 _format_real(cs.im_stability, 12),
             ]
         )
@@ -309,7 +347,7 @@ def _run_eps_vs_b(params: dict, jobs: int) -> dict:
 
 def _sweep_rows(points: list, params: dict, jobs: int) -> list[dict]:
     """Calibrate each (sigma, t) point in input order, in a process pool if jobs > 1."""
-    items = [(sigma, float(t), params["digits"], params["bracket"]) for sigma, t in points]
+    items = [(sigma, t, params["digits"], params["bracket"]) for sigma, t in points]
     if jobs > 1 and len(items) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_star_calibration, items))
@@ -331,7 +369,7 @@ def _run_eps_vs_t(params: dict, jobs: int) -> dict:
 
 def _run_power_law(params: dict, jobs: int) -> dict:
     points = _t_sweep(params, jobs)
-    sigma = float(PrecisionContext(params["digits"]).real(params["sigma"]))
+    sigma = params["sigma"].value
     fit = fit_power_law([(p["t"], p["b_hat"]) for p in points], sigma=sigma)
     return {
         "accuracy.csv": _accuracy_csv(points),
@@ -351,10 +389,10 @@ def _run_cd_sigma(params: dict, jobs: int) -> dict:
     c_samples, d_samples = [], []
     for sigma in params["sigma_list"]:
         points = _t_sweep(dict(params, sigma=sigma), jobs)
-        fit = fit_power_law([(p["t"], p["b_hat"]) for p in points], sigma=float(sigma))
-        rows.append([_f(sigma), _f(fit.c_coef), _f(fit.d_exp), _f(fit.r_squared)])
-        c_samples.append((float(sigma), fit.c_coef))
-        d_samples.append((float(sigma), fit.d_exp))
+        fit = fit_power_law([(p["t"], p["b_hat"]) for p in points], sigma=sigma.value)
+        rows.append([_f(sigma.value), _f(fit.c_coef), _f(fit.d_exp), _f(fit.r_squared)])
+        c_samples.append((sigma.value, fit.c_coef))
+        d_samples.append((sigma.value, fit.d_exp))
     outputs = {"cd_sigma.csv": _csv(["sigma", "c_coef", "d_exp", "r_squared"], rows)}
     fits = {}
     for label, samples in (("c_coef", c_samples), ("d_exp", d_samples)):
@@ -371,11 +409,11 @@ def _run_cd_sigma(params: dict, jobs: int) -> dict:
 def _run_b_sigma(params: dict, jobs: int) -> dict:
     points = _sweep_rows([(sigma, params["t"]) for sigma in params["sigma_list"]], params, jobs)
     rows = [
-        [_f(sigma), _f(p["b_hat"]), _f(p["digits_gained"])]
+        [_f(sigma.value), _f(p["b_hat"]), _f(p["digits_gained"])]
         for sigma, p in zip(params["sigma_list"], points)
     ]
     fit = fit_sigma_dependence(
-        [(float(sigma), p["b_hat"]) for sigma, p in zip(params["sigma_list"], points)]
+        [(sigma.value, p["b_hat"]) for sigma, p in zip(params["sigma_list"], points)]
     )
     return {
         "b_sigma.csv": _csv(["sigma", "b_hat", "digits_gained"], rows),
@@ -422,20 +460,25 @@ def _run_spiral(params: dict, jobs: int, weighted: bool) -> dict:
 @dataclass(frozen=True)
 class _Preset:
     figure: str
-    defaults: dict
+    defaults: dict  # key: text, or None for a value the runner works out
     runner: object
+    min_entries: dict = field(default_factory=dict)  # list keys a fit needs filled
 
 
 _STABLE_GRID = {
     "sigma": "0.5",
     "t1": "188.4955592",
     "dt": "0.628318531",
-    "n": 100,
-    "digits": 100,
-    "stability_threshold": DEFAULT_STABILITY_THRESHOLD,
+    "n": "100",
+    "digits": "100",
+    "stability_threshold": str(DEFAULT_STABILITY_THRESHOLD),
 }
 
-_SIGMA_LADDER = ["0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7", "0.8", "0.9"]
+_CALIBRATION = {"digits": str(CALIBRATION_DIGITS), "bracket": ",".join(map(str, DEFAULT_BRACKET))}
+
+_SIGMA_LADDER = "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"
+
+_SPIRAL = {"sigma": "0.5", "t": "200", **_CALIBRATION, "b": None, "n_terms": None}
 
 _PRESETS: dict[str, _Preset] = {
     "fig-coeffs-stable": _Preset(
@@ -453,12 +496,12 @@ _PRESETS: dict[str, _Preset] = {
     ),
     "fig-precision-90": _Preset(
         "stable grid at a slightly reduced digit budget",
-        dict(_STABLE_GRID, digits=90),
+        dict(_STABLE_GRID, digits="90"),
         _run_coeffs,
     ),
     "fig-precision-50": _Preset(
         "stable grid at half the digit budget (profile destroyed)",
-        dict(_STABLE_GRID, digits=50),
+        dict(_STABLE_GRID, digits="50"),
         _run_coeffs,
     ),
     "fig-sigmoid": _Preset(
@@ -471,84 +514,48 @@ _PRESETS: dict[str, _Preset] = {
         {
             "sigma": "0.5",
             "dt": "0.628318531",
-            "n": 100,
-            "digits": 100,
-            "t_list": [175.9291886, 182.2123739, 188.4955592, 194.7787445, 201.0619298],
+            "n": "100",
+            "digits": "100",
+            "t_list": "175.9291886,182.2123739,188.4955592,194.7787445,201.0619298",
         },
         _run_nhat_sweep,
     ),
     "fig-eps-vs-b": _Preset(
         "reconstruction error versus the scale factor at s = 0.5 + 1000i",
-        {
-            "sigma": "0.5",
-            "t": 1000,
-            "digits": CALIBRATION_DIGITS,
-            "bracket": DEFAULT_BRACKET,
-        },
+        {"sigma": "0.5", "t": "1000", **_CALIBRATION},
         _run_eps_vs_b,
     ),
     "fig-eps-vs-t": _Preset(
         "digits gained versus the ordinate t",
-        {
-            "sigma": "0.5",
-            "t_list": [100.0, 300.0, 1000.0, 3000.0],
-            "digits": CALIBRATION_DIGITS,
-            "bracket": DEFAULT_BRACKET,
-        },
+        {"sigma": "0.5", "t_list": "100.0,300.0,1000.0,3000.0", **_CALIBRATION},
         _run_eps_vs_t,
     ),
     "fig-b-power-law": _Preset(
         "power law of the calibrated scale factor over t",
-        {
-            "sigma": "0.5",
-            "t_list": [100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0],
-            "digits": CALIBRATION_DIGITS,
-            "bracket": DEFAULT_BRACKET,
-        },
+        {"sigma": "0.5", "t_list": "100.0,200.0,500.0,1000.0,2000.0,5000.0", **_CALIBRATION},
         _run_power_law,
+        {"t_list": 2},
     ),
     "fig-c-d-sigma": _Preset(
         "power-law coefficients C and D versus sigma",
-        {
-            "sigma_list": list(_SIGMA_LADDER),
-            "t_list": [100.0, 300.0, 1000.0],
-            "digits": CALIBRATION_DIGITS,
-            "bracket": DEFAULT_BRACKET,
-        },
+        {"sigma_list": _SIGMA_LADDER, "t_list": "100.0,300.0,1000.0", **_CALIBRATION},
         _run_cd_sigma,
+        {"t_list": 2},
     ),
     "fig-b-sigma": _Preset(
         "calibrated scale factor versus sigma at fixed t",
-        {
-            "sigma_list": list(_SIGMA_LADDER),
-            "t": 50000,
-            "digits": CALIBRATION_DIGITS,
-            "bracket": DEFAULT_BRACKET,
-        },
+        {"sigma_list": _SIGMA_LADDER, "t": "50000", **_CALIBRATION},
         _run_b_sigma,
+        {"sigma_list": 3},
     ),
     "fig-spiral-raw": _Preset(
         "divergent partial-sum spiral of the functional-equation combination",
-        {
-            "sigma": "0.5",
-            "t": 200,
-            "digits": CALIBRATION_DIGITS,
-            "bracket": DEFAULT_BRACKET,
-            "b": None,
-            "n_terms": None,
-        },
+        dict(_SPIRAL),
         lambda params, jobs: _run_spiral(params, jobs, weighted=False),
     ),
     "fig-spiral-weighted": _Preset(
         "sigmoid-weighted spiral converging to the origin",
-        {
-            "sigma": "0.5",
-            "t": 200,
-            "digits": CALIBRATION_DIGITS,
-            "bracket": DEFAULT_BRACKET,
-            "b": None,
-            "n_terms": None,
-        },
+        dict(_SPIRAL),
         lambda params, jobs: _run_spiral(params, jobs, weighted=True),
     ),
 }
@@ -565,11 +572,11 @@ def preset_names() -> list[str]:
 
 
 def list_presets() -> list[dict]:
-    """Static table of (preset, figure, parameters), parseable as config stubs."""
-    table = []
-    for name, preset in _PRESETS.items():
-        table.append({"preset": name, "figure": preset.figure, "parameters": dict(preset.defaults)})
-    return table
+    """Static table of (preset, figure, resolved default parameters)."""
+    return [
+        {"preset": name, "figure": preset.figure, "parameters": ExperimentConfig(name, {}).resolved()}
+        for name, preset in _PRESETS.items()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -598,14 +605,17 @@ class RunManifest:
 
 
 def run_preset(config: ExperimentConfig, output_dir: str | Path = ".", jobs: int = 1) -> RunManifest:
-    """Execute the preset pipeline and write outputs + manifest.json."""
+    """Execute the preset pipeline and write outputs + manifest.json.
+
+    `jobs` worker processes (at least 1) calibrate the points of a sweep.
+    """
+    if not (isinstance(jobs, int) and jobs >= 1):
+        raise ValidationError(f"jobs must be an integer >= 1, got {jobs!r}")
     preset = _preset(config.preset)
     params = config.resolved()
-    jobs = int(params.get("jobs", jobs) or jobs)
-    runner_params = {k: v for k, v in params.items() if k not in _GLOBAL_KEYS}
 
     start = time.perf_counter()
-    outputs = preset.runner(runner_params, jobs)
+    outputs = preset.runner(params, jobs)
     wall = time.perf_counter() - start
 
     manifest = RunManifest(

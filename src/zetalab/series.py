@@ -19,7 +19,6 @@ from .errors import (
     NoInteriorMinimumError,
     NonPositiveScaleError,
     NonPositiveValueError,
-    NumericalError,
     RealAxisError,
     ValidationError,
 )
@@ -208,42 +207,6 @@ def calibrate_b(
 
 
 @dataclass(frozen=True)
-class AccuracyPoint:
-    """One sweep entry: the calibration, or the failure that marked it."""
-
-    t: float
-    calibration: BCalibration | None
-    error: str | None = None
-
-    @property
-    def failed(self) -> bool:
-        return self.calibration is None
-
-
-def accuracy_profile(
-    sigma: float,
-    t_values: list[float],
-    ctx: PrecisionContext | None = None,
-    bracket: tuple[float, float] = DEFAULT_BRACKET,
-) -> list[AccuracyPoint]:
-    """Calibrate sigma + i*t for each t; failures mark points, not the sweep."""
-    if any(t <= 0 for t in t_values):
-        raise ValidationError("t values must be positive")
-    if list(t_values) != sorted(t_values):
-        raise ValidationError("t values must be increasing")
-    if ctx is None:
-        ctx = PrecisionContext(CALIBRATION_DIGITS)
-    points = []
-    for t in t_values:
-        s = ComplexAP(ctx.real(sigma), ctx.real(t))
-        try:
-            points.append(AccuracyPoint(t=t, calibration=calibrate_b(s, ctx, bracket)))
-        except NumericalError as exc:
-            points.append(AccuracyPoint(t=t, calibration=None, error=str(exc)))
-    return points
-
-
-@dataclass(frozen=True)
 class ScalingFit:
     """Power law b_hat(t) = C * t^D fitted in log-log coordinates."""
 
@@ -255,13 +218,17 @@ class ScalingFit:
 
 
 def _ols(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
-    """Least squares y = p + q*x; returns (p, q, r_squared)."""
+    """Least squares y = p + q*x over distinct abscissas; returns (p, q, r_squared).
+
+    Repeated abscissas are rejected outright: the rounded mean of equal
+    values need not equal them, so their spread would come out tiny, not 0.
+    """
     n = len(xs)
     mean_x = sum(xs) / n
     mean_y = sum(ys) / n
     sxx = sum((x - mean_x) ** 2 for x in xs)
-    if sxx == 0:
-        raise DegenerateFitError("no spread in the fit abscissa")
+    if sxx == 0 or len(set(xs)) < n:
+        raise DegenerateFitError("fit abscissas must be distinct")
     sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     q = sxy / sxx
     p = mean_y - q * mean_x

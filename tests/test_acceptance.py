@@ -13,7 +13,6 @@ import pytest
 
 from zetalab import (
     PrecisionContext,
-    accuracy_profile,
     chi,
     construct_fit,
     fit_power_law,
@@ -161,19 +160,28 @@ class TestCriterion5Calibration:
         assert report("5b", ok, f"coarse trace descends to sample {k} then ascends (unimodal)")
 
 
-@pytest.fixture(scope="module")
-def profile(ctx30):
-    return accuracy_profile(0.5, [100.0, 300.0, 1000.0, 3000.0], ctx30)
+def _accuracy(preset: str, out_dir) -> list[dict]:
+    """The accuracy.csv rows (t, b_hat, digits_gained) of a preset at its defaults."""
+    run_preset(ExperimentConfig(preset, {}), out_dir)
+    header, *rows = (out_dir / "accuracy.csv").read_text().splitlines()
+    return [dict(zip(header.split(","), map(float, row.split(",")))) for row in rows]
 
 
 @pytest.fixture(scope="module")
-def sweep(ctx30):
-    return accuracy_profile(0.5, [100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0], ctx30)
+def profile(tmp_path_factory):
+    # sigma = 0.5, t in {100, 300, 1000, 3000}, 30 digits, default bracket
+    return _accuracy("fig-eps-vs-t", tmp_path_factory.mktemp("eps-vs-t"))
+
+
+@pytest.fixture(scope="module")
+def sweep(tmp_path_factory):
+    # sigma = 0.5, t in {100, 200, 500, 1000, 2000, 5000}, 30 digits, default bracket
+    return _accuracy("fig-b-power-law", tmp_path_factory.mktemp("b-power-law"))
 
 
 class TestCriterion6AsymptoticAccuracy:
     def test_digits_strictly_increase(self, profile):
-        digits = [p.calibration.digits_gained for p in profile]
+        digits = [p["digits_gained"] for p in profile]
         ok = all(a < b for a, b in zip(digits, digits[1:])) and digits[0] >= 2
         assert report(
             "6", ok, "digits gained over t in {100,300,1000,3000}: "
@@ -183,7 +191,7 @@ class TestCriterion6AsymptoticAccuracy:
 
 class TestCriterion7PowerLaw:
     def test_goodness_of_fit(self, sweep):
-        samples = [(p.t, p.calibration.b_hat) for p in sweep]
+        samples = [(p["t"], p["b_hat"]) for p in sweep]
         fit = fit_power_law(samples, sigma=0.5)
         ok = fit.r_squared >= 0.99
         assert report(

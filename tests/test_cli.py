@@ -1,8 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zetalab import experiments
 from zetalab.cli import main
 
 
@@ -258,3 +262,102 @@ def test_malformed_input_exits_2(runner, tmp_path, args):
     assert "error:" in result.stderr
     assert "Traceback" not in result.output
     assert not (tmp_path / "out").exists()
+
+
+# each probe must be rejected, naming its key, before any preset work starts
+PROBES = {
+    "run-stability-threshold-negative": (
+        "stability_threshold", ["run", "fig-coeffs-stable", "--set", "stability_threshold=-1"]
+    ),
+    "run-set-jobs": ("jobs", ["run", "fig-eps-vs-t", "--set", "jobs=0"]),
+    "run-jobs-zero": ("jobs", ["run", "fig-eps-vs-t", "--jobs", "0"]),
+    "run-t-budget": ("t", ["run", "fig-eps-vs-b", "--set", "t=1e9"]),
+    "search-b-t-budget": ("t", ["search-b", "--t", "1e9"]),
+    "search-b-t-text": ("t", ["search-b", "--t", "1e3x"]),
+    "run-sigma-list-repeated": ("sigma_list", ["run", "fig-b-sigma", "--set", "sigma_list=0.1,0.1,0.1"]),
+    "run-sigma-list-short": ("sigma_list", ["run", "fig-b-sigma", "--set", "sigma_list=0.3,0.5"]),
+    "run-power-law-t-list-short": ("t_list", ["run", "fig-b-power-law", "--set", "t_list=100"]),
+    "run-cd-sigma-t-list-short": ("t_list", ["run", "fig-c-d-sigma", "--set", "t_list=100"]),
+}
+
+
+@pytest.mark.parametrize("key,args", list(PROBES.values()), ids=list(PROBES))
+def test_probe_exits_2_naming_key(runner, tmp_path, monkeypatch, key, args):
+    def no_work(*args, **kwargs):
+        raise AssertionError("validation must come before any calibration or solve")
+
+    monkeypatch.setattr(experiments, "calibrate_b", no_work)
+    monkeypatch.setattr(experiments, "solve_grid", no_work)
+    result = runner.invoke(main, [*args, "--output-dir", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"{key} " in result.stderr or f"'{key}'" in result.stderr, result.stderr
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
+# each shortcut and the `run --set` call it stands for
+SHORTCUTS = {
+    "solve-coeffs": (
+        ["solve-coeffs", "--t1", "31.41592653", "--dt", "0.62831853", "--n", "12", "--digits", "30"],
+        ["fig-coeffs-stable", "t1=31.41592653", "dt=0.62831853", "n=12", "digits=30"],
+    ),
+    "search-b": (
+        ["search-b", "--t", "100", "--digits", "20"], ["fig-eps-vs-b", "t=100", "digits=20"]
+    ),
+    "scaling-law": (
+        ["scaling-law", "--t-list", "100,200", "--digits", "20"],
+        ["fig-b-power-law", "t_list=100,200", "digits=20"],
+    ),
+    "sigma-law": (  # decimal text as mpmath reads it, as for sigma
+        ["sigma-law", "--t", "100", "--sigma-list", "1/2,0.3,0.7", "--digits", "20"],
+        ["fig-b-sigma", "t=100", "sigma_list=1/2,0.3,0.7", "digits=20"],
+    ),
+    "spiral": (
+        ["spiral", "--t", "100", "--b", "1.2", "--n-terms", "30", "--digits", "20"],
+        ["fig-spiral-raw", "t=100", "b=1.2", "n_terms=30", "digits=20"],
+    ),
+    "spiral-weighted": (
+        ["spiral", "--weighted", "--t", "100", "--b", "1.2", "--digits", "20"],
+        ["fig-spiral-weighted", "t=100", "b=1.2", "digits=20"],
+    ),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("shortcut,preset_run", list(SHORTCUTS.values()), ids=list(SHORTCUTS))
+def test_shortcut_matches_run(runner, tmp_path, shortcut, preset_run):
+    preset, *assignments = preset_run
+    run = ["run", preset, *[arg for a in assignments for arg in ("--set", a)]]
+    for args, out in ((shortcut, tmp_path / "shortcut"), (run, tmp_path / "run")):
+        result = runner.invoke(main, [*args, "--output-dir", str(out)])
+        assert result.exit_code == 0, result.output
+    manifests = [json.loads((out / "manifest.json").read_text()) for out in
+                 (tmp_path / "shortcut", tmp_path / "run")]
+    assert manifests[0]["preset"] == preset
+    assert json.dumps(manifests[0]["config"]) == json.dumps(manifests[1]["config"])
+    for name in manifests[1]["outputs"]:
+        assert (tmp_path / "shortcut" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def no_op_presets():
+    return {
+        name: dataclasses.replace(preset, runner=lambda params, jobs: {})
+        for name, preset in experiments._PRESETS.items()
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    preset=st.sampled_from(experiments.preset_names()),
+    key=st.sampled_from(sorted(experiments.PARAMS) + ["jobs", "frobnicate"]),
+    text=st.text(max_size=12),
+)
+def test_run_exits_0_or_2(no_op_presets, tmp_path_factory, preset, key, text):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "_PRESETS", no_op_presets)
+        out = tmp_path_factory.mktemp("run")
+        result = CliRunner().invoke(main, ["run", preset, "--set", f"{key}={text}", "--output-dir", str(out)])
+    assert result.exit_code in (0, 2), result.output
+    assert not isinstance(result.exception, Exception) or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output

@@ -3,13 +3,16 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zetalab import experiments
 from zetalab.cli import main
 from zetalab.errors import ValidationError
 from zetalab.experiments import (
+    PARAMS,
+    DecimalText,
     ExperimentConfig,
-    _coerce,
     list_presets,
     parse_config_file,
     preset_names,
@@ -20,6 +23,18 @@ from zetalab.experiments import (
 # multiprecision heavyweights
 TINY_SOLVE = {"n": "12", "digits": "30", "t1": "31.41592653", "dt": "0.62831853"}
 TINY_CAL = {"t": "100", "digits": "20"}
+
+
+def _uses(key: str) -> str:
+    """The first preset with `key`; keys no preset has go to fig-eps-vs-b."""
+    return next(
+        (entry["preset"] for entry in list_presets() if key in entry["parameters"]),
+        "fig-eps-vs-b",
+    )
+
+
+def _resolve(key: str, text):
+    return ExperimentConfig(_uses(key), {key: text}).resolved()[key]
 
 
 class TestPresetTable:
@@ -67,18 +82,21 @@ class TestConfig:
             ExperimentConfig(preset="fig-nope", overrides={}).resolved()
 
     def test_coercions(self):
-        assert _coerce("n", "12") == 12
-        assert _coerce("bracket", "0.5,2.5") == (0.5, 2.5)
-        assert _coerce("t_list", "1,2.5,3") == [1.0, 2.5, 3.0]
-        assert _coerce("sigma_list", "0.1, 0.5") == ["0.1", "0.5"]
-        assert _coerce("sigma", "0.5") == "0.5"
-        assert _coerce("t_list", "100,,200") == [100.0, 200.0]
-        assert _coerce("stability_threshold", "0.5") == 0.5
-        assert _coerce("n_terms", "30") == 30
-        assert _coerce("t", 100.0) == 100.0
-        assert _coerce("t", "1000.5") == 1000.5
-        assert type(_coerce("t", "100")) is int
-        assert _coerce("t", "-100") == -100
+        assert _resolve("n", "12") == 12
+        assert _resolve("bracket", "0.5,2.5") == (0.5, 2.5)
+        assert _resolve("t_list", "1,2.5,3") == [1.0, 2.5, 3.0]
+        assert _resolve("sigma_list", "0.1, 0.5") == ["0.1", "0.5"]
+        assert _resolve("sigma", "0.5") == "0.5"
+        assert _resolve("t_list", "100,,200") == [100.0, 200.0]
+        assert _resolve("stability_threshold", "0.5") == 0.5
+        assert _resolve("n_terms", "30") == 30
+        assert _resolve("t", "100.0") == 100.0
+        assert _resolve("t", "1000.5") == 1000.5
+        assert type(_resolve("t", "100")) is int
+        assert _resolve("t", "-100") == -100
+        # decimal text keeps its text for the run and carries its float
+        assert _resolve("sigma", "1/2").value == 0.5
+        assert [s.value for s in _resolve("sigma_list", "1/2,0.3,0.7")] == [0.5, 0.3, 0.7]
 
     @pytest.mark.parametrize(
         "key,raw",
@@ -88,11 +106,49 @@ class TestConfig:
          ("bracket", "0.1,inf"), ("t_list", [100.0, float("nan")]), ("sigma_list", "0.3,nan"),
          ("sigma", "nan"), ("t1", "inf"), ("t_list", ","), ("sigma_list", " , "),
          ("t_list", []), ("t", "0"), ("t", "-0.0"), ("t", 0.0), ("t_list", "-5,100"),
-         ("t_list", "300,100"), ("t_list", "100,100"), ("t_list", [0.0, 100.0])],
+         ("t_list", "300,100"), ("t_list", "100,100"), ("t_list", [0.0, 100.0]),
+         ("stability_threshold", "-1"), ("jobs", "0"), ("jobs", "-1"), ("t", "1e9"),
+         ("sigma_list", "0.1,0.1")],
     )
     def test_bad_coercion_names_key(self, key, raw):
-        with pytest.raises(ValidationError, match=key):
-            _coerce(key, raw)
+        with pytest.raises(ValidationError, match=rf"^{key} |^unknown key '{key}'"):
+            _resolve(key, raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        preset=st.sampled_from(preset_names()),
+        key=st.sampled_from(sorted(PARAMS) + ["jobs", "frobnicate"]),
+        text=st.one_of(
+            st.text(max_size=12),
+            st.lists(
+                st.one_of(st.integers(-10, 10**7).map(str), st.floats().map(repr),
+                          st.sampled_from(["1/2", "1/0", "nan", "", " "])),
+                max_size=4,
+            ).map(",".join),
+        ),
+    )
+    def test_resolved_meets_schema_or_names_key(self, preset, key, text):
+        try:
+            params = ExperimentConfig(preset, {key: text}).resolved()
+        except ValidationError as exc:
+            assert str(exc).startswith((f"{key} ", f"unknown key {key!r}")), str(exc)
+            return
+        least = experiments._PRESETS[preset].min_entries
+        for name, value in params.items():
+            param = PARAMS[name]
+            if value is None:
+                continue
+            entries = [value] if param.shape == "one" else list(value)
+            assert len(entries) >= least.get(name, 1)
+            assert param.shape != "pair" or len(entries) == 2
+            decimal = param.parse is DecimalText
+            assert all(isinstance(entry, DecimalText) == decimal for entry in entries)
+            numbers = [entry.value if decimal else entry for entry in entries]
+            assert all(param.accepts(number) for number in numbers)
+            if param.order == "increasing":
+                assert numbers == sorted(set(numbers))
+            if param.order == "distinct":
+                assert len(set(numbers)) == len(numbers)
 
     def test_seed_is_not_a_key(self):
         config = ExperimentConfig(preset="fig-eps-vs-b", overrides={"seed": "1"})

@@ -3,13 +3,15 @@
 The benchmark tracer in perfbench/spans.py swaps module-level names of
 zetalab for timing wrappers; a refactor that drops one of them would only
 fail in the traced benchmark run, so it is checked here, by file path.
+The preset parameter schema is guarded against keys it does not declare
+and declarations no preset uses.
 """
 
 import importlib.util
 from pathlib import Path
 
 import zetalab
-from zetalab import PrecisionContext, solver
+from zetalab import PrecisionContext, experiments, solver
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -41,3 +43,11 @@ def test_eliminate_counts_read_a_real_call():
     result = solver._eliminate(*args)
     assert len(result) == 3 and matrix == before
     assert _spans().eliminate_counts(result, args) == {"solver.eliminate.mulsub": 11}
+
+
+def test_preset_keys_match_schema():
+    used = {key for preset in experiments._PRESETS.values() for key in preset.defaults}
+    assert used - set(experiments.PARAMS) == set(), "preset keys without a schema entry"
+    assert set(experiments.PARAMS) - used == set(), "schema entries no preset uses"
+    for name, preset in experiments._PRESETS.items():
+        assert set(preset.min_entries) <= set(preset.defaults), name

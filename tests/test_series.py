@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from zetalab import (
     PrecisionContext,
-    accuracy_profile,
     calibrate_b,
     fit_power_law,
     fit_sigma_dependence,
@@ -26,6 +25,7 @@ from zetalab.errors import (
     RealAxisError,
     ValidationError,
 )
+from zetalab.experiments import ExperimentConfig, run_preset
 
 
 def _ref(dps=80):
@@ -212,32 +212,23 @@ class TestCalibration:
             calibrate_b(s, ctx30, bracket=(1.0, 0.5))
 
 
+def _accuracy(tmp_path, **overrides) -> list[list[str]]:
+    """The accuracy.csv rows of a fig-eps-vs-t sweep."""
+    run_preset(ExperimentConfig("fig-eps-vs-t", overrides), tmp_path)
+    return [line.split(",") for line in (tmp_path / "accuracy.csv").read_text().splitlines()[1:]]
+
+
 @pytest.mark.slow
 class TestAccuracyProfile:
-    def test_singleton(self, ctx30):
-        points = accuracy_profile(0.5, [300.0], ctx30)
-        assert len(points) == 1 and not points[0].failed
-        assert points[0].calibration.digits_gained > 8
+    def test_singleton(self, tmp_path):
+        (row,) = _accuracy(tmp_path, t_list="300")
+        assert float(row[0]) == 300.0 and float(row[2]) > 8
 
-    def test_two_sigmas_both_succeed(self, ctx30):
-        a = accuracy_profile(0.5, [300.0], ctx30)[0]
-        b = accuracy_profile(0.9, [300.0], ctx30)[0]
-        assert not a.failed and not b.failed
-        print(f"b_hat(sigma=0.5)={a.calibration.b_hat:.4f} b_hat(sigma=0.9)={b.calibration.b_hat:.4f}")
-
-    def test_failed_point_marked_without_aborting(self, ctx30):
-        # an endpoint-minimum calibration marks its point and the sweep goes on
-        points = accuracy_profile(0.5, [300.0], ctx30, bracket=(50.0, 100.0))
-        assert len(points) == 1
-        assert points[0].failed
-        assert points[0].calibration is None
-        assert "bracket" in points[0].error
-
-    def test_validation(self, ctx30):
-        with pytest.raises(ValidationError):
-            accuracy_profile(0.5, [300.0, 100.0], ctx30)
-        with pytest.raises(ValidationError):
-            accuracy_profile(0.5, [-5.0], ctx30)
+    def test_two_sigmas_both_succeed(self, tmp_path):
+        a = _accuracy(tmp_path / "a", sigma="0.5", t_list="300")[0]
+        b = _accuracy(tmp_path / "b", sigma="0.9", t_list="300")[0]
+        print(f"b_hat(sigma=0.5)={a[1]} b_hat(sigma=0.9)={b[1]}")
+        assert float(a[1]) > 0 and float(b[1]) > 0
 
 
 class TestPowerLawFit:
@@ -255,6 +246,8 @@ class TestPowerLawFit:
     def test_degenerate(self):
         with pytest.raises(DegenerateFitError):
             fit_power_law([(10.0, 1.0), (10.0, 2.0), (10.0, 3.0)])
+        with pytest.raises(DegenerateFitError):  # one repeated t is enough
+            fit_power_law([(100.0, 1.0), (100.0, 2.0), (300.0, 3.0)])
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -279,6 +272,8 @@ class TestSigmaDependenceFit:
     def test_degenerate(self):
         with pytest.raises(DegenerateFitError):
             fit_sigma_dependence([(0.5, 1.0), (0.5, 2.0), (0.5, 3.0)])
+        with pytest.raises(DegenerateFitError):  # the mean of three 0.1 is not 0.1
+            fit_sigma_dependence([(0.1, 1.0), (0.1, 2.0), (0.1, 3.0)])
 
     def test_non_positive_reported_with_sample(self):
         with pytest.raises(NonPositiveValueError) as err:
