@@ -280,6 +280,30 @@ def _star_calibration(args):
     return _calibration_point(*args)
 
 
+def _nhat_row(args) -> list[str]:
+    """One nhat_sweep.csv row: the grid starting at t1, solved, and its half crossing."""
+    sigma, t1, dt, n, digits = args
+    cs = solve_grid(GridSpec(sigma=sigma, t1=t1, dt=dt, n_rows=n, digits=digits))
+    mean_t = t1 + (n - 1) * dt.value / 2.0
+    try:
+        n_hat_star = half_crossing(cs).value
+    except NumericalError:
+        n_hat_star = float("nan")
+    return [
+        _f(t1), _f(n_hat_star), _f(mean_t / math.pi), _f(mean_t / t1),
+        _format_real(cs.im_stability, 12),
+    ]
+
+
+def _pool_map(fn, items: list, jobs: int) -> list:
+    """fn over items in input order, in min(jobs, len(items)) worker processes when that is > 1."""
+    workers = min(jobs, len(items))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
 # ---------------------------------------------------------------------------
 # preset runners
 
@@ -296,31 +320,14 @@ def _run_sigmoid(params: dict, jobs: int) -> dict:
 
 
 def _run_nhat_sweep(params: dict, jobs: int) -> dict:
-    rows = []
-    for t1 in params["t_list"]:
-        spec = GridSpec(
-            sigma=params["sigma"], t1=t1, dt=params["dt"],
-            n_rows=params["n"], digits=params["digits"],
-        )
-        cs = solve_grid(spec)
-        mean_t = t1 + (params["n"] - 1) * params["dt"].value / 2.0
-        n_hat_formula = mean_t / math.pi
-        try:
-            n_hat_star = half_crossing(cs).value
-        except NumericalError:
-            n_hat_star = float("nan")
-        rows.append(
-            [
-                _f(t1),
-                _f(n_hat_star),
-                _f(n_hat_formula),
-                _f(mean_t / t1),
-                _format_real(cs.im_stability, 12),
-            ]
-        )
+    items = [
+        (params["sigma"], t1, params["dt"], params["n"], params["digits"])
+        for t1 in params["t_list"]
+    ]
     return {
         "nhat_sweep.csv": _csv(
-            ["t1", "n_hat_star", "n_hat_formula", "mean_t_over_t1", "im_stability"], rows
+            ["t1", "n_hat_star", "n_hat_formula", "mean_t_over_t1", "im_stability"],
+            _pool_map(_nhat_row, items, jobs),
         )
     }
 
@@ -346,12 +353,9 @@ def _run_eps_vs_b(params: dict, jobs: int) -> dict:
 
 
 def _sweep_rows(points: list, params: dict, jobs: int) -> list[dict]:
-    """Calibrate each (sigma, t) point in input order, in a process pool if jobs > 1."""
+    """Calibrate each (sigma, t) point, in input order."""
     items = [(sigma, t, params["digits"], params["bracket"]) for sigma, t in points]
-    if jobs > 1 and len(items) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_star_calibration, items))
-    return [_star_calibration(item) for item in items]
+    return _pool_map(_star_calibration, items, jobs)
 
 
 def _t_sweep(params: dict, jobs: int) -> list[dict]:
@@ -385,11 +389,13 @@ def _run_power_law(params: dict, jobs: int) -> dict:
 
 
 def _run_cd_sigma(params: dict, jobs: int) -> dict:
+    sigmas, t_list = params["sigma_list"], params["t_list"]
+    points = _sweep_rows([(sigma, t) for sigma in sigmas for t in t_list], params, jobs)
     rows = []
     c_samples, d_samples = [], []
-    for sigma in params["sigma_list"]:
-        points = _t_sweep(dict(params, sigma=sigma), jobs)
-        fit = fit_power_law([(p["t"], p["b_hat"]) for p in points], sigma=sigma.value)
+    for i, sigma in enumerate(sigmas):
+        block = points[i * len(t_list) : (i + 1) * len(t_list)]
+        fit = fit_power_law([(p["t"], p["b_hat"]) for p in block], sigma=sigma.value)
         rows.append([_f(sigma.value), _f(fit.c_coef), _f(fit.d_exp), _f(fit.r_squared)])
         c_samples.append((sigma.value, fit.c_coef))
         d_samples.append((sigma.value, fit.d_exp))
@@ -607,7 +613,9 @@ class RunManifest:
 def run_preset(config: ExperimentConfig, output_dir: str | Path = ".", jobs: int = 1) -> RunManifest:
     """Execute the preset pipeline and write outputs + manifest.json.
 
-    `jobs` worker processes (at least 1) calibrate the points of a sweep.
+    Up to `jobs` worker processes (at least 1) run the points of a sweep:
+    the grids of fig-nhat-sweep and the calibrations of fig-eps-vs-t,
+    fig-b-power-law, fig-c-d-sigma and fig-b-sigma.
     """
     if not (isinstance(jobs, int) and jobs >= 1):
         raise ValidationError(f"jobs must be an integer >= 1, got {jobs!r}")

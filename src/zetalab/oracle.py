@@ -6,28 +6,29 @@ correction series.  The cutoff N0 starts at max(ceil(|t|/pi)+10, ceil(1.3*P))
 and escalates until the first neglected correction term certifies the digit
 budget.  The Dirichlet head streams the fixed-point n^(-s) entries of
 powers.py (exp/ln at primes only, 16 bits past the working precision), sums
-them exactly in integers and rounds once.  gamma(s) uses the Stirling series
-after an upward recurrence shift, with reflection for Re s < 1/2.  Everything
-is computed with ten extra guard digits and rounded back to the requested
-budget.
+them exactly in integers and rounds once.  Only zeta carries a certified
+schedule: gamma(s), and the gamma(1-s) factor of chi(s), are mpmath's gamma.
+Everything is computed at the oracle's working precision, ten guard digits
+past the budget, and rounded once back to the requested budget.
 
 Bernoulli numbers come from the tangent-number recurrence in exact integer
-arithmetic (the floating-point defining recurrence cancels catastrophically)
-and are cached once per process, as are the correction coefficients
-B_2k/(2k)! at each working precision; readers never observe a partial table.
+arithmetic (the floating-point defining recurrence cancels catastrophically).
+They and the correction coefficients B_2k/(2k)! at each working precision
+are cached process-wide, a whole table or one value per entry, so readers
+never observe a partial table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 from mpmath import libmp
 
-from .errors import ChiDegenerateError, PoleError, PrecisionUnreachableError
+from .errors import ChiDegenerateError, PoleError, PrecisionUnreachableError, ValidationError
 from .powers import _power_entries, frac_bits, from_fixed
 from .precision import ComplexAP, PrecisionContext, _raw, _wrap
 
@@ -38,85 +39,41 @@ _RND = libmp.round_nearest
 # Bernoulli cache
 
 
-class _BernoulliTable:
-    """Even-index Bernoulli numbers B_2, B_4, ... as exact fractions."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._table: tuple[Fraction, ...] = ()
-
-    def even(self, k: int) -> Fraction:
-        """B_{2k} for k >= 1."""
-        table = self._table  # atomic snapshot
-        if k <= len(table):
-            return table[k - 1]
-        with self._lock:
-            if k > len(self._table):
-                self._table = self._build(max(k, 2 * len(self._table), 16))
-            return self._table[k - 1]
-
-    @staticmethod
-    def _build(m: int) -> tuple[Fraction, ...]:
-        # tangent numbers T_1..T_m via the Brent-Harvey in-place recurrence
-        t = [0] * (m + 1)
-        t[1] = 1
-        for k in range(2, m + 1):
-            t[k] = (k - 1) * t[k - 1]
-        for k in range(2, m + 1):
-            for j in range(k, m + 1):
-                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-        out = []
-        for n in range(1, m + 1):
-            four_n = 4**n
-            num = 2 * n * t[n]
-            if n % 2 == 0:
-                num = -num
-            out.append(Fraction(num, four_n * (four_n - 1)))
-        return tuple(out)
-
-
-_BERNOULLI = _BernoulliTable()
+@functools.cache
+def _bernoulli_table(size: int) -> tuple[Fraction, ...]:
+    """B_2, B_4, ..., B_{2 size} as exact fractions."""
+    # tangent numbers T_1..T_size via the Brent-Harvey in-place recurrence
+    t = [0] * (size + 1)
+    t[1] = 1
+    for k in range(2, size + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, size + 1):
+        for j in range(k, size + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    out = []
+    for n in range(1, size + 1):
+        four_n = 4**n
+        num = 2 * n * t[n]
+        if n % 2 == 0:
+            num = -num
+        out.append(Fraction(num, four_n * (four_n - 1)))
+    return tuple(out)
 
 
 def bernoulli_even(k: int) -> Fraction:
-    """Exact B_{2k}; cached process-wide."""
-    return _BERNOULLI.even(k)
+    """Exact B_{2k} for k >= 1, from the table of size 16, 32, 64, ... that holds it."""
+    if k < 1:
+        raise ValidationError(f"bernoulli_even needs k >= 1, got {k}")
+    return _bernoulli_table(16 << ((k - 1) // 16).bit_length())[k - 1]
 
 
-class _CoefficientTables:
-    """B_{2k}/(2k)! as raw mpfs, one table per working precision in bits.
-
-    Each value is rounded exactly as mpf(B.numerator) / mpf(B.denominator
-    * (2k)!) is at that precision.  Readers take an atomic snapshot of a
-    table and never observe a partial one.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._tables: dict[int, tuple] = {}
-
-    def get(self, k: int, prec: int):
-        """B_{2k}/(2k)! at prec bits for k >= 1."""
-        table = self._tables.get(prec, ())  # atomic snapshot
-        if k <= len(table):
-            return table[k - 1]
-        with self._lock:
-            table = self._tables.get(prec, ())
-            if k > len(table):
-                size = max(k, 2 * len(table), 16)
-                table += tuple(self._coefficient(j, prec) for j in range(len(table) + 1, size + 1))
-                self._tables[prec] = table
-            return table[k - 1]
-
-    @staticmethod
-    def _coefficient(k: int, prec: int):
-        b = bernoulli_even(k)
-        num = libmp.from_int(b.numerator, prec, _RND)
-        den = libmp.from_int(b.denominator * math.factorial(2 * k), prec, _RND)
-        return libmp.mpf_div(num, den, prec, _RND)
-
-
-_EM_COEFFICIENTS = _CoefficientTables()
+@functools.cache
+def _em_coefficient(k: int, prec: int):
+    """B_{2k}/(2k)! as a raw mpf at prec bits, rounded as mpf(num) / mpf(den * (2k)!)."""
+    b = bernoulli_even(k)
+    num = libmp.from_int(b.numerator, prec, _RND)
+    den = libmp.from_int(b.denominator * math.factorial(2 * k), prec, _RND)
+    return libmp.mpf_div(num, den, prec, _RND)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +117,7 @@ def _euler_maclaurin(s, n0: int, work: PrecisionContext, cutoff, max_order: int)
     order = 0
     certified = False
     for k in range(1, max_order + 1):
-        term = mp.make_mpf(_EM_COEFFICIENTS.get(k, mp.prec)) * rising * npow
+        term = mp.make_mpf(_em_coefficient(k, mp.prec)) * rising * npow
         mag = abs(term)
         if mag <= cutoff:
             certified = True
@@ -209,74 +166,15 @@ def zeta(s: ComplexAP, ctx: PrecisionContext) -> OracleResult:
 
 
 # ---------------------------------------------------------------------------
-# gamma via Stirling
-
-
-def _lngamma_stirling(w, mp, cutoff, max_order: int):
-    """ln gamma by the Stirling series; needs |w| large, Re w  > 0."""
-    acc = (w - mp.mpf(1) / 2) * mp.ln(w) - w + mp.ln(2 * mp.pi) / 2
-    w2 = w * w
-    pw = 1 / w  # w^(1-2k) for k = 1
-    prev_mag = None
-    for k in range(1, max_order + 1):
-        b = bernoulli_even(k)
-        term = mp.mpf(b.numerator) / mp.mpf(b.denominator * (2 * k) * (2 * k - 1)) * pw
-        mag = abs(term)
-        if mag <= cutoff:
-            return acc, True
-        if prev_mag is not None and mag >= prev_mag:
-            return acc, False
-        acc += term
-        prev_mag = mag
-        pw /= w2
-    return acc, False
-
-
-def _gamma_at(z, work: PrecisionContext):
-    """gamma(z) for an mpc z of work's type, computed at work's precision."""
-    mp = work._mp
-    if z.imag == 0 and z.real <= 0 and z.real == mp.floor(z.real):
-        raise PoleError(f"gamma has a pole at s = {z.real}")
-
-    if z.real < mp.mpf(1) / 2:
-        # reflection: gamma(z) gamma(1-z) = pi / sin(pi z)
-        return mp.pi / (mp.sin(mp.pi * z) * _gamma_one_minus(z, work))
-
-    wp_digits = work.digits + work.guard_digits
-    cutoff = mp.mpf(10) ** (-(wp_digits + 2))
-    # shift along the real axis until |z+shift| ~ 0.4*wp, enough Stirling room
-    target = 0.4 * wp_digits + 8
-    im_part = abs(float(z.imag))
-    if im_part >= target:
-        shift = 0
-    else:
-        shift = max(0, math.ceil(math.sqrt(target**2 - im_part**2) - float(z.real)))
-    zs = z + shift
-    lg, certified = _lngamma_stirling(zs, mp, cutoff, max_order=4 * wp_digits)
-    if not certified:
-        raise PrecisionUnreachableError(
-            f"Stirling series cannot certify {work.digits} digits for gamma at |z| = {abs(z)}"
-        )
-    val = mp.exp(lg)
-    for j in range(shift):
-        val /= z + j
-    return val
-
-
-def _gamma_one_minus(z, work: PrecisionContext):
-    """gamma(1 - z) with ten more guard digits, rounded to work's precision."""
-    inner = PrecisionContext(work.digits, work.guard_digits + _ORACLE_GUARD)
-    return work._mp.mpc(_gamma_at(inner._mp.mpc(1 - z), inner))
+# gamma and the functional-equation prefactor
 
 
 def gamma(s: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
     """gamma(s) to the digit budget; poles at non-positive integers."""
+    if s.im == 0 and s.re <= 0 and s.re == mpmath.floor(s.re):
+        raise PoleError(f"gamma has a pole at s = {s.re}")
     work = PrecisionContext(ctx.digits, ctx.guard_digits + _ORACLE_GUARD)
-    return _wrap(ctx._mp.mpc(_gamma_at(_raw(s, work), work)))
-
-
-# ---------------------------------------------------------------------------
-# functional-equation prefactor
+    return _wrap(ctx._mp.mpc(work._mp.gamma(_raw(s, work))))
 
 
 def chi(s: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
@@ -288,10 +186,8 @@ def chi(s: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
     if s.im == 0 and s.re == mpmath.floor(s.re):
         raise ChiDegenerateError(f"chi product form degenerates at integer s = {s.re}")
 
-    digits = ctx.digits
-    work = PrecisionContext(digits, ctx.guard_digits + _ORACLE_GUARD)
+    work = PrecisionContext(ctx.digits, ctx.guard_digits + _ORACLE_GUARD)
     mp = work._mp
     z = _raw(s, work)
-    g = _gamma_one_minus(z, work)
-    val = mp.exp(z * mp.ln(2)) * mp.exp((z - 1) * mp.ln(mp.pi)) * mp.sin(mp.pi * z / 2) * g
-    return _wrap(ctx._mp.mpc(val))
+    val = mp.exp(z * mp.ln(2)) * mp.exp((z - 1) * mp.ln(mp.pi)) * mp.sin(mp.pi * z / 2)
+    return _wrap(ctx._mp.mpc(val * mp.gamma(1 - z)))

@@ -28,8 +28,9 @@ from .precision import ComplexAP, PrecisionContext, _raw
 
 DEFAULT_BRACKET = (0.1, 100.0)
 CALIBRATION_DIGITS = 30
+COARSE_SAMPLES = 64  # log-spaced scales of the coarse scan, bracket ends included
+REL_TOL = 1e-6  # relative width at which golden-section refinement stops
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_SCAN_LIMIT = "truncation scan exceeded 1e8 terms; check b/tail_eps"
 
 
 def _require_off_axis(s: ComplexAP):
@@ -58,9 +59,9 @@ def truncation_length(s: ComplexAP, b: float, tail_eps: float) -> int:
 
     The test runs in log-domain double precision: it only gates truncation
     noise, which sits far below the measured error.  Past the floor the
-    log-weight falls in n, and for sigma >= 0 so does -sigma ln n, so the
-    test flips once: a galloping search plus bisection finds the first N.
-    For sigma < 0 the scan is linear.
+    log-weight falls in n, and for sigma >= 0 so does -sigma ln n; for
+    sigma <= 0 both terms are concave in n.  Either way the test flips once,
+    so a galloping search plus bisection finds the first N.
     """
     _require_off_axis(s)
     _require_scale(b)
@@ -80,19 +81,12 @@ def truncation_length(s: ComplexAP, b: float, tail_eps: float) -> int:
         return log_w - sigma * math.log(n) < log_eps
 
     limit = floor_n + 100_000_000
-    if sigma < 0:
-        n = floor_n
-        while not below(n):
-            n += 1
-            if n > limit:
-                raise ValidationError(_SCAN_LIMIT)
-        return n
     if below(floor_n):
         return floor_n
     lo, hi, step = floor_n, floor_n + 1, 1  # below(lo) is false throughout
     while not below(hi):
         if hi == limit:
-            raise ValidationError(_SCAN_LIMIT)
+            raise ValidationError("truncation scan exceeded 1e8 terms; check b/tail_eps")
         lo, step = hi, 2 * step
         hi = min(floor_n + step, limit)
     while hi - lo > 1:
@@ -136,15 +130,13 @@ def calibrate_b(
     s: ComplexAP,
     ctx: PrecisionContext | None = None,
     bracket: tuple[float, float] = DEFAULT_BRACKET,
-    coarse_samples: int = 64,
-    rel_tol: float = 1e-6,
-    tail_eps: float | None = None,
 ) -> BCalibration:
     """Minimize |zeta(s) - weighted sum| over the scale inside the bracket.
 
-    A coarse logarithmic scan (>= 64 samples) locates the valley; the best
-    neighborhood is refined by golden section until the interval is below
-    rel_tol relative width.  A minimum on a bracket endpoint raises
+    A coarse logarithmic scan of COARSE_SAMPLES scales locates the valley;
+    the best neighborhood is refined by golden section until the interval is
+    below REL_TOL relative width.  Each sum is truncated where its tail falls
+    below 10^-P.  A minimum on a bracket endpoint raises
     NoInteriorMinimumError: widen the bracket.
     """
     _require_off_axis(s)
@@ -153,9 +145,7 @@ def calibrate_b(
     lo, hi = bracket
     if not (0 < lo < hi):
         raise ValidationError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
-    if coarse_samples < 8:
-        raise ValidationError("coarse_samples must be >= 8")
-    eps = 10.0 ** (-ctx.digits) if tail_eps is None else tail_eps
+    eps = 10.0 ** (-ctx.digits)
 
     reference = _raw(zeta(s, ctx).value, ctx)
     # the truncation length grows with b and the coarse scan evaluates hi,
@@ -171,10 +161,10 @@ def calibrate_b(
         return value
 
     ratio = hi / lo
-    coarse = [lo * ratio ** (j / (coarse_samples - 1)) for j in range(coarse_samples)]
+    coarse = [lo * ratio ** (j / (COARSE_SAMPLES - 1)) for j in range(COARSE_SAMPLES)]
     errors = [err(b) for b in coarse]
-    best = min(range(coarse_samples), key=lambda j: errors[j])
-    if best == 0 or best == coarse_samples - 1:
+    best = min(range(COARSE_SAMPLES), key=lambda j: errors[j])
+    if best == 0 or best == COARSE_SAMPLES - 1:
         raise NoInteriorMinimumError(
             f"error is monotone across the bracket {bracket}; minimum at endpoint B={coarse[best]:.4g}"
         )
@@ -183,7 +173,7 @@ def calibrate_b(
     x1 = c - (c - a) * _INV_PHI
     x2 = a + (c - a) * _INV_PHI
     f1, f2 = err(x1), err(x2)
-    while (c - a) > rel_tol * max(x2, 1e-300):
+    while (c - a) > REL_TOL * max(x2, 1e-300):
         if f1 < f2:
             c, x2, f2 = x2, x1, f1
             x1 = c - (c - a) * _INV_PHI

@@ -37,17 +37,6 @@ from .precision import ComplexAP, PrecisionContext, _format_real, _raw, _wrap, p
 _RND = libmp.round_nearest
 
 
-def _decimal_text(value) -> str:
-    """Normalize a grid parameter to decimal text (floats via shortest repr)."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Row grid {sigma, t1, dt, N, P} defining the linear system.
@@ -65,9 +54,9 @@ class GridSpec:
     digits: int
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", _decimal_text(self.sigma))
-        object.__setattr__(self, "t1", _decimal_text(self.t1))
-        object.__setattr__(self, "dt", _decimal_text(self.dt))
+        object.__setattr__(self, "sigma", str(self.sigma))
+        object.__setattr__(self, "t1", str(self.t1))
+        object.__setattr__(self, "dt", str(self.dt))
         ctx = PrecisionContext(max(self.digits, 15))
         if self.n_rows < 2:
             raise ValidationError(f"n_rows must be >= 2, got {self.n_rows}")

@@ -5,16 +5,19 @@ No charting dependency; output is deterministic down to the byte.
 
 from __future__ import annotations
 
+SIZE = 640  # width and height in pixels
+MARGIN = 30  # pixels between the farthest point and the edge
 
-def spiral_svg(points: list[tuple[float, float]], size: int = 640, margin: int = 30) -> str:
+
+def spiral_svg(points: list[tuple[float, float]]) -> str:
     """Render complex-plane points as an auto-scaled polyline around the origin."""
     if not points:
         raise ValueError("no points to render")
     extent = max(max(abs(x), abs(y)) for x, y in points)
     if extent == 0:
         extent = 1.0
-    half = size / 2.0
-    scale = (half - margin) / extent
+    half = SIZE / 2.0
+    scale = (half - MARGIN) / extent
 
     def sx(x: float) -> float:
         return half + x * scale
@@ -25,12 +28,12 @@ def spiral_svg(points: list[tuple[float, float]], size: int = 640, margin: int =
     coords = " ".join(f"{sx(x):.3f},{sy(y):.3f}" for x, y in points)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-        f'<line x1="0" y1="{half:.1f}" x2="{size}" y2="{half:.1f}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
+        f'viewBox="0 0 {SIZE} {SIZE}">',
+        f'<rect width="{SIZE}" height="{SIZE}" fill="white"/>',
+        f'<line x1="0" y1="{half:.1f}" x2="{SIZE}" y2="{half:.1f}" '
         'stroke="#999999" stroke-width="1"/>',
-        f'<line x1="{half:.1f}" y1="0" x2="{half:.1f}" y2="{size}" '
+        f'<line x1="{half:.1f}" y1="0" x2="{half:.1f}" y2="{SIZE}" '
         'stroke="#999999" stroke-width="1"/>',
         f'<polyline points="{coords}" fill="none" stroke="#1f4e9c" stroke-width="1"/>',
         f'<circle cx="{sx(points[0][0]):.3f}" cy="{sy(points[0][1]):.3f}" r="3" fill="#1f9c4e"/>',

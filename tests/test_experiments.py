@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 
@@ -248,10 +249,12 @@ class TestRunPreset:
         assert "accuracy.csv" in manifest.outputs
 
     def test_jobs_parallel_sweep_matches_serial(self, tmp_path):
-        # a t sweep and a sigma sweep both go through the shared pool path
+        # t, sigma, sigma x t and grid sweeps all go through the shared pool path
         cases = {
             "fig-eps-vs-t": {"t_list": "100,150", "digits": "20"},
             "fig-b-sigma": {"sigma_list": "0.3,0.5,0.7", "t": "100", "digits": "20"},
+            "fig-nhat-sweep": {"n": "12", "digits": "30", "t_list": "31.41592653,37.69911184"},
+            "fig-c-d-sigma": {"sigma_list": "0.3,0.5,0.7", "t_list": "100,150", "digits": "20"},
         }
         for preset, overrides in cases.items():
             serial = run_preset(
@@ -265,6 +268,39 @@ class TestRunPreset:
                 jobs=2,
             )
             assert serial.outputs == parallel.outputs
+
+    def test_sweep_pool_starts_no_more_workers_than_points(self, tmp_path, monkeypatch):
+        # one pool per run, sized min(jobs, points); the stand-in maps in-process
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cases = [
+            ("fig-eps-vs-t", {"t_list": "100,150", "digits": "20"}, 2),
+            ("fig-nhat-sweep", {"n": "12", "digits": "30", "t_list": "31.41592653,37.69911184"}, 2),
+            ("fig-c-d-sigma",
+             {"sigma_list": "0.3,0.5,0.7", "t_list": "100,150", "digits": "20"}, 6),
+        ]
+        for preset, overrides, points in cases:
+            started.clear()
+            run_preset(ExperimentConfig(preset, overrides), tmp_path / preset, jobs=8)
+            assert started == [points], preset
+        started.clear()
+        single = ExperimentConfig("fig-eps-vs-t", {"t_list": "100", "digits": "20"})
+        run_preset(single, tmp_path, jobs=8)
+        assert started == []  # a single point runs in-process
 
     @pytest.mark.parametrize(
         "preset,overrides",

@@ -8,10 +8,10 @@ import mpmath
 import pytest
 
 from zetalab import PrecisionContext, chi, gamma, make_complex, zeta
-from zetalab.errors import ChiDegenerateError, PoleError
+from zetalab.errors import ChiDegenerateError, PoleError, ValidationError
 from zetalab import oracle
-from zetalab.oracle import _CoefficientTables, _euler_maclaurin, bernoulli_even
-from zetalab.precision import ComplexAP, _raw
+from zetalab.oracle import _bernoulli_table, _em_coefficient, _euler_maclaurin, bernoulli_even
+from zetalab.precision import ComplexAP, _raw, to_string
 
 from .oracles import eta_zeta, exp_ln_euler_maclaurin
 
@@ -42,6 +42,19 @@ class TestBernoulli:
             got = ref.mpf(exact.numerator) / exact.denominator
             want = ref.bernoulli(2 * k)
             assert abs(got - want) <= abs(want) * ref.mpf(10) ** -50
+
+    def test_across_table_boundaries(self):
+        # B_2k is read from the table of size 16, 32, 64, ... that holds k
+        _bernoulli_table.cache_clear()
+        for k in (129, 16, 17, 32, 33):
+            assert bernoulli_even(k) == Fraction(*mpmath.bernfrac(2 * k)), k
+        assert _bernoulli_table.cache_info().currsize == 4  # sizes 256, 16, 32 and 64
+        assert _bernoulli_table(16) == _bernoulli_table(256)[:16]
+
+    def test_index_below_one_rejected(self):
+        for bad in (0, -3):
+            with pytest.raises(ValidationError):
+                bernoulli_even(bad)
 
 
 class TestZeta:
@@ -130,7 +143,7 @@ class TestZeta:
 
 def test_coefficient_tables_under_contention():
     # every thread sees B_2k/(2k)! rounded as mpf(num) / mpf(den * (2k)!) at its precision
-    tables = _CoefficientTables()
+    _em_coefficient.cache_clear()
     precs = (90, 200)
     want = {}
     for prec in precs:
@@ -146,7 +159,7 @@ def test_coefficient_tables_under_contention():
         rng = random.Random(seed)
         for _ in range(400):
             prec, k = rng.choice(precs), rng.randint(1, 120)
-            if tables.get(k, prec) != want[prec, k]:
+            if _em_coefficient(k, prec) != want[prec, k]:
                 wrong.append((prec, k))
 
     old = sys.getswitchinterval()
@@ -249,3 +262,55 @@ def test_functional_equation_random_strip():
         mirror = ComplexAP(one - s.re, -s.im)
         rhs = _as(ref, chi(s, ctx)) * _as(ref, zeta(mirror, ctx).value)
         assert abs(lhs - rhs) < threshold * abs(lhs)
+
+
+# recorded from the earlier Stirling-series gamma, at the context precision
+_GOLDEN = [
+        ("gamma", "2.5", "0", 50,
+         "1.3293403881791370204736256125058588870981620920918"
+         "+0.0i"),
+        ("gamma", "0.1", "-3.7", 50,
+         "0.0038966488401628077950255809112059944154500612672031"
+         "-0.0021394373197762752477964897523144280314398786508362i"),
+        ("gamma", "-4.2", "9.1", 100,
+         "-0.00000000003071223165235279598712383401909557112376939349589445185689519413578901278437661414047882625533691097"
+         "+0.00000000002536075331994246680043521620066920379159080845511781261526155716676254551753930584461055360490964241i"),
+        ("gamma", "0.5", "120", 100,
+         "-1.766117429589507341474949283808767465095871595405059400038806543490899242661732031310761588207921021e-82"
+         "+2.951562124857455299873033517583838751334754708285019483860108669944416581451913565908463760572815467e-82i"),
+        ("gamma", "0.3", "-45000", 50,
+         "-5.4870204646634130716180133205292139688668408201462e-30700"
+         "-8.3735693535115205649302116303671171341688824319527e-30700i"),
+        ("gamma", "1.5", "45000.25", 100,
+         "2.355574730500057017998667708270098879736564352410732768960168869336052846173290677157830043435078758e-30694"
+         "+1.083848016393696638907475737093983757649708300476776548972606433884688155283733418001404518397561069e-30694i"),
+        ("chi", "0.5", "14.134725", 50,
+         "-0.95056438431206099199879661202253765070788041445123"
+         "-0.31052753706786200999379102468350272565058265893042i"),
+        ("chi", "0.3", "-45", 50,
+         "0.57586029235847400918925519615480418512009070976167"
+         "-1.3661243299917139190432706581270897084212233929156i"),
+        ("chi", "-1.2", "7.5", 100,
+         "0.8928970318355650756433903718481018892793126048223048694209149377061657120381623020710003067784278149"
+         "+1.037736862648617952904494611505863009418014741552175773141064770579083050756239922212730601905191322i"),
+        ("chi", "0.7", "-20", 100,
+         "-0.5701791983107746265362054052671091973156310022225367542534348077202434873714440257245889249182450240"
+         "+0.5515622628097283697145097952631530210717449828130644345411518603441814181591536050030922198952805674i"),
+        ("chi", "0.3", "-45000", 50,
+         "-5.5201129760006723869147262400127316579625515645847"
+         "+2.0888110531892343822142515886626380081599900904395i"),
+        ("chi", "0.5", "45000", 100,
+         "-0.9352797042106858065867759723063960174748832904977534285644297492097034244875386754198810322895042239"
+         "-0.3539094162233777954395422019816691402910964857022992294941897786915253149541451696411222242167448035i"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,re_s,im_s,digits,text",
+    _GOLDEN,
+    ids=[f"{name}({re_s},{im_s})-P{digits}" for name, re_s, im_s, digits, _ in _GOLDEN],
+)
+def test_golden_text(name, re_s, im_s, digits, text):
+    ctx = PrecisionContext(digits)
+    value = {"gamma": gamma, "chi": chi}[name](make_complex(re_s, im_s, ctx), ctx)
+    assert to_string(value, ctx) == text
