@@ -15,7 +15,6 @@ from .precision import (
     ComplexAP,
     PrecisionContext,
     make_complex,
-    parse_complex,
     power_term,
     to_string,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "make_complex",
     "power_term",
     "to_string",
-    "parse_complex",
     "OracleResult",
     "zeta",
     "gamma",

@@ -20,6 +20,9 @@ import click
 from . import __version__
 from .errors import NumericalError, ValidationError
 from .experiments import (
+    PARAMS,
+    SIGMA_MAX,
+    T_MAX,
     ExperimentConfig,
     list_presets,
     parse_config_file,
@@ -52,7 +55,10 @@ def _parse_s(text: str, ctx: PrecisionContext) -> ComplexAP:
         re_part, im_part = text.split(",")
     except ValueError as exc:
         raise ValidationError(f"--s expects 're,im', got {text!r}") from exc
-    return make_complex(re_part.strip(), im_part.strip(), ctx)
+    s = make_complex(re_part.strip(), im_part.strip(), ctx)
+    if not (abs(s.re) <= SIGMA_MAX and abs(s.im) <= T_MAX):
+        raise ValidationError(f"--s expects |re| <= {SIGMA_MAX} and |im| <= {T_MAX}, got {text!r}")
+    return s
 
 
 def _echo_outputs(checksums: dict):
@@ -92,7 +98,7 @@ def zeta():
 @_numerics_exit
 def zeta_eval(s_text: str, digits: int):
     """Print zeta(s) as a decimal string with exactly P significant digits."""
-    ctx = PrecisionContext(digits)
+    ctx = PrecisionContext(PARAMS["digits"].read("digits", str(digits)))
     result = zeta_eval_op(_parse_s(s_text, ctx), ctx)
     click.echo(to_string(result.value, ctx))
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import mpmath
@@ -35,9 +35,12 @@ from .solver import (
 from .series import (
     CALIBRATION_DIGITS,
     DEFAULT_BRACKET,
+    N_TERMS_MAX,
+    BCalibration,
     calibrate_b,
     fit_power_law,
     fit_sigma_dependence,
+    tail_tolerance,
     truncation_length,
 )
 from .spiral import DISPLAY_DIGITS, raw_partial_sums, weighted_partial_sums
@@ -68,11 +71,12 @@ def _json(obj) -> str:
 
 # Work bounds. The zeta oracle's head and the weighted sums run about |t|/pi
 # terms, so t, the t_list entries and a grid's first ordinate are capped;
-# elimination is O(n^3) multiplications at `digits` precision.
+# elimination is O(n^3) multiplications at `digits` precision. A far negative
+# sigma lengthens the weighted sums, which stop at series.N_TERMS_MAX terms.
 T_MAX = 10**6
 N_MAX = 400
 DIGITS_MAX = 1000
-N_TERMS_MAX = 10**6
+SIGMA_MAX = 100
 
 
 class DecimalText(str):
@@ -102,15 +106,11 @@ def _ordinate(text: str) -> int | float:
         return _real(text)
 
 
-def _any(value) -> bool:
-    return True
-
-
 def _positive(value) -> bool:
     return value > 0
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Param:
     """One preset key: how its text parses and which values it accepts."""
 
@@ -145,7 +145,7 @@ class Param:
 
 
 PARAMS: dict[str, Param] = {
-    "sigma": Param(DecimalText, _any, "a finite real"),
+    "sigma": Param(DecimalText, lambda v: abs(v) <= SIGMA_MAX, f"a real with |sigma| <= {SIGMA_MAX}"),
     "t1": Param(DecimalText, lambda v: 0 < v <= T_MAX, f"a real in (0, {T_MAX}]"),
     "dt": Param(DecimalText, _positive, "a positive real"),
     "n": Param(int, lambda v: 2 <= v <= N_MAX, f"an integer in [2, {N_MAX}]"),
@@ -160,11 +160,14 @@ PARAMS: dict[str, Param] = {
     "t_list": Param(
         _real, lambda v: 0 < v <= T_MAX, f"increasing reals in (0, {T_MAX}]", "list", "increasing"
     ),
-    "sigma_list": Param(DecimalText, _any, "distinct finite reals", "list", "distinct"),
+    "sigma_list": Param(
+        DecimalText, lambda v: abs(v) <= SIGMA_MAX, f"distinct reals with |sigma| <= {SIGMA_MAX}",
+        "list", "distinct",
+    ),
 }
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """A preset name plus text overrides (from CLI flags or key=value file)."""
 
@@ -263,21 +266,23 @@ def sigmoid_outputs(cs: CoefficientSet, digits: int) -> dict:
     }
 
 
-def _calibration_point(sigma: str, t: float, digits: int, bracket) -> dict:
+def _calibration(args) -> BCalibration:
+    """calibrate_b at s = sigma + it, for args (sigma, t, digits, bracket)."""
+    sigma, t, digits, bracket = args
     ctx = PrecisionContext(digits)
-    s = make_complex(sigma, t, ctx)
-    cal = calibrate_b(s, ctx, bracket)
-    return {
-        "t": t,
-        "b_hat": cal.b_hat,
-        "err_at_opt": cal.err_at_opt,
-        "digits_gained": cal.digits_gained,
-        "terms": cal.terms,
-    }
+    return calibrate_b(make_complex(sigma, t, ctx), ctx, bracket)
 
 
-def _star_calibration(args):
-    return _calibration_point(*args)
+def _check_bracket(params: dict):
+    """Before any calibration, reject a bracket whose power table passes N_TERMS_MAX terms."""
+    if "bracket" in params and params.get("b") is None:  # a spiral with b set does not calibrate
+        ctx, hi = PrecisionContext(params["digits"]), params["bracket"][1]
+        for sigma in params.get("sigma_list") or [params["sigma"]]:
+            for t in params.get("t_list") or [params["t"]]:
+                try:
+                    truncation_length(make_complex(sigma, t, ctx), hi, tail_tolerance(ctx))
+                except ValidationError as exc:
+                    raise ValidationError(f"bracket upper end {hi}: {exc} at t = {t}") from None
 
 
 def _nhat_row(args) -> list[str]:
@@ -333,9 +338,7 @@ def _run_nhat_sweep(params: dict, jobs: int) -> dict:
 
 
 def _run_eps_vs_b(params: dict, jobs: int) -> dict:
-    ctx = PrecisionContext(params["digits"])
-    s = make_complex(params["sigma"], params["t"], ctx)
-    cal = calibrate_b(s, ctx, params["bracket"])
+    cal = _calibration((params["sigma"], params["t"], params["digits"], params["bracket"]))
     trace_rows = [[_f(b), _f(e)] for b, e in sorted(cal.trace)]
     return {
         "trace.csv": _csv(["B", "err"], trace_rows),
@@ -352,31 +355,29 @@ def _run_eps_vs_b(params: dict, jobs: int) -> dict:
     }
 
 
-def _sweep_rows(points: list, params: dict, jobs: int) -> list[dict]:
-    """Calibrate each (sigma, t) point, in input order."""
-    items = [(sigma, t, params["digits"], params["bracket"]) for sigma, t in points]
-    return _pool_map(_star_calibration, items, jobs)
+def _calibrations(params: dict, sigmas: list, t_list: list, jobs: int) -> list[BCalibration]:
+    """_calibration at every (sigma, t), sigma-major, in input order."""
+    items = [(sigma, t, params["digits"], params["bracket"]) for sigma in sigmas for t in t_list]
+    return _pool_map(_calibration, items, jobs)
 
 
-def _t_sweep(params: dict, jobs: int) -> list[dict]:
-    return _sweep_rows([(params["sigma"], t) for t in params["t_list"]], params, jobs)
-
-
-def _accuracy_csv(points: list[dict]) -> str:
-    rows = [[_f(p["t"]), _f(p["b_hat"]), _f(p["digits_gained"])] for p in points]
+def _accuracy_csv(t_list: list, cals: list[BCalibration]) -> str:
+    rows = [[_f(t), _f(cal.b_hat), _f(cal.digits_gained)] for t, cal in zip(t_list, cals)]
     return _csv(["t", "b_hat", "digits_gained"], rows)
 
 
 def _run_eps_vs_t(params: dict, jobs: int) -> dict:
-    return {"accuracy.csv": _accuracy_csv(_t_sweep(params, jobs))}
+    cals = _calibrations(params, [params["sigma"]], params["t_list"], jobs)
+    return {"accuracy.csv": _accuracy_csv(params["t_list"], cals)}
 
 
 def _run_power_law(params: dict, jobs: int) -> dict:
-    points = _t_sweep(params, jobs)
+    t_list = params["t_list"]
+    cals = _calibrations(params, [params["sigma"]], t_list, jobs)
     sigma = params["sigma"].value
-    fit = fit_power_law([(p["t"], p["b_hat"]) for p in points], sigma=sigma)
+    fit = fit_power_law([(t, cal.b_hat) for t, cal in zip(t_list, cals)], sigma=sigma)
     return {
-        "accuracy.csv": _accuracy_csv(points),
+        "accuracy.csv": _accuracy_csv(t_list, cals),
         "powerfit.json": _json(
             {
                 "sigma": sigma,
@@ -390,12 +391,12 @@ def _run_power_law(params: dict, jobs: int) -> dict:
 
 def _run_cd_sigma(params: dict, jobs: int) -> dict:
     sigmas, t_list = params["sigma_list"], params["t_list"]
-    points = _sweep_rows([(sigma, t) for sigma in sigmas for t in t_list], params, jobs)
+    cals = _calibrations(params, sigmas, t_list, jobs)
     rows = []
     c_samples, d_samples = [], []
     for i, sigma in enumerate(sigmas):
-        block = points[i * len(t_list) : (i + 1) * len(t_list)]
-        fit = fit_power_law([(p["t"], p["b_hat"]) for p in block], sigma=sigma.value)
+        block = cals[i * len(t_list) : (i + 1) * len(t_list)]
+        fit = fit_power_law([(t, cal.b_hat) for t, cal in zip(t_list, block)], sigma=sigma.value)
         rows.append([_f(sigma.value), _f(fit.c_coef), _f(fit.d_exp), _f(fit.r_squared)])
         c_samples.append((sigma.value, fit.c_coef))
         d_samples.append((sigma.value, fit.d_exp))
@@ -413,14 +414,12 @@ def _run_cd_sigma(params: dict, jobs: int) -> dict:
 
 
 def _run_b_sigma(params: dict, jobs: int) -> dict:
-    points = _sweep_rows([(sigma, params["t"]) for sigma in params["sigma_list"]], params, jobs)
+    sigmas = params["sigma_list"]
+    cals = _calibrations(params, sigmas, [params["t"]], jobs)
     rows = [
-        [_f(sigma.value), _f(p["b_hat"]), _f(p["digits_gained"])]
-        for sigma, p in zip(params["sigma_list"], points)
+        [_f(sigma.value), _f(cal.b_hat), _f(cal.digits_gained)] for sigma, cal in zip(sigmas, cals)
     ]
-    fit = fit_sigma_dependence(
-        [(sigma.value, p["b_hat"]) for sigma, p in zip(params["sigma_list"], points)]
-    )
+    fit = fit_sigma_dependence([(sigma.value, cal.b_hat) for sigma, cal in zip(sigmas, cals)])
     return {
         "b_sigma.csv": _csv(["sigma", "b_hat", "digits_gained"], rows),
         "expfit.json": _json({"p": fit.p, "q": fit.q, "r_squared": fit.r_squared}),
@@ -434,7 +433,9 @@ def _run_spiral(params: dict, jobs: int, weighted: bool) -> dict:
     if b is None and (weighted or n_terms is None):
         b = calibrate_b(s, ctx, params["bracket"]).b_hat
     if n_terms is None:
-        n_terms = 2 * truncation_length(s, b, 10.0 ** (-ctx.digits))
+        n_terms = 2 * truncation_length(s, b, tail_tolerance(ctx))
+        if n_terms > N_TERMS_MAX:
+            raise ValidationError(f"n_terms: twice the truncation length at b = {b} passes {N_TERMS_MAX}")
     if weighted:
         trace = weighted_partial_sums(s, b, n_terms, ctx)
     else:
@@ -463,12 +464,12 @@ def _run_spiral(params: dict, jobs: int, weighted: bool) -> dict:
 # preset table
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class _Preset:
     figure: str
     defaults: dict  # key: text, or None for a value the runner works out
     runner: object
-    min_entries: dict = field(default_factory=dict)  # list keys a fit needs filled
+    min_entries: dict = dataclasses.field(default_factory=dict)  # list keys a fit needs filled
 
 
 _STABLE_GRID = {
@@ -589,7 +590,7 @@ def list_presets() -> list[dict]:
 # runner
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunManifest:
     preset: str
     figure: str
@@ -599,15 +600,7 @@ class RunManifest:
     wall_time_s: float
 
     def to_json(self) -> str:
-        payload = {
-            "preset": self.preset,
-            "figure": self.figure,
-            "config": self.config,
-            "version": self.version,
-            "outputs": self.outputs,
-            "wall_time_s": self.wall_time_s,
-        }
-        return _json(payload)
+        return _json(dataclasses.asdict(self))
 
 
 def run_preset(config: ExperimentConfig, output_dir: str | Path = ".", jobs: int = 1) -> RunManifest:
@@ -621,6 +614,7 @@ def run_preset(config: ExperimentConfig, output_dir: str | Path = ".", jobs: int
         raise ValidationError(f"jobs must be an integer >= 1, got {jobs!r}")
     preset = _preset(config.preset)
     params = config.resolved()
+    _check_bracket(params)
 
     start = time.perf_counter()
     outputs = preset.runner(params, jobs)

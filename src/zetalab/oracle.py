@@ -20,9 +20,9 @@ never observe a partial table.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -80,12 +80,11 @@ def _em_coefficient(k: int, prec: int):
 # zeta via Euler-Maclaurin
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class OracleResult:
     """A certified evaluation: value plus the schedule that produced it."""
 
     value: ComplexAP
-    requested_digits: int
     terms_used: int
     correction_order: int
 
@@ -139,15 +138,10 @@ def zeta(s: ComplexAP, ctx: PrecisionContext) -> OracleResult:
         raise PoleError("zeta has a pole at s = 1")
     if s.im < 0:
         mirror = zeta(s.conjugate(), ctx)
-        return OracleResult(
-            mirror.value.conjugate(),
-            mirror.requested_digits,
-            mirror.terms_used,
-            mirror.correction_order,
-        )
+        return dataclasses.replace(mirror, value=mirror.value.conjugate())
 
     digits = ctx.digits
-    work = PrecisionContext(digits, ctx.guard_digits + _ORACLE_GUARD)
+    work = PrecisionContext(digits + _ORACLE_GUARD)
     mp = work._mp
     sw = _raw(s, work)
     t = abs(float(s.im))
@@ -158,7 +152,7 @@ def zeta(s: ComplexAP, ctx: PrecisionContext) -> OracleResult:
         value, order, certified = _euler_maclaurin(sw, n0, work, cutoff, max_order=8 * n0)
         if certified:
             rounded = _wrap(ctx._mp.mpc(value))
-            return OracleResult(rounded, digits, n0, order)
+            return OracleResult(rounded, n0, order)
         n0 = math.ceil(1.5 * n0)
     raise PrecisionUnreachableError(
         f"Euler-Maclaurin schedule cannot certify {digits} digits at s with |Im s| = {t}"
@@ -173,7 +167,7 @@ def gamma(s: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
     """gamma(s) to the digit budget; poles at non-positive integers."""
     if s.im == 0 and s.re <= 0 and s.re == mpmath.floor(s.re):
         raise PoleError(f"gamma has a pole at s = {s.re}")
-    work = PrecisionContext(ctx.digits, ctx.guard_digits + _ORACLE_GUARD)
+    work = PrecisionContext(ctx.digits + _ORACLE_GUARD)
     return _wrap(ctx._mp.mpc(work._mp.gamma(_raw(s, work))))
 
 
@@ -186,7 +180,7 @@ def chi(s: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
     if s.im == 0 and s.re == mpmath.floor(s.re):
         raise ChiDegenerateError(f"chi product form degenerates at integer s = {s.re}")
 
-    work = PrecisionContext(ctx.digits, ctx.guard_digits + _ORACLE_GUARD)
+    work = PrecisionContext(ctx.digits + _ORACLE_GUARD)
     mp = work._mp
     z = _raw(s, work)
     val = mp.exp(z * mp.ln(2)) * mp.exp((z - 1) * mp.ln(mp.pi)) * mp.sin(mp.pi * z / 2)

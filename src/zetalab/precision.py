@@ -5,15 +5,14 @@ private mpmath context sized to ceil(P*log2(10)) + 32 bits, so a context is
 never mutated after construction and values from different budgets cannot be
 mixed accidentally.  Arithmetic runs on the context's mpc; ComplexAP is the
 immutable, finite-checked value that public functions take and return, and
-_raw/_wrap are the only bridge between the two.  to_string/parse_complex
-give ComplexAP its text form.  Contexts and ComplexAP values are immutable
-and safe to share across threads.
+_raw/_wrap are the only bridge between the two.  make_complex reads a
+ComplexAP from text or numbers and to_string writes it.  Contexts and
+ComplexAP values are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
-import re as _re
 from dataclasses import dataclass, field
 
 import mpmath
@@ -30,7 +29,7 @@ MIN_DIGITS = 15
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Decimal digit budget P plus optional extra guard digits.
+    """Decimal digit budget P.
 
     Primitives (add, mul, div, exp, ln away from branch cuts) are correct to
     within 10^(-digits) relative error; the 32 guard bits absorb rounding in
@@ -38,16 +37,13 @@ class PrecisionContext:
     """
 
     digits: int
-    guard_digits: int = 0
     _mp: MPContext = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.digits < MIN_DIGITS:
             raise ValidationError(f"digits must be >= {MIN_DIGITS}, got {self.digits}")
-        if self.guard_digits < 0:
-            raise ValidationError("guard_digits must be >= 0")
         mp = MPContext()
-        mp.prec = math.ceil((self.digits + self.guard_digits) * _LOG2_10) + _GUARD_BITS
+        mp.prec = math.ceil(self.digits * _LOG2_10) + _GUARD_BITS
         object.__setattr__(self, "_mp", mp)
 
     @property
@@ -83,7 +79,12 @@ class ComplexAP:
 
 
 def make_complex(re, im, ctx: PrecisionContext) -> ComplexAP:
-    return ComplexAP(ctx.real(re), ctx.real(im))
+    """A ComplexAP from int/float/str/mpf components; NaN or infinity is invalid input."""
+    parts = ctx.real(re), ctx.real(im)
+    for part in parts:
+        if not mpmath.isfinite(part):
+            raise ValidationError(f"not a finite number: {part}")
+    return ComplexAP(*parts)
 
 
 def _raw(z: ComplexAP, ctx: PrecisionContext):
@@ -117,26 +118,3 @@ def to_string(z: ComplexAP, ctx: PrecisionContext) -> str:
     im_s = _format_real(abs(im_val), digits)
     return f"{re_s}{sign}{im_s}i"
 
-
-# a decimal float literal: mantissa with optional exponent part
-_REAL_PART = _re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
-
-
-def parse_complex(text: str, ctx: PrecisionContext) -> ComplexAP:
-    """Parse the to_string grammar back into a ComplexAP."""
-    s = text.strip().replace(" ", "")
-    if not s.endswith("i"):
-        raise ValidationError(f"complex literal must end in 'i': {text!r}")
-    body = s[:-1]
-    # split at the last +/- that is not an exponent sign and not leading
-    split_at = -1
-    for i in range(len(body) - 1, 0, -1):
-        if body[i] in "+-" and body[i - 1] not in "eE":
-            split_at = i
-            break
-    if split_at <= 0:
-        raise ValidationError(f"cannot split complex literal {text!r}")
-    re_s, im_s = body[:split_at], body[split_at:]
-    if not _REAL_PART.match(re_s) or not _REAL_PART.match(im_s):
-        raise ValidationError(f"malformed complex literal {text!r}")
-    return make_complex(re_s, im_s, ctx)

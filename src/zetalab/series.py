@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import mpmath
+
 from .errors import (
     DegenerateFitError,
     NoInteriorMinimumError,
@@ -30,6 +32,7 @@ DEFAULT_BRACKET = (0.1, 100.0)
 CALIBRATION_DIGITS = 30
 COARSE_SAMPLES = 64  # log-spaced scales of the coarse scan, bracket ends included
 REL_TOL = 1e-6  # relative width at which golden-section refinement stops
+N_TERMS_MAX = 10**6  # the most terms a weighted sum or spiral may need
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -43,25 +46,30 @@ def _require_scale(b: float):
         raise NonPositiveScaleError(f"scale must be > 0, got {b}")
 
 
-def generalized_delta(n: int, s: ComplexAP, b: float, ctx: PrecisionContext | None = None):
+def generalized_delta(n: int, s: ComplexAP, b: float, ctx: PrecisionContext):
     """Weight 1/(1 + exp((n - t/pi)/b)) as an arbitrary-precision real."""
     if n < 1:
         raise ValidationError(f"term index must be >= 1, got {n}")
     _require_off_axis(s)
     _require_scale(b)
-    if ctx is None:
-        ctx = PrecisionContext(CALIBRATION_DIGITS)
     return sigmoid_weight(n, center(s, ctx), b, ctx)
 
 
-def truncation_length(s: ComplexAP, b: float, tail_eps: float) -> int:
+def tail_tolerance(ctx: PrecisionContext):
+    """10^-P: a float where a double holds it, an mpf of ctx below that."""
+    eps = 10.0 ** (-ctx.digits)
+    return eps if eps > 0 else ctx._mp.mpf(10) ** (-ctx.digits)
+
+
+def truncation_length(s: ComplexAP, b: float, tail_eps) -> int:
     """Smallest N with weight(N) * N^(-sigma) < tail_eps, floored at ceil(t/pi)+1.
 
-    The test runs in log-domain double precision: it only gates truncation
-    noise, which sits far below the measured error.  Past the floor the
-    log-weight falls in n, and for sigma >= 0 so does -sigma ln n; for
-    sigma <= 0 both terms are concave in n.  Either way the test flips once,
-    so a galloping search plus bisection finds the first N.
+    tail_eps may be an mpf below the double range.  The test runs in
+    log-domain double precision: it only gates truncation noise, which sits
+    far below the measured error.  Past the floor the log-weight falls in n,
+    and for sigma >= 0 so does -sigma ln n; for sigma <= 0 both terms are
+    concave in n.  Either way the test flips once, so a galloping search plus
+    bisection finds the first N.  An N past N_TERMS_MAX is a ValidationError.
     """
     _require_off_axis(s)
     _require_scale(b)
@@ -70,7 +78,8 @@ def truncation_length(s: ComplexAP, b: float, tail_eps: float) -> int:
     sigma = float(s.re)
     c = abs(float(s.im)) / math.pi
     floor_n = max(math.ceil(c) + 1, 1)
-    log_eps = math.log(tail_eps)
+    eps = float(tail_eps)
+    log_eps = math.log(eps) if eps > 0 else float(mpmath.log(tail_eps))
 
     def below(n: int) -> bool:
         x = (n - c) / b
@@ -80,21 +89,24 @@ def truncation_length(s: ComplexAP, b: float, tail_eps: float) -> int:
             log_w = -math.log1p(math.exp(x))
         return log_w - sigma * math.log(n) < log_eps
 
-    limit = floor_n + 100_000_000
+    too_long = ValidationError(f"the tail at b = {b} needs more than {N_TERMS_MAX} terms")
     if below(floor_n):
-        return floor_n
-    lo, hi, step = floor_n, floor_n + 1, 1  # below(lo) is false throughout
-    while not below(hi):
-        if hi == limit:
-            raise ValidationError("truncation scan exceeded 1e8 terms; check b/tail_eps")
-        lo, step = hi, 2 * step
-        hi = min(floor_n + step, limit)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if below(mid):
-            hi = mid
-        else:
-            lo = mid
+        hi = floor_n
+    else:
+        lo, hi, step = floor_n, floor_n + 1, 1  # below(lo) is false throughout
+        while not below(hi):
+            if hi >= N_TERMS_MAX:
+                raise too_long
+            lo, step = hi, 2 * step
+            hi = min(floor_n + step, N_TERMS_MAX)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if below(mid):
+                hi = mid
+            else:
+                lo = mid
+    if hi > N_TERMS_MAX:
+        raise too_long
     return hi
 
 
@@ -118,7 +130,6 @@ def weighted_zeta(
 class BCalibration:
     """Optimal scale for one s: minimizer, achieved error, and search trace."""
 
-    s: ComplexAP
     b_hat: float
     err_at_opt: float
     digits_gained: float
@@ -127,9 +138,7 @@ class BCalibration:
 
 
 def calibrate_b(
-    s: ComplexAP,
-    ctx: PrecisionContext | None = None,
-    bracket: tuple[float, float] = DEFAULT_BRACKET,
+    s: ComplexAP, ctx: PrecisionContext, bracket: tuple[float, float] = DEFAULT_BRACKET
 ) -> BCalibration:
     """Minimize |zeta(s) - weighted sum| over the scale inside the bracket.
 
@@ -140,12 +149,10 @@ def calibrate_b(
     NoInteriorMinimumError: widen the bracket.
     """
     _require_off_axis(s)
-    if ctx is None:
-        ctx = PrecisionContext(CALIBRATION_DIGITS)
     lo, hi = bracket
     if not (0 < lo < hi):
         raise ValidationError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
-    eps = 10.0 ** (-ctx.digits)
+    eps = tail_tolerance(ctx)
 
     reference = _raw(zeta(s, ctx).value, ctx)
     # the truncation length grows with b and the coarse scan evaluates hi,
@@ -187,7 +194,6 @@ def calibrate_b(
     terms = truncation_length(s, b_hat, eps)
     digits = -math.log10(err_opt) if err_opt > 0 else float(ctx.digits)
     return BCalibration(
-        s=s,
         b_hat=b_hat,
         err_at_opt=err_opt,
         digits_gained=digits,
@@ -203,7 +209,6 @@ class ScalingFit:
     c_coef: float
     d_exp: float
     r_squared: float
-    samples: tuple[tuple[float, float], ...]
     sigma: float | None = None
 
 
@@ -238,13 +243,7 @@ def fit_power_law(samples: list[tuple[float, float]], sigma: float | None = None
     xs = [math.log(t) for t, _ in samples]
     ys = [math.log(b) for _, b in samples]
     p, q, r2 = _ols(xs, ys)
-    return ScalingFit(
-        c_coef=math.exp(p),
-        d_exp=q,
-        r_squared=r2,
-        samples=tuple((float(t), float(b)) for t, b in samples),
-        sigma=sigma,
-    )
+    return ScalingFit(c_coef=math.exp(p), d_exp=q, r_squared=r2, sigma=sigma)
 
 
 @dataclass(frozen=True)
@@ -254,10 +253,6 @@ class ExponentialFit:
     p: float
     q: float
     r_squared: float
-
-    @property
-    def coefficients(self) -> tuple[float, float]:
-        return (self.p, self.q)
 
 
 def fit_sigma_dependence(samples: list[tuple[float, float]]) -> ExponentialFit:

@@ -9,22 +9,21 @@ is intrinsic to the metric, it is not an L1 norm.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 from .errors import NegativeRadicandError, NonPositiveScaleError
 from .precision import PrecisionContext
-from .solver import CoefficientSet, GridSpec, half_crossing
+from .solver import CoefficientSet, half_crossing
 
 _EXP_SATURATION = 700.0  # beyond this exp over/underflows double precision
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SigmoidFit:
     a_param: float
     b_param: float
     residual: float | None = None
-    source_grid: GridSpec | None = None
 
     def __post_init__(self):
         if not self.b_param > 0:
@@ -66,10 +65,5 @@ def construct_fit(cs: CoefficientSet) -> SigmoidFit:
     """Center from the half-crossing, scale from the formula, residual filled."""
     crossing = half_crossing(cs)
     b = scale_from_formula(crossing.value, len(cs.deltas))
-    fit = SigmoidFit(a_param=crossing.value, b_param=b, source_grid=cs.grid)
-    return SigmoidFit(
-        a_param=fit.a_param,
-        b_param=fit.b_param,
-        residual=fit_residual(cs, fit),
-        source_grid=cs.grid,
-    )
+    fit = SigmoidFit(a_param=crossing.value, b_param=b)
+    return dataclasses.replace(fit, residual=fit_residual(cs, fit))

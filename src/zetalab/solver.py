@@ -17,7 +17,7 @@ remove them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from mpmath import libmp
 
@@ -92,13 +92,6 @@ class CoefficientSet:
     deltas: tuple[ComplexAP, ...]
     residual_inf: object
     im_stability: object
-    grid: GridSpec | None = None
-
-    def __post_init__(self):
-        if self.grid is not None and len(self.deltas) != self.grid.n_rows:
-            raise ValidationError(
-                f"{len(self.deltas)} coefficients for a {self.grid.n_rows}-row grid"
-            )
 
 
 def build_grid(spec: GridSpec) -> list[ComplexAP]:
@@ -345,10 +338,7 @@ def _residual_inf(matrix, rhs, solution, check_ctx: PrecisionContext):
 
 
 def solve_coefficients(
-    matrix: list[list[ComplexAP]],
-    rhs: list[ComplexAP],
-    ctx: PrecisionContext,
-    grid: GridSpec | None = None,
+    matrix: list[list[ComplexAP]], rhs: list[ComplexAP], ctx: PrecisionContext
 ) -> CoefficientSet:
     """Solve the square system by partial-pivot elimination at precision P.
 
@@ -387,7 +377,6 @@ def solve_coefficients(
         deltas=tuple(solution),
         residual_inf=residual,
         im_stability=_abs_im_sum(solution),
-        grid=grid,
     )
 
 
@@ -396,7 +385,7 @@ def solve_grid(spec: GridSpec) -> CoefficientSet:
     ctx = spec.context()
     grid = build_grid(spec)
     matrix, rhs = assemble_system(grid, spec.n_rows, ctx)
-    return solve_coefficients(matrix, rhs, ctx, grid=spec)
+    return solve_coefficients(matrix, rhs, ctx)
 
 
 # Separates the measured stable regime (~5e-2 for the reference grid) from
@@ -422,14 +411,7 @@ class HalfCrossing:
     """Interpolated index where the real profile passes one half."""
 
     value: float
-    crossings: int = field(default=1)
-
-    @property
-    def multiple(self) -> bool:
-        return self.crossings > 1
-
-    def __float__(self) -> float:
-        return self.value
+    crossings: int
 
 
 def half_crossing(cs: CoefficientSet) -> HalfCrossing:

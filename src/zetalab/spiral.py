@@ -24,10 +24,7 @@ DISPLAY_DIGITS = 20
 class SpiralTrace:
     """Ordered partial sums; points[k] - points[k-1] is exactly the k-th term."""
 
-    s: ComplexAP
-    weighted: bool
     points: tuple[ComplexAP, ...]
-    b_used: float | None = None
 
 
 def _terms(s: ComplexAP, n_terms: int, ctx: PrecisionContext):
@@ -67,7 +64,7 @@ def raw_partial_sums(s: ComplexAP, n_terms: int, ctx: PrecisionContext) -> Spira
     if n_terms < 1:
         raise ValidationError(f"n_terms must be >= 1, got {n_terms}")
     points = _partial_sums(s, n_terms, ctx, itertools.repeat(1), 2 * frac_bits(ctx))
-    return SpiralTrace(s=s, weighted=False, points=points)
+    return SpiralTrace(points)
 
 
 def weighted_partial_sums(s: ComplexAP, b: float, n_terms: int, ctx: PrecisionContext) -> SpiralTrace:
@@ -77,7 +74,7 @@ def weighted_partial_sums(s: ComplexAP, b: float, n_terms: int, ctx: PrecisionCo
     _require_scale(b)
     w = weights(center(s, ctx), b, ctx)
     points = _partial_sums(s, n_terms, ctx, w, 3 * frac_bits(ctx))
-    return SpiralTrace(s=s, weighted=True, points=points, b_used=b)
+    return SpiralTrace(points)
 
 
 def functional_residual(s: ComplexAP, b: float, n_terms: int, ctx: PrecisionContext) -> float:

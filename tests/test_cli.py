@@ -6,7 +6,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetalab import experiments
+from zetalab import experiments, series, spiral
 from zetalab.cli import main
 
 
@@ -187,6 +187,21 @@ class TestPipelines:
         assert "q" in fit
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "fig-eps-vs-b", "--set", "digits=400", "--set", "t=100", "--set", "bracket=0.5,5"],
+        ["spiral", "--t", "200", "--b", "2", "--digits", "400"],
+    ],
+    ids=["calibration-400", "spiral-400"],
+)
+def test_tail_tolerance_below_double_range(runner, tmp_path, args):
+    # 10^-digits underflows a double past 323 digits
+    result = runner.invoke(main, [*args, "--output-dir", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+
+
 class TestListPresets:
     def test_blocks_parse_as_stubs(self, runner):
         result = runner.invoke(main, ["list-presets"])
@@ -230,6 +245,13 @@ MALFORMED = {
     "solve-coeffs-t1": ["solve-coeffs", "--t1", "abc", "--dt", "1", "--n", "4", *OUT],
     "sigma-law-list": ["sigma-law", "--t", "100", "--sigma-list", "0.3,abc,0.7", *OUT],
     "fit-sigmoid-cell": ["fit-sigmoid", "--input", "{csv}", "--digits", "20", *OUT],
+    "fit-sigmoid-nan-cell": ["fit-sigmoid", "--input", "{nan_csv}", "--digits", "20", *OUT],
+    "zeta-eval-s-nan": ["zeta", "eval", "--s", "nan,1", "--digits", "20"],
+    "zeta-eval-s-inf": ["zeta", "eval", "--s", "inf,100", "--digits", "20"],
+    "zeta-eval-t-overflow": ["zeta", "eval", "--s", "0.5,1e400", "--digits", "20"],
+    "zeta-eval-t-budget": ["zeta", "eval", "--s", "0.5,1e7", "--digits", "20"],
+    "zeta-eval-sigma-budget": ["zeta", "eval", "--s", "-1e6,100", "--digits", "20"],
+    "zeta-eval-digits-budget": ["zeta", "eval", "--s", "0.5,10", "--digits", "100000"],
 }
 
 
@@ -257,7 +279,10 @@ def test_run_takes_real_t(runner, tmp_path, preset, extra, filename, text, expec
 def test_malformed_input_exits_2(runner, tmp_path, args):
     csv_path = tmp_path / "coeffs.csv"
     csv_path.write_text("n,re_delta,im_delta\n1,0.5,0\n2,abc,0\n")
-    result = runner.invoke(main, [arg.format(csv=csv_path, out=tmp_path / "out") for arg in args])
+    nan_csv = tmp_path / "nan.csv"
+    nan_csv.write_text("n,re_delta,im_delta\n1,0.5,0\n2,nan,0\n")
+    paths = {"csv": csv_path, "nan_csv": nan_csv, "out": tmp_path / "out"}
+    result = runner.invoke(main, [arg.format(**paths) for arg in args])
     assert result.exit_code == 2, result.output
     assert "error:" in result.stderr
     assert "Traceback" not in result.output
@@ -278,6 +303,15 @@ PROBES = {
     "run-sigma-list-short": ("sigma_list", ["run", "fig-b-sigma", "--set", "sigma_list=0.3,0.5"]),
     "run-power-law-t-list-short": ("t_list", ["run", "fig-b-power-law", "--set", "t_list=100"]),
     "run-cd-sigma-t-list-short": ("t_list", ["run", "fig-c-d-sigma", "--set", "t_list=100"]),
+    "run-sigma-budget": ("sigma", ["run", "fig-eps-vs-b", "--set", "sigma=-1000"]),
+    "run-sigma-list-budget": ("sigma_list", ["run", "fig-b-sigma", "--set", "sigma_list=0.1,0.5,101"]),
+    # a power table of 60,121,929 entries
+    "run-bracket-terms": ("bracket", ["run", "fig-eps-vs-b", "--set", "bracket=0.1,1e6"]),
+    "run-sweep-bracket-terms": (
+        "bracket", ["run", "fig-eps-vs-t", "--set", "t_list=100,1000", "--set", "bracket=0.1,1e6"]
+    ),
+    # two power tables of 60,465,464 entries
+    "spiral-b-terms": ("b", ["spiral", "--weighted", "--t", "200", "--b", "5e5"]),
 }
 
 
@@ -288,6 +322,8 @@ def test_probe_exits_2_naming_key(runner, tmp_path, monkeypatch, key, args):
 
     monkeypatch.setattr(experiments, "calibrate_b", no_work)
     monkeypatch.setattr(experiments, "solve_grid", no_work)
+    monkeypatch.setattr(series, "power_table", no_work)
+    monkeypatch.setattr(spiral, "power_table", no_work)
     result = runner.invoke(main, [*args, "--output-dir", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
     assert f"{key} " in result.stderr or f"'{key}'" in result.stderr, result.stderr

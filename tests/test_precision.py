@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetalab import PrecisionContext, make_complex, parse_complex, power_term, to_string
+from zetalab import PrecisionContext, make_complex, power_term, to_string
 from zetalab.errors import NonFiniteValueError, ValidationError
 from zetalab.precision import ComplexAP, _raw, _wrap
 
@@ -24,10 +24,6 @@ class TestContext:
         with pytest.raises(ValidationError):
             PrecisionContext(14)
         PrecisionContext(15)  # boundary constructs
-
-    def test_negative_guard_rejected(self):
-        with pytest.raises(ValidationError):
-            PrecisionContext(30, guard_digits=-1)
 
     def test_bits_sizing(self):
         # ceil(P*log2(10)) + 32 guard bits
@@ -143,17 +139,21 @@ class TestSerialization:
         ctx = PrecisionContext(30)
         z = _wrap(ctx._mp.exp(_raw(make_complex("0.3", "2.7", ctx), ctx)))
         text = to_string(z, ctx)
-        back = parse_complex(text, ctx)
+        re_text, sign, im_text = text[:-1].rpartition("-" if z.im < 0 else "+")
+        back = make_complex(re_text, sign + im_text, ctx)
         assert to_string(back, ctx) == text
 
     def test_parse_exponent_forms(self):
         ctx = PrecisionContext(20)
-        z = parse_complex("1.5e-3+2.25e+1i", ctx)
+        z = make_complex("1.5e-3", "+2.25e+1", ctx)
         assert abs(float(z.re) - 0.0015) < 1e-18
         assert abs(float(z.im) - 22.5) < 1e-12
 
     def test_parse_rejects_garbage(self):
+        # the text boundary rejects non-numbers and non-finite numbers alike
         ctx = PrecisionContext(20)
-        for bad in ("1.5", "1.5+2.5", "+-1i", "1.5+2.5j", "abci"):
+        for bad in ("abc", "1.5i", "", "nan", "inf", "-inf", float("nan"), mpmath.inf):
             with pytest.raises(ValidationError):
-                parse_complex(bad, ctx)
+                make_complex(bad, "0", ctx)
+            with pytest.raises(ValidationError):
+                make_complex("0", bad, ctx)

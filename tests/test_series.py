@@ -26,6 +26,7 @@ from zetalab.errors import (
     ValidationError,
 )
 from zetalab.experiments import ExperimentConfig, run_preset
+from zetalab.series import N_TERMS_MAX, tail_tolerance
 
 
 def _ref(dps=80):
@@ -104,6 +105,37 @@ class TestTruncationLength:
         assert w_n * n ** (-0.3) < 1e-25
         w_prev = float(generalized_delta(n - 1, s, 3.0, ctx30))
         assert w_prev * (n - 1) ** (-0.3) >= 1e-25
+
+    def test_mpf_tolerance_gives_the_float_length(self, ctx30):
+        s = make_complex("0.5", "1000", ctx30)
+        for eps in (1e-30, 1e-300, 5e-324):
+            assert truncation_length(s, 4.06, ctx30._mp.mpf(eps)) == truncation_length(s, 4.06, eps)
+
+    def test_tolerance_below_double_range(self):
+        # 10^-400 underflows a double; the tail condition still holds at the cutoff
+        ctx = PrecisionContext(400)
+        eps = tail_tolerance(ctx)
+        assert eps > 0 and float(eps) == 0.0
+        assert tail_tolerance(PrecisionContext(323)) == 1e-323  # a subnormal double
+        assert tail_tolerance(PrecisionContext(324)) > 0
+        s = make_complex("0.5", "200", ctx)
+        n = truncation_length(s, 2.0, eps)
+        mp = ctx._mp
+
+        def tail(k):
+            return generalized_delta(k, s, 2.0, ctx) * mp.mpf(k) ** mp.mpf("-0.5")
+
+        assert tail(n) < eps <= tail(n - 1)
+        assert n > truncation_length(s, 2.0, 1e-300)
+
+    def test_term_cap(self, ctx30):
+        # the cap is the presets' n_terms bound; the galloping search stops there
+        s = make_complex("0.5", "1000", ctx30)
+        with pytest.raises(ValidationError, match=f"more than {N_TERMS_MAX} terms"):
+            truncation_length(s, 1e6, 1e-30)
+        with pytest.raises(ValidationError, match=f"more than {N_TERMS_MAX} terms"):
+            truncation_length(make_complex("0.5", "4e6", ctx30), 1.0, 1.0)
+        assert truncation_length(s, 1e4, 1e-30) < N_TERMS_MAX
 
 
 class TestWeightedZeta:
@@ -262,7 +294,6 @@ class TestSigmaDependenceFit:
         fit = fit_sigma_dependence(samples)
         assert abs(fit.p - math.log(3.0)) < 1e-12
         assert abs(fit.q + 1.2) < 1e-12
-        assert fit.coefficients == (fit.p, fit.q)
 
     def test_constant_samples(self):
         fit = fit_sigma_dependence([(0.1, 2.0), (0.5, 2.0), (0.9, 2.0)])

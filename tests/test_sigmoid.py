@@ -117,13 +117,6 @@ class TestConstructFit:
         with pytest.raises(NoCrossingError):
             construct_fit(_cs(["0.1", "0.2", "0.3", "0.9"]))
 
-    def test_grid_reference_carried(self):
-        # center must clear the 2N/pi radicand floor (7.64 for N=12)
-        source = SigmoidFit(a_param=9.0, b_param=1.0)
-        values = [repr(sigmoid_eval(n, source)) for n in range(1, 13)]
-        fit = construct_fit(_cs(values))
-        assert fit.source_grid is None  # synthetic sets carry no grid
-
 
 @pytest.mark.slow
 class TestOnSolvedGrids:
@@ -132,7 +125,6 @@ class TestOnSolvedGrids:
         # measured envelope: the residual is dominated by the imaginary sum
         print(f"stable-grid fit: A={fit.a_param:.4f} B={fit.b_param:.4f} residual={fit.residual:.4e}")
         assert 0 < fit.residual < 0.1
-        assert fit.source_grid is fig2_solution.grid
 
     def test_left_grid_residual_separation(self, fig2_solution, left_solution):
         stable_fit = construct_fit(fig2_solution)

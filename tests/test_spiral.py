@@ -99,7 +99,6 @@ class TestSpiralExperiment:
         n_terms = 2 * truncation_length(s, b, 1e-30)
         raw = raw_partial_sums(s, n_terms, ctx30)
         wtd = weighted_partial_sums(s, b, n_terms, ctx30)
-        assert wtd.b_used == b and wtd.weighted and not raw.weighted
         ref = _ref()
         k_cut = math.ceil(200 / math.pi)
         max_raw = max(_mod(ref, p) for p in raw.points[k_cut:])
