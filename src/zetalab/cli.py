@@ -140,6 +140,7 @@ def _load_coeff_csv(path: Path, digits: int) -> CoefficientSet:
 @_numerics_exit
 def fit_sigmoid(input_path: Path, digits: int, output_dir):
     """Fit the sigmoid to a coefficient CSV; write sigmoid.csv + fit.json."""
+    digits = PARAMS["digits"].read("digits", str(digits))
     outputs = sigmoid_outputs(_load_coeff_csv(input_path, digits), digits)
     _echo_outputs(write_outputs(outputs, output_dir))
 

@@ -374,13 +374,12 @@ def _run_eps_vs_t(params: dict, jobs: int) -> dict:
 def _run_power_law(params: dict, jobs: int) -> dict:
     t_list = params["t_list"]
     cals = _calibrations(params, [params["sigma"]], t_list, jobs)
-    sigma = params["sigma"].value
-    fit = fit_power_law([(t, cal.b_hat) for t, cal in zip(t_list, cals)], sigma=sigma)
+    fit = fit_power_law([(t, cal.b_hat) for t, cal in zip(t_list, cals)])
     return {
         "accuracy.csv": _accuracy_csv(t_list, cals),
         "powerfit.json": _json(
             {
-                "sigma": sigma,
+                "sigma": params["sigma"].value,
                 "c_coef": fit.c_coef,
                 "d_exp": fit.d_exp,
                 "r_squared": fit.r_squared,
@@ -396,7 +395,7 @@ def _run_cd_sigma(params: dict, jobs: int) -> dict:
     c_samples, d_samples = [], []
     for i, sigma in enumerate(sigmas):
         block = cals[i * len(t_list) : (i + 1) * len(t_list)]
-        fit = fit_power_law([(t, cal.b_hat) for t, cal in zip(t_list, block)], sigma=sigma.value)
+        fit = fit_power_law([(t, cal.b_hat) for t, cal in zip(t_list, block)])
         rows.append([_f(sigma.value), _f(fit.c_coef), _f(fit.d_exp), _f(fit.r_squared)])
         c_samples.append((sigma.value, fit.c_coef))
         d_samples.append((sigma.value, fit.d_exp))

@@ -93,19 +93,20 @@ def _euler_maclaurin(s, n0: int, work: PrecisionContext, cutoff, max_order: int)
     """One Euler-Maclaurin pass at fixed cutoff N0 at work's precision (s an mpc of work).
 
     The head sum over n <= N0 streams the fixed-point power entries and is
-    rounded once.  Returns (value, order, certified): certified means the
-    first neglected Bernoulli term fell below `cutoff` while terms were
-    still shrinking.
+    rounded once; the last entry, rounded alone, is N0^(-s).  Returns
+    (value, order, certified): certified means the first neglected Bernoulli
+    term fell below `cutoff` while terms were still shrinking.
     """
     mp = work._mp
+    bits = frac_bits(work)
     head_re = head_im = 0
     for _, re, im in _power_entries(_wrap(s), n0, work):
         head_re += re
         head_im += im
-    head = _raw(from_fixed(head_re, head_im, frac_bits(work), work), work)
+    head = _raw(from_fixed(head_re, head_im, bits, work), work)
+    n_pow_ms = _raw(from_fixed(re, im, bits, work), work)  # N^(-s), the last entry
     n0r = mp.mpf(n0)
     inv_n = 1 / n0r
-    n_pow_ms = mp.exp(-s * mp.ln(n0r))  # N^(-s)
     total = head + n_pow_ms * n0r / (s - 1) - n_pow_ms / 2
 
     # correction terms T_k = B_{2k}/(2k)! * rising(s, 2k-1) * N^(1-s-2k)

@@ -209,7 +209,6 @@ class ScalingFit:
     c_coef: float
     d_exp: float
     r_squared: float
-    sigma: float | None = None
 
 
 def _ols(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
@@ -233,7 +232,7 @@ def _ols(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
     return p, q, r2
 
 
-def fit_power_law(samples: list[tuple[float, float]], sigma: float | None = None) -> ScalingFit:
+def fit_power_law(samples: list[tuple[float, float]]) -> ScalingFit:
     """OLS on (ln t, ln b_hat); needs >= 2 distinct positive samples."""
     if len(samples) < 2:
         raise ValidationError("power-law fit needs at least 2 samples")
@@ -243,7 +242,7 @@ def fit_power_law(samples: list[tuple[float, float]], sigma: float | None = None
     xs = [math.log(t) for t, _ in samples]
     ys = [math.log(b) for _, b in samples]
     p, q, r2 = _ols(xs, ys)
-    return ScalingFit(c_coef=math.exp(p), d_exp=q, r_squared=r2, sigma=sigma)
+    return ScalingFit(c_coef=math.exp(p), d_exp=q, r_squared=r2)
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,14 @@ side are rounded to exactly P significant digits before the solve -- the digit
 budget is the experimental variable, and the system is ill-conditioned enough
 (condition number ~1e90 for the reference 100x100 grid) that this input
 accuracy, not the elimination arithmetic, controls whether the coefficient
-profile survives.  Elimination runs at context precision (32 guard bits), and
-its rounding is far from invisible: against the exact solution of the same
-rounded system, only 18.3 (min) and 24.1 (median) of the 100 digits printed
-per coefficient at P = 100 are correct.  The digits past those are
-elimination rounding; iterative refinement against the rounded system would
-remove them.
+profile survives.  Elimination runs at context precision (32 guard bits),
+bit for bit an mpc elimination (an integer sweep, with mpc steps where
+mpf_add would only nudge a product), and the 2P residual sums each row
+exactly (mpmath's fdot).  Its rounding is far from invisible: against the
+exact solution of the same rounded system, only 18.3 (min) and 24.1 (median)
+of the 100 digits printed per coefficient at P = 100 are correct.  The
+digits past those are elimination rounding; iterative refinement against
+the rounded system would remove them.
 """
 
 from __future__ import annotations
@@ -57,11 +59,9 @@ class GridSpec:
         object.__setattr__(self, "sigma", str(self.sigma))
         object.__setattr__(self, "t1", str(self.t1))
         object.__setattr__(self, "dt", str(self.dt))
-        ctx = PrecisionContext(max(self.digits, 15))
+        ctx = PrecisionContext(self.digits)
         if self.n_rows < 2:
             raise ValidationError(f"n_rows must be >= 2, got {self.n_rows}")
-        if self.digits < 15:
-            raise ValidationError(f"digits must be >= 15, got {self.digits}")
         if not ctx.real(self.t1) > 0:
             raise ValidationError(f"t1 must be > 0, got {self.t1}")
         if not ctx.real(self.dt) > 0:
@@ -113,8 +113,8 @@ def _round_real(x, digits: int, ctx: PrecisionContext):
     _format_real truncates x to a fixed-point decimal of about digits + 3
     digits, rounds the (digits + 1)-th digit half-up, and the parse rounds
     that decimal D 10^e to the nearest mpf: both are repeated here on D and
-    e.  Exponents where the parse or the formatting take another route
-    fall back to the text round trip.
+    e.  Exponents where the parse or the formatting take another route, and
+    integral decimals (e >= 0), fall back to the text round trip.
     """
     sign, man, exp, bc = x._mpf_
     if not man or abs(exp + bc) > 3500:
@@ -129,18 +129,15 @@ def _round_real(x, digits: int, ctx: PrecisionContext):
         dec, last = divmod(dec // 10 ** (dropped - 1), 10)
         dec += last >= 5
         e10 += dropped
-    if e10 < -400 or e10 + digits > 400:
+    if not -400 <= e10 < 0 or e10 + digits > 400:
         return ctx.real(_format_real(x, digits))
     prec = ctx.prec_bits
-    if e10 >= 0:
-        num, bin_exp = dec * 10**e10, 0
-    else:
-        # a quotient of prec + 5 bits plus a sticky bit rounds as mpf division does
-        den = 10**-e10
-        extra = max(prec - dec.bit_length() + den.bit_length() + 5, 5)
-        quot, rem = divmod(dec << extra, den)
-        num, bin_exp = quot << 1 | (rem != 0), -extra - 1
-    return ctx._mp.make_mpf(libmp.from_man_exp(-num if sign else num, bin_exp, prec, _RND))
+    # a quotient of prec + 5 bits plus a sticky bit rounds as mpf division does
+    den = 10**-e10
+    extra = max(prec - dec.bit_length() + den.bit_length() + 5, 5)
+    quot, rem = divmod(dec << extra, den)
+    num = quot << 1 | (rem != 0)
+    return ctx._mp.make_mpf(libmp.from_man_exp(-num if sign else num, -extra - 1, prec, _RND))
 
 
 def _round_to_digits(z: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
@@ -184,56 +181,24 @@ def _signed(part):
     return (-man if sign else man), exp
 
 
-def _round_bits(x: int, exp: int, prec: int):
-    """x 2^exp rounded to prec bits, half to even, as (mantissa, exponent)."""
-    s = x.bit_length() - prec
-    if s > 0:
-        # floor shift of x + 2^(s-1) - 1, plus one more when the kept part is odd
-        return (x + (1 << s - 1) - 1 + (x >> s & 1)) >> s, exp + s
-    return x, exp
-
-
-def _sum_bits(p: int, q: int, exp: int, prec: int):
-    """libmpf.mpf_add(p 2^exp, q 2^exp, prec, round_nearest) in integers.
-
-    Where the lower operand's least significant bit lies more than 100 bits
-    below the other's and its top more than prec + 4 bits below, mpf_add
-    only nudges the larger operand by one unit prec + 4 bits below its last
-    bit.  That is not the exact sum when the larger operand has more than
-    prec + 1 bits (an exact product, for one), so it is repeated here.
-    """
-    if p and q:
-        low_p = (p & -p).bit_length()
-        low_q = (q & -q).bit_length()
-        if low_q > low_p:
-            p, q, low_p, low_q = q, p, low_q, low_p
-        if low_p - low_q > 100 and p.bit_length() - q.bit_length() > prec + 4:
-            nudged = (p >> low_p - 1 << prec + 4) + (1 if q > 0 else -1)
-            return _round_bits(nudged, exp + low_p - 1 - prec - 4, prec)
-    return _round_bits(p + q, exp, prec)
-
-
 def _mpc_entry(row, c, mp):
     rm, rx, im, ix = row
     return mp.make_mpc((libmp.from_man_exp(rm[c], rx[c]), libmp.from_man_exp(im[c], ix[c])))
 
 
-def _sweep(man, exp, f, u, g, v, e0, cols, prec, nudge):
+def _sweep(man, exp, f, u, g, v, e0, cols, prec):
     """man[c] 2^exp[c] -= (f u[c] + g v[c]) 2^e0 for c in cols, rounded to
-    prec bits twice: the product as mpc_mul rounds it (through _sum_bits when
-    nudge says mpf_add may only nudge), then the difference as mpc_sub does.
-    The inline roundings are _round_bits."""
+    prec bits half to even twice: the product as mpc_mul rounds it, then the
+    difference as mpc_sub does."""
     for c in cols:
-        if nudge:
-            x, xe = _sum_bits(f * u[c], g * v[c], e0, prec)
+        x = f * u[c] + g * v[c]
+        s = x.bit_length() - prec
+        if s > 0:
+            # floor shift of x + 2^(s-1) - 1, plus one more when the kept part is odd
+            x = (x + (1 << s - 1) - 1 + (x >> s & 1)) >> s
+            xe = e0 + s
         else:
-            x = f * u[c] + g * v[c]
-            s = x.bit_length() - prec
-            if s > 0:
-                x = (x + (1 << s - 1) - 1 + (x >> s & 1)) >> s
-                xe = e0 + s
-            else:
-                xe = e0
+            xe = e0
         e = exp[c]
         d = e - xe
         if d >= 0:
@@ -257,9 +222,11 @@ def _eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
     that are values of mp.  The O(n^3) sweep a_rc -= f_r u_c runs on Python
     integers: each row holds signed mantissas and exponents per component;
     the pivot row u and each factor f are put on one exponent each, so a
-    product component is one integer expression (_sweep).  Pivot search,
-    factors, the right-hand side and back substitution stay on mpc: O(n^2)
-    work.
+    product component is one integer expression (_sweep).  A row step where
+    mpf_add may only nudge a product instead of adding it (factor and pivot
+    row components far apart in scale) runs on mpc, as the reference does.
+    Pivot search, factors, the right-hand side and back substitution stay on
+    mpc: O(n^2) work.
     """
     n = len(raw_matrix)
     prec = mp.prec
@@ -292,8 +259,9 @@ def _eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
         eu = min((e for c in cols for m, e in ((rm[c], rx[c]), (im[c], ix[c])) if m), default=0)
         ur = [0] * (k + 1) + [rm[c] << rx[c] - eu if rm[c] else 0 for c in cols]
         ui = [0] * (k + 1) + [im[c] << ix[c] - eu if im[c] else 0 for c in cols]
-        # mpf_add nudges (see _sum_bits) only where product tops lie more
-        # than prec + 4 bits apart; this bounds the re/im gap of the pivot row
+        # mpf_add only nudges the larger operand, not the exact sum, where
+        # the other's top lies more than prec + 4 bits below; that needs
+        # product tops that far apart, and gap_u bounds the pivot row's share
         gap_u = max(
             (abs(ur[c].bit_length() - ui[c].bit_length()) for c in cols if ur[c] and ui[c]),
             default=0,
@@ -308,10 +276,15 @@ def _eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
             ef = min(efr if fr else efi, efi if fi else efr)
             fr <<= efr - ef
             fi <<= efi - ef
-            nudge = fr and fi and abs(fr.bit_length() - fi.bit_length()) + gap_u > prec + 3
             am, ax, bm, bx = rows[r]
-            _sweep(am, ax, fr, ur, -fi, ui, ef + eu, cols, prec, nudge)
-            _sweep(bm, bx, fr, ui, fi, ur, ef + eu, cols, prec, nudge)
+            if fr and fi and abs(fr.bit_length() - fi.bit_length()) + gap_u > prec + 3:
+                # mpf_add may nudge a product here: take the row's step on mpc
+                for c in cols:
+                    z = _mpc_entry(rows[r], c, mp) - factor * upper[k][c - k]
+                    (am[c], ax[c]), (bm[c], bx[c]) = _signed(z._mpc_[0]), _signed(z._mpc_[1])
+            else:
+                _sweep(am, ax, fr, ur, -fi, ui, ef + eu, cols, prec)
+                _sweep(bm, bx, fr, ui, fi, ur, ef + eu, cols, prec)
     x = [mp.mpc(0)] * n
     for r in range(n - 1, -1, -1):
         acc = b[r]
@@ -323,18 +296,11 @@ def _eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
 
 
 def _residual_inf(matrix, rhs, solution, check_ctx: PrecisionContext):
-    """max_m |sum_n a_mn d_n - b_m| at an elevated checking precision."""
+    """max_m |sum_n a_mn d_n - b_m|, each row summed exactly and rounded once (fdot)."""
     mp = check_ctx._mp
-    n = len(matrix)
-    worst = mp.mpf(0)
-    sol = [_raw(z, check_ctx) for z in solution]
-    for m_i in range(n):
-        acc = -_raw(rhs[m_i], check_ctx)
-        row = matrix[m_i]
-        for c in range(n):
-            acc += _raw(row[c], check_ctx) * sol[c]
-        worst = max(worst, abs(acc))
-    return worst
+    sol = [_raw(z, check_ctx) for z in solution] + [mp.mpc(-1)]
+    rows = ([_raw(e, check_ctx) for e in (*row, b)] for row, b in zip(matrix, rhs))
+    return max(abs(mp.fdot(row, sol)) for row in rows)
 
 
 def solve_coefficients(
@@ -362,10 +328,10 @@ def solve_coefficients(
     residual = _residual_inf(matrix, rhs, solution, check_ctx)
 
     if residual >= contract:
+        # the kernel reads matrix entries as raw values, the same at 2P
         wide = check_ctx._mp
-        raw_m2 = [[_raw(e, check_ctx) for e in row] for row in matrix]
         raw_b2 = [_raw(e, check_ctx) for e in rhs]
-        retry = _eliminate(raw_m2, raw_b2, wide, wide.mpf(pivot_floor))
+        retry = _eliminate(raw_m, raw_b2, wide, wide.mpf(pivot_floor))
         solution = [_wrap(mp.mpc(v)) for v in retry]
         residual = _residual_inf(matrix, rhs, solution, check_ctx)
         if residual >= contract:
@@ -433,11 +399,6 @@ def half_crossing(cs: CoefficientSet) -> HalfCrossing:
     if value is None:
         raise NoCrossingError("real coefficient profile never passes through 1/2")
 
-    signs = []
-    for v in re:
-        if v > half:
-            signs.append(1)
-        elif v < half:
-            signs.append(-1)
-    crossings = sum(1 for i in range(len(signs) - 1) if signs[i] != signs[i + 1])
+    signs = [v > half for v in re if v != half]
+    crossings = sum(a != b for a, b in zip(signs, signs[1:]))
     return HalfCrossing(value=value, crossings=max(crossings, 1))

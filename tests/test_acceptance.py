@@ -192,7 +192,7 @@ class TestCriterion6AsymptoticAccuracy:
 class TestCriterion7PowerLaw:
     def test_goodness_of_fit(self, sweep):
         samples = [(p["t"], p["b_hat"]) for p in sweep]
-        fit = fit_power_law(samples, sigma=0.5)
+        fit = fit_power_law(samples)
         ok = fit.r_squared >= 0.99
         assert report(
             "7", ok,

@@ -246,6 +246,9 @@ MALFORMED = {
     "sigma-law-list": ["sigma-law", "--t", "100", "--sigma-list", "0.3,abc,0.7", *OUT],
     "fit-sigmoid-cell": ["fit-sigmoid", "--input", "{csv}", "--digits", "20", *OUT],
     "fit-sigmoid-nan-cell": ["fit-sigmoid", "--input", "{nan_csv}", "--digits", "20", *OUT],
+    "fit-sigmoid-digits-budget": [
+        "fit-sigmoid", "--input", "{good_csv}", "--digits", "300000", *OUT
+    ],
     "zeta-eval-s-nan": ["zeta", "eval", "--s", "nan,1", "--digits", "20"],
     "zeta-eval-s-inf": ["zeta", "eval", "--s", "inf,100", "--digits", "20"],
     "zeta-eval-t-overflow": ["zeta", "eval", "--s", "0.5,1e400", "--digits", "20"],
@@ -281,7 +284,9 @@ def test_malformed_input_exits_2(runner, tmp_path, args):
     csv_path.write_text("n,re_delta,im_delta\n1,0.5,0\n2,abc,0\n")
     nan_csv = tmp_path / "nan.csv"
     nan_csv.write_text("n,re_delta,im_delta\n1,0.5,0\n2,nan,0\n")
-    paths = {"csv": csv_path, "nan_csv": nan_csv, "out": tmp_path / "out"}
+    good_csv = tmp_path / "good.csv"
+    good_csv.write_text("n,re_delta,im_delta\n1,0.9,0\n2,0.8,0\n3,0.7,0\n4,0.2,0\n")
+    paths = {"csv": csv_path, "nan_csv": nan_csv, "good_csv": good_csv, "out": tmp_path / "out"}
     result = runner.invoke(main, [arg.format(**paths) for arg in args])
     assert result.exit_code == 2, result.output
     assert "error:" in result.stderr

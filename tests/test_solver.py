@@ -4,7 +4,6 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import libmp
 
 from zetalab import (
     PrecisionContext,
@@ -15,6 +14,7 @@ from zetalab import (
     solve_coefficients,
     stability_metric,
 )
+from zetalab import solver
 from zetalab.errors import (
     NearZeroRowError,
     NoCrossingError,
@@ -28,7 +28,6 @@ from zetalab.solver import (
     _eliminate,
     _round_real,
     _round_to_digits,
-    _sum_bits,
 )
 
 from .oracles import mpc_eliminate
@@ -191,81 +190,6 @@ def test_integer_rounding_matches_text_round_trip_anywhere(digits, man, exp, neg
     assert _round_real(x, digits, ctx)._mpf_ == ctx.real(_format_real(x, digits))._mpf_
 
 
-def _signs(draw, p, q):
-    """p and q with drawn signs."""
-    return p * draw(st.sampled_from([1, -1])), q * draw(st.sampled_from([1, -1]))
-
-
-@st.composite
-def _addends(draw):
-    """(prec, p, ep, q, eq) for p 2^ep + q 2^eq: ties, carries, zeros, any gap."""
-    prec = draw(st.integers(82, 700))  # P = 15 up to the 2P retry at P = 100
-    kind = draw(st.sampled_from(["any", "tie", "carry", "zero"]))
-    ep = draw(st.integers(-2000, 2000))
-    if kind in ("tie", "carry"):
-        # the exact sum is halfway between two prec-bit values (last kept bit
-        # even or odd), or all ones with at least a half to round up by
-        s = draw(st.integers(1, 200))
-        if kind == "tie":
-            kept = draw(st.integers(1 << prec - 1, (1 << prec) - 1))
-            low = 1 << s - 1
-        else:
-            kept = (1 << prec) - 1
-            low = draw(st.integers(1 << s - 1, (1 << s) - 1))
-        total = kept << s | low
-        q = draw(st.integers(-total, total))
-        return prec, total - q, ep, q, ep
-    p = draw(st.integers(-(1 << 2 * prec), 1 << 2 * prec))
-    q = draw(st.integers(-(1 << 2 * prec), 1 << 2 * prec))
-    if kind == "zero":
-        p, q = draw(st.sampled_from([(0, q), (p, 0), (0, 0)]))
-    eq = ep + draw(st.integers(-2 * prec - 200, 2 * prec + 200))
-    p, q = _signs(draw, p, q)
-    return prec, p, ep, q, eq
-
-
-@st.composite
-def _nudged_addends(draw):
-    """q lies more than 100 bits below p's last bit and more than prec + 4
-    bits below its top, where mpf_add only nudges p, or just short of that;
-    p has up to 2 prec bits, as an exact product does, and sits within a few
-    units of a rounding midpoint."""
-    prec = draw(st.integers(82, 700))
-    s = draw(st.integers(2, prec + 10))
-    kept = draw(st.integers(1 << prec - 1, (1 << prec) - 1))
-    p = (kept << s | 1 << s - 1) + draw(st.sampled_from([0, 0, 1, -1, 3, -3]))
-    top_gap = prec + draw(st.sampled_from([3, 4, 5, 6, 9, 40]))
-    low_gap = draw(st.sampled_from([99, 100, 101, 102, 150, 300]))
-    q_bits = low_gap + s + prec - top_gap
-    q = draw(st.integers(1 << q_bits - 1, (1 << q_bits) - 1)) | 1
-    ep = draw(st.integers(-2000, 2000))
-    p, q = _signs(draw, p, q)
-    return prec, p, ep, q, ep - low_gap
-
-
-def _check_sum_bits(prec, p, ep, q, eq):
-    e = min(ep, eq)
-    a, b = libmp.from_man_exp(p, ep), libmp.from_man_exp(q, eq)
-    added = _sum_bits(p << ep - e, q << eq - e, e, prec)
-    assert libmp.from_man_exp(*added) == libmp.mpf_add(a, b, prec, libmp.round_nearest)
-    subtracted = _sum_bits(p << ep - e, -q << eq - e, e, prec)
-    assert libmp.from_man_exp(*subtracted) == libmp.mpf_sub(a, b, prec, libmp.round_nearest)
-    swapped = _sum_bits(q << eq - e, p << ep - e, e, prec)
-    assert libmp.from_man_exp(*swapped) == libmp.mpf_add(b, a, prec, libmp.round_nearest)
-
-
-@settings(max_examples=400, deadline=None)
-@given(case=_addends())
-def test_sum_bits_matches_mpf_add(case):
-    _check_sum_bits(*case)
-
-
-@settings(max_examples=400, deadline=None)
-@given(case=_nudged_addends())
-def test_sum_bits_matches_mpf_add_nudge(case):
-    _check_sum_bits(*case)
-
-
 def _random_real(rng, mp, scale_bits=0):
     man = rng.getrandbits(mp.prec) * rng.choice((1, -1))
     return mp.mpf((man, -mp.prec - scale_bits))
@@ -334,18 +258,29 @@ class TestEliminationKernel:
             _assert_kernel_matches_oracle(matrix, rhs, mp)
 
     @pytest.mark.parametrize("digits", [15, 50, 100])
-    def test_products_mpf_add_only_nudges(self, digits):
-        # off column 0, half the components are 2^-(prec + 5..8) smaller, so
-        # the two products of a component with a full factor lie just over
-        # prec + 4 bits apart; where their last bits are also more than 100
-        # bits apart (P = 50 and 100), mpf_add nudges instead of adding
+    def test_products_mpf_add_only_nudges(self, digits, monkeypatch):
+        # off column 0, half the components are 2^-(prec + 2..9) smaller, so
+        # the two products of a component with a full factor lie on either
+        # side of prec + 4 bits apart, past which mpf_add may only nudge the
+        # larger (it does where their last bits are also more than 100 bits
+        # apart, at P = 50 and 100); _eliminate takes those row steps on mpc
         mp = PrecisionContext(digits)._mp
+        sweeps = []
+        sweep = solver._sweep
+
+        def counted_sweep(*args):
+            sweeps.append(args)
+            sweep(*args)
+
+        monkeypatch.setattr(solver, "_sweep", counted_sweep)
 
         def scale(rng, r, c):
-            return 0 if c == 0 or rng.random() < 0.5 else mp.prec + rng.randrange(5, 9)
+            return 0 if c == 0 or rng.random() < 0.5 else mp.prec + rng.randrange(2, 10)
 
         for seed in range(8):
             _assert_kernel_matches_oracle(*_random_system(12, mp, seed, scale), mp)
+        # 8 dense 12 x 12 systems take 8 * 66 row steps, each two sweeps or one mpc step
+        assert 0 < len(sweeps) < 2 * 8 * 66
 
     def test_product_ties(self):
         # a unit pivot leaves each factor exact, and an odd factor mantissa of
