@@ -3,9 +3,10 @@
 Exit codes: 0 success, 2 validation error (bad flags/config), 3 numerical
 failure (pole, singular system, unreachable precision, ...).
 
-The experiment subcommands are shortcuts for `run <preset>`: each passes its
-flags, as text, as overrides of one preset, so it writes that preset's files
-and manifest.json. A flag left out keeps the preset's default.
+The experiment subcommands, built from SHORTCUTS, are shortcuts for `run
+<preset>`: one flag per preset key, passed on as text to override that key,
+so each writes its preset's files and manifest.json. A flag left out keeps
+the preset's default.
 """
 
 from __future__ import annotations
@@ -26,8 +27,11 @@ from .experiments import (
     ExperimentConfig,
     list_presets,
     parse_config_file,
+    preset_keys,
+    read_utf8,
     run_preset,
     sigmoid_outputs,
+    split_assignment,
     write_outputs,
 )
 from .precision import ComplexAP, PrecisionContext, make_complex, to_string
@@ -72,13 +76,19 @@ def _run(preset: str, overrides: dict, output_dir, jobs: int = 1):
     _echo_outputs(manifest.outputs)
 
 
-# options shared by the preset shortcuts; each flag is named after its preset key
-# and passed on as text, so `run --set` parses it
-_sigma = click.option("--sigma")
-_t = click.option("--t", required=True)
-_bracket = click.option("--bracket")
-_digits = click.option("--digits")
-_output_dir = click.option("--output-dir", default=".", show_default=True)
+# each shortcut command: (the preset it runs, the keys it requires)
+SHORTCUTS = {
+    "solve-coeffs": ("fig-coeffs-stable", {"t1", "dt"}),
+    "search-b": ("fig-eps-vs-b", {"t"}),
+    "scaling-law": ("fig-b-power-law", {"t_list"}),
+    "sigma-law": ("fig-b-sigma", {"t", "sigma_list"}),
+    "spiral": ("fig-spiral-raw", {"t"}),  # --weighted runs fig-spiral-weighted
+}
+
+_output_dir = click.option(
+    "--output-dir", default=".", show_default=True, type=click.Path(file_okay=False)
+)
+_input_file = click.Path(exists=True, dir_okay=False, path_type=Path)
 
 
 @click.group()
@@ -103,29 +113,12 @@ def zeta_eval(s_text: str, digits: int):
     click.echo(to_string(result.value, ctx))
 
 
-@main.command("solve-coeffs")
-@_sigma
-@click.option("--t1", required=True)
-@click.option("--dt", required=True)
-@click.option("--n")
-@_digits
-@click.option("--stability-threshold")
-@_output_dir
-@_numerics_exit
-def solve_coeffs(output_dir, **flags):
-    """Shortcut for `run fig-coeffs-stable`: coeffs.csv + diagnostics.jsonl."""
-    _run("fig-coeffs-stable", flags, output_dir)
-
-
 def _load_coeff_csv(path: Path, digits: int) -> CoefficientSet:
     ctx = PrecisionContext(digits)
-    deltas = []
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"n", "re_delta", "im_delta"} <= set(reader.fieldnames):
-            raise ValidationError(f"{path}: expected columns n,re_delta,im_delta")
-        for row in reader:
-            deltas.append(make_complex(row["re_delta"], row["im_delta"], ctx))
+    reader = csv.DictReader(read_utf8(path).splitlines())
+    if reader.fieldnames is None or not {"n", "re_delta", "im_delta"} <= set(reader.fieldnames):
+        raise ValidationError(f"{path}: expected columns n,re_delta,im_delta")
+    deltas = [make_complex(row["re_delta"], row["im_delta"], ctx) for row in reader]
     if not deltas:
         raise ValidationError(f"{path}: no coefficient rows")
     return CoefficientSet(
@@ -134,7 +127,7 @@ def _load_coeff_csv(path: Path, digits: int) -> CoefficientSet:
 
 
 @main.command("fit-sigmoid")
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True, path_type=Path))
+@click.option("--input", "input_path", required=True, type=_input_file)
 @click.option("--digits", default=50, show_default=True, help="parse precision for the CSV")
 @_output_dir
 @_numerics_exit
@@ -145,73 +138,17 @@ def fit_sigmoid(input_path: Path, digits: int, output_dir):
     _echo_outputs(write_outputs(outputs, output_dir))
 
 
-@main.command("search-b")
-@_sigma
-@_t
-@_bracket
-@_digits
-@_output_dir
-@_numerics_exit
-def search_b(output_dir, **flags):
-    """Shortcut for `run fig-eps-vs-b`: calibration.json + trace.csv."""
-    _run("fig-eps-vs-b", flags, output_dir)
-
-
-@main.command("scaling-law")
-@_sigma
-@click.option("--t-list", required=True, help="comma-separated ordinates")
-@_bracket
-@_digits
-@_output_dir
-@_numerics_exit
-def scaling_law(output_dir, **flags):
-    """Shortcut for `run fig-b-power-law`: accuracy.csv + powerfit.json."""
-    _run("fig-b-power-law", flags, output_dir)
-
-
-@main.command("sigma-law")
-@_t
-@click.option("--sigma-list", required=True, help="comma-separated real parts")
-@_bracket
-@_digits
-@_output_dir
-@_numerics_exit
-def sigma_law(output_dir, **flags):
-    """Shortcut for `run fig-b-sigma`: b_sigma.csv + expfit.json."""
-    _run("fig-b-sigma", flags, output_dir)
-
-
-@main.command("spiral")
-@_sigma
-@_t
-@click.option("--weighted", is_flag=True, default=False)
-@click.option("--b", help="scale factor; calibrated when omitted")
-@click.option("--n-terms", help="defaults to twice the truncation length")
-@_digits
-@_output_dir
-@_numerics_exit
-def spiral(weighted, output_dir, **flags):
-    """Shortcut for `run fig-spiral-raw` (`fig-spiral-weighted` with --weighted)."""
-    _run("fig-spiral-weighted" if weighted else "fig-spiral-raw", flags, output_dir)
-
-
 @main.command("run")
 @click.argument("preset")
-@click.option("--config", "config_path", type=click.Path(exists=True, path_type=Path), default=None)
+@click.option("--config", "config_path", type=_input_file, default=None)
 @click.option("--set", "assignments", multiple=True, help="override as key=value (repeatable)")
-@click.option("--output-dir", default=".", show_default=True)
+@_output_dir
 @click.option("--jobs", default=1, show_default=True)
 @_numerics_exit
 def run_cmd(preset, config_path, assignments, output_dir, jobs):
     """Run a named preset; write its outputs and manifest.json."""
-    overrides = {}
-    if config_path is not None:
-        overrides.update(parse_config_file(config_path))
-    for assignment in assignments:
-        if "=" not in assignment:
-            raise ValidationError(f"--set expects key=value, got {assignment!r}")
-        key, _, value = assignment.partition("=")
-        overrides[key.strip()] = value.strip()
+    overrides = {} if config_path is None else parse_config_file(config_path)
+    overrides.update(split_assignment(text, "--set") for text in assignments)
     _run(preset, overrides, output_dir, jobs)
 
 
@@ -228,6 +165,25 @@ def list_presets_cmd():
             # a None default has no text form; leave it unset in the stub
             click.echo(f"# {key} = None" if value is None else f"{key} = {value}")
         click.echo("")
+
+
+def _shortcut(name: str, preset: str, required: set):
+    """Add command `name`: one text flag per key of `preset`, run as `run preset`."""
+
+    def command(output_dir, weighted=False, **flags):
+        _run("fig-spiral-weighted" if weighted else preset, flags, output_dir)
+
+    command = _output_dir(_numerics_exit(command))
+    for key in reversed(preset_keys(preset)):
+        flag = f"--{key.replace('_', '-')}"
+        command = click.option(flag, required=key in required, help=PARAMS[key].rule)(command)
+    if name == "spiral":
+        command = click.option("--weighted", is_flag=True, help="run fig-spiral-weighted")(command)
+    main.command(name, help=f"Shortcut for `run {preset}`.")(command)
+
+
+for _name, (_preset, _required) in SHORTCUTS.items():
+    _shortcut(_name, _preset, _required)
 
 
 if __name__ == "__main__":

@@ -200,18 +200,29 @@ class ExperimentConfig:
         return params
 
 
+def read_utf8(path: Path) -> str:
+    """A file's text; bytes that are not UTF-8 raise a ValidationError naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
+def split_assignment(text: str, source: str) -> tuple[str, str]:
+    """`key = value` text as its stripped key and value; errors name `source`."""
+    if "=" not in text:
+        raise ValidationError(f"{source}: expected 'key = value', got {text!r}")
+    key, _, value = text.partition("=")
+    return key.strip(), value.strip()
+
+
 def parse_config_file(path: Path) -> dict:
     """Flat `key = value` lines; blank lines and # comments ignored."""
-    overrides = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ValidationError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, _, value = stripped.partition("=")
-        overrides[key.strip()] = value.strip()
-    return overrides
+    return dict(
+        split_assignment(line, f"{path}:{lineno}")
+        for lineno, line in enumerate(read_utf8(path).splitlines(), start=1)
+        if line.strip() and not line.strip().startswith("#")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +586,11 @@ def _preset(name: str) -> _Preset:
 
 def preset_names() -> list[str]:
     return list(_PRESETS)
+
+
+def preset_keys(name: str) -> list[str]:
+    """The keys a preset takes, in declaration order; no default is parsed."""
+    return list(_preset(name).defaults)
 
 
 def list_presets() -> list[dict]:

@@ -137,9 +137,6 @@ def zeta(s: ComplexAP, ctx: PrecisionContext) -> OracleResult:
     """zeta(s) to the context's digit budget; pole at s = 1."""
     if s.im == 0 and s.re == 1:
         raise PoleError("zeta has a pole at s = 1")
-    if s.im < 0:
-        mirror = zeta(s.conjugate(), ctx)
-        return dataclasses.replace(mirror, value=mirror.value.conjugate())
 
     digits = ctx.digits
     work = PrecisionContext(digits + _ORACLE_GUARD)

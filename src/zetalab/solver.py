@@ -226,7 +226,8 @@ def _eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
     mpf_add may only nudge a product instead of adding it (factor and pivot
     row components far apart in scale) runs on mpc, as the reference does.
     Pivot search, factors, the right-hand side and back substitution stay on
-    mpc: O(n^2) work.
+    mpc: O(n^2) work.  A pivot row is final once its step is done, so those
+    mpc steps read U from the integer rows.
     """
     n = len(raw_matrix)
     prec = mp.prec
@@ -236,7 +237,6 @@ def _eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
         im = [_signed(z._mpc_[1]) for z in raw_row]
         rows.append([[m for m, _ in re], [e for _, e in re], [m for m, _ in im], [e for _, e in im]])
     b = raw_rhs[:]
-    upper = []  # row k of U from column k on, as mpc
     for k in range(n):
         col = [_mpc_entry(row, k, mp) for row in rows[k:]]
         piv = 0
@@ -254,7 +254,6 @@ def _eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
             b[k], b[k + piv] = b[k + piv], b[k]
             col[0], col[piv] = col[piv], col[0]
         cols = range(k + 1, n)
-        upper.append(col[:1] + [_mpc_entry(rows[k], c, mp) for c in cols])
         rm, rx, im, ix = rows[k]
         eu = min((e for c in cols for m, e in ((rm[c], rx[c]), (im[c], ix[c])) if m), default=0)
         ur = [0] * (k + 1) + [rm[c] << rx[c] - eu if rm[c] else 0 for c in cols]
@@ -280,7 +279,7 @@ def _eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
             if fr and fi and abs(fr.bit_length() - fi.bit_length()) + gap_u > prec + 3:
                 # mpf_add may nudge a product here: take the row's step on mpc
                 for c in cols:
-                    z = _mpc_entry(rows[r], c, mp) - factor * upper[k][c - k]
+                    z = _mpc_entry(rows[r], c, mp) - factor * _mpc_entry(rows[k], c, mp)
                     (am[c], ax[c]), (bm[c], bx[c]) = _signed(z._mpc_[0]), _signed(z._mpc_[1])
             else:
                 _sweep(am, ax, fr, ur, -fi, ui, ef + eu, cols, prec)
@@ -288,10 +287,9 @@ def _eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
     x = [mp.mpc(0)] * n
     for r in range(n - 1, -1, -1):
         acc = b[r]
-        row_u = upper[r]
         for c in range(r + 1, n):
-            acc -= row_u[c - r] * x[c]
-        x[r] = acc / row_u[0]
+            acc -= _mpc_entry(rows[r], c, mp) * x[c]
+        x[r] = acc / _mpc_entry(rows[r], r, mp)
     return x
 
 

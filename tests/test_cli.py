@@ -6,7 +6,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetalab import experiments, series, spiral
+from zetalab import cli, experiments, series, spiral
 from zetalab.cli import main
 
 
@@ -378,6 +378,76 @@ def test_shortcut_matches_run(runner, tmp_path, shortcut, preset_run):
     assert json.dumps(manifests[0]["config"]) == json.dumps(manifests[1]["config"])
     for name in manifests[1]["outputs"]:
         assert (tmp_path / "shortcut" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
+
+def test_shortcut_flags_are_preset_keys():
+    keys = experiments.preset_keys
+    assert keys("fig-spiral-raw") == keys("fig-spiral-weighted")
+    for name, (preset, required) in cli.SHORTCUTS.items():
+        params = {param.name: param for param in main.commands[name].params}
+        extra = {"output_dir", "weighted"} if name == "spiral" else {"output_dir"}
+        assert set(params) == set(keys(preset)) | extra, name
+        for key in keys(preset):
+            assert params[key].opts == [f"--{key.replace('_', '-')}"]
+            assert params[key].help == experiments.PARAMS[key].rule
+            assert params[key].required == (key in required)
+
+
+@pytest.mark.slow
+def test_spiral_takes_bracket(runner, tmp_path):
+    result = runner.invoke(
+        main,
+        ["spiral", "--weighted", "--t", "100", "--digits", "20", "--bracket", "0.5,20",
+         "--output-dir", str(tmp_path)],
+    )
+    assert result.exit_code == 0, result.output
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["preset"] == "fig-spiral-weighted"
+    assert manifest["config"]["bracket"] == [0.5, 20.0]
+
+
+# a path of the wrong kind, or a file that is not UTF-8, is refused before any
+# work; each case: (text the message must hold, arguments)
+BAD_PATHS = {
+    "run-config-dir": ("--config", ["run", "fig-eps-vs-b", "--config", "{dir}", *OUT]),
+    "run-config-not-utf8": ("bad.cfg", ["run", "fig-eps-vs-b", "--config", "{bad_cfg}", *OUT]),
+    "fit-sigmoid-input-dir": ("--input", ["fit-sigmoid", "--input", "{dir}", *OUT]),
+    "fit-sigmoid-input-not-utf8": ("bad.csv", ["fit-sigmoid", "--input", "{bad_csv}", *OUT]),
+    "fit-sigmoid-output-file": (
+        "--output-dir", ["fit-sigmoid", "--input", "{good_csv}", "--output-dir", "{file}"]
+    ),
+    "run-output-file": (
+        "--output-dir", ["run", "fig-eps-vs-b", "--set", "t=100", "--output-dir", "{file}"]
+    ),
+    "search-b-output-file": ("--output-dir", ["search-b", "--t", "100", "--output-dir", "{file}"]),
+    "spiral-output-file": ("--output-dir", ["spiral", "--t", "100", "--output-dir", "{file}"]),
+}
+
+
+@pytest.mark.parametrize("named,args", list(BAD_PATHS.values()), ids=list(BAD_PATHS))
+def test_bad_path_exits_2(runner, tmp_path, monkeypatch, named, args):
+    def no_work(*args, **kwargs):
+        raise AssertionError("paths must be checked before any calibration or solve")
+
+    for module, name in ((experiments, "calibrate_b"), (experiments, "solve_grid"),
+                         (series, "power_table"), (spiral, "power_table"),
+                         (cli, "sigmoid_outputs")):
+        monkeypatch.setattr(module, name, no_work)
+    work = tmp_path / "work"
+    work.mkdir()
+    paths = {"dir": work, "bad_cfg": tmp_path / "bad.cfg", "bad_csv": tmp_path / "bad.csv",
+             "good_csv": tmp_path / "good.csv", "file": tmp_path / "file", "out": tmp_path / "out"}
+    paths["bad_cfg"].write_bytes(b"t = 100\ndigits = 2\xff0\n")
+    paths["bad_csv"].write_bytes(b"n,re_delta,im_delta\n1,0.5\xe9,0\n")
+    paths["good_csv"].write_text("n,re_delta,im_delta\n1,0.9,0\n2,0.8,0\n3,0.7,0\n4,0.2,0\n")
+    paths["file"].write_text("kept\n")
+    result = runner.invoke(main, [arg.format(**paths) for arg in args])
+    assert result.exit_code == 2, result.output
+    assert named in result.stderr, result.stderr
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
+    assert paths["file"].read_text() == "kept\n" and not paths["out"].exists()
+    assert list(work.iterdir()) == []
 
 
 @pytest.fixture(scope="module")

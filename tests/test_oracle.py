@@ -96,10 +96,22 @@ class TestZeta:
             zeta(make_complex(1, 0, ctx), ctx)
 
     def test_conjugate_exact_at_representation(self):
-        ctx = PrecisionContext(50)
-        a = zeta(make_complex("0.5", "37.5", ctx), ctx).value
-        b = zeta(make_complex("0.5", "-37.5", ctx), ctx).value
-        assert a.re == b.re and a.im == -b.im
+        # zeta(conj s) runs its own pass on conjugated power entries; every
+        # later step rounds to nearest, so value and schedule mirror exactly
+        for digits, sigma, t in [
+            (50, "0.5", "37.5"),
+            (15, "2", "0.7"),
+            (15, "-1.5", "1000"),
+            (30, "0.5", "14.134725"),
+            (30, "-1.5", "123.25"),
+            (100, "2", "300"),
+            (100, "0.5", "5000"),
+        ]:
+            ctx = PrecisionContext(digits)
+            a = zeta(make_complex(sigma, t, ctx), ctx)
+            b = zeta(make_complex(sigma, "-" + t, ctx), ctx)
+            assert a.value.re == b.value.re and a.value.im == -b.value.im, (digits, sigma, t)
+            assert (a.terms_used, a.correction_order) == (b.terms_used, b.correction_order)
 
     def test_schedule_metadata(self):
         ctx = PrecisionContext(30)
