@@ -26,6 +26,7 @@ from .experiments import (
     T_MAX,
     ExperimentConfig,
     list_presets,
+    make_output_dir,
     parse_config_file,
     preset_keys,
     read_utf8,
@@ -134,8 +135,9 @@ def _load_coeff_csv(path: Path, digits: int) -> CoefficientSet:
 def fit_sigmoid(input_path: Path, digits: int, output_dir):
     """Fit the sigmoid to a coefficient CSV; write sigmoid.csv + fit.json."""
     digits = PARAMS["digits"].read("digits", str(digits))
-    outputs = sigmoid_outputs(_load_coeff_csv(input_path, digits), digits)
-    _echo_outputs(write_outputs(outputs, output_dir))
+    cs = _load_coeff_csv(input_path, digits)
+    out_dir = make_output_dir(output_dir)
+    _echo_outputs(write_outputs(sigmoid_outputs(cs, digits), out_dir))
 
 
 @main.command("run")

@@ -80,22 +80,13 @@ SIGMA_MAX = 100
 
 
 class DecimalText(str):
-    """A finite real kept as its decimal text, which each run parses at its
-    own precision; `value` is the nearest float, for fits and CSV columns."""
+    """A real kept as its decimal text, which each run parses at its own
+    precision; `value` is the nearest float, for fits and CSV columns."""
 
     def __new__(cls, text: str):
         self = super().__new__(cls, text)
         self.value = float(mpmath.mpf(text))
-        if not math.isfinite(self.value):
-            raise ValueError(f"not finite: {text!r}")
         return self
-
-
-def _real(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"not finite: {text!r}")
-    return value
 
 
 def _ordinate(text: str) -> int | float:
@@ -103,11 +94,11 @@ def _ordinate(text: str) -> int | float:
     try:
         return int(text)
     except ValueError:
-        return _real(text)
+        return float(text)
 
 
 def _positive(value) -> bool:
-    return value > 0
+    return 0 < value < math.inf  # nan fails both comparisons
 
 
 @dataclasses.dataclass(frozen=True)
@@ -115,7 +106,7 @@ class Param:
     """One preset key: how its text parses and which values it accepts."""
 
     parse: Callable[[str], object]  # one entry of text to int, float or DecimalText
-    accepts: Callable[[object], bool]  # each entry's number (a DecimalText's value)
+    accepts: Callable[[object], bool]  # each entry's number (a DecimalText's value); false on nan, inf
     rule: str  # what the key expects, as error messages state it
     shape: str = "one"  # "one", "list" (comma-separated, non-empty) or "pair"
     order: str = ""  # "increasing" or "distinct" entries
@@ -152,13 +143,13 @@ PARAMS: dict[str, Param] = {
     "digits": Param(
         int, lambda v: MIN_DIGITS <= v <= DIGITS_MAX, f"an integer in [{MIN_DIGITS}, {DIGITS_MAX}]"
     ),
-    "stability_threshold": Param(_real, _positive, "a positive real"),
+    "stability_threshold": Param(float, _positive, "a positive real"),
     "t": Param(_ordinate, lambda v: 0 < abs(v) <= T_MAX, f"a nonzero real with |t| <= {T_MAX}"),
-    "b": Param(_real, _positive, "a positive real"),
+    "b": Param(float, _positive, "a positive real"),
     "n_terms": Param(int, lambda v: 1 <= v <= N_TERMS_MAX, f"an integer in [1, {N_TERMS_MAX}]"),
-    "bracket": Param(_real, _positive, "'lo,hi' with 0 < lo < hi", "pair", "increasing"),
+    "bracket": Param(float, _positive, "'lo,hi' with 0 < lo < hi", "pair", "increasing"),
     "t_list": Param(
-        _real, lambda v: 0 < v <= T_MAX, f"increasing reals in (0, {T_MAX}]", "list", "increasing"
+        float, lambda v: 0 < v <= T_MAX, f"increasing reals in (0, {T_MAX}]", "list", "increasing"
     ),
     "sigma_list": Param(
         DecimalText, lambda v: abs(v) <= SIGMA_MAX, f"distinct reals with |sigma| <= {SIGMA_MAX}",
@@ -286,7 +277,7 @@ def _calibration(args) -> BCalibration:
 
 def _check_bracket(params: dict):
     """Before any calibration, reject a bracket whose power table passes N_TERMS_MAX terms."""
-    if "bracket" in params and params.get("b") is None:  # a spiral with b set does not calibrate
+    if "bracket" in params:
         ctx, hi = PrecisionContext(params["digits"]), params["bracket"][1]
         for sigma in params.get("sigma_list") or [params["sigma"]]:
             for t in params.get("t_list") or [params["t"]]:
@@ -436,16 +427,38 @@ def _run_b_sigma(params: dict, jobs: int) -> dict:
     }
 
 
+def _spiral_calibrates(params: dict, weighted: bool) -> bool:
+    """A spiral calibrates b when b is unset and it is weighted or sizes n_terms from b."""
+    return params["b"] is None and (weighted or params["n_terms"] is None)
+
+
+def _spiral_terms(params: dict, b: float) -> int:
+    """A spiral's n_terms; when unset, twice the truncation length at b."""
+    if params["n_terms"] is not None:
+        return params["n_terms"]
+    ctx = PrecisionContext(params["digits"])
+    s = make_complex(params["sigma"], params["t"], ctx)
+    n_terms = 2 * truncation_length(s, b, tail_tolerance(ctx))
+    if n_terms > N_TERMS_MAX:
+        raise ValidationError(f"n_terms: twice the truncation length at b = {b} passes {N_TERMS_MAX}")
+    return n_terms
+
+
+def _check_spiral(params: dict, weighted: bool):
+    """Before any work: the bracket if the spiral calibrates, else the terms a set b needs."""
+    if _spiral_calibrates(params, weighted):
+        _check_bracket(params)
+    else:
+        _spiral_terms(params, params["b"])
+
+
 def _run_spiral(params: dict, jobs: int, weighted: bool) -> dict:
     ctx = PrecisionContext(params["digits"])
     s = make_complex(params["sigma"], params["t"], ctx)
-    b, n_terms = params["b"], params["n_terms"]
-    if b is None and (weighted or n_terms is None):
+    b = params["b"]
+    if _spiral_calibrates(params, weighted):
         b = calibrate_b(s, ctx, params["bracket"]).b_hat
-    if n_terms is None:
-        n_terms = 2 * truncation_length(s, b, tail_tolerance(ctx))
-        if n_terms > N_TERMS_MAX:
-            raise ValidationError(f"n_terms: twice the truncation length at b = {b} passes {N_TERMS_MAX}")
+    n_terms = _spiral_terms(params, b)
     if weighted:
         trace = weighted_partial_sums(s, b, n_terms, ctx)
     else:
@@ -480,6 +493,7 @@ class _Preset:
     defaults: dict  # key: text, or None for a value the runner works out
     runner: object
     min_entries: dict = dataclasses.field(default_factory=dict)  # list keys a fit needs filled
+    check: Callable[[dict], None] = _check_bracket  # work bounds, checked before any output
 
 
 _STABLE_GRID = {
@@ -496,6 +510,7 @@ _CALIBRATION = {"digits": str(CALIBRATION_DIGITS), "bracket": ",".join(map(str, 
 _SIGMA_LADDER = "0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9"
 
 _SPIRAL = {"sigma": "0.5", "t": "200", **_CALIBRATION, "b": None, "n_terms": None}
+
 
 _PRESETS: dict[str, _Preset] = {
     "fig-coeffs-stable": _Preset(
@@ -569,11 +584,13 @@ _PRESETS: dict[str, _Preset] = {
         "divergent partial-sum spiral of the functional-equation combination",
         dict(_SPIRAL),
         lambda params, jobs: _run_spiral(params, jobs, weighted=False),
+        check=lambda params: _check_spiral(params, weighted=False),
     ),
     "fig-spiral-weighted": _Preset(
         "sigmoid-weighted spiral converging to the origin",
         dict(_SPIRAL),
         lambda params, jobs: _run_spiral(params, jobs, weighted=True),
+        check=lambda params: _check_spiral(params, weighted=True),
     ),
 }
 
@@ -629,7 +646,8 @@ def run_preset(config: ExperimentConfig, output_dir: str | Path = ".", jobs: int
         raise ValidationError(f"jobs must be an integer >= 1, got {jobs!r}")
     preset = _preset(config.preset)
     params = config.resolved()
-    _check_bracket(params)
+    preset.check(params)
+    out_dir = make_output_dir(output_dir)
 
     start = time.perf_counter()
     outputs = preset.runner(params, jobs)
@@ -640,17 +658,25 @@ def run_preset(config: ExperimentConfig, output_dir: str | Path = ".", jobs: int
         figure=preset.figure,
         config=params,
         version=__version__,
-        outputs=write_outputs(outputs, output_dir),
+        outputs=write_outputs(outputs, out_dir),
         wall_time_s=wall,
     )
-    (Path(output_dir) / "manifest.json").write_text(manifest.to_json())
+    (out_dir / "manifest.json").write_text(manifest.to_json())
     return manifest
 
 
-def write_outputs(outputs: dict, output_dir: str | Path) -> dict:
-    """Write {filename: text} into output_dir; return {filename: sha256}."""
+def make_output_dir(output_dir: str | Path) -> Path:
+    """output_dir, made with its parents if missing; a path that cannot be a directory is invalid."""
     out_dir = Path(output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"output directory {out_dir}: {exc.strerror}") from None
+    return out_dir
+
+
+def write_outputs(outputs: dict, out_dir: Path) -> dict:
+    """Write {filename: text} into the existing out_dir; return {filename: sha256}."""
     checksums = {}
     for filename, content in outputs.items():
         data = content.encode("utf-8")

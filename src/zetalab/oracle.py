@@ -28,7 +28,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import libmp
 
-from .errors import ChiDegenerateError, PoleError, PrecisionUnreachableError, ValidationError
+from .errors import NumericalError, ValidationError
 from .powers import _power_entries, frac_bits, from_fixed
 from .precision import ComplexAP, PrecisionContext, _raw, _wrap
 
@@ -136,7 +136,7 @@ def _euler_maclaurin(s, n0: int, work: PrecisionContext, cutoff, max_order: int)
 def zeta(s: ComplexAP, ctx: PrecisionContext) -> OracleResult:
     """zeta(s) to the context's digit budget; pole at s = 1."""
     if s.im == 0 and s.re == 1:
-        raise PoleError("zeta has a pole at s = 1")
+        raise NumericalError("zeta has a pole at s = 1")
 
     digits = ctx.digits
     work = PrecisionContext(digits + _ORACLE_GUARD)
@@ -152,7 +152,7 @@ def zeta(s: ComplexAP, ctx: PrecisionContext) -> OracleResult:
             rounded = _wrap(ctx._mp.mpc(value))
             return OracleResult(rounded, n0, order)
         n0 = math.ceil(1.5 * n0)
-    raise PrecisionUnreachableError(
+    raise NumericalError(
         f"Euler-Maclaurin schedule cannot certify {digits} digits at s with |Im s| = {t}"
     )
 
@@ -164,7 +164,7 @@ def zeta(s: ComplexAP, ctx: PrecisionContext) -> OracleResult:
 def gamma(s: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
     """gamma(s) to the digit budget; poles at non-positive integers."""
     if s.im == 0 and s.re <= 0 and s.re == mpmath.floor(s.re):
-        raise PoleError(f"gamma has a pole at s = {s.re}")
+        raise NumericalError(f"gamma has a pole at s = {s.re}")
     work = PrecisionContext(ctx.digits + _ORACLE_GUARD)
     return _wrap(ctx._mp.mpc(work._mp.gamma(_raw(s, work))))
 
@@ -176,7 +176,7 @@ def chi(s: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
     rejected; zeta(s) = chi(s) zeta(1-s) holds where defined.
     """
     if s.im == 0 and s.re == mpmath.floor(s.re):
-        raise ChiDegenerateError(f"chi product form degenerates at integer s = {s.re}")
+        raise NumericalError(f"chi product form degenerates at integer s = {s.re}")
 
     work = PrecisionContext(ctx.digits + _ORACLE_GUARD)
     mp = work._mp

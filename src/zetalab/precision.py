@@ -19,7 +19,7 @@ import mpmath
 from mpmath.ctx_mp import MPContext
 from mpmath.libmp import to_str as _mpf_to_str
 
-from .errors import NonFiniteValueError, ValidationError
+from .errors import NumericalError, ValidationError
 
 _LOG2_10 = math.log2(10)
 _GUARD_BITS = 32
@@ -72,7 +72,7 @@ class ComplexAP:
     def __post_init__(self):
         for part in (self.re, self.im):
             if mpmath.isnan(part) or mpmath.isinf(part):
-                raise NonFiniteValueError(f"non-finite component in ComplexAP: {part}")
+                raise NumericalError(f"non-finite component in ComplexAP: {part}")
 
     def conjugate(self) -> "ComplexAP":
         return ComplexAP(self.re, -self.im)

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .errors import (
-    DegenerateFitError,
-    NoInteriorMinimumError,
-    NonPositiveScaleError,
-    NonPositiveValueError,
-    RealAxisError,
-    ValidationError,
-)
+from .errors import NumericalError, ValidationError
 from .oracle import zeta
 from .powers import PowerTable, center, power_table, sigmoid_weight, weighted_sum
 from .precision import ComplexAP, PrecisionContext, _raw
@@ -38,12 +31,12 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 def _require_off_axis(s: ComplexAP):
     if s.im == 0:
-        raise RealAxisError("generalized coefficients are undefined for Im s = 0")
+        raise NumericalError("generalized coefficients are undefined for Im s = 0")
 
 
 def _require_scale(b: float):
     if not b > 0:
-        raise NonPositiveScaleError(f"scale must be > 0, got {b}")
+        raise ValidationError(f"scale must be > 0, got {b}")
 
 
 def generalized_delta(n: int, s: ComplexAP, b: float, ctx: PrecisionContext):
@@ -146,7 +139,7 @@ def calibrate_b(
     the best neighborhood is refined by golden section until the interval is
     below REL_TOL relative width.  Each sum is truncated where its tail falls
     below 10^-P.  A minimum on a bracket endpoint raises
-    NoInteriorMinimumError: widen the bracket.
+    NumericalError: widen the bracket.
     """
     _require_off_axis(s)
     lo, hi = bracket
@@ -172,7 +165,7 @@ def calibrate_b(
     errors = [err(b) for b in coarse]
     best = min(range(COARSE_SAMPLES), key=lambda j: errors[j])
     if best == 0 or best == COARSE_SAMPLES - 1:
-        raise NoInteriorMinimumError(
+        raise NumericalError(
             f"error is monotone across the bracket {bracket}; minimum at endpoint B={coarse[best]:.4g}"
         )
 
@@ -222,7 +215,7 @@ def _ols(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
     mean_y = sum(ys) / n
     sxx = sum((x - mean_x) ** 2 for x in xs)
     if sxx == 0 or len(set(xs)) < n:
-        raise DegenerateFitError("fit abscissas must be distinct")
+        raise NumericalError("fit abscissas must be distinct")
     sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     q = sxy / sxx
     p = mean_y - q * mean_x
@@ -238,7 +231,7 @@ def fit_power_law(samples: list[tuple[float, float]]) -> ScalingFit:
         raise ValidationError("power-law fit needs at least 2 samples")
     for t, b in samples:
         if t <= 0 or b <= 0:
-            raise NonPositiveValueError((t, b))
+            raise NumericalError(f"log-domain fit requires positive values, got {(t, b)!r}")
     xs = [math.log(t) for t, _ in samples]
     ys = [math.log(b) for _, b in samples]
     p, q, r2 = _ols(xs, ys)
@@ -260,7 +253,7 @@ def fit_sigma_dependence(samples: list[tuple[float, float]]) -> ExponentialFit:
         raise ValidationError("sigma-dependence fit needs at least 3 samples")
     for sigma, value in samples:
         if value <= 0:
-            raise NonPositiveValueError((sigma, value))
+            raise NumericalError(f"log-domain fit requires positive values, got {(sigma, value)!r}")
     xs = [float(sig) for sig, _ in samples]
     ys = [math.log(v) for _, v in samples]
     p, q, r2 = _ols(xs, ys)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from .errors import NegativeRadicandError, NonPositiveScaleError
+from .errors import NumericalError, ValidationError
 from .precision import PrecisionContext
 from .solver import CoefficientSet, half_crossing
 
@@ -27,7 +27,7 @@ class SigmoidFit:
 
     def __post_init__(self):
         if not self.b_param > 0:
-            raise NonPositiveScaleError(f"sigmoid scale must be > 0, got {self.b_param}")
+            raise ValidationError(f"sigmoid scale must be > 0, got {self.b_param}")
 
 
 def sigmoid_eval(n: float, fit: SigmoidFit) -> float:
@@ -44,7 +44,7 @@ def scale_from_formula(n_hat_star: float, n_coeffs: int) -> float:
     """B = sqrt(n* - 2N/pi); below the floor no valid scale exists."""
     radicand = n_hat_star - 2.0 * n_coeffs / math.pi
     if radicand <= 0:
-        raise NegativeRadicandError(
+        raise NumericalError(
             f"n* = {n_hat_star} is at or below the minimum 2N/pi = {2.0 * n_coeffs / math.pi:.6f}"
         )
     return math.sqrt(radicand)
@@ -66,4 +66,7 @@ def construct_fit(cs: CoefficientSet) -> SigmoidFit:
     crossing = half_crossing(cs)
     b = scale_from_formula(crossing.value, len(cs.deltas))
     fit = SigmoidFit(a_param=crossing.value, b_param=b)
-    return dataclasses.replace(fit, residual=fit_residual(cs, fit))
+    residual = fit_residual(cs, fit)
+    if not math.isfinite(residual):
+        raise NumericalError(f"sigmoid fit residual {residual} is not a finite double")
+    return dataclasses.replace(fit, residual=residual)

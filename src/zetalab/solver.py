@@ -23,13 +23,7 @@ from dataclasses import dataclass
 
 from mpmath import libmp
 
-from .errors import (
-    NearZeroRowError,
-    NoCrossingError,
-    ResidualTooLargeError,
-    SingularMatrixError,
-    ValidationError,
-)
+from .errors import NumericalError, ValidationError
 from .oracle import zeta
 from .powers import frac_bits, from_fixed, power_table
 
@@ -151,7 +145,7 @@ def assemble_system(
 ) -> tuple[list[list[ComplexAP]], list[ComplexAP]]:
     """Matrix a_mn = n^(-s_m) and rhs b_m = zeta(s_m), both to P digits.
 
-    Raises NearZeroRowError when a row ordinate passes too close to a zeta
+    Raises NumericalError when a row ordinate passes too close to a zeta
     zero (|zeta(s_m)| <= 10^(-P/4)); the caller must perturb the grid.
     """
     p = ctx.digits
@@ -161,7 +155,10 @@ def assemble_system(
         value = zeta(s, ctx).value
         modulus = abs(ctx._mp.mpc(value.re, value.im))
         if modulus <= near_zero:
-            raise NearZeroRowError(m, float(modulus), near_zero)
+            raise NumericalError(
+                f"|zeta(s_{m})| = {float(modulus):.3e} is below the row threshold "
+                f"{near_zero:.3e}; perturb the grid away from the zeta zero"
+            )
         rhs.append(_round_to_digits(value, ctx))
     bits = frac_bits(ctx)
     matrix = []
@@ -246,7 +243,7 @@ def _eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
             if cand > best:
                 piv, best = i, cand
         if best < pivot_floor:
-            raise SingularMatrixError(
+            raise NumericalError(
                 f"pivot modulus {float(best):.3e} below {float(pivot_floor):.3e} at column {k}"
             )
         if piv:
@@ -333,9 +330,7 @@ def solve_coefficients(
         solution = [_wrap(mp.mpc(v)) for v in retry]
         residual = _residual_inf(matrix, rhs, solution, check_ctx)
         if residual >= contract:
-            raise ResidualTooLargeError(
-                f"residual {float(residual):.3e} above 10^(-P/2) after the 2P retry"
-            )
+            raise NumericalError(f"residual {float(residual):.3e} above 10^(-P/2) after the 2P retry")
 
     return CoefficientSet(
         deltas=tuple(solution),
@@ -395,7 +390,7 @@ def half_crossing(cs: CoefficientSet) -> HalfCrossing:
             value = (a + 1) + float(num / den)  # 1-based index of the pair start
             break
     if value is None:
-        raise NoCrossingError("real coefficient profile never passes through 1/2")
+        raise NumericalError("real coefficient profile never passes through 1/2")
 
     signs = [v > half for v in re if v != half]
     crossings = sum(a != b for a, b in zip(signs, signs[1:]))

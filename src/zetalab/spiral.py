@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import PoleError, ValidationError
+from .errors import ValidationError
 from .oracle import chi
 from .powers import center, frac_bits, from_fixed, power_table, to_fixed, weights
 from .precision import ComplexAP, PrecisionContext, _raw, _wrap
@@ -32,8 +32,6 @@ def _terms(s: ComplexAP, n_terms: int, ctx: PrecisionContext):
 
     n^(s-1) = n^(-(1-s)) comes from a power table for 1 - s.
     """
-    if s.im == 0 and s.re == 1:
-        raise PoleError("trace undefined at s = 1")
     _require_off_axis(s)
     bits = frac_bits(ctx)
     chi_s = _raw(chi(s, ctx), ctx)
@@ -50,6 +48,8 @@ def _terms(s: ComplexAP, n_terms: int, ctx: PrecisionContext):
 
 def _partial_sums(s: ComplexAP, n_terms: int, ctx: PrecisionContext, factors, bits: int):
     """Running sums of factor * term, each rounded once from bits-scaled ints."""
+    if n_terms < 1:
+        raise ValidationError(f"n_terms must be >= 1, got {n_terms}")
     acc_re = acc_im = 0
     points = []
     for (term_re, term_im), w in zip(_terms(s, n_terms, ctx), factors):
@@ -61,16 +61,12 @@ def _partial_sums(s: ComplexAP, n_terms: int, ctx: PrecisionContext, factors, bi
 
 def raw_partial_sums(s: ComplexAP, n_terms: int, ctx: PrecisionContext) -> SpiralTrace:
     """Partial sums of the unweighted (divergent) combination."""
-    if n_terms < 1:
-        raise ValidationError(f"n_terms must be >= 1, got {n_terms}")
     points = _partial_sums(s, n_terms, ctx, itertools.repeat(1), 2 * frac_bits(ctx))
     return SpiralTrace(points)
 
 
 def weighted_partial_sums(s: ComplexAP, b: float, n_terms: int, ctx: PrecisionContext) -> SpiralTrace:
     """Partial sums with each term damped by the generalized coefficient."""
-    if n_terms < 1:
-        raise ValidationError(f"n_terms must be >= 1, got {n_terms}")
     _require_scale(b)
     w = weights(center(s, ctx), b, ctx)
     points = _partial_sums(s, n_terms, ctx, w, 3 * frac_bits(ctx))

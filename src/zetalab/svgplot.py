@@ -5,6 +5,8 @@ No charting dependency; output is deterministic down to the byte.
 
 from __future__ import annotations
 
+from .errors import ValidationError
+
 SIZE = 640  # width and height in pixels
 MARGIN = 30  # pixels between the farthest point and the edge
 
@@ -12,7 +14,7 @@ MARGIN = 30  # pixels between the farthest point and the edge
 def spiral_svg(points: list[tuple[float, float]]) -> str:
     """Render complex-plane points as an auto-scaled polyline around the origin."""
     if not points:
-        raise ValueError("no points to render")
+        raise ValidationError("no points to render")
     extent = max(max(abs(x), abs(y)) for x, y in points)
     if extent == 0:
         extent = 1.0

@@ -18,7 +18,7 @@ import math
 
 import mpmath
 
-from zetalab.errors import SingularMatrixError
+from zetalab.errors import NumericalError
 
 
 def _cvz_eta(s, n: int, ref):
@@ -160,7 +160,7 @@ def mpc_eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
             if cand > best:
                 piv, best = r, cand
         if best < pivot_floor:
-            raise SingularMatrixError(
+            raise NumericalError(
                 f"pivot modulus {float(best):.3e} below {float(pivot_floor):.3e} at column {k}"
             )
         if piv != k:

@@ -294,6 +294,23 @@ def test_malformed_input_exits_2(runner, tmp_path, args):
     assert not (tmp_path / "out").exists()
 
 
+def test_fit_residual_overflow_exits_3(runner, tmp_path):
+    # each cell fits the digit budget, but their sum overflows a double
+    rows = [f"{n},1e400,0" for n in range(1, 46)] + [f"{n},0.1,0" for n in range(46, 61)]
+    csv_path = tmp_path / "huge.csv"
+    csv_path.write_text("\n".join(["n,re_delta,im_delta", *rows]) + "\n")
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, ["fit-sigmoid", "--input", str(csv_path), "--digits", "20", "--output-dir", str(out)]
+    )
+    assert result.exit_code == 3, result.output
+    assert "numerical failure: sigmoid fit residual inf" in result.stderr
+    assert "Traceback" not in result.output
+    assert not (out / "fit.json").exists()
+
+
+SPIRAL_WIDE_BRACKET = ["--set", "n_terms=10", "--set", "bracket=0.1,1e6", "--set", "digits=20"]
+
 # each probe must be rejected, naming its key, before any preset work starts
 PROBES = {
     "run-stability-threshold-negative": (
@@ -317,6 +334,8 @@ PROBES = {
     ),
     # two power tables of 60,465,464 entries
     "spiral-b-terms": ("b", ["spiral", "--weighted", "--t", "200", "--b", "5e5"]),
+    # a weighted spiral without b calibrates, whatever n_terms is
+    "spiral-weighted-bracket-terms": ("bracket", ["run", "fig-spiral-weighted", *SPIRAL_WIDE_BRACKET]),
 }
 
 
@@ -334,6 +353,21 @@ def test_probe_exits_2_naming_key(runner, tmp_path, monkeypatch, key, args):
     assert f"{key} " in result.stderr or f"'{key}'" in result.stderr, result.stderr
     assert "Traceback" not in result.output
     assert not (tmp_path / "out").exists()
+
+
+
+def test_raw_spiral_with_n_terms_skips_bracket(runner, tmp_path, monkeypatch):
+    # it never calibrates, so a bracket too wide to calibrate with is no error
+    def no_calibration(*args, **kwargs):
+        raise AssertionError("calibrate_b must not run")
+
+    monkeypatch.setattr(experiments, "calibrate_b", no_calibration)
+    result = runner.invoke(
+        main,
+        ["run", "fig-spiral-raw", *SPIRAL_WIDE_BRACKET, "--output-dir", str(tmp_path)],
+    )
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "spiral.csv").read_text().count("\n") == 11
 
 
 # each shortcut and the `run --set` call it stands for
@@ -421,6 +455,17 @@ BAD_PATHS = {
     ),
     "search-b-output-file": ("--output-dir", ["search-b", "--t", "100", "--output-dir", "{file}"]),
     "spiral-output-file": ("--output-dir", ["spiral", "--t", "100", "--output-dir", "{file}"]),
+    # a directory under a file: refused by mkdir, not by click
+    "run-output-under-file": (
+        "file/sub", ["run", "fig-eps-vs-b", "--set", "t=100", "--output-dir", "{file}/sub"]
+    ),
+    "spiral-output-under-file": (
+        "file/sub", ["spiral", "--t", "100", "--b", "1.2", "--n-terms", "10", "--digits", "20",
+                     "--output-dir", "{file}/sub"]
+    ),
+    "fit-sigmoid-output-under-file": (
+        "file/sub", ["fit-sigmoid", "--input", "{good_csv}", "--output-dir", "{file}/sub"]
+    ),
 }
 
 

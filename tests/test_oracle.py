@@ -8,7 +8,7 @@ import mpmath
 import pytest
 
 from zetalab import PrecisionContext, chi, gamma, make_complex, zeta
-from zetalab.errors import ChiDegenerateError, PoleError, ValidationError
+from zetalab.errors import NumericalError, ValidationError
 from zetalab import oracle
 from zetalab.oracle import _bernoulli_table, _em_coefficient, _euler_maclaurin, bernoulli_even
 from zetalab.precision import ComplexAP, _raw, to_string
@@ -92,7 +92,7 @@ class TestZeta:
 
     def test_pole_raises(self):
         ctx = PrecisionContext(30)
-        with pytest.raises(PoleError):
+        with pytest.raises(NumericalError, match="zeta has a pole at s = 1"):
             zeta(make_complex(1, 0, ctx), ctx)
 
     def test_conjugate_exact_at_representation(self):
@@ -213,7 +213,7 @@ class TestGamma:
     def test_pole_raises(self):
         ctx = PrecisionContext(30)
         for bad in (0, -1, -7):
-            with pytest.raises(PoleError):
+            with pytest.raises(NumericalError, match="gamma has a pole at s = "):
                 gamma(make_complex(bad, 0, ctx), ctx)
 
     def test_against_library_sample(self):
@@ -253,7 +253,7 @@ class TestChi:
     def test_integer_degeneracy(self):
         ctx = PrecisionContext(30)
         for bad in (2, 3, -4, 0):
-            with pytest.raises(ChiDegenerateError):
+            with pytest.raises(NumericalError, match="chi product form degenerates at integer s = "):
                 chi(make_complex(bad, 0, ctx), ctx)
 
 

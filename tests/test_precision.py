@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zetalab import PrecisionContext, make_complex, power_term, to_string
-from zetalab.errors import NonFiniteValueError, ValidationError
+from zetalab.errors import NumericalError, ValidationError
 from zetalab.precision import ComplexAP, _raw, _wrap
 
 
@@ -43,9 +43,9 @@ class TestFieldOps:
         assert err < ref.mpf(10) ** (-ctx.digits)
 
     def test_nan_rejected(self, ctx):
-        with pytest.raises(NonFiniteValueError):
+        with pytest.raises(NumericalError, match="non-finite component in ComplexAP"):
             ComplexAP(mpmath.mpf("nan"), mpmath.mpf(0))
-        with pytest.raises(NonFiniteValueError):
+        with pytest.raises(NumericalError, match="non-finite component in ComplexAP"):
             ComplexAP(mpmath.mpf(0), mpmath.inf)
 
 

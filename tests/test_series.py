@@ -17,14 +17,7 @@ from zetalab import (
     weighted_zeta,
     zeta,
 )
-from zetalab.errors import (
-    DegenerateFitError,
-    NoInteriorMinimumError,
-    NonPositiveScaleError,
-    NonPositiveValueError,
-    RealAxisError,
-    ValidationError,
-)
+from zetalab.errors import NumericalError, ValidationError
 from zetalab.experiments import ExperimentConfig, run_preset
 from zetalab.series import N_TERMS_MAX, tail_tolerance
 
@@ -55,12 +48,12 @@ class TestGeneralizedDelta:
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_real_axis_rejected(self, ctx30):
-        with pytest.raises(RealAxisError):
+        with pytest.raises(NumericalError, match="undefined for Im s = 0"):
             generalized_delta(5, make_complex("0.5", 0, ctx30), 2.0, ctx30)
 
     def test_scale_validated(self, ctx30):
         s = make_complex("0.5", "300", ctx30)
-        with pytest.raises(NonPositiveScaleError):
+        with pytest.raises(ValidationError, match="^scale must be > 0, got 0.0"):
             generalized_delta(5, s, 0.0, ctx30)
         with pytest.raises(ValidationError):
             generalized_delta(0, s, 1.0, ctx30)
@@ -186,7 +179,7 @@ class TestWeightedZeta:
         s = make_complex("0.5", "100", ctx30)
         with pytest.raises(ValidationError):
             weighted_zeta(s, 1.0, 0, ctx30)
-        with pytest.raises(RealAxisError):
+        with pytest.raises(NumericalError, match="undefined for Im s = 0"):
             weighted_zeta(make_complex("0.5", 0, ctx30), 1.0, 10, ctx30)
 
 
@@ -235,7 +228,7 @@ class TestCalibration:
 
     def test_no_interior_minimum(self, ctx30):
         s = make_complex("0.5", "300", ctx30)
-        with pytest.raises(NoInteriorMinimumError):
+        with pytest.raises(NumericalError, match="error is monotone across the bracket"):
             calibrate_b(s, ctx30, bracket=(50.0, 100.0))
 
     def test_bracket_validated(self, ctx30):
@@ -276,15 +269,16 @@ class TestPowerLawFit:
         assert fit.r_squared == pytest.approx(1.0)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateFitError):
+        with pytest.raises(NumericalError, match="fit abscissas must be distinct"):
             fit_power_law([(10.0, 1.0), (10.0, 2.0), (10.0, 3.0)])
-        with pytest.raises(DegenerateFitError):  # one repeated t is enough
+        # one repeated t is enough
+        with pytest.raises(NumericalError, match="fit abscissas must be distinct"):
             fit_power_law([(100.0, 1.0), (100.0, 2.0), (300.0, 3.0)])
 
     def test_validation(self):
         with pytest.raises(ValidationError):
             fit_power_law([(10.0, 1.0)])
-        with pytest.raises(NonPositiveValueError):
+        with pytest.raises(NumericalError, match=r"requires positive values, got \(20\.0, -2\.0\)"):
             fit_power_law([(10.0, 1.0), (20.0, -2.0)])
 
 
@@ -301,15 +295,15 @@ class TestSigmaDependenceFit:
         assert fit.r_squared == 1.0
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateFitError):
+        with pytest.raises(NumericalError, match="fit abscissas must be distinct"):
             fit_sigma_dependence([(0.5, 1.0), (0.5, 2.0), (0.5, 3.0)])
-        with pytest.raises(DegenerateFitError):  # the mean of three 0.1 is not 0.1
+        # the mean of three 0.1 is not 0.1
+        with pytest.raises(NumericalError, match="fit abscissas must be distinct"):
             fit_sigma_dependence([(0.1, 1.0), (0.1, 2.0), (0.1, 3.0)])
 
     def test_non_positive_reported_with_sample(self):
-        with pytest.raises(NonPositiveValueError) as err:
+        with pytest.raises(NumericalError, match=r"requires positive values, got \(0\.5, 0\.0\)"):
             fit_sigma_dependence([(0.1, 1.0), (0.5, 0.0), (0.9, 2.0)])
-        assert err.value.sample == (0.5, 0.0)
 
     def test_needs_three(self):
         with pytest.raises(ValidationError):

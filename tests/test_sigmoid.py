@@ -13,7 +13,7 @@ from zetalab import (
     scale_from_formula,
     sigmoid_eval,
 )
-from zetalab.errors import NegativeRadicandError, NoCrossingError, NonPositiveScaleError
+from zetalab.errors import NumericalError, ValidationError
 from zetalab.solver import CoefficientSet
 
 
@@ -39,7 +39,7 @@ class TestEval:
         assert sigmoid_eval(72.0, fit) == pytest.approx(1.0 / (1.0 + math.e), rel=1e-15)
 
     def test_scale_must_be_positive(self):
-        with pytest.raises(NonPositiveScaleError):
+        with pytest.raises(ValidationError, match="sigmoid scale must be > 0, got 0.0"):
             SigmoidFit(a_param=1.0, b_param=0.0)
 
 
@@ -75,11 +75,11 @@ class TestScaleFormula:
         assert b == pytest.approx(2.4976, abs=2e-4)
 
     def test_boundary_rejected(self):
-        with pytest.raises(NegativeRadicandError):
+        with pytest.raises(NumericalError, match="is at or below the minimum 2N/pi"):
             scale_from_formula(200 / math.pi, 100)
 
     def test_below_floor_rejected(self):
-        with pytest.raises(NegativeRadicandError):
+        with pytest.raises(NumericalError, match="is at or below the minimum 2N/pi"):
             scale_from_formula(60.0, 100)
 
 
@@ -114,7 +114,7 @@ class TestConstructFit:
         assert fit.residual is not None and fit.residual < 0.2
 
     def test_monotone_increasing_profile(self):
-        with pytest.raises(NoCrossingError):
+        with pytest.raises(NumericalError, match="never passes through 1/2"):
             construct_fit(_cs(["0.1", "0.2", "0.3", "0.9"]))
 
 

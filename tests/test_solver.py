@@ -15,12 +15,7 @@ from zetalab import (
     stability_metric,
 )
 from zetalab import solver
-from zetalab.errors import (
-    NearZeroRowError,
-    NoCrossingError,
-    SingularMatrixError,
-    ValidationError,
-)
+from zetalab.errors import NumericalError, ValidationError
 from zetalab.precision import _format_real, _raw, power_term
 from zetalab.solver import (
     CoefficientSet,
@@ -141,9 +136,8 @@ class TestAssemble:
             make_complex("0.5", "14.134725141734", ctx),
             make_complex("0.5", "15.0", ctx),
         ]
-        with pytest.raises(NearZeroRowError) as err:
+        with pytest.raises(NumericalError, match=r"^\|zeta\(s_1\)\| = .* below the row threshold"):
             assemble_system(grid, 2, ctx)
-        assert err.value.row == 1
 
 
 def _near(text, ulps, ctx):
@@ -321,9 +315,9 @@ class TestEliminationKernel:
         matrix = [[mp.mpc(v) for v in row] for row in rows]
         rhs = [mp.mpc(1)] * len(rows)
         floor = mp.mpf(10) ** -25
-        with pytest.raises(SingularMatrixError) as got:
+        with pytest.raises(NumericalError, match="^pivot modulus .* at column") as got:
             _eliminate(matrix, rhs, mp, floor)
-        with pytest.raises(SingularMatrixError) as want:
+        with pytest.raises(NumericalError, match="^pivot modulus .* at column") as want:
             mpc_eliminate(matrix, rhs, mp, floor)
         assert str(got.value) == str(want.value)
 
@@ -358,7 +352,7 @@ class TestSolve:
         one = make_complex(1, 0, ctx)
         matrix = [[one, one], [one, one]]
         rhs = [one, one]
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(NumericalError, match="^pivot modulus .* at column 1"):
             solve_coefficients(matrix, rhs, ctx)
 
     def test_doubled_precision_retry(self):
@@ -445,7 +439,7 @@ class TestDiagnostics:
 
     def test_no_crossing(self):
         ctx = PrecisionContext(30)
-        with pytest.raises(NoCrossingError):
+        with pytest.raises(NumericalError, match="never passes through 1/2"):
             half_crossing(_cs_from_reals(["0.1", "0.2", "0.3"], ctx))
 
     def test_multiple_crossings_flagged(self):
