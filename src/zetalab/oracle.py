@@ -4,18 +4,21 @@ zeta(s) uses the Euler-Maclaurin expansion: a truncated Dirichlet sum plus the
 integral tail N^(1-s)/(s-1), the half-term correction, and a Bernoulli-number
 correction series.  The cutoff N0 starts at max(ceil(|t|/pi)+10, ceil(1.3*P))
 and escalates until the first neglected correction term certifies the digit
-budget.  The Dirichlet head streams the fixed-point n^(-s) entries of
-powers.py (exp/ln at primes only, 16 bits past the working precision), sums
-them exactly in integers and rounds once.  Only zeta carries a certified
-schedule: gamma(s), and the gamma(1-s) factor of chi(s), are mpmath's gamma.
-Everything is computed at the oracle's working precision, ten guard digits
-past the budget, and rounded once back to the requested budget.
+budget.  The Dirichlet head sums fixed-point n^(-s) entries exactly in
+integers (16 bits past the working precision): the entries of powers.py
+(exp/ln at primes only), or a row the caller already holds, as the grid
+solver's ladder does.  The correction series runs on fixed-point ints too,
+for Im s >= 0, and zeta(conj s) is the conjugate of that pass, bit for bit.
+Only zeta carries a certified schedule: gamma(s), and the gamma(1-s) factor
+of chi(s), are mpmath's gamma.  Everything is computed at the oracle's
+working precision, ten guard digits past the budget, and rounded once back
+to the requested budget.
 
 Bernoulli numbers come from the tangent-number recurrence in exact integer
 arithmetic (the floating-point defining recurrence cancels catastrophically).
 They and the correction coefficients B_2k/(2k)! at each working precision
-are cached process-wide, a whole table or one value per entry, so readers
-never observe a partial table.
+are cached process-wide as whole tables of 16, 32, 64, ... entries, so
+readers never observe a partial table.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import mpmath
 from mpmath import libmp
 
 from .errors import NumericalError, ValidationError
-from .powers import _power_entries, frac_bits, from_fixed
+from .powers import _power_entries, frac_bits, from_fixed, to_fixed
 from .precision import ComplexAP, PrecisionContext, _raw, _wrap
 
 _ORACLE_GUARD = 10
@@ -68,12 +71,17 @@ def bernoulli_even(k: int) -> Fraction:
 
 
 @functools.cache
-def _em_coefficient(k: int, prec: int):
-    """B_{2k}/(2k)! as a raw mpf at prec bits, rounded as mpf(num) / mpf(den * (2k)!)."""
-    b = bernoulli_even(k)
-    num = libmp.from_int(b.numerator, prec, _RND)
-    den = libmp.from_int(b.denominator * math.factorial(2 * k), prec, _RND)
-    return libmp.mpf_div(num, den, prec, _RND)
+def _em_coefficients(size: int, prec: int) -> tuple[tuple[int, int], ...]:
+    """B_{2k}/(2k)! = man 2^exp for k = 1..size, as (man, exp) ints: each rounded to
+    prec bits as mpf(num) / mpf(den * (2k)!).  Sizes 16, 32, 64, ... as for B_2k."""
+    out = []
+    for k in range(1, size + 1):
+        b = bernoulli_even(k)
+        num = libmp.from_int(b.numerator, prec, _RND)
+        den = libmp.from_int(b.denominator * math.factorial(2 * k), prec, _RND)
+        sign, man, exp, _ = libmp.mpf_div(num, den, prec, _RND)
+        out.append((-man if sign else man, exp))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -89,69 +97,118 @@ class OracleResult:
     correction_order: int
 
 
-def _euler_maclaurin(s, n0: int, work: PrecisionContext, cutoff, max_order: int):
-    """One Euler-Maclaurin pass at fixed cutoff N0 at work's precision (s an mpc of work).
+def working_context(ctx: PrecisionContext) -> PrecisionContext:
+    """The context the oracle computes in: ten guard digits past ctx's budget."""
+    return PrecisionContext(ctx.digits + _ORACLE_GUARD)
 
-    The head sum over n <= N0 streams the fixed-point power entries and is
-    rounded once; the last entry, rounded alone, is N0^(-s).  Returns
-    (value, order, certified): certified means the first neglected Bernoulli
-    term fell below `cutoff` while terms were still shrinking.
-    """
-    mp = work._mp
-    bits = frac_bits(work)
+
+def first_cutoff(s: ComplexAP, digits: int) -> int:
+    """The cutoff N0 of zeta's first Euler-Maclaurin pass at s for a digit budget."""
+    return max(math.ceil(abs(float(s.im)) / math.pi) + 10, math.ceil(1.3 * digits))
+
+
+def _head_sums(s: ComplexAP, n0: int, work: PrecisionContext):
+    """(sum re, sum im, last re, last im) of the fixed-point n^(-s), n = 1..N0."""
     head_re = head_im = 0
-    for _, re, im in _power_entries(_wrap(s), n0, work):
+    for _, re, im in _power_entries(s, n0, work):
         head_re += re
         head_im += im
-    head = _raw(from_fixed(head_re, head_im, bits, work), work)
-    n_pow_ms = _raw(from_fixed(re, im, bits, work), work)  # N^(-s), the last entry
-    n0r = mp.mpf(n0)
-    inv_n = 1 / n0r
-    total = head + n_pow_ms * n0r / (s - 1) - n_pow_ms / 2
+    return head_re, head_im, re, im
 
-    # correction terms T_k = B_{2k}/(2k)! * rising(s, 2k-1) * N^(1-s-2k)
-    rising = s
-    npow = n_pow_ms * inv_n  # N^(-s-1)
-    inv_n2 = inv_n * inv_n
-    prev_mag = None
+
+def _euler_maclaurin(
+    s: ComplexAP, n0: int, work: PrecisionContext, head, digits: int, max_order: int
+):
+    """One Euler-Maclaurin pass at fixed cutoff N0 for Im s >= 0, at work's precision.
+
+    head is (sum re, sum im, last re, last im) of the fixed-point n^(-s) for
+    n <= N0 at frac_bits(work); the last entry is N0^(-s).  The correction
+    terms T_k = B_2k/(2k)! P_k N0^(-s-1), P_k = rising(s, 2k-1) N0^(2-2k), run
+    on fixed-point ints: P_1 = s, P_{k+1} = P_k (s+2k-1)(s+2k)/N0^2, and the
+    sum of B_2k/(2k)! P_k is multiplied by N0^(-s-1) once.  Floor shifts and
+    divisions round a negative part away from zero, so the pass would not
+    mirror under conjugation: it takes Im s >= 0 and zeta conjugates.
+    Returns (value as an mpc of work, order, certified): certified means the
+    first neglected term fell to 10^-(digits+5) or below while terms were
+    still shrinking, both decided on exact squared moduli.
+    """
+    bits = frac_bits(work)
+    head_re, head_im, l_re, l_im = head
+    # |N0^(-s)| > 1 (sigma < 0) scales the series up: carry its bits as well
+    fbits = bits + max(max(abs(l_re), abs(l_im)).bit_length() - bits, 0)
+    one = 1 << fbits
+    sw = _raw(s, work)
+    sr, si = to_fixed(sw.real._mpf_, fbits), to_fixed(sw.imag._mpf_, fbits)
+    si2 = si * si
+    n2 = n0 * n0
+    # |T_k| <= 10^-(digits+5) <=> |A_k|^2 |N0^(-s)|^2 10^(2 digits+10) <= N0^2 2^(2 fbits+2 bits)
+    scale = (l_re * l_re + l_im * l_im) * 10 ** (2 * digits + 10)
+    limit = n2 << (2 * fbits + 2 * bits)
+    prec = work.prec_bits
+    coefs = _em_coefficients(16, prec)
+    p_re, p_im = sr, si
+    c_re = c_im = 0
+    prev = None
     order = 0
     certified = False
     for k in range(1, max_order + 1):
-        term = mp.make_mpf(_em_coefficient(k, mp.prec)) * rising * npow
-        mag = abs(term)
-        if mag <= cutoff:
+        if k > len(coefs):
+            coefs = _em_coefficients(2 * len(coefs), prec)
+        man, exp = coefs[k - 1]
+        a_re, a_im = (man * p_re) >> -exp, (man * p_im) >> -exp  # A_k = B_2k/(2k)! P_k
+        mag = a_re * a_re + a_im * a_im
+        if mag * scale <= limit:
             certified = True
             break
-        if prev_mag is not None and mag >= prev_mag:
+        if prev is not None and mag >= prev:
             break  # asymptotic series started diverging before certifying
-        total += term
+        c_re += a_re
+        c_im += a_im
         order = k
-        prev_mag = mag
-        # advance to k+1
-        rising *= (s + 2 * k - 1) * (s + 2 * k)
-        npow *= inv_n2
+        prev = mag
+        # advance to k+1: multiply by (s+2k-1)(s+2k)/N0^2
+        u = sr + (2 * k - 1) * one
+        q_re = ((u * (u + one) - si2) >> fbits) // n2
+        q_im = ((si * (2 * u + one)) >> fbits) // n2
+        p_re, p_im = (p_re * q_re - p_im * q_im) >> fbits, (p_re * q_im + p_im * q_re) >> fbits
+    # head + C N0^(-s)/N0 - N0^(-s)/2, at bits + 1 fraction bits, plus the tail N0^(1-s)/(s-1)
+    corr_re = ((c_re * l_re - c_im * l_im) >> fbits) // n0
+    corr_im = ((c_re * l_im + c_im * l_re) >> fbits) // n0
+    re, im = 2 * (head_re + corr_re) - l_re, 2 * (head_im + corr_im) - l_im
+    n_pow_ms = _raw(from_fixed(l_re, l_im, bits, work), work)
+    total = _raw(from_fixed(re, im, bits + 1, work), work) + n_pow_ms * n0 / (sw - 1)
     return total, order, certified
 
 
-def zeta(s: ComplexAP, ctx: PrecisionContext) -> OracleResult:
-    """zeta(s) to the context's digit budget; pole at s = 1."""
+def zeta(s: ComplexAP, ctx: PrecisionContext, head=None) -> OracleResult:
+    """zeta(s) to the context's digit budget; pole at s = 1.
+
+    head, if given, holds n^(-s) for n = 1..len - 1 as int lists (re, im) at
+    frac_bits(working_context(ctx)), index 0 unused: a pass whose N0 it
+    covers sums its head from it, a longer pass streams _power_entries.
+    """
     if s.im == 0 and s.re == 1:
         raise NumericalError("zeta has a pole at s = 1")
 
     digits = ctx.digits
-    work = PrecisionContext(digits + _ORACLE_GUARD)
-    mp = work._mp
-    sw = _raw(s, work)
-    t = abs(float(s.im))
-    cutoff = mp.mpf(10) ** (-(digits + 5))
-
-    n0 = max(math.ceil(t / math.pi) + 10, math.ceil(1.3 * digits))
+    work = working_context(ctx)
+    # the pass runs for |Im s| and the value is conjugated back
+    conjugate = s.im < 0
+    upper = s.conjugate() if conjugate else s
+    sign = -1 if conjugate else 1
+    n0 = first_cutoff(s, digits)
     for _ in range(9):
-        value, order, certified = _euler_maclaurin(sw, n0, work, cutoff, max_order=8 * n0)
+        if head is not None and n0 < len(head[0]):
+            re, im = head
+            sums = (sum(re[1 : n0 + 1]), sign * sum(im[1 : n0 + 1]), re[n0], sign * im[n0])
+        else:
+            sums = _head_sums(upper, n0, work)
+        value, order, certified = _euler_maclaurin(upper, n0, work, sums, digits, max_order=8 * n0)
         if certified:
             rounded = _wrap(ctx._mp.mpc(value))
-            return OracleResult(rounded, n0, order)
+            return OracleResult(rounded.conjugate() if conjugate else rounded, n0, order)
         n0 = math.ceil(1.5 * n0)
+    t = abs(float(s.im))
     raise NumericalError(
         f"Euler-Maclaurin schedule cannot certify {digits} digits at s with |Im s| = {t}"
     )
@@ -165,7 +222,7 @@ def gamma(s: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
     """gamma(s) to the digit budget; poles at non-positive integers."""
     if s.im == 0 and s.re <= 0 and s.re == mpmath.floor(s.re):
         raise NumericalError(f"gamma has a pole at s = {s.re}")
-    work = PrecisionContext(ctx.digits + _ORACLE_GUARD)
+    work = working_context(ctx)
     return _wrap(ctx._mp.mpc(work._mp.gamma(_raw(s, work))))
 
 
@@ -178,7 +235,7 @@ def chi(s: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
     if s.im == 0 and s.re == mpmath.floor(s.re):
         raise NumericalError(f"chi product form degenerates at integer s = {s.re}")
 
-    work = PrecisionContext(ctx.digits + _ORACLE_GUARD)
+    work = working_context(ctx)
     mp = work._mp
     z = _raw(s, work)
     val = mp.exp(z * mp.ln(2)) * mp.exp((z - 1) * mp.ln(mp.pi)) * mp.sin(mp.pi * z / 2)

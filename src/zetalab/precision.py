@@ -1,17 +1,24 @@
 """Arbitrary-precision real/complex arithmetic under an explicit digit budget.
 
-Every other module computes through this layer.  A PrecisionContext owns a
-private mpmath context sized to ceil(P*log2(10)) + 32 bits, so a context is
-never mutated after construction and values from different budgets cannot be
-mixed accidentally.  Arithmetic runs on the context's mpc; ComplexAP is the
-immutable, finite-checked value that public functions take and return, and
-_raw/_wrap are the only bridge between the two.  make_complex reads a
-ComplexAP from text or numbers and to_string writes it.  Contexts and
-ComplexAP values are immutable and safe to share across threads.
+Every other module computes through this layer.  A PrecisionContext reads
+its mpmath context, sized to ceil(P*log2(10)) + 32 bits, from a process-wide
+cache keyed by that precision, so building one costs a lookup and every
+context of a budget shares one MPContext.  Nothing writes to a shared
+context after it is made: no code here or in the modules above sets prec or
+dps on one, and the mpmath functions they call (exp, ln, sin, gamma, fdot,
+floor) read its precision without raising it for a while, as mpmath's
+higher-level functions do.  Values from different budgets cannot be mixed
+accidentally.
+Arithmetic runs on the context's mpc; ComplexAP is the immutable,
+finite-checked value that public functions take and return, and _raw/_wrap
+are the only bridge between the two.  make_complex reads a ComplexAP from
+text or numbers and to_string writes it.  Contexts and ComplexAP values are
+immutable and safe to share across threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -25,6 +32,14 @@ _LOG2_10 = math.log2(10)
 _GUARD_BITS = 32
 
 MIN_DIGITS = 15
+
+
+@functools.cache
+def _mp_context(prec: int) -> MPContext:
+    """The one MPContext at prec bits; callers must not change its settings."""
+    mp = MPContext()
+    mp.prec = prec
+    return mp
 
 
 @dataclass(frozen=True)
@@ -42,9 +57,8 @@ class PrecisionContext:
     def __post_init__(self):
         if self.digits < MIN_DIGITS:
             raise ValidationError(f"digits must be >= {MIN_DIGITS}, got {self.digits}")
-        mp = MPContext()
-        mp.prec = math.ceil(self.digits * _LOG2_10) + _GUARD_BITS
-        object.__setattr__(self, "_mp", mp)
+        prec = math.ceil(self.digits * _LOG2_10) + _GUARD_BITS
+        object.__setattr__(self, "_mp", _mp_context(prec))
 
     @property
     def prec_bits(self) -> int:

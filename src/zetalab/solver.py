@@ -1,9 +1,12 @@
 """High-precision linear system for finite Dirichlet-series coefficients.
 
 The system interpolates zeta at N grid points s_m = sigma + i*t_m on a linear
-ordinate ladder: a_mn = n^(-s_m), b_m = zeta(s_m).  Entries and right-hand
-side are rounded to exactly P significant digits before the solve -- the digit
-budget is the experimental variable, and the system is ill-conditioned enough
+ordinate ladder: a_mn = n^(-s_m), b_m = zeta(s_m).  Assembly walks that
+ladder once: each row of n^(-s_m), n up to max(N, N0), is the previous row
+times n^(-i dt) in fixed-point ints at the oracle's working precision, and
+gives both the row's matrix entries and the head of its zeta.  Entries and
+right-hand side are rounded to exactly P significant digits before the solve
+-- the digit budget is the experimental variable, and the system is ill-conditioned enough
 (condition number ~1e90 for the reference 100x100 grid) that this input
 accuracy, not the elimination arithmetic, controls whether the coefficient
 profile survives.  Elimination runs at context precision (32 guard bits),
@@ -24,8 +27,8 @@ from dataclasses import dataclass
 from mpmath import libmp
 
 from .errors import NumericalError, ValidationError
-from .oracle import zeta
-from .powers import frac_bits, from_fixed, power_table
+from .oracle import first_cutoff, working_context, zeta
+from .powers import frac_bits, power_table
 
 # power_term has no caller here; the benchmark tracer still patches this name
 from .precision import ComplexAP, PrecisionContext, _format_real, _raw, _wrap, power_term  # noqa: F401
@@ -140,35 +143,98 @@ def _round_to_digits(z: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
     return ComplexAP(_round_real(ctx.real(z.re), p, ctx), _round_real(ctx.real(z.im), p, ctx))
 
 
+def _ladder(grid: list[ComplexAP], n_max: int, work: PrecisionContext):
+    """Yield n^(-s_m) for n = 1..n_max, for each grid point in turn, as int lists
+    (re, im) at frac_bits(work), index 0 holding 0.  One row is alive at a time.
+
+    Row m is row m-1 times the node x_n = n^(-i dt), dt = t_2 - t_1, products
+    rounded as _power_entries rounds its composites.  Ordinates rounded to the
+    context's precision miss t_(m-1) + dt by an exact offset e; the row then
+    also takes the factor n^(-i e) = 1 - i e ln n to first order, where
+    e ln n 2^F is e 2^h times -Im n^(-i 2^-h) 2^F, h = F/2, read off one more
+    table.  Both the neglected (e ln n)^2 and that reading of ln n stay below
+    2^-F while |e| ln n_max <= 2^-(h+4).  A row with another sigma or a larger
+    offset restarts from its own table.  The row 1, node and unit tables are
+    power tables of _power_entries at work's precision.  A grid that starts
+    below the real axis is run mirrored and its rows conjugated, so conjugate
+    grids give exactly conjugate rows.
+    """
+    mp = work._mp
+    bits = frac_bits(work)
+    half = 1 << (bits - 1)
+    h = bits // 2
+    log2_ln = math.log2(math.log(n_max))
+    flip = bool(grid) and grid[0].im < 0
+    dt = node = unit = prev = None
+    for s in grid:
+        if flip:
+            s = s.conjugate()
+        sigma, t = mp.mpf(s.re)._mpf_, mp.mpf(s.im)._mpf_
+        off = None
+        if prev is not None and sigma == prev[0]:
+            step = libmp.mpf_sub(t, prev[1])
+            if dt is None:
+                dt = libmp.mpf_sub(t, prev[1], work.prec_bits, _RND)
+                node = power_table(ComplexAP(mp.zero, mp.make_mpf(dt)), n_max, work)
+            off = libmp.mpf_sub(step, dt)
+            _, _, exp, bc = off
+            if off != libmp.fzero and exp + bc + log2_ln > -(h + 4):
+                off = None
+        if off is None:
+            table = power_table(s, n_max, work)
+            re, im = table.re, table.im
+        else:
+            re, im = (
+                [(a * c - b * d + half) >> bits for a, b, c, d in zip(re, im, node.re, node.im)],
+                [(a * d + b * c + half) >> bits for a, b, c, d in zip(re, im, node.re, node.im)],
+            )
+            if off != libmp.fzero:
+                if unit is None:
+                    unit = power_table(ComplexAP(mp.zero, mp.ldexp(1, -h)), n_max, work)
+                sign, man, exp, _ = off
+                shift = -(exp + h)
+                phi = [(-man if sign else man) * -v >> shift for v in unit.im]  # e ln n 2^F
+                re, im = (
+                    [a + ((f * b + half) >> bits) for a, b, f in zip(re, im, phi)],
+                    [b - ((f * a + half) >> bits) for a, b, f in zip(re, im, phi)],
+                )
+        prev = sigma, t
+        yield (re, [-v for v in im]) if flip else (re, im)
+
+
 def assemble_system(
     grid: list[ComplexAP], n_coeffs: int, ctx: PrecisionContext
 ) -> tuple[list[list[ComplexAP]], list[ComplexAP]]:
     """Matrix a_mn = n^(-s_m) and rhs b_m = zeta(s_m), both to P digits.
 
-    Raises NumericalError when a row ordinate passes too close to a zeta
-    zero (|zeta(s_m)| <= 10^(-P/4)); the caller must perturb the grid.
+    One ladder row per grid point (_ladder, at the oracle's working
+    precision, to n_max = max(N, N0 of every row)) gives both that row's
+    matrix entries, rounded once to the context and then to P digits, and
+    the head of its zeta.  Raises NumericalError when a row ordinate passes
+    too close to a zeta zero (|zeta(s_m)| <= 10^(-P/4)); the caller must
+    perturb the grid.
     """
     p = ctx.digits
     near_zero = 10.0 ** (-p / 4)
-    rhs = []
-    for m, s in enumerate(grid, start=1):
-        value = zeta(s, ctx).value
-        modulus = abs(ctx._mp.mpc(value.re, value.im))
+    work = working_context(ctx)
+    bits, prec, mp = frac_bits(work), ctx.prec_bits, ctx._mp
+
+    def entry(v):
+        """v / 2^F rounded to the context, then to P digits."""
+        return _round_real(mp.make_mpf(libmp.from_man_exp(v, -bits, prec, _RND)), p, ctx)
+
+    n_max = max([n_coeffs, *(first_cutoff(s, p) for s in grid)])
+    matrix, rhs = [], []
+    for m, (s, (re, im)) in enumerate(zip(grid, _ladder(grid, n_max, work)), start=1):
+        value = zeta(s, ctx, head=(re, im)).value
+        modulus = abs(mp.mpc(value.re, value.im))
         if modulus <= near_zero:
             raise NumericalError(
                 f"|zeta(s_{m})| = {float(modulus):.3e} is below the row threshold "
                 f"{near_zero:.3e}; perturb the grid away from the zeta zero"
             )
         rhs.append(_round_to_digits(value, ctx))
-    bits = frac_bits(ctx)
-    matrix = []
-    for s in grid:
-        table = power_table(s, n_coeffs, ctx)
-        row = [
-            _round_to_digits(from_fixed(table.re[n], table.im[n], bits, ctx), ctx)
-            for n in range(1, n_coeffs + 1)
-        ]
-        matrix.append(row)
+        matrix.append([ComplexAP(entry(re[n]), entry(im[n])) for n in range(1, n_coeffs + 1)])
     return matrix, rhs
 
 

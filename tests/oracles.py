@@ -5,9 +5,10 @@ Euler-Maclaurin path is cross-checked against a genuinely different method:
 Cohen-Rodriguez Villegas-Zagier acceleration of the eta series, with the depth
 doubled until two successive depths agree to the target.
 
-The exp/ln weighted sum, spiral sums, Euler-Maclaurin pass, linear
-truncation scan and mpc elimination are the direct paths the library's
-fixed-point power tables, cached coefficients, galloping search and integer
+The exp/ln weighted sum, spiral sums, Euler-Maclaurin pass (exp/ln head and
+mpc correction series), per-row grid assembly, linear truncation scan and mpc
+elimination are the direct paths the library's fixed-point power tables,
+fixed-point correction series, grid ladder, galloping search and integer
 elimination sweep replaced; they stay here as the reference those fast paths
 are checked against.
 """
@@ -107,22 +108,13 @@ def linear_truncation_length(s, b: float, tail_eps: float) -> int:
         n += 1
 
 
-def exp_ln_euler_maclaurin(s, n0: int, work, cutoff, max_order: int):
-    """The Euler-Maclaurin pass of zetalab.oracle with its head summed one
-    exp(-s ln n) at a time and each coefficient B_2k/(2k)! divided out per term.
-    """
+def _mpc_correction(total, s, n_pow_ms, n0: int, mp, cutoff, max_order: int):
+    """Add the Euler-Maclaurin correction terms to total, each on mp's mpc."""
     from zetalab.oracle import bernoulli_even
 
-    mp = work._mp
-    head = mp.mpf(0)
-    for n in range(1, n0 + 1):
-        head += mp.exp(-s * mp.ln(mp.mpf(n)))
-    n0r = mp.mpf(n0)
-    inv_n = 1 / n0r
-    n_pow_ms = mp.exp(-s * mp.ln(n0r))
-    total = head + n_pow_ms * n0r / (s - 1) - n_pow_ms / 2
+    inv_n = 1 / mp.mpf(n0)
     rising = s
-    npow = n_pow_ms * inv_n
+    npow = n_pow_ms * inv_n  # N^(-s-1)
     inv_n2 = inv_n * inv_n
     fact = 2
     prev_mag = None
@@ -145,6 +137,41 @@ def exp_ln_euler_maclaurin(s, n0: int, work, cutoff, max_order: int):
         npow *= inv_n2
         fact *= (2 * k + 1) * (2 * k + 2)
     return total, order, certified
+
+
+def mpc_euler_maclaurin(s, n0: int, work, head, digits: int, max_order: int):
+    """The Euler-Maclaurin pass of zetalab.oracle with its fixed-point head and
+    its correction series run term by term on mpc, as the library did before
+    the series moved to fixed-point ints.
+    """
+    from zetalab.powers import frac_bits, from_fixed
+
+    mp = work._mp
+    bits = frac_bits(work)
+    head_re, head_im, l_re, l_im = head
+    sw = mp.mpc(s.re, s.im)
+    head_sum, last = from_fixed(head_re, head_im, bits, work), from_fixed(l_re, l_im, bits, work)
+    n_pow_ms = mp.mpc(last.re, last.im)
+    n0r = mp.mpf(n0)
+    total = mp.mpc(head_sum.re, head_sum.im) + n_pow_ms * n0r / (sw - 1) - n_pow_ms / 2
+    cutoff = mp.mpf(10) ** (-(digits + 5))
+    return _mpc_correction(total, sw, n_pow_ms, n0, mp, cutoff, max_order)
+
+
+def exp_ln_euler_maclaurin(s, n0: int, work, head, digits: int, max_order: int):
+    """mpc_euler_maclaurin with its head summed one exp(-s ln n) at a time
+    (the given head is not read) and each B_2k/(2k)! divided out per term.
+    """
+    mp = work._mp
+    sw = mp.mpc(s.re, s.im)
+    total = mp.mpf(0)
+    for n in range(1, n0 + 1):
+        total += mp.exp(-sw * mp.ln(mp.mpf(n)))
+    n0r = mp.mpf(n0)
+    n_pow_ms = mp.exp(-sw * mp.ln(n0r))
+    total = total + n_pow_ms * n0r / (sw - 1) - n_pow_ms / 2
+    cutoff = mp.mpf(10) ** (-(digits + 5))
+    return _mpc_correction(total, sw, n_pow_ms, n0, mp, cutoff, max_order)
 
 
 def mpc_eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
@@ -185,3 +212,20 @@ def mpc_eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
             acc -= row_r[c] * x[c]
         x[r] = acc / m[r][r]
     return x
+
+
+def per_row_assemble(grid, n_coeffs: int, ctx):
+    """assemble_system's matrix and rhs built row by row: one power table per
+    row at the context's precision, and a zeta that builds its own head.
+    """
+    from zetalab.oracle import zeta
+    from zetalab.powers import frac_bits, from_fixed, power_table
+    from zetalab.solver import _round_to_digits
+
+    bits = frac_bits(ctx)
+    matrix = []
+    for s in grid:
+        table = power_table(s, n_coeffs, ctx)
+        entries = (from_fixed(table.re[n], table.im[n], bits, ctx) for n in range(1, n_coeffs + 1))
+        matrix.append([_round_to_digits(z, ctx) for z in entries])
+    return matrix, [_round_to_digits(zeta(s, ctx).value, ctx) for s in grid]

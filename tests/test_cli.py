@@ -466,6 +466,18 @@ BAD_PATHS = {
     "fit-sigmoid-output-under-file": (
         "file/sub", ["fit-sigmoid", "--input", "{good_csv}", "--output-dir", "{file}/sub"]
     ),
+    # an output file that is an existing directory: found when written, after the work
+    "run-output-file-is-dir": (
+        "spiral.csv", ["run", "fig-spiral-raw", "--set", "t=100", "--set", "n_terms=10",
+                       "--set", "digits=20", "--output-dir", "{out}"]
+    ),
+    "spiral-output-file-is-dir": (
+        "spiral.csv", ["spiral", "--t", "100", "--b", "1.2", "--n-terms", "10", "--digits", "20",
+                       "--output-dir", "{out}"]
+    ),
+    "fit-sigmoid-output-file-is-dir": (
+        "sigmoid.csv", ["fit-sigmoid", "--input", "{good_csv}", "--output-dir", "{out}"]
+    ),
 }
 
 
@@ -474,10 +486,14 @@ def test_bad_path_exits_2(runner, tmp_path, monkeypatch, named, args):
     def no_work(*args, **kwargs):
         raise AssertionError("paths must be checked before any calibration or solve")
 
-    for module, name in ((experiments, "calibrate_b"), (experiments, "solve_grid"),
-                         (series, "power_table"), (spiral, "power_table"),
-                         (cli, "sigmoid_outputs")):
-        monkeypatch.setattr(module, name, no_work)
+    blocked = "{out}" in args
+    if blocked:
+        (tmp_path / "out" / named).mkdir(parents=True)
+    else:
+        for module, name in ((experiments, "calibrate_b"), (experiments, "solve_grid"),
+                             (series, "power_table"), (spiral, "power_table"),
+                             (cli, "sigmoid_outputs")):
+            monkeypatch.setattr(module, name, no_work)
     work = tmp_path / "work"
     work.mkdir()
     paths = {"dir": work, "bad_cfg": tmp_path / "bad.cfg", "bad_csv": tmp_path / "bad.csv",
@@ -491,7 +507,8 @@ def test_bad_path_exits_2(runner, tmp_path, monkeypatch, named, args):
     assert named in result.stderr, result.stderr
     assert "Traceback" not in result.output
     assert isinstance(result.exception, SystemExit)
-    assert paths["file"].read_text() == "kept\n" and not paths["out"].exists()
+    assert paths["file"].read_text() == "kept\n"
+    assert list(paths["out"].iterdir()) == [paths["out"] / named] if blocked else not paths["out"].exists()
     assert list(work.iterdir()) == []
 
 

@@ -10,10 +10,16 @@ import pytest
 from zetalab import PrecisionContext, chi, gamma, make_complex, zeta
 from zetalab.errors import NumericalError, ValidationError
 from zetalab import oracle
-from zetalab.oracle import _bernoulli_table, _em_coefficient, _euler_maclaurin, bernoulli_even
-from zetalab.precision import ComplexAP, _raw, to_string
+from zetalab.oracle import (
+    _bernoulli_table,
+    _em_coefficients,
+    _euler_maclaurin,
+    _head_sums,
+    bernoulli_even,
+)
+from zetalab.precision import ComplexAP, to_string
 
-from .oracles import eta_zeta, exp_ln_euler_maclaurin
+from .oracles import eta_zeta, exp_ln_euler_maclaurin, mpc_euler_maclaurin
 
 
 def _ref(dps=130):
@@ -124,14 +130,14 @@ class TestZeta:
         digits = 60
         ctx = PrecisionContext(digits + 10)
         mp = ctx._mp
-        s = _raw(make_complex("0.3", "45.0", ctx), ctx)
-        cutoff = mp.mpf(10) ** (-(digits + 5))
+        s = make_complex("0.3", "45.0", ctx)
         n0 = 120
-        v1, order1, cert1 = _euler_maclaurin(s, n0, ctx, cutoff, max_order=8 * n0)
-        v2, order2, cert2 = _euler_maclaurin(s, 2 * n0, ctx, mp.mpf(0), max_order=order1 + 2)
-        assert cert1
+        head1, head2 = _head_sums(s, n0, ctx), _head_sums(s, 2 * n0, ctx)
+        v1, order1, cert1 = _euler_maclaurin(s, n0, ctx, head1, digits, max_order=8 * n0)
+        # a cutoff of 10^-605 runs the second pass to its last term
+        v2, order2, cert2 = _euler_maclaurin(s, 2 * n0, ctx, head2, 10 * digits, max_order=order1 + 2)
+        assert cert1 and not cert2
         assert abs(v1 - v2) < mp.mpf(10) ** (-digits) * max(1, abs(v1))
-
 
     def test_streamed_head_matches_exp_ln_head(self, monkeypatch):
         # same context-precision value and schedule as summing exp(-s ln n) per term
@@ -152,9 +158,59 @@ class TestZeta:
             assert got == want, (digits, sigma, t)
 
 
+class TestFixedPointCorrection:
+    """The fixed-point correction series against the mpc loop it replaced."""
+
+    def test_zeta_matches_mpc_loop(self, monkeypatch):
+        # same value, terms_used and correction_order at seeded points
+        rng = random.Random(14)
+        points = []
+        for digits in (15, 30, 50, 100):
+            for _ in range(6):
+                sigma = rng.uniform(-1.5, 2)
+                t = rng.choice((-1, 1)) * math.exp(rng.uniform(math.log(0.7), math.log(5000)))
+                points.append((digits, f"{sigma:.4f}", f"{t:.4f}"))
+        for digits, sigma, t in points:
+            ctx = PrecisionContext(digits)
+            s = make_complex(sigma, t, ctx)
+            got = zeta(s, ctx)
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_euler_maclaurin", mpc_euler_maclaurin)
+                want = zeta(s, ctx)
+            assert got == want, (digits, sigma, t)
+
+    def test_escalated_schedules_match_mpc_loop(self, monkeypatch):
+        # a first N0 of 4 cannot certify: zeta escalates N0 past passes whose terms
+        # start growing first
+        monkeypatch.setattr(oracle, "first_cutoff", lambda s, digits: 4)
+        rng = random.Random(15)
+        for digits in (15, 30, 50, 100):
+            ctx = PrecisionContext(digits)
+            sigma, t = rng.uniform(-1.5, 2), rng.uniform(0.7, 30)
+            s = make_complex(f"{sigma:.4f}", f"{t:.4f}", ctx)
+            got = zeta(s, ctx)
+            with monkeypatch.context() as patch:
+                patch.setattr(oracle, "_euler_maclaurin", mpc_euler_maclaurin)
+                want = zeta(s, ctx)
+            assert got.terms_used > 4
+            assert got == want, (digits, sigma, t)
+
+    def test_uncertified_pass_matches_mpc_loop(self):
+        # a pass at too small an N0 stops where its terms stop shrinking, in both
+        for digits, sigma, t, n0 in ((30, "0.5", "40", 12), (100, "-1.5", "3", 20), (50, "2", "900", 160)):
+            work = PrecisionContext(digits + 10)
+            s = make_complex(sigma, t, work)
+            head = _head_sums(s, n0, work)
+            v1, order1, cert1 = _euler_maclaurin(s, n0, work, head, digits, max_order=8 * n0)
+            v2, order2, cert2 = mpc_euler_maclaurin(s, n0, work, head, digits, max_order=8 * n0)
+            assert order1 > 1 and not cert1 and (order1, cert1) == (order2, cert2)
+            ctx = PrecisionContext(digits)
+            assert ctx._mp.mpc(v1) == ctx._mp.mpc(v2)
+
+
 def test_coefficient_tables_under_contention():
     # every thread sees B_2k/(2k)! rounded as mpf(num) / mpf(den * (2k)!) at its precision
-    _em_coefficient.cache_clear()
+    _em_coefficients.cache_clear()
     precs = (90, 200)
     want = {}
     for prec in precs:
@@ -163,14 +219,16 @@ def test_coefficient_tables_under_contention():
         for k in range(1, 121):
             b = bernoulli_even(k)
             den = b.denominator * math.factorial(2 * k)
-            want[prec, k] = (ctx.mpf(b.numerator) / ctx.mpf(den))._mpf_
+            sign, man, exp, _ = (ctx.mpf(b.numerator) / ctx.mpf(den))._mpf_
+            want[prec, k] = (-man if sign else man), exp
     wrong = []
 
     def reader(seed):
         rng = random.Random(seed)
         for _ in range(400):
             prec, k = rng.choice(precs), rng.randint(1, 120)
-            if _em_coefficient(k, prec) != want[prec, k]:
+            size = 16 << ((k - 1) // 16).bit_length()
+            if _em_coefficients(size, prec)[k - 1] != want[prec, k]:
                 wrong.append((prec, k))
 
     old = sys.getswitchinterval()

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,10 @@ from hypothesis import strategies as st
 
 from zetalab import PrecisionContext, make_complex, power_term, to_string
 from zetalab.errors import NumericalError, ValidationError
+from zetalab.experiments import ExperimentConfig, run_preset
 from zetalab.precision import ComplexAP, _raw, _wrap
+
+from .test_golden_presets import OVERRIDES
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +37,19 @@ class TestContext:
     def test_contexts_are_values(self):
         assert PrecisionContext(40) == PrecisionContext(40)
         assert PrecisionContext(40) != PrecisionContext(41)
+
+    def test_contexts_share_one_mpmath_context(self):
+        assert PrecisionContext(40)._mp is PrecisionContext(40)._mp
+        assert PrecisionContext(40)._mp is not PrecisionContext(41)._mp
+
+
+def test_shared_contexts_keep_their_precision(tmp_path):
+    # a grid solve with its sigmoid fit, a calibration sweep and a weighted spiral
+    # leave every context of every budget they touch at its own precision
+    for preset in ("fig-sigmoid", "fig-b-power-law", "fig-spiral-weighted"):
+        run_preset(ExperimentConfig(preset, dict(OVERRIDES[preset])), tmp_path / preset)
+    for digits in range(15, 121):
+        assert PrecisionContext(digits)._mp.prec == math.ceil(digits * math.log2(10)) + 32, digits
 
 
 class TestFieldOps:

@@ -13,9 +13,11 @@ from zetalab import (
     make_complex,
     solve_coefficients,
     stability_metric,
+    zeta,
 )
-from zetalab import solver
+from zetalab import oracle, solver
 from zetalab.errors import NumericalError, ValidationError
+from zetalab.powers import power_table
 from zetalab.precision import _format_real, _raw, power_term
 from zetalab.solver import (
     CoefficientSet,
@@ -25,7 +27,7 @@ from zetalab.solver import (
     _round_to_digits,
 )
 
-from .oracles import mpc_eliminate
+from .oracles import mpc_eliminate, per_row_assemble
 
 
 def _ref(dps=130):
@@ -138,6 +140,51 @@ class TestAssemble:
         ]
         with pytest.raises(NumericalError, match=r"^\|zeta\(s_1\)\| = .* below the row threshold"):
             assemble_system(grid, 2, ctx)
+
+
+class TestLadder:
+    """assemble_system's one ladder per grid against one power table and zeta per row."""
+
+    def test_seeded_grids_match_per_row_assembly(self):
+        rng = random.Random(14)
+        for n in (20, 40):
+            for digits in (30, 50, 80):
+                t1, dt = f"{rng.uniform(20, 400):.7f}", f"{rng.uniform(0.2, 1.5):.9f}"
+                spec = GridSpec(sigma=f"{rng.uniform(0.2, 0.8):.3f}", t1=t1, dt=dt, n_rows=n, digits=digits)
+                grid, ctx = build_grid(spec), spec.context()
+                assert assemble_system(grid, n, ctx) == per_row_assemble(grid, n, ctx), spec
+
+    def test_ladder_rows_track_power_tables(self):
+        # each row stays within 2^7 units of 2^-F of its own power table, and a
+        # conjugate grid gets exactly conjugate rows
+        spec = GridSpec(sigma="0.5", t1="188.4955592", dt="0.628318531", n_rows=100, digits=50)
+        grid, work = build_grid(spec), oracle.working_context(spec.context())
+        conj = solver._ladder([s.conjugate() for s in grid], 65, work)
+        for m, ((re, im), (c_re, c_im)) in enumerate(zip(solver._ladder(grid, 65, work), conj)):
+            assert c_re == re and c_im == [-v for v in im]
+            if m % 9 == 0:
+                table = power_table(grid[m], 65, work)
+                assert max(abs(a - b) for a, b in zip(re + im, table.re + table.im)) < 2**7, m
+
+    def test_rows_off_the_ladder_match_per_row_assembly(self):
+        # a sigma change, an uneven step and a jump below the axis each restart the ladder
+        ctx = PrecisionContext(40)
+        points = [("0.5", "30.1"), ("0.5", "30.7"), ("0.5", "31.3"), ("0.6", "31.9"),
+                  ("0.6", "32.5"), ("0.6", "33.4"), ("0.6", "-34"), ("0.6", "-34.6")]
+        grid = [make_complex(sigma, t, ctx) for sigma, t in points]
+        assert assemble_system(grid, 8, ctx) == per_row_assemble(grid, 8, ctx)
+
+    def test_fallback_heads_match_per_row_assembly(self, monkeypatch):
+        spec = GridSpec(sigma="0.5", t1="31.41592653", dt="0.62831853", n_rows=12, digits=30)
+        grid, ctx = build_grid(spec), spec.context()
+        first = oracle.first_cutoff
+        # the ladder runs to N = 12 only, short of every row's N0 = 39; row 5's zeta
+        # starts at N0 = 4, which cannot certify, escalates N0 on the ladder row,
+        # and goes on past it on _power_entries
+        monkeypatch.setattr(solver, "first_cutoff", lambda s, d: 1)
+        monkeypatch.setattr(oracle, "first_cutoff", lambda s, d: 4 if s == grid[4] else first(s, d))
+        assert zeta(grid[4], ctx).terms_used > 12
+        assert assemble_system(grid, 12, ctx) == per_row_assemble(grid, 12, ctx)
 
 
 def _near(text, ulps, ctx):
