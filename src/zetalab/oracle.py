@@ -9,6 +9,9 @@ integers (16 bits past the working precision): the entries of powers.py
 (exp/ln at primes only), or a row the caller already holds, as the grid
 solver's ladder does.  The correction series runs on fixed-point ints too,
 for Im s >= 0, and zeta(conj s) is the conjugate of that pass, bit for bit.
+Below Re s = -1/2 the head's terms n^(-sigma) grow past zeta(s) itself, so
+zeta reflects: zeta(s) = chi(s) zeta(1 - s), with the passes run at 1 - s
+and chi at a precision widened by the bits its factors lose.
 Only zeta carries a certified schedule: gamma(s), and the gamma(1-s) factor
 of chi(s), are mpmath's gamma.  Everything is computed at the oracle's
 working precision, ten guard digits past the budget, and rounded once back
@@ -36,6 +39,7 @@ from .powers import _power_entries, frac_bits, from_fixed, to_fixed
 from .precision import ComplexAP, PrecisionContext, _raw, _wrap
 
 _ORACLE_GUARD = 10
+REFLECT_BELOW = -0.5  # zeta(s) is chi(s) zeta(1 - s) for Re s below this
 _RND = libmp.round_nearest
 
 # ---------------------------------------------------------------------------
@@ -180,38 +184,74 @@ def _euler_maclaurin(
     return total, order, certified
 
 
-def zeta(s: ComplexAP, ctx: PrecisionContext, head=None) -> OracleResult:
-    """zeta(s) to the context's digit budget; pole at s = 1.
+def _certified(s: ComplexAP, ctx: PrecisionContext, head, sign: int):
+    """Euler-Maclaurin passes at Im s >= 0 with N0 escalating until one certifies.
 
-    head, if given, holds n^(-s) for n = 1..len - 1 as int lists (re, im) at
-    frac_bits(working_context(ctx)), index 0 unused: a pass whose N0 it
-    covers sums its head from it, a longer pass streams _power_entries.
+    Returns (value as an mpc of the working context, N0, order).  head as
+    for zeta, and sign -1 when it holds the entries of conj s.
     """
-    if s.im == 0 and s.re == 1:
-        raise NumericalError("zeta has a pole at s = 1")
-
     digits = ctx.digits
     work = working_context(ctx)
-    # the pass runs for |Im s| and the value is conjugated back
-    conjugate = s.im < 0
-    upper = s.conjugate() if conjugate else s
-    sign = -1 if conjugate else 1
     n0 = first_cutoff(s, digits)
     for _ in range(9):
         if head is not None and n0 < len(head[0]):
             re, im = head
             sums = (sum(re[1 : n0 + 1]), sign * sum(im[1 : n0 + 1]), re[n0], sign * im[n0])
         else:
-            sums = _head_sums(upper, n0, work)
-        value, order, certified = _euler_maclaurin(upper, n0, work, sums, digits, max_order=8 * n0)
+            sums = _head_sums(s, n0, work)
+        value, order, certified = _euler_maclaurin(s, n0, work, sums, digits, max_order=8 * n0)
         if certified:
-            rounded = _wrap(ctx._mp.mpc(value))
-            return OracleResult(rounded.conjugate() if conjugate else rounded, n0, order)
+            return value, n0, order
         n0 = math.ceil(1.5 * n0)
     t = abs(float(s.im))
     raise NumericalError(
         f"Euler-Maclaurin schedule cannot certify {digits} digits at s with |Im s| = {t}"
     )
+
+
+def _reflected(s: ComplexAP, ctx: PrecisionContext):
+    """zeta(s) = chi(s) zeta(1 - s) for Re s < REFLECT_BELOW and Im s >= 0.
+
+    zeta(1 - s) is the conjugate of the certified passes at 1 - conj s, whose
+    real part 1 - sigma > 3/2 keeps every bit of sigma at the working
+    precision, 33 bits wider than the context's.  chi(s) takes sin(pi s/2)
+    as sinpi(s/2), whose argument is reduced exactly (the trivial zeros
+    s = -2k give exactly 0), and runs log2(8|s| + 16) bits, rounded up to
+    whole digits, past the working precision: the rounded arguments of 2^s,
+    pi^(s-1) and of sinpi's cosh/sinh parts each cost up to log2|s| bits.
+    Returns (value as an mpc, N0, order of the passes).
+    """
+    work = working_context(ctx)
+    value, n0, order = _certified(ComplexAP(work._mp.mpf(1) - s.re, s.im), ctx, None, 1)
+    size = abs(float(s.re)) + abs(float(s.im))
+    wide = PrecisionContext(work.digits + math.ceil(math.log10(8 * size + 16)))
+    mp = wide._mp
+    z = _raw(s, wide)
+    return _chi_product(z, mp, mp.sinpi(z / 2)) * mp.conj(value), n0, order
+
+
+def zeta(s: ComplexAP, ctx: PrecisionContext, head=None) -> OracleResult:
+    """zeta(s) to the context's digit budget; pole at s = 1.
+
+    head, if given, holds n^(-s) for n = 1..len - 1 as int lists (re, im) at
+    frac_bits(working_context(ctx)), index 0 unused: a pass whose N0 it
+    covers sums its head from it, a longer pass streams _power_entries.
+    Below Re s = REFLECT_BELOW the head's terms n^(-sigma) outgrow zeta(s)
+    by up to hundreds of digits, so zeta reflects (_reflected), head unread,
+    and terms_used and correction_order are those of the passes at 1 - s.
+    """
+    if s.im == 0 and s.re == 1:
+        raise NumericalError("zeta has a pole at s = 1")
+
+    # the passes run for |Im s| and the value is conjugated back
+    conjugate = s.im < 0
+    upper = s.conjugate() if conjugate else s
+    if upper.re < REFLECT_BELOW:
+        value, n0, order = _reflected(upper, ctx)
+    else:
+        value, n0, order = _certified(upper, ctx, head, -1 if conjugate else 1)
+    rounded = _wrap(ctx._mp.mpc(value))
+    return OracleResult(rounded.conjugate() if conjugate else rounded, n0, order)
 
 
 # ---------------------------------------------------------------------------
@@ -238,5 +278,9 @@ def chi(s: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
     work = working_context(ctx)
     mp = work._mp
     z = _raw(s, work)
-    val = mp.exp(z * mp.ln(2)) * mp.exp((z - 1) * mp.ln(mp.pi)) * mp.sin(mp.pi * z / 2)
-    return _wrap(ctx._mp.mpc(val * mp.gamma(1 - z)))
+    return _wrap(ctx._mp.mpc(_chi_product(z, mp, mp.sin(mp.pi * z / 2))))
+
+
+def _chi_product(z, mp, sine):
+    """2^z pi^(z-1) sine gamma(1 - z) on mp's mpc, for sine = sin(pi z/2)."""
+    return mp.exp(z * mp.ln(2)) * mp.exp((z - 1) * mp.ln(mp.pi)) * sine * mp.gamma(1 - z)

@@ -10,10 +10,12 @@ entry, and the zeta oracle streams it to sum its Euler-Maclaurin head.
 
 The weight 1/(1 + E_n), E_n = exp((n - c)/B), enters the sums as the int
 w_n = floor(2^(2F) / (2^F + floor(E_n 2^F))).  E_n follows the recurrence
-E_{n+1} = E_n q, q = exp(1/B), at the context's precision, and a direct exp
-re-anchors it at every n = 1 (mod 32), so w_n depends on n alone and not on
-where a sum starts.  Products and running sums are exact ints; only the
-final value is rounded back to the context.
+E_{n+1} = E_n q, q = exp(1/B), on integer mantissas: each step multiplies
+mantissas, adds exponents and rounds to the context's precision half to
+even, as mpf_mul does.  A direct exp re-anchors it at every n = 1 (mod 32),
+so w_n depends on n alone and not on where a sum starts.  Products and
+running sums are exact ints; only the final value is rounded back to the
+context.
 """
 
 from __future__ import annotations
@@ -50,7 +52,11 @@ def _exp_at(n: int, c, b, prec: int):
 
 
 def sigmoid_weight(n: int, c, b: float, ctx: PrecisionContext):
-    """1/(1 + E_n) at the context's precision, with the sums' E_n."""
+    """1/(1 + exp((n - c)/b)) at the context's precision, by one direct exp.
+
+    This is not the sums' w_n: they step E_n by the recurrence between
+    anchors, which can differ from the direct exp in the last bits.
+    """
     mp = ctx._mp
     return 1 / (1 + mp.make_mpf(_exp_at(n, c._mpf_, mp.mpf(b)._mpf_, ctx.prec_bits)))
 
@@ -74,26 +80,30 @@ def weights(c, b: float, ctx: PrecisionContext, start: int = 1):
     head = head_length(c, b, bits)
     for _ in range(start, head + 1):
         yield one
-    n = max(start, head + 1)
+    first = max(start, head + 1)
     c_raw, b_raw = c._mpf_, ctx._mp.mpf(b)._mpf_
-    q = libmp.mpf_exp(libmp.mpf_div(libmp.fone, b_raw, prec, _RND), prec, _RND)
-    anchor = n - (n - 1) % _ANCHOR_EVERY
-    e = _exp_at(anchor, c_raw, b_raw, prec)
-    for _ in range(anchor, n):
-        e = libmp.mpf_mul(e, q, prec, _RND)
-    while True:
-        _, man, exp, bc = e
-        if exp + bc > bits + 1:
+    _, q_man, q_exp, _ = libmp.mpf_exp(libmp.mpf_div(libmp.fone, b_raw, prec, _RND), prec, _RND)
+    # walk from the anchor at or before the first term, yielding from there on
+    for n in itertools.count(first - (first - 1) % _ANCHOR_EVERY):
+        if (n - 1) % _ANCHOR_EVERY == 0:
+            _, man, exp, _ = _exp_at(n, c_raw, b_raw, prec)
+        else:
+            # E_n = E_(n-1) q rounded to prec bits half to even, as mpf_mul rounds it
+            man *= q_man
+            exp += q_exp
+            s = man.bit_length() - prec
+            if s > 0:
+                # floor shift of man + 2^(s-1) - 1, plus one more when the kept part is odd
+                man = (man + (1 << s - 1) - 1 + (man >> s & 1)) >> s
+                exp += s
+        if n < first:
+            continue
+        if exp + man.bit_length() > bits + 1:
             # E_n >= 2^(bits+1), so floor(E_n 2^bits) > 2^(2 bits): the weight is 0
             yield 0
         else:
             shift = exp + bits
             yield full // (one + (man << shift if shift >= 0 else man >> -shift))
-        n += 1
-        if (n - 1) % _ANCHOR_EVERY == 0:
-            e = _exp_at(n, c_raw, b_raw, prec)
-        else:
-            e = libmp.mpf_mul(e, q, prec, _RND)
 
 
 @dataclass(frozen=True)

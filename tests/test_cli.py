@@ -50,6 +50,12 @@ class TestZetaEval:
         assert result.exit_code == 0
         assert result.output.strip() == text
 
+    def test_left_half_plane_digits(self, runner):
+        # mpmath.zeta at 250 digits: 1.96709024662342104e72 + 7.09553800861655016e74 i
+        result = runner.invoke(main, ["zeta", "eval", "--s=-100,0.001", "--digits", "15"])
+        assert result.exit_code == 0
+        assert result.output.strip() == "1.96709024662342e+72+7.09553800861655e+74i"
+
     def test_near_zero_row_exits_3(self, runner, tmp_path):
         # first grid row sits on the first zeta zero
         result = runner.invoke(

@@ -3,17 +3,21 @@
 The benchmark tracer in perfbench/spans.py swaps module-level names of
 zetalab for timing wrappers; a refactor that drops one of them would only
 fail in the traced benchmark run, so it is checked here, by file path.
-The preset parameter schema is guarded against keys it does not declare
-and declarations no preset uses.
+The calibrate workload's check in perfbench/workloads.py reads the coarse
+scan's ends out of a calibration's trace, so the trace layout it assumes is
+checked too.  The preset parameter schema is guarded against keys it does
+not declare and declarations no preset uses.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import zetalab
-from zetalab import PrecisionContext, experiments, solver
+from zetalab import PrecisionContext, experiments, make_complex, series, solver
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+WORKLOADS = SPANS.with_name("workloads.py")
 
 
 def _spans():
@@ -26,6 +30,20 @@ def _spans():
 def test_tracer_patch_targets_resolve():
     for module, name, span, _ in _spans().LAYER_PATCHES:
         assert callable(getattr(module, name, None)), f"{module.__name__}.{name} for {span}"
+
+
+def test_calibrate_check_reads_the_coarse_scan_ends(monkeypatch):
+    # workloads.py imports its sibling as the top-level module `spans`, and
+    # its dataclasses look their own module up while it loads
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "spans", _spans())
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    assert workloads._COARSE_SAMPLES == series.COARSE_SAMPLES
+    ctx = PrecisionContext(15)
+    trace = series.calibrate_b(make_complex("0.5", "30", ctx), ctx).trace
+    assert (trace[0][0], trace[series.COARSE_SAMPLES - 1][0]) == series.DEFAULT_BRACKET
 
 
 def test_public_names_resolve():

@@ -208,6 +208,51 @@ class TestFixedPointCorrection:
             assert ctx._mp.mpc(v1) == ctx._mp.mpc(v2)
 
 
+class TestLeftHalfPlane:
+    """zeta for sigma < 0 against mpmath.zeta: below oracle.REFLECT_BELOW the
+    head's terms n^(-sigma) outgrow zeta(s), so zeta reflects."""
+
+    @staticmethod
+    def _relative_error(sigma, t, digits, dps):
+        ctx = PrecisionContext(digits)
+        s = make_complex(sigma, t, ctx)
+        ref = _ref(dps)
+        want = ref.zeta(_as(ref, s))
+        return abs(_as(ref, zeta(s, ctx).value) - want) / abs(want)
+
+    @pytest.mark.parametrize(
+        "sigma,t,digits",
+        # the direct head cancels by tens of digits at each
+        [("-60", "10", 15), ("-100", "0.7", 15), ("-100", "300", 100), ("-100", "0.001", 15)],
+    )
+    def test_cancelling_points(self, sigma, t, digits):
+        assert self._relative_error(sigma, t, digits, 250) < mpmath.mpf(10) ** -digits
+
+    def test_trivial_zeros_are_exact(self):
+        for digits in (15, 30, 100):
+            ctx = PrecisionContext(digits)
+            for k in (1, 2, 7, 50):
+                value = zeta(make_complex(-2 * k, 0, ctx), ctx).value
+                assert value.re == 0 and value.im == 0, (digits, k)
+
+    def test_seeded_draws(self):
+        # half the draws near the imaginary axis, where zeta switches to reflecting
+        rng = random.Random(20261019)
+        for digits in (15, 30, 100):
+            for j in range(12):
+                sigma = -rng.uniform(0, 100 if j % 2 else 2) or -1.0
+                t = rng.choice((-1, 1)) * math.exp(rng.uniform(math.log(1e-3), math.log(1e4)))
+                err = self._relative_error(f"{sigma:.6f}", f"{t:.6f}", digits, digits + 40)
+                assert err < mpmath.mpf(10) ** -digits, (digits, sigma, t)
+
+    def test_both_sides_of_the_switch(self):
+        ctx = PrecisionContext(50)
+        below = "-0.5" + "0" * 40 + "1"
+        assert make_complex(below, "7", ctx).re < oracle.REFLECT_BELOW == ctx.real("-0.5")
+        for sigma in ("-0.5", below):
+            assert self._relative_error(sigma, "7", 50, 90) < mpmath.mpf(10) ** -50, sigma
+
+
 def test_coefficient_tables_under_contention():
     # every thread sees B_2k/(2k)! rounded as mpf(num) / mpf(den * (2k)!) at its precision
     _em_coefficients.cache_clear()

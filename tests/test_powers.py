@@ -1,5 +1,6 @@
 """The fixed-point power-table kernel against the direct exp/ln paths."""
 
+import itertools
 import math
 import random
 
@@ -20,7 +21,12 @@ from zetalab import (
 from zetalab.errors import ValidationError
 from zetalab.powers import center, frac_bits, head_length, power_table, weights
 
-from .oracles import exp_ln_spiral_sums, exp_ln_weighted_zeta, linear_truncation_length
+from .oracles import (
+    exp_ln_spiral_sums,
+    exp_ln_weighted_zeta,
+    linear_truncation_length,
+    mpf_mul_weights,
+)
 
 
 def _ref(digits):
@@ -99,6 +105,33 @@ def test_weights_do_not_depend_on_start(ctx30):
     for start in (2, 31, 32, 33, 64, 150):
         tail = [w for _, w in zip(range(200 - start + 1), weights(c, 3.0, ctx30, start))]
         assert tail == every[start - 1 :]
+
+
+def test_weights_match_mpf_mul_recurrence():
+    # bit for bit the mpf_mul recurrence, from the first term, from the end of
+    # the head and from both sides of an anchor, on past the first zero weight
+    rng = random.Random(20261018)
+    for digits in (15, 30, 100, 400):
+        ctx = PrecisionContext(digits)
+        bits = frac_bits(ctx)
+        # b = 100 at P = 400 would run ~10^5 terms per list
+        ends = (0.05, 100.0) if digits <= 100 else (0.05,)
+        for b in (*ends, *(math.exp(rng.uniform(math.log(0.05), math.log(100))) for _ in range(3))):
+            t = math.exp(rng.uniform(0, math.log(1e5))) * rng.choice((1, -1))
+            c = center(make_complex("0.5", repr(t), ctx), ctx)
+            head = head_length(c, b, bits)
+            # E_n >= 2^(bits+1) from n = c + b (bits+1) ln 2 on
+            zero = math.ceil(float(c) + b * (bits + 1) * math.log(2))
+            anchor = 32 * rng.randint(head // 32 + 1, max(head // 32 + 1, zero // 32))
+            last = max(zero, anchor + 2) + 40
+            want = list(itertools.islice(mpf_mul_weights(c, b, ctx), last))
+            assert want[-1] == 0 and want[head] > 0, (digits, b, t)
+            for start in (1, head + 1, anchor, anchor + 1, anchor + 2):
+                got = list(itertools.islice(weights(c, b, ctx, start), last - start + 1))
+                assert got == want[start - 1 :], (digits, b, t, start)
+                window = got[:64]
+                same_start = itertools.islice(mpf_mul_weights(c, b, ctx, start), len(window))
+                assert window == list(same_start), (digits, b, t, start)
 
 
 def test_table_too_short_rejected(ctx30):
