@@ -119,7 +119,11 @@ def _load_coeff_csv(path: Path, digits: int) -> CoefficientSet:
     reader = csv.DictReader(read_utf8(path).splitlines())
     if reader.fieldnames is None or not {"n", "re_delta", "im_delta"} <= set(reader.fieldnames):
         raise ValidationError(f"{path}: expected columns n,re_delta,im_delta")
-    deltas = [make_complex(row["re_delta"], row["im_delta"], ctx) for row in reader]
+    deltas = []
+    for n, row in enumerate(reader, start=1):
+        if str(row["n"]).strip() != str(n):
+            raise ValidationError(f"{path}:{reader.line_num}: n = {row['n']!r}, expected n = {n}")
+        deltas.append(make_complex(row["re_delta"], row["im_delta"], ctx))
     if not deltas:
         raise ValidationError(f"{path}: no coefficient rows")
     return CoefficientSet(

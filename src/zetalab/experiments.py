@@ -208,12 +208,15 @@ def split_assignment(text: str, source: str) -> tuple[str, str]:
 
 
 def parse_config_file(path: Path) -> dict:
-    """Flat `key = value` lines; blank lines and # comments ignored."""
-    return dict(
-        split_assignment(line, f"{path}:{lineno}")
-        for lineno, line in enumerate(read_utf8(path).splitlines(), start=1)
-        if line.strip() and not line.strip().startswith("#")
-    )
+    """Flat `key = value` lines; blank lines and # comments ignored, a key set twice invalid."""
+    overrides, lines = {}, {}
+    for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
+        if line.strip() and not line.strip().startswith("#"):
+            key, value = split_assignment(line, f"{path}:{lineno}")
+            if key in lines:
+                raise ValidationError(f"{path}: {key!r} set on lines {lines[key]} and {lineno}")
+            overrides[key], lines[key] = value, lineno
+    return overrides
 
 
 # ---------------------------------------------------------------------------

@@ -92,12 +92,14 @@ class CoefficientSet:
 
 
 def build_grid(spec: GridSpec) -> list[ComplexAP]:
-    """s_m = sigma + i*(t1 + (m-1)*dt) for m = 1..N."""
+    """s_m = sigma + i*(t1 + (m-1)*dt) for m = 1..N, sigma, t1 and dt rounded to
+    the context.  The ordinates are summed at the working precision, 33 or 34
+    bits wider, so each is exact, and each step exactly dt, while
+    t_N / min(t1, dt) < ~2^33."""
     ctx = spec.context()
-    sigma = ctx.real(spec.sigma)
-    t1 = ctx.real(spec.t1)
-    dt = ctx.real(spec.dt)
-    return [ComplexAP(sigma, t1 + m * dt) for m in range(spec.n_rows)]
+    mp = working_context(ctx)._mp
+    sigma, t1, dt = (ctx.real(v) for v in (spec.sigma, spec.t1, spec.dt))
+    return [ComplexAP(sigma, mp.fadd(t1, mp.fmul(m, dt))) for m in range(spec.n_rows)]
 
 
 # the ratio mpmath's to_str sizes its digit string with (not math.log2(10))
@@ -148,39 +150,26 @@ def _ladder(grid: list[ComplexAP], n_max: int, work: PrecisionContext):
     (re, im) at frac_bits(work), index 0 holding 0.  One row is alive at a time.
 
     Row m is row m-1 times the node x_n = n^(-i dt), dt = t_2 - t_1, products
-    rounded as _power_entries rounds its composites.  Ordinates rounded to the
-    context's precision miss t_(m-1) + dt by an exact offset e; the row then
-    also takes the factor n^(-i e) = 1 - i e ln n to first order, where
-    e ln n 2^F is e 2^h times -Im n^(-i 2^-h) 2^F, h = F/2, read off one more
-    table.  Both the neglected (e ln n)^2 and that reading of ln n stay below
-    2^-F while |e| ln n_max <= 2^-(h+4).  A row with another sigma or a larger
-    offset restarts from its own table.  The row 1, node and unit tables are
-    power tables of _power_entries at work's precision.  A grid that starts
-    below the real axis is run mirrored and its rows conjugated, so conjugate
-    grids give exactly conjugate rows.
+    rounded as _power_entries rounds its composites.  build_grid's ordinates
+    step by exactly dt below its 2^33 bound; a row with another sigma, or a
+    step other than dt, restarts from its own table.  The row and node tables
+    are power tables of _power_entries at work's precision.  A grid that
+    starts below the real axis is run mirrored and its rows conjugated, so
+    conjugate grids give exactly conjugate rows.
     """
-    mp = work._mp
-    bits = frac_bits(work)
+    bits, mp = frac_bits(work), work._mp
     half = 1 << (bits - 1)
-    h = bits // 2
-    log2_ln = math.log2(math.log(n_max))
     flip = bool(grid) and grid[0].im < 0
-    dt = node = unit = prev = None
+    dt = node = prev = None
     for s in grid:
         if flip:
             s = s.conjugate()
         sigma, t = mp.mpf(s.re)._mpf_, mp.mpf(s.im)._mpf_
-        off = None
-        if prev is not None and sigma == prev[0]:
-            step = libmp.mpf_sub(t, prev[1])
-            if dt is None:
-                dt = libmp.mpf_sub(t, prev[1], work.prec_bits, _RND)
-                node = power_table(ComplexAP(mp.zero, mp.make_mpf(dt)), n_max, work)
-            off = libmp.mpf_sub(step, dt)
-            _, _, exp, bc = off
-            if off != libmp.fzero and exp + bc + log2_ln > -(h + 4):
-                off = None
-        if off is None:
+        step = libmp.mpf_sub(t, prev[1]) if prev and sigma == prev[0] else None
+        if step is not None and dt is None:
+            dt = libmp.mpf_sub(t, prev[1], work.prec_bits, _RND)
+            node = power_table(ComplexAP(mp.zero, mp.make_mpf(dt)), n_max, work)
+        if step is None or step != dt:
             table = power_table(s, n_max, work)
             re, im = table.re, table.im
         else:
@@ -188,16 +177,6 @@ def _ladder(grid: list[ComplexAP], n_max: int, work: PrecisionContext):
                 [(a * c - b * d + half) >> bits for a, b, c, d in zip(re, im, node.re, node.im)],
                 [(a * d + b * c + half) >> bits for a, b, c, d in zip(re, im, node.re, node.im)],
             )
-            if off != libmp.fzero:
-                if unit is None:
-                    unit = power_table(ComplexAP(mp.zero, mp.ldexp(1, -h)), n_max, work)
-                sign, man, exp, _ = off
-                shift = -(exp + h)
-                phi = [(-man if sign else man) * -v >> shift for v in unit.im]  # e ln n 2^F
-                re, im = (
-                    [a + ((f * b + half) >> bits) for a, b, f in zip(re, im, phi)],
-                    [b - ((f * a + half) >> bits) for a, b, f in zip(re, im, phi)],
-                )
         prev = sigma, t
         yield (re, [-v for v in im]) if flip else (re, im)
 

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import math
+import random
 
 import pytest
 from click.testing import CliRunner
@@ -313,6 +315,49 @@ def test_fit_residual_overflow_exits_3(runner, tmp_path):
     assert "numerical failure: sigmoid fit residual inf" in result.stderr
     assert "Traceback" not in result.output
     assert not (out / "fit.json").exists()
+
+
+# a 16-row coefficient profile that fits; each case breaks only its n column or its row order
+_PROFILE = [(str(n), f"{1 / (1 + math.exp((n - 12) / 1.5)):.15f}") for n in range(1, 17)]
+N_COLUMN = {
+    "renumbered-from-0": [(str(int(n) - 1), re) for n, re in _PROFILE],
+    "n-not-a-number": [("x", re) for _, re in _PROFILE],
+    "rows-shuffled": random.Random(16).sample(_PROFILE, len(_PROFILE)),
+}
+
+
+@pytest.mark.parametrize("rows", list(N_COLUMN.values()), ids=list(N_COLUMN))
+def test_fit_sigmoid_requires_n_in_row_order(runner, tmp_path, rows):
+    def fit(rows, out):
+        csv_path = tmp_path / "coeffs.csv"
+        csv_path.write_text("n,re_delta,im_delta\n" + "".join(f"{n},{re},0\n" for n, re in rows))
+        return runner.invoke(main, ["fit-sigmoid", "--input", str(csv_path), "--digits", "20",
+                                    "--output-dir", str(out)])
+
+    result = fit(_PROFILE, tmp_path / "ok")
+    assert result.exit_code == 0, result.output
+    result = fit(rows, tmp_path / "out")
+    assert result.exit_code == 2, result.output
+    first = next(k for k, (n, _) in enumerate(rows, start=1) if n != str(k))
+    assert f"coeffs.csv:{first + 1}: n = {rows[first - 1][0]!r}, expected n = {first}" in result.stderr
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_key_set_twice_exits_2(runner, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t = 100\n# t = 300\ndigits = 20\nt = 200\n")
+    out = tmp_path / "out"
+    args = ["run", "fig-eps-vs-b", "--config", str(cfg), "--output-dir", str(out)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "run.cfg: 't' set on lines 1 and 4" in result.stderr
+    assert not out.exists()
+    # --set still overrides a key the file sets once
+    cfg.write_text("t = 100\ndigits = 20\n")
+    result = runner.invoke(main, [*args, "--set", "t=200"])
+    assert result.exit_code == 0, result.output
+    assert json.loads((out / "calibration.json").read_text())["t"] == 200
 
 
 SPIRAL_WIDE_BRACKET = ["--set", "n_terms=10", "--set", "bracket=0.1,1e6", "--set", "digits=20"]

@@ -15,7 +15,7 @@ from zetalab import (
     stability_metric,
     zeta,
 )
-from zetalab import oracle, solver
+from zetalab import experiments, oracle, solver
 from zetalab.errors import NumericalError, ValidationError
 from zetalab.powers import power_table
 from zetalab.precision import _format_real, _raw, power_term
@@ -69,20 +69,32 @@ class TestGridSpec:
         assert spec.sigma == "0.5" and spec.t1 == "10.25" and spec.dt == "0.125"
 
 
+def _exact_progression(spec):
+    """build_grid(spec), asserting every ordinate is exactly t1 + m*dt and every
+    step exactly dt, for t1 and dt as the context rounds them."""
+    grid, ctx = build_grid(spec), spec.context()
+    mp, t1, dt = ctx._mp, ctx.real(spec.t1), ctx.real(spec.dt)
+    for m, s in enumerate(grid):
+        assert s.im == mp.fadd(t1, mp.fmul(m, dt, exact=True), exact=True), m
+    for a, b in zip(grid, grid[1:]):
+        assert mp.fsub(b.im, a.im, exact=True) == dt
+    return grid, ctx
+
+
 class TestBuildGrid:
     def test_reference_grid_endpoints(self):
         spec = GridSpec(sigma="0.5", t1="188.4955592", dt="0.628318531", n_rows=100, digits=100)
-        grid = build_grid(spec)
-        ctx = spec.context()
+        grid, ctx = _exact_progression(spec)
         assert grid[0].re == ctx.real("0.5")
         assert grid[0].im == ctx.real("188.4955592")
-        # t1 + 99*dt in exact decimal arithmetic
-        assert grid[99].im == ctx.real("250.699093769")
+        # t1 + 99*dt in exact decimal arithmetic, once rounded to the context
+        assert ctx.real(grid[99].im) == ctx.real("250.699093769")
 
     def test_left_grid_last_ordinate(self):
+        # the last ordinate is t1 + 99*dt of the rounded t1 and dt, which at
+        # P = 60 does not round to the exact decimal 234.834050837
         spec = GridSpec(sigma="0.5", t1="157.0796327", dt="0.785398163", n_rows=100, digits=60)
-        grid = build_grid(spec)
-        assert grid[99].im == spec.context().real("234.834050837")
+        _exact_progression(spec)
 
     def test_first_point_is_sigma_plus_i_t1(self):
         spec = GridSpec(sigma="0.25", t1="31.5", dt="0.5", n_rows=2, digits=30)
@@ -165,6 +177,35 @@ class TestLadder:
             if m % 9 == 0:
                 table = power_table(grid[m], 65, work)
                 assert max(abs(a - b) for a, b in zip(re + im, table.re + table.im)) < 2**7, m
+
+    @staticmethod
+    def _power_tables(monkeypatch, spec):
+        """power_table calls of one assemble_system on spec's grid."""
+        calls = []
+        monkeypatch.setattr(solver, "power_table", lambda *args: calls.append(args) or power_table(*args))
+        assemble_system(build_grid(spec), spec.n_rows, spec.context())
+        return len(calls)
+
+    def test_preset_grids_build_two_power_tables(self, monkeypatch):
+        # row 1 and the node n^(-i dt): every later row of a preset grid is one step on
+        for name in experiments.preset_names():
+            params = experiments.ExperimentConfig(name, {}).resolved()
+            if "dt" not in params:
+                continue
+            for t1 in params.get("t_list") or [params["t1"]]:
+                spec = GridSpec(sigma=params["sigma"], t1=t1, dt=params["dt"],
+                                n_rows=params["n"], digits=params["digits"])
+                assert self._power_tables(monkeypatch, spec) == 2, (name, t1)
+
+    def test_inexact_steps_restart_the_ladder(self, monkeypatch):
+        # t_max/dt > 2^34: the ordinates round at the working precision, so the
+        # second step differs from the first and row 3 restarts from its own table
+        spec = GridSpec(sigma="0.5", t1="1000", dt="1.23456789e-8", n_rows=3, digits=15)
+        grid, ctx = build_grid(spec), spec.context()
+        steps = [ctx._mp.fsub(b.im, a.im, exact=True) for a, b in zip(grid, grid[1:])]
+        assert steps[0] != steps[1] and ctx.real(spec.dt) not in steps
+        assert self._power_tables(monkeypatch, spec) == 3
+        assert assemble_system(grid, 3, ctx) == per_row_assemble(grid, 3, ctx)
 
     def test_rows_off_the_ladder_match_per_row_assembly(self):
         # a sigma change, an uneven step and a jump below the axis each restart the ladder
