@@ -192,9 +192,10 @@ class ExperimentConfig:
 
 
 def read_utf8(path: Path) -> str:
-    """A file's text; bytes that are not UTF-8 raise a ValidationError naming it."""
+    """A file's text, less a leading byte-order mark (utf-8-sig); bytes that are
+    not UTF-8 raise a ValidationError naming it."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 

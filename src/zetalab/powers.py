@@ -1,4 +1,4 @@
-"""Fixed-point tables of n^(-s) and the sigmoid-weighted sums built on them.
+"""Fixed-point tables of n^(-s) and the sigmoid weights that multiply them.
 
 A PowerTable holds n^(-s) for n = 1..N as Python ints scaled by 2^F, with
 F = context precision + 16 bits.  n^(-s) is completely multiplicative, so
@@ -8,14 +8,13 @@ smallest prime factor's entry and its cofactor's.  The table is built for
 conjugate sums.  One generator runs this loop; power_table keeps every
 entry, and the zeta oracle streams it to sum its Euler-Maclaurin head.
 
-The weight 1/(1 + E_n), E_n = exp((n - c)/B), enters the sums as the int
+The weight 1/(1 + E_n), E_n = exp((n - c)/B), is the fixed-point int
 w_n = floor(2^(2F) / (2^F + floor(E_n 2^F))).  E_n follows the recurrence
 E_{n+1} = E_n q, q = exp(1/B), on integer mantissas: each step multiplies
 mantissas, adds exponents and rounds to the context's precision half to
 even, as mpf_mul does.  A direct exp re-anchors it at every n = 1 (mod 32),
-so w_n depends on n alone and not on where a sum starts.  Products and
-running sums are exact ints; only the final value is rounded back to the
-context.
+so w_n depends on n alone and not on where a sum starts.
+series.weighted_zeta sums w_n n^(-s) exactly in ints and rounds once.
 """
 
 from __future__ import annotations
@@ -108,21 +107,11 @@ def weights(c, b: float, ctx: PrecisionContext, start: int = 1):
 
 @dataclass(frozen=True)
 class PowerTable:
-    """n^(-s) = (re[n] + i im[n]) / 2^F for n = 1..n_max; index 0 holds 0.
-
-    head_re[k], head_im[k] are the prefix sums over n = 1..k for
-    k <= min(floor(|Im s|/pi), n_max): the terms whose weight can be exactly 1.
-    """
+    """n^(-s) = (re[n] + i im[n]) / 2^F for n = 1..n_max; index 0 holds 0."""
 
     ctx: PrecisionContext
     re: list[int]
     im: list[int]
-    head_re: list[int]
-    head_im: list[int]
-
-    @property
-    def n_max(self) -> int:
-        return len(self.re) - 1
 
 
 def to_fixed(x, bits: int) -> int:
@@ -193,32 +182,4 @@ def power_table(s: ComplexAP, n_max: int, ctx: PrecisionContext) -> PowerTable:
     for _, e_re, e_im in _power_entries(s, n_max, ctx):
         re.append(e_re)
         im.append(e_im)
-    mp = ctx._mp
-    head = min(int(mp.floor(abs(mp.mpf(s.im)) / mp.pi)), n_max) + 1
-    return PowerTable(
-        ctx=ctx,
-        re=re,
-        im=im,
-        head_re=list(itertools.accumulate(re[:head])),
-        head_im=list(itertools.accumulate(im[:head])),
-    )
-
-
-def weighted_sum(table: PowerTable, c, b: float, n_terms: int) -> ComplexAP:
-    """sum_{n=1}^{N} w_n n^(-s), exact in ints and rounded once to the table's context.
-
-    The leading terms with w_n = 2^F come from the table's prefix sums: the
-    result is identical to summing them one by one.
-    """
-    if n_terms > table.n_max:
-        raise ValidationError(f"table holds {table.n_max} powers, {n_terms} requested")
-    bits = frac_bits(table.ctx)
-    head = min(head_length(c, b, bits), n_terms, len(table.head_re) - 1)
-    acc_re = table.head_re[head] << bits
-    acc_im = table.head_im[head] << bits
-    re, im = table.re, table.im
-    for n, w in zip(range(head + 1, n_terms + 1), weights(c, b, table.ctx, head + 1)):
-        if w:
-            acc_re += w * re[n]
-            acc_im += w * im[n]
-    return from_fixed(acc_re, acc_im, 2 * bits, table.ctx)
+    return PowerTable(ctx=ctx, re=re, im=im)

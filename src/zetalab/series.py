@@ -11,6 +11,7 @@ fits of the scaling study.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -18,7 +19,16 @@ import mpmath
 
 from .errors import NumericalError, ValidationError
 from .oracle import zeta
-from .powers import PowerTable, center, power_table, sigmoid_weight, weighted_sum
+from .powers import (
+    PowerTable,
+    center,
+    frac_bits,
+    from_fixed,
+    head_length,
+    power_table,
+    sigmoid_weight,
+    weights,
+)
 from .precision import ComplexAP, PrecisionContext, _raw
 
 DEFAULT_BRACKET = (0.1, 100.0)
@@ -61,8 +71,8 @@ def truncation_length(s: ComplexAP, b: float, tail_eps) -> int:
     log-domain double precision: it only gates truncation noise, which sits
     far below the measured error.  Past the floor the log-weight falls in n,
     and for sigma >= 0 so does -sigma ln n; for sigma <= 0 both terms are
-    concave in n.  Either way the test flips once, so a galloping search plus
-    bisection finds the first N.  An N past N_TERMS_MAX is a ValidationError.
+    concave in n.  Either way the test flips once past a failing floor, so
+    bisect finds the first N there.  An N past N_TERMS_MAX is a ValidationError.
     """
     _require_off_axis(s)
     _require_scale(b)
@@ -82,33 +92,23 @@ def truncation_length(s: ComplexAP, b: float, tail_eps) -> int:
             log_w = -math.log1p(math.exp(x))
         return log_w - sigma * math.log(n) < log_eps
 
-    too_long = ValidationError(f"the tail at b = {b} needs more than {N_TERMS_MAX} terms")
-    if below(floor_n):
-        hi = floor_n
-    else:
-        lo, hi, step = floor_n, floor_n + 1, 1  # below(lo) is false throughout
-        while not below(hi):
-            if hi >= N_TERMS_MAX:
-                raise too_long
-            lo, step = hi, 2 * step
-            hi = min(floor_n + step, N_TERMS_MAX)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if below(mid):
-                hi = mid
-            else:
-                lo = mid
-    if hi > N_TERMS_MAX:
-        raise too_long
-    return hi
+    n = floor_n
+    if not below(n):
+        n += bisect.bisect_left(range(floor_n, N_TERMS_MAX + 1), True, key=below)
+    if n > N_TERMS_MAX:
+        raise ValidationError(f"the tail at b = {b} needs more than {N_TERMS_MAX} terms")
+    return n
 
 
 def weighted_zeta(
     s: ComplexAP, b: float, n_terms: int, ctx: PrecisionContext, powers: PowerTable | None = None
 ) -> ComplexAP:
-    """sum_{n=1}^{N} weight(n) * n^(-s) in fixed point, from `powers` or a table built here.
+    """sum_{n=1}^{N} w_n n^(-s), exact in fixed-point ints and rounded once.
 
-    `powers` must be power_table(s, M, ctx) with M >= n_terms.
+    `powers` is power_table(s, M, ctx) with M >= n_terms, or None for a table
+    built here; its context sets the fraction bits, the weights and the
+    rounding.  The head_length leading terms have w_n = 2^F, so their table
+    entries are summed as they are.
     """
     if n_terms < 1:
         raise ValidationError(f"n_terms must be >= 1, got {n_terms}")
@@ -116,7 +116,18 @@ def weighted_zeta(
     _require_scale(b)
     if powers is None:
         powers = power_table(s, n_terms, ctx)
-    return weighted_sum(powers, center(s, ctx), b, n_terms)
+    re, im = powers.re, powers.im
+    if n_terms >= len(re):
+        raise ValidationError(f"table holds {len(re) - 1} powers, {n_terms} requested")
+    c, bits = center(s, ctx), frac_bits(powers.ctx)
+    head = min(head_length(c, b, bits), n_terms)
+    acc_re = sum(re[1 : head + 1]) << bits
+    acc_im = sum(im[1 : head + 1]) << bits
+    for n, w in zip(range(head + 1, n_terms + 1), weights(c, b, powers.ctx, head + 1)):
+        if w:
+            acc_re += w * re[n]
+            acc_im += w * im[n]
+    return from_fixed(acc_re, acc_im, 2 * bits, powers.ctx)
 
 
 @dataclass(frozen=True)

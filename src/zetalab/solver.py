@@ -281,12 +281,8 @@ def _eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
     b = raw_rhs[:]
     for k in range(n):
         col = [_mpc_entry(row, k, mp) for row in rows[k:]]
-        piv = 0
-        best = abs(col[0])
-        for i in range(1, n - k):
-            cand = abs(col[i])
-            if cand > best:
-                piv, best = i, cand
+        piv = max(range(n - k), key=lambda i: abs(col[i]))
+        best = abs(col[piv])
         if best < pivot_floor:
             raise NumericalError(
                 f"pivot modulus {float(best):.3e} below {float(pivot_floor):.3e} at column {k}"

@@ -9,7 +9,7 @@ The exp/ln weighted sum, spiral sums, mpf_mul weight recurrence,
 Euler-Maclaurin pass (exp/ln head and mpc correction series), per-row grid
 assembly, linear truncation scan and mpc elimination are the direct paths the
 library's fixed-point power tables, integer-mantissa weights, fixed-point
-correction series, grid ladder, galloping search and integer elimination
+correction series, grid ladder, bisection and integer elimination
 sweep replaced; they stay here as the reference those fast paths are checked
 against.
 """

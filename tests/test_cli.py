@@ -360,6 +360,27 @@ def test_config_key_set_twice_exits_2(runner, tmp_path):
     assert json.loads((out / "calibration.json").read_text())["t"] == 200
 
 
+def test_config_with_byte_order_mark(runner, tmp_path):
+    # a UTF-8 file saved with a BOM (Windows Notepad) used to read its first key as '\ufefft'
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t = 200\ndigits = 20\n", encoding="utf-8-sig")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", "fig-eps-vs-b", "--config", str(cfg), "--output-dir", str(out)])
+    assert result.exit_code == 0, result.output
+    assert json.loads((out / "calibration.json").read_text())["t"] == 200
+
+
+def test_fit_sigmoid_reads_csv_with_byte_order_mark(runner, tmp_path):
+    text = "n,re_delta,im_delta\n" + "".join(f"{n},{re},0\n" for n, re in _PROFILE)
+    for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+        csv_path = tmp_path / "coeffs.csv"
+        csv_path.write_text(text, encoding=encoding)
+        result = runner.invoke(main, ["fit-sigmoid", "--input", str(csv_path), "--digits", "20",
+                                      "--output-dir", str(tmp_path / name)])
+        assert result.exit_code == 0, result.output
+    for output in ("fit.json", "sigmoid.csv"):
+        assert (tmp_path / "bom" / output).read_bytes() == (tmp_path / "plain" / output).read_bytes()
+
 SPIRAL_WIDE_BRACKET = ["--set", "n_terms=10", "--set", "bracket=0.1,1e6", "--set", "digits=20"]
 
 # each probe must be rejected, naming its key, before any preset work starts

@@ -75,13 +75,10 @@ def test_table_rows_independent_of_length_and_conjugate(ctx30):
     assert short.re == long.re[:301] and short.im == long.im[:301]
     mirror = power_table(make_complex("0.7", "-1234.5", ctx30), 300, ctx30)
     assert mirror.re == short.re and mirror.im == [-v for v in short.im]
-    assert mirror.head_im == [-v for v in short.head_im]
-    assert len(short.head_re) == 301
-    assert len(long.head_re) == math.floor(1234.5 / math.pi) + 1
 
 
 def test_head_weights_are_exactly_one(ctx30):
-    # the prefix-sum head is the same as summing its terms one by one
+    # the head summed straight from the table is the same as weighting its terms one by one
     s = make_complex("0.5", "2500", ctx30)
     c, b, bits = center(s, ctx30), 0.5, frac_bits(ctx30)
     head = head_length(c, b, bits)
@@ -152,12 +149,15 @@ def test_spiral_matches_exp_ln_sums(ctx30, sigma, t, b):
         assert _gap(ref, point, want) <= ref.mpf(10) ** -31 * max(1, abs(want))
 
 
-def test_galloping_truncation_matches_linear_scan(ctx30):
+def test_truncation_matches_linear_scan(ctx30):
+    # the last 300 draws cover sigma down to -100, the concave branch presets accept
     rng = random.Random(20261018)
-    for _ in range(2000):
-        sigma = rng.uniform(-3, 1.5)
-        t = math.exp(rng.uniform(math.log(0.01), math.log(1e5))) * rng.choice((1, -1))
-        b = math.exp(rng.uniform(math.log(0.01), math.log(100)))
-        eps = 10.0 ** rng.uniform(-60, -1)
-        s = make_complex(repr(sigma), repr(t), ctx30)
-        assert truncation_length(s, b, eps) == linear_truncation_length(s, b, eps), (sigma, t, b, eps)
+    for low, high, draws in ((-3, 1.5, 2000), (-100, -3, 300)):
+        for _ in range(draws):
+            sigma = rng.uniform(low, high)
+            t = math.exp(rng.uniform(math.log(0.01), math.log(1e5))) * rng.choice((1, -1))
+            b = math.exp(rng.uniform(math.log(0.01), math.log(100)))
+            eps = 10.0 ** rng.uniform(-60, -1)
+            s = make_complex(repr(sigma), repr(t), ctx30)
+            want = linear_truncation_length(s, b, eps)
+            assert truncation_length(s, b, eps) == want, (sigma, t, b, eps)

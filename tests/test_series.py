@@ -122,7 +122,7 @@ class TestTruncationLength:
         assert n > truncation_length(s, 2.0, 1e-300)
 
     def test_term_cap(self, ctx30):
-        # the cap is the presets' n_terms bound; the galloping search stops there
+        # the cap is the presets' n_terms bound; the search stops there
         s = make_complex("0.5", "1000", ctx30)
         with pytest.raises(ValidationError, match=f"more than {N_TERMS_MAX} terms"):
             truncation_length(s, 1e6, 1e-30)
