@@ -147,7 +147,7 @@ def _euler_maclaurin(
     n2 = n0 * n0
     # |T_k| <= 10^-(digits+5) <=> |A_k|^2 |N0^(-s)|^2 10^(2 digits+10) <= N0^2 2^(2 fbits+2 bits)
     scale = (l_re * l_re + l_im * l_im) * 10 ** (2 * digits + 10)
-    limit = n2 << (2 * fbits + 2 * bits)
+    bound = (n2 << (2 * fbits + 2 * bits)) // scale if scale else math.inf
     prec = work.prec_bits
     coefs = _em_coefficients(16, prec)
     p_re, p_im = sr, si
@@ -161,7 +161,7 @@ def _euler_maclaurin(
         man, exp = coefs[k - 1]
         a_re, a_im = (man * p_re) >> -exp, (man * p_im) >> -exp  # A_k = B_2k/(2k)! P_k
         mag = a_re * a_re + a_im * a_im
-        if mag * scale <= limit:
+        if mag <= bound:
             certified = True
             break
         if prev is not None and mag >= prev:

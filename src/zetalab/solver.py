@@ -10,17 +10,17 @@ right-hand side are rounded to exactly P significant digits before the solve
 (condition number ~1e90 for the reference 100x100 grid) that this input
 accuracy, not the elimination arithmetic, controls whether the coefficient
 profile survives.  Elimination runs at context precision (32 guard bits),
-bit for bit an mpc elimination (an integer sweep, with mpc steps where
-mpf_add would only nudge a product), and the 2P residual sums each row
-exactly (mpmath's fdot).  Its rounding is far from invisible: against the
+bit for bit an mpc elimination (an integer sweep over matrix and rhs, the
+rest on raw libmp tuples), and the 2P residual sums each row as mpmath's
+fdot does.  The elimination's rounding is far from invisible: against the
 exact solution of the same rounded system, only 18.3 (min) and 24.1 (median)
-of the 100 digits printed per coefficient at P = 100 are correct.  The
-digits past those are elimination rounding; iterative refinement against
-the rounded system would remove them.
+of the 100 digits printed per coefficient at P = 100 are correct; the rest
+is elimination rounding, which refinement against that system would remove.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +31,7 @@ from .oracle import first_cutoff, working_context, zeta
 from .powers import frac_bits, power_table
 
 # power_term has no caller here; the benchmark tracer still patches this name
-from .precision import ComplexAP, PrecisionContext, _format_real, _raw, _wrap, power_term  # noqa: F401
+from .precision import ComplexAP, PrecisionContext, _format_real, _wrap, power_term  # noqa: F401
 
 _RND = libmp.round_nearest
 
@@ -104,10 +104,11 @@ def build_grid(spec: GridSpec) -> list[ComplexAP]:
 
 # the ratio mpmath's to_str sizes its digit string with (not math.log2(10))
 _TO_STR_LOG2_10 = math.log(10, 2)
+_pow10 = functools.cache((10).__pow__)
 
 
 def _round_real(x, digits: int, ctx: PrecisionContext):
-    """ctx.real(_format_real(x, digits)) for an mpf x, computed in integers.
+    """ctx.real(_format_real(x, digits))._mpf_ for a raw mpf x, computed in integers.
 
     _format_real truncates x to a fixed-point decimal of about digits + 3
     digits, rounds the (digits + 1)-th digit half-up, and the parse rounds
@@ -115,34 +116,36 @@ def _round_real(x, digits: int, ctx: PrecisionContext):
     e.  Exponents where the parse or the formatting take another route, and
     integral decimals (e >= 0), fall back to the text round trip.
     """
-    sign, man, exp, bc = x._mpf_
+    sign, man, exp, bc = x
     if not man or abs(exp + bc) > 3500:
-        return ctx.real(_format_real(x, digits))
+        return ctx.real(_format_real(ctx._mp.make_mpf(x), digits))._mpf_
     fixprec = max(int((digits + 3) * _TO_STR_LOG2_10) + 10 - exp - bc, 0)
     fixdps = int(fixprec / _TO_STR_LOG2_10 + 0.5)
     shift = exp + fixprec
-    dec = (man << shift if shift >= 0 else man >> -shift) * 10**fixdps >> fixprec
-    dropped = len(str(dec)) - digits
+    dec = (man << shift if shift >= 0 else man >> -shift) * _pow10(fixdps) >> fixprec
+    # 10^(k-1) <= dec < 10^(k+1); the float floor is exact for bit lengths to 3e5
+    k = int((dec.bit_length() - 1) / _TO_STR_LOG2_10) + 1
+    dropped = k + (dec >= _pow10(k)) - digits
     e10 = -fixdps
     if dropped > 0:
-        dec, last = divmod(dec // 10 ** (dropped - 1), 10)
+        dec, last = divmod(dec // _pow10(dropped - 1), 10)
         dec += last >= 5
         e10 += dropped
     if not -400 <= e10 < 0 or e10 + digits > 400:
-        return ctx.real(_format_real(x, digits))
+        return ctx.real(_format_real(ctx._mp.make_mpf(x), digits))._mpf_
     prec = ctx.prec_bits
     # a quotient of prec + 5 bits plus a sticky bit rounds as mpf division does
-    den = 10**-e10
+    den = _pow10(-e10)
     extra = max(prec - dec.bit_length() + den.bit_length() + 5, 5)
     quot, rem = divmod(dec << extra, den)
     num = quot << 1 | (rem != 0)
-    return ctx._mp.make_mpf(libmp.from_man_exp(-num if sign else num, -extra - 1, prec, _RND))
+    return libmp.normalize(sign, num, -extra - 1, num.bit_length(), prec, _RND)
 
 
 def _round_to_digits(z: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
     """Round both components to exactly P significant decimal digits."""
-    p = ctx.digits
-    return ComplexAP(_round_real(ctx.real(z.re), p, ctx), _round_real(ctx.real(z.im), p, ctx))
+    p, mp = ctx.digits, ctx._mp
+    return ComplexAP(*(mp.make_mpf(_round_real(ctx.real(v)._mpf_, p, ctx)) for v in (z.re, z.im)))
 
 
 def _ladder(grid: list[ComplexAP], n_max: int, work: PrecisionContext):
@@ -200,7 +203,7 @@ def assemble_system(
 
     def entry(v):
         """v / 2^F rounded to the context, then to P digits."""
-        return _round_real(mp.make_mpf(libmp.from_man_exp(v, -bits, prec, _RND)), p, ctx)
+        return mp.make_mpf(_round_real(libmp.from_man_exp(v, -bits, prec, _RND), p, ctx))
 
     n_max = max([n_coeffs, *(first_cutoff(s, p) for s in grid)])
     matrix, rhs = [], []
@@ -223,9 +226,9 @@ def _signed(part):
     return (-man if sign else man), exp
 
 
-def _mpc_entry(row, c, mp):
+def _mpc_entry(row, c):
     rm, rx, im, ix = row
-    return mp.make_mpc((libmp.from_man_exp(rm[c], rx[c]), libmp.from_man_exp(im[c], ix[c])))
+    return libmp.from_man_exp(rm[c], rx[c]), libmp.from_man_exp(im[c], ix[c])
 
 
 def _sweep(man, exp, f, u, g, v, e0, cols, prec):
@@ -262,36 +265,34 @@ def _eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
 
     Bit for bit the mpc elimination (kept in tests/oracles.py), for entries
     that are values of mp.  The O(n^3) sweep a_rc -= f_r u_c runs on Python
-    integers: each row holds signed mantissas and exponents per component;
-    the pivot row u and each factor f are put on one exponent each, so a
-    product component is one integer expression (_sweep).  A row step where
-    mpf_add may only nudge a product instead of adding it (factor and pivot
-    row components far apart in scale) runs on mpc, as the reference does.
-    Pivot search, factors, the right-hand side and back substitution stay on
-    mpc: O(n^2) work.  A pivot row is final once its step is done, so those
-    mpc steps read U from the integer rows.
+    integers: each row holds signed mantissas and exponents per component,
+    the right-hand side as column n; the pivot row u and each factor f are
+    put on one exponent each, so a product component is one integer
+    expression (_sweep).  Pivot search, factors, back substitution and any
+    row step where mpf_add may only nudge a product (factor and pivot row far
+    apart in scale) run on raw tuples, through the libmp functions mpc's
+    operators call; they read U from the integer rows, final once stepped.
     """
     n = len(raw_matrix)
     prec = mp.prec
+    mul, sub = (functools.partial(f, prec=prec, rnd=_RND) for f in (libmp.mpc_mul, libmp.mpc_sub))
     rows = []  # each: re mantissas, re exponents, im mantissas, im exponents
-    for raw_row in raw_matrix:
-        re = [_signed(z._mpc_[0]) for z in raw_row]
-        im = [_signed(z._mpc_[1]) for z in raw_row]
+    for raw_row, b in zip(raw_matrix, raw_rhs):
+        re = [_signed(z._mpc_[0]) for z in (*raw_row, b)]
+        im = [_signed(z._mpc_[1]) for z in (*raw_row, b)]
         rows.append([[m for m, _ in re], [e for _, e in re], [m for m, _ in im], [e for _, e in im]])
-    b = raw_rhs[:]
     for k in range(n):
-        col = [_mpc_entry(row, k, mp) for row in rows[k:]]
-        piv = max(range(n - k), key=lambda i: abs(col[i]))
-        best = abs(col[piv])
-        if best < pivot_floor:
+        col = [_mpc_entry(row, k) for row in rows[k:]]
+        moduli = [mp.make_mpf(libmp.mpc_abs(z, prec, _RND)) for z in col]
+        piv = max(range(n - k), key=moduli.__getitem__)
+        if moduli[piv] < pivot_floor:
             raise NumericalError(
-                f"pivot modulus {float(best):.3e} below {float(pivot_floor):.3e} at column {k}"
+                f"pivot modulus {float(moduli[piv]):.3e} below {float(pivot_floor):.3e} at column {k}"
             )
         if piv:
             rows[k], rows[k + piv] = rows[k + piv], rows[k]
-            b[k], b[k + piv] = b[k + piv], b[k]
             col[0], col[piv] = col[piv], col[0]
-        cols = range(k + 1, n)
+        cols = range(k + 1, n + 1)
         rm, rx, im, ix = rows[k]
         eu = min((e for c in cols for m, e in ((rm[c], rx[c]), (im[c], ix[c])) if m), default=0)
         ur = [0] * (k + 1) + [rm[c] << rx[c] - eu if rm[c] else 0 for c in cols]
@@ -303,40 +304,50 @@ def _eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
             (abs(ur[c].bit_length() - ui[c].bit_length()) for c in cols if ur[c] and ui[c]),
             default=0,
         )
-        inv = 1 / col[0]
+        inv = libmp.mpc_mpf_div(libmp.fone, col[0], prec, _RND)
         for r in range(k + 1, n):
-            factor = col[r - k] * inv
-            if factor == 0:
+            factor = mul(col[r - k], inv)
+            (fr, efr), (fi, efi) = _signed(factor[0]), _signed(factor[1])
+            if not (fr or fi):
                 continue
-            b[r] -= factor * b[k]
-            (fr, efr), (fi, efi) = _signed(factor._mpc_[0]), _signed(factor._mpc_[1])
             ef = min(efr if fr else efi, efi if fi else efr)
             fr <<= efr - ef
             fi <<= efi - ef
             am, ax, bm, bx = rows[r]
             if fr and fi and abs(fr.bit_length() - fi.bit_length()) + gap_u > prec + 3:
-                # mpf_add may nudge a product here: take the row's step on mpc
+                # mpf_add may nudge a product here: take the row's step as mpc does
                 for c in cols:
-                    z = _mpc_entry(rows[r], c, mp) - factor * _mpc_entry(rows[k], c, mp)
-                    (am[c], ax[c]), (bm[c], bx[c]) = _signed(z._mpc_[0]), _signed(z._mpc_[1])
+                    z = sub(_mpc_entry(rows[r], c), mul(factor, _mpc_entry(rows[k], c)))
+                    (am[c], ax[c]), (bm[c], bx[c]) = _signed(z[0]), _signed(z[1])
             else:
                 _sweep(am, ax, fr, ur, -fi, ui, ef + eu, cols, prec)
                 _sweep(bm, bx, fr, ui, fi, ur, ef + eu, cols, prec)
-    x = [mp.mpc(0)] * n
+    x = [None] * n
     for r in range(n - 1, -1, -1):
-        acc = b[r]
+        acc = _mpc_entry(rows[r], n)
         for c in range(r + 1, n):
-            acc -= _mpc_entry(rows[r], c, mp) * x[c]
-        x[r] = acc / _mpc_entry(rows[r], r, mp)
-    return x
+            acc = sub(acc, mul(_mpc_entry(rows[r], c), x[c]))
+        x[r] = libmp.mpc_div(acc, _mpc_entry(rows[r], r), prec, _RND)
+    return [mp.make_mpc(v) for v in x]
+
+
+def _parts(z: ComplexAP, prec: int):
+    """z as a raw mpc, each component rounded to prec bits as _raw rounds it."""
+    return libmp.mpf_pos(z.re._mpf_, prec, _RND), libmp.mpf_pos(z.im._mpf_, prec, _RND)
 
 
 def _residual_inf(matrix, rhs, solution, check_ctx: PrecisionContext):
-    """max_m |sum_n a_mn d_n - b_m|, each row summed exactly and rounded once (fdot)."""
-    mp = check_ctx._mp
-    sol = [_raw(z, check_ctx) for z in solution] + [mp.mpc(-1)]
-    rows = ([_raw(e, check_ctx) for e in (*row, b)] for row, b in zip(matrix, rhs))
-    return max(abs(mp.fdot(row, sol)) for row in rows)
+    """max_m |sum_n a_mn d_n - b_m|, each row summed as fdot sums it: exact terms, one rounding."""
+    prec, mul, mp = check_ctx.prec_bits, libmp.mpf_mul, check_ctx._mp
+    sol = [_parts(z, prec) for z in solution] + [(libmp.fnone, libmp.fzero)]
+    sums = []
+    for row, b in zip(matrix, rhs):
+        re, im = [], []
+        for (ar, ai), (dr, di) in zip((_parts(e, prec) for e in (*row, b)), sol):
+            re += mul(ar, dr), libmp.mpf_neg(mul(ai, di))
+            im += mul(ar, di), mul(ai, dr)
+        sums.append(mp.make_mpc((libmp.mpf_sum(re, prec, _RND), libmp.mpf_sum(im, prec, _RND))))
+    return max(abs(z) for z in sums)
 
 
 def solve_coefficients(
@@ -358,15 +369,15 @@ def solve_coefficients(
     contract = mp.mpf(10) ** (-p / 2.0)
     check_ctx = PrecisionContext(2 * p)
 
-    raw_m = [[_raw(e, ctx) for e in row] for row in matrix]
-    raw_b = [_raw(e, ctx) for e in rhs]
+    raw_m = [[mp.make_mpc(_parts(e, mp.prec)) for e in row] for row in matrix]
+    raw_b = [mp.make_mpc(_parts(e, mp.prec)) for e in rhs]
     solution = [_wrap(v) for v in _eliminate(raw_m, raw_b, mp, pivot_floor)]
     residual = _residual_inf(matrix, rhs, solution, check_ctx)
 
     if residual >= contract:
         # the kernel reads matrix entries as raw values, the same at 2P
         wide = check_ctx._mp
-        raw_b2 = [_raw(e, check_ctx) for e in rhs]
+        raw_b2 = [wide.make_mpc(_parts(e, wide.prec)) for e in rhs]
         retry = _eliminate(raw_m, raw_b2, wide, wide.mpf(pivot_floor))
         solution = [_wrap(mp.mpc(v)) for v in retry]
         residual = _residual_inf(matrix, rhs, solution, check_ctx)

@@ -5,7 +5,9 @@ No charting dependency; output is deterministic down to the byte.
 
 from __future__ import annotations
 
-from .errors import ValidationError
+import math
+
+from .errors import NumericalError, ValidationError
 
 SIZE = 640  # width and height in pixels
 MARGIN = 30  # pixels between the farthest point and the edge
@@ -15,6 +17,8 @@ def spiral_svg(points: list[tuple[float, float]]) -> str:
     """Render complex-plane points as an auto-scaled polyline around the origin."""
     if not points:
         raise ValidationError("no points to render")
+    if not all(math.isfinite(v) for point in points for v in point):
+        raise NumericalError("spiral points overflow a double; the SVG cannot scale them")
     extent = max(max(abs(x), abs(y)) for x, y in points)
     if extent == 0:
         extent = 1.0

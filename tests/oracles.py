@@ -7,11 +7,11 @@ doubled until two successive depths agree to the target.
 
 The exp/ln weighted sum, spiral sums, mpf_mul weight recurrence,
 Euler-Maclaurin pass (exp/ln head and mpc correction series), per-row grid
-assembly, linear truncation scan and mpc elimination are the direct paths the
-library's fixed-point power tables, integer-mantissa weights, fixed-point
-correction series, grid ladder, bisection and integer elimination
-sweep replaced; they stay here as the reference those fast paths are checked
-against.
+assembly, linear truncation scan, mpc elimination and fdot residual are the
+direct paths the library's fixed-point power tables, integer-mantissa weights,
+fixed-point correction series, grid ladder, bisection, integer elimination
+sweep and raw-tuple residual replaced; they stay here as the reference those
+fast paths are checked against.
 """
 
 from __future__ import annotations
@@ -249,6 +249,16 @@ def mpc_eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
             acc -= row_r[c] * x[c]
         x[r] = acc / m[r][r]
     return x
+
+
+def fdot_residual_inf(matrix, rhs, solution, check_ctx):
+    """max_m |sum_n a_mn d_n - b_m| with one mpmath fdot per row at check_ctx."""
+    from zetalab.precision import _raw
+
+    mp = check_ctx._mp
+    sol = [_raw(z, check_ctx) for z in solution] + [mp.mpc(-1)]
+    rows = ([_raw(e, check_ctx) for e in (*row, b)] for row, b in zip(matrix, rhs))
+    return max(abs(mp.fdot(row, sol)) for row in rows)
 
 
 def per_row_assemble(grid, n_coeffs: int, ctx):

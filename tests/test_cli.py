@@ -317,6 +317,17 @@ def test_fit_residual_overflow_exits_3(runner, tmp_path):
     assert not (out / "fit.json").exists()
 
 
+
+def test_spiral_overflowing_a_double_exits_3(runner, tmp_path):
+    # the sigma = -100 partial sums pass the double range long before 2000 terms
+    out = tmp_path / "out"
+    args = ["--sigma", "-100", "--t", "10", "--n-terms", "2000", "--digits", "15"]
+    result = runner.invoke(main, ["spiral", *args, "--output-dir", str(out)])
+    assert result.exit_code == 3, result.output
+    assert "numerical failure: spiral points overflow a double" in result.stderr
+    assert "Traceback" not in result.output
+    assert not list(out.glob("spiral.*"))
+
 # a 16-row coefficient profile that fits; each case breaks only its n column or its row order
 _PROFILE = [(str(n), f"{1 / (1 + math.exp((n - 12) / 1.5)):.15f}") for n in range(1, 17)]
 N_COLUMN = {

@@ -170,6 +170,8 @@ class TestFixedPointCorrection:
                 sigma = rng.uniform(-1.5, 2)
                 t = rng.choice((-1, 1)) * math.exp(rng.uniform(math.log(0.7), math.log(5000)))
                 points.append((digits, f"{sigma:.4f}", f"{t:.4f}"))
+        # N0^(-s) is 0 in fixed point here, so the first term certifies
+        points += [(15, "60", "3.5"), (30, "100", "-40"), (50, "60", "700"), (100, "100", "1")]
         for digits, sigma, t in points:
             ctx = PrecisionContext(digits)
             s = make_complex(sigma, t, ctx)

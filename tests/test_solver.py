@@ -18,7 +18,7 @@ from zetalab import (
 from zetalab import experiments, oracle, solver
 from zetalab.errors import NumericalError, ValidationError
 from zetalab.powers import power_table
-from zetalab.precision import _format_real, _raw, power_term
+from zetalab.precision import _format_real, _raw, _wrap, power_term
 from zetalab.solver import (
     CoefficientSet,
     GridSpec,
@@ -27,7 +27,7 @@ from zetalab.solver import (
     _round_to_digits,
 )
 
-from .oracles import mpc_eliminate, per_row_assemble
+from .oracles import fdot_residual_inf, mpc_eliminate, per_row_assemble
 
 
 def _ref(dps=130):
@@ -256,7 +256,7 @@ def test_integer_rounding_matches_text_round_trip(digits, data, scale, ulps, tai
     )
     ctx = PrecisionContext(digits)
     x = _near(f"{'-' if negative else ''}{lead}{tail}e{scale}", ulps, ctx)
-    assert _round_real(x, digits, ctx)._mpf_ == ctx.real(_format_real(x, digits))._mpf_
+    assert _round_real(x._mpf_, digits, ctx) == ctx.real(_format_real(x, digits))._mpf_
 
 
 @settings(max_examples=200, deadline=None)
@@ -269,7 +269,7 @@ def test_integer_rounding_matches_text_round_trip(digits, data, scale, ulps, tai
 def test_integer_rounding_matches_text_round_trip_anywhere(digits, man, exp, negative):
     ctx = PrecisionContext(digits)
     x = ctx._mp.mpf((-man if negative else man, exp))
-    assert _round_real(x, digits, ctx)._mpf_ == ctx.real(_format_real(x, digits))._mpf_
+    assert _round_real(x._mpf_, digits, ctx) == ctx.real(_format_real(x, digits))._mpf_
 
 
 def _random_real(rng, mp, scale_bits=0):
@@ -278,16 +278,15 @@ def _random_real(rng, mp, scale_bits=0):
 
 
 def _random_system(n, mp, seed, scale=lambda rng, r, c: 0):
-    """A seeded n x n system; scale(rng, r, c) gives an extra binary scale per component."""
+    """A seeded n x n system; scale(rng, r, c) gives an extra binary scale per
+    component, the right-hand side taking it as column n."""
     rng = random.Random(seed)
-    matrix = [
-        [
-            mp.mpc(_random_real(rng, mp, scale(rng, r, c)), _random_real(rng, mp, scale(rng, r, c)))
-            for c in range(n)
-        ]
-        for r in range(n)
-    ]
-    return matrix, [mp.mpc(_random_real(rng, mp), _random_real(rng, mp)) for _ in range(n)]
+
+    def entry(r, c):
+        return mp.mpc(_random_real(rng, mp, scale(rng, r, c)), _random_real(rng, mp, scale(rng, r, c)))
+
+    matrix = [[entry(r, c) for c in range(n)] for r in range(n)]
+    return matrix, [entry(r, n) for r in range(n)]
 
 
 def _assert_kernel_matches_oracle(matrix, rhs, mp):
@@ -331,7 +330,8 @@ class TestEliminationKernel:
 
     @pytest.mark.parametrize("digits", [15, 100, 200])
     def test_entries_spanning_600_bits(self, digits):
-        # components of about 1e-200 beside components of about 1, in the same rows and entries
+        # components of about 1e-200 beside components of about 1, in the same
+        # rows, entries and right-hand sides
         mp = PrecisionContext(digits)._mp
         for seed in range(3):
             matrix, rhs = _random_system(
@@ -345,7 +345,9 @@ class TestEliminationKernel:
         # the two products of a component with a full factor lie on either
         # side of prec + 4 bits apart, past which mpf_add may only nudge the
         # larger (it does where their last bits are also more than 100 bits
-        # apart, at P = 50 and 100); _eliminate takes those row steps on mpc
+        # apart, at P = 50 and 100); _eliminate takes those row steps as mpc
+        # does.  The right-hand side (column n) is scaled so in all systems,
+        # and alone in the last eight, so that it decides the row step
         mp = PrecisionContext(digits)._mp
         sweeps = []
         sweep = solver._sweep
@@ -359,10 +361,15 @@ class TestEliminationKernel:
         def scale(rng, r, c):
             return 0 if c == 0 or rng.random() < 0.5 else mp.prec + rng.randrange(2, 10)
 
-        for seed in range(8):
-            _assert_kernel_matches_oracle(*_random_system(12, mp, seed, scale), mp)
-        # 8 dense 12 x 12 systems take 8 * 66 row steps, each two sweeps or one mpc step
-        assert 0 < len(sweeps) < 2 * 8 * 66
+        def rhs_scale(rng, r, c):
+            return scale(rng, r, c) if c == 12 else 0
+
+        for seed in range(16):
+            _assert_kernel_matches_oracle(
+                *_random_system(12, mp, seed, scale if seed < 8 else rhs_scale), mp
+            )
+        # 16 dense 12 x 12 systems take 16 * 66 row steps, each two sweeps or one mpc step
+        assert 0 < len(sweeps) < 2 * 16 * 66
 
     def test_product_ties(self):
         # a unit pivot leaves each factor exact, and an odd factor mantissa of
@@ -410,6 +417,84 @@ class TestEliminationKernel:
         assert str(got.value) == str(want.value)
 
 
+def _near_singular_system(ctx):
+    one = make_complex(1, 0, ctx)
+    eps_row = make_complex("1.0000000000000000000000000000000000000001", 0, ctx)
+    return [[one, one], [one, eps_row]], [one, make_complex(2, 0, ctx)]
+
+
+def _growth_system(ctx):
+    """Wilkinson's growth matrix at n = 66 (1 on the diagonal and in the last
+    column, -1 below the diagonal) and a seeded rhs: partial pivoting doubles
+    the last column at each step, so a P = 15 elimination leaves a residual
+    above 10^(-P/2) and only the 2P re-elimination meets it."""
+    n = 66
+    rng = random.Random(0)
+    matrix = [
+        [make_complex(1 if r == c or c == n - 1 else -(r > c), 0, ctx) for c in range(n)]
+        for r in range(n)
+    ]
+    return matrix, [make_complex(rng.uniform(-1, 1), 0, ctx) for _ in range(n)]
+
+
+# residual is bound here so that a test patching solver._residual_inf still checks the original
+def _assert_residual_matches_fdot(*args, residual=solver._residual_inf):
+    got = residual(*args)
+    assert got._mpf_ == fdot_residual_inf(*args)._mpf_
+    return got
+
+
+class TestResidual:
+    """_residual_inf against one mpmath fdot per row, bit for bit."""
+
+    @pytest.mark.parametrize("digits", [15, 50, 100])
+    def test_seeded_systems(self, digits):
+        # solved systems (rows that cancel) and random solutions, components
+        # about 2^-40 and 2^-664 beside 1, at P and at 3P, wider than the 2P
+        # check, which rounds them first
+        check = PrecisionContext(2 * digits)
+
+        def scale(rng, r, c):
+            return rng.choice((0, 0, 40, 664))
+
+        for seed in range(4):
+            mp = PrecisionContext(digits if seed < 2 else 3 * digits)._mp
+            raw_m, raw_b = _random_system(9, mp, seed, scale)
+            matrix = [[_wrap(z) for z in row] for row in raw_m]
+            rhs = [_wrap(z) for z in raw_b]
+            solved = [_wrap(z) for z in mpc_eliminate(raw_m, raw_b, mp, 0)]
+            guess = [_wrap(z) for z in _random_system(9, mp, seed + 10, scale)[1]]
+            for solution in (solved, guess):
+                _assert_residual_matches_fdot(matrix, rhs, solution, check)
+
+    def test_terms_in_fdot_order(self):
+        # fdot's sum drops a term more than 2 prec bits below the running sum,
+        # so the term order decides: row 0, 1 + 2^-700 - 1, reads 0, not 2^-700
+        ctx = PrecisionContext(15)
+        one, zero = make_complex(1, 0, ctx), make_complex(0, 0, ctx)
+        tiny = make_complex(ctx._mp.mpf(2) ** -700, 0, ctx)
+        matrix = [[one, one], [zero, one]]
+        assert _assert_residual_matches_fdot(matrix, [one, tiny], [one, tiny], PrecisionContext(30)) == 0
+
+    @pytest.mark.parametrize(
+        "system, digits, calls", [(_near_singular_system, 50, 1), (_growth_system, 15, 2)]
+    )
+    def test_doubled_precision_retry_inputs(self, system, digits, calls, monkeypatch):
+        # the growth system's first residual breaches the contract: the second
+        # call checks the 2P re-elimination's solution, rounded back to P
+        checked = []
+
+        def residual(*args):
+            checked.append(args)
+            return _assert_residual_matches_fdot(*args)
+
+        monkeypatch.setattr(solver, "_residual_inf", residual)
+        ctx = PrecisionContext(digits)
+        cs = solve_coefficients(*system(ctx), ctx)
+        assert len(checked) == calls
+        assert cs.residual_inf < ctx._mp.mpf(10) ** (-digits / 2)
+
+
 class TestSolve:
     def test_identity_system(self):
         ctx = PrecisionContext(30)
@@ -444,16 +529,13 @@ class TestSolve:
             solve_coefficients(matrix, rhs, ctx)
 
     def test_doubled_precision_retry(self):
-        # nearly singular system: the huge solution (~1e40) drags the first
-        # residual above 10^(-P/2), forcing the 2P re-elimination
+        # nearly singular system with a huge solution (~1e40); its P-digit
+        # pass already leaves a residual of 8.7e-62, so the 2P re-elimination
+        # does not run (_growth_system takes it)
         ctx = PrecisionContext(50)
-        one = make_complex(1, 0, ctx)
-        eps_row = make_complex("1.0000000000000000000000000000000000000001", 0, ctx)
-        matrix = [[one, one], [one, eps_row]]
-        rhs = [one, make_complex(2, 0, ctx)]
+        matrix, rhs = _near_singular_system(ctx)
+        eps_row = matrix[1][1]
         cs = solve_coefficients(matrix, rhs, ctx)
-        # a single P-digit pass leaves a residual near 1e-20 here; anything
-        # this small proves the 2P re-elimination ran
         assert mpmath.mpf(cs.residual_inf) < mpmath.mpf(10) ** (-40)
         ref = _ref()
         # solution ~ +-1/eps with eps the stored (binary-rounded) 1e-40

@@ -14,6 +14,7 @@ from zetalab import (
 )
 from zetalab.errors import NumericalError, ValidationError
 from zetalab.precision import ComplexAP
+from zetalab.svgplot import spiral_svg
 
 
 def _ref(dps=80):
@@ -81,6 +82,12 @@ class TestTraceBasics:
         for r, w in zip(raw.points, wtd.points):
             assert abs(ref.mpc(r.re - w.re, r.im - w.im)) < ref.mpf(10) ** (-25)
 
+
+
+@pytest.mark.parametrize("points", [[(math.inf, 0.0)], [(0.0, 0.0), (1.0, math.nan)]])
+def test_svg_rejects_non_finite_points(points):
+    with pytest.raises(NumericalError, match="overflow a double"):
+        spiral_svg(points)
 
 @pytest.mark.slow
 class TestSpiralExperiment:
