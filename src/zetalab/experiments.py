@@ -69,10 +69,11 @@ def _json(obj) -> str:
 # ---------------------------------------------------------------------------
 # configuration: every preset key is declared once, in PARAMS
 
-# Work bounds. The zeta oracle's head and the weighted sums run about |t|/pi
-# terms, so t, the t_list entries and a grid's first ordinate are capped;
-# elimination is O(n^3) multiplications at `digits` precision. A far negative
-# sigma lengthens the weighted sums, which stop at series.N_TERMS_MAX terms.
+# Work bounds. The zeta oracle's head runs |t|/2pi to |t|/pi terms and the
+# weighted sums about |t|/pi, so t, the t_list entries and a grid's first
+# ordinate are capped; elimination is O(n^3) multiplications at `digits`
+# precision. A far negative sigma lengthens the weighted sums, which stop at
+# series.N_TERMS_MAX terms.
 T_MAX = 10**6
 N_MAX = 400
 DIGITS_MAX = 1000

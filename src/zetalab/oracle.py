@@ -2,13 +2,15 @@
 
 zeta(s) uses the Euler-Maclaurin expansion: a truncated Dirichlet sum plus the
 integral tail N^(1-s)/(s-1), the half-term correction, and a Bernoulli-number
-correction series.  The cutoff N0 starts at max(ceil(|t|/pi)+10, ceil(1.3*P))
-and escalates until the first neglected correction term certifies the digit
-budget.  The Dirichlet head sums fixed-point n^(-s) entries exactly in
-integers (16 bits past the working precision): the entries of powers.py
-(exp/ln at primes only), or a row the caller already holds, as the grid
-solver's ladder does.  The correction series runs on fixed-point ints too,
-for Im s >= 0, and zeta(conj s) is the conjugate of that pass, bit for bit.
+correction series.  The cutoff N0 starts where a cost model of head and
+correction terms puts it, in [ceil(|t|/2pi)+10, ceil(|t|/pi)+10] and at least
+ceil(1.3*P), and escalates until the first neglected correction term, times
+Backlund's remainder factor, certifies the digit budget.  The Dirichlet head
+sums fixed-point n^(-s) entries exactly in integers (16 bits past the working
+precision): the entries of powers.py (exp/ln at primes only), or a row the
+caller already holds, as the grid solver's ladder does.  The correction
+series runs on fixed-point ints too, for Im s >= 0, and zeta(conj s) is the
+conjugate of that pass, bit for bit.
 Below Re s = -1/2 the head's terms n^(-sigma) grow past zeta(s) itself, so
 zeta reflects: zeta(s) = chi(s) zeta(1 - s), with the passes run at 1 - s
 and chi at a precision widened by the bits its factors lose.
@@ -20,8 +22,8 @@ to the requested budget.
 Bernoulli numbers come from the tangent-number recurrence in exact integer
 arithmetic (the floating-point defining recurrence cancels catastrophically).
 They and the correction coefficients B_2k/(2k)! at each working precision
-are cached process-wide as whole tables of 16, 32, 64, ... entries, so
-readers never observe a partial table.
+(past k = 128, below about 1000 bits, from zeta(2k)) are cached process-wide as whole tables
+of 16, 32, 64, ... entries, so readers never observe a partial table.
 """
 
 from __future__ import annotations
@@ -76,14 +78,25 @@ def bernoulli_even(k: int) -> Fraction:
 
 @functools.cache
 def _em_coefficients(size: int, prec: int) -> tuple[tuple[int, int], ...]:
-    """B_{2k}/(2k)! = man 2^exp for k = 1..size, as (man, exp) ints: each rounded to
-    prec bits as mpf(num) / mpf(den * (2k)!).  Sizes 16, 32, 64, ... as for B_2k."""
-    out = []
-    for k in range(1, size + 1):
-        b = bernoulli_even(k)
-        num = libmp.from_int(b.numerator, prec, _RND)
-        den = libmp.from_int(b.denominator * math.factorial(2 * k), prec, _RND)
-        sign, man, exp, _ = libmp.mpf_div(num, den, prec, _RND)
+    """B_{2k}/(2k)! = man 2^exp for k = 1..size, as (man, exp) ints at prec bits:
+    mpf(num) / mpf(den * (2k)!) from the exact B_2k for k <= 128 or where zeta(2k)
+    needs over 16 terms, else (-1)^(k+1) 2 sum_n (2 pi n)^(-2k) = (-1)^(k+1)
+    2 zeta(2k)/(2 pi)^(2k), within 1 ulp.  Sizes 16, 32, 64, ... as for B_2k,
+    each extending (and sharing the entries of) the size below it."""
+    out = list(_em_coefficients(size // 2, prec)) if size > 16 else []
+    for k in range(len(out) + 1, size + 1):
+        if k <= 128 or 8 * k < prec + 20:
+            b = bernoulli_even(k)
+            num = libmp.from_int(b.numerator, prec, _RND)
+            den = libmp.from_int(b.denominator * math.factorial(2 * k), prec, _RND)
+            sign, man, exp, _ = libmp.mpf_div(num, den, prec, _RND)
+        else:  # (2 pi n)^(-2k) < 2^-wp for n > 2^(wp/2k)
+            wp = prec + 20 + k.bit_length()
+            two_pi = libmp.mpf_shift(libmp.mpf_pi(wp), 1)
+            powers = [libmp.mpf_pow_int(libmp.mpf_mul(two_pi, libmp.from_int(n)), -2 * k, wp, _RND)
+                      for n in range(1, int(2 ** (wp / (2 * k))) + 1)]
+            _, man, exp, _ = libmp.mpf_sum(powers, prec, _RND)
+            sign, exp = 1 - k % 2, exp + 1
         out.append((-man if sign else man, exp))
     return tuple(out)
 
@@ -107,8 +120,46 @@ def working_context(ctx: PrecisionContext) -> PrecisionContext:
 
 
 def first_cutoff(s: ComplexAP, digits: int) -> int:
-    """The cutoff N0 of zeta's first Euler-Maclaurin pass at s for a digit budget."""
-    return max(math.ceil(abs(float(s.im)) / math.pi) + 10, math.ceil(1.3 * digits))
+    """The cutoff N0 of zeta's first Euler-Maclaurin pass at s for a digit budget.
+
+    N0 in [ceil(t/2pi)+10, ceil(t/pi)+10], at least ceil(1.3 P), minimises
+    h N0 + c K (h, c: measured us per head and correction term, linear in P).
+    With y = ln(2 pi N0/t), K ~ d/2y for d nats to shed, so the optimum solves
+    y^2 e^y = pi c d/(h t).  ceil(t/pi)+10 stays unless Newton's method on
+    ln(|T_k| |s+2k-1|/(sigma+2k-1)) finds that N0 certifies at a lower cost.
+    """
+    t, sigma, floor = abs(float(s.im)), float(s.re), math.ceil(1.3 * digits)
+    hi, lo = max(math.ceil(t / math.pi) + 10, floor), max(math.ceil(t / math.tau) + 10, floor)
+    if lo >= hi:
+        return hi
+    h, c, target = 5.5 + 0.15 * digits, 2.4 + 0.07 * digits, (digits + 5) * math.log(10)
+    d = max(target - math.log(math.pi) - sigma * math.log(t / math.tau), 0.0)
+    root = math.sqrt(math.pi * c * d / (h * t))  # y ~ root e^(-root/2)
+    n0 = min(max(math.ceil(t * math.exp(root * math.exp(-root / 2)) / math.tau), lo), hi)
+    # ln|T_k| = ln 2 - 2k ln 2pi + sum_{j<2k-1} ln|s+j| - (sigma+2k-1) ln N0, the
+    # sum as G(a) - G(sigma-1/2) at a = sigma+2k-3/2, G(a) = a ln(a^2+t^2)/2 - a
+    # + t atan(a/t) (G' = ln|a+it|); f = ln|T_k| + ln(Backlund's factor) + target
+    ln_u, t2, a = math.log(math.tau * n0), t * t, sigma - 0.5
+    const = target + math.log(2) + (sigma - 1) * math.log(math.tau)
+    const -= 0.5 * a * math.log(a * a + t2) - a + t * math.atan2(a, t)
+    k_min = max(1.0, 1 - sigma / 2)  # Backlund's factor needs sigma + 2k - 1 > 0
+    k = max(k_min, d / (2 * (ln_u - math.log(t))) + 0.5)  # the order at a constant ratio
+    for _ in range(12):
+        a = sigma + 2 * k - 1.5
+        ln_a = math.log(a * a + t2)
+        f = const + 0.5 * a * ln_a - a + t * math.atan2(a, t) - (a + 0.5) * ln_u
+        f += 0.5 * math.log(1 + t2 / (a + 0.5) ** 2)
+        slope = ln_a - 2 * ln_u
+        if slope > -0.01:
+            return hi  # the terms turn before they certify
+        step = f / slope
+        k = max(k - step, k_min)
+        if abs(step) < 1 or k == k_min:
+            break
+    else:
+        return hi
+    k_hi = d / (2 * math.log(math.tau * hi / t))  # an underestimate, so never optimistic
+    return n0 if h * n0 + c * k < h * hi + c * k_hi else hi
 
 
 def _head_sums(s: ComplexAP, n0: int, work: PrecisionContext):
@@ -128,13 +179,15 @@ def _euler_maclaurin(
     head is (sum re, sum im, last re, last im) of the fixed-point n^(-s) for
     n <= N0 at frac_bits(work); the last entry is N0^(-s).  The correction
     terms T_k = B_2k/(2k)! P_k N0^(-s-1), P_k = rising(s, 2k-1) N0^(2-2k), run
-    on fixed-point ints: P_1 = s, P_{k+1} = P_k (s+2k-1)(s+2k)/N0^2, and the
-    sum of B_2k/(2k)! P_k is multiplied by N0^(-s-1) once.  Floor shifts and
-    divisions round a negative part away from zero, so the pass would not
-    mirror under conjugation: it takes Im s >= 0 and zeta conjugates.
+    on fixed-point ints: P_1 = s, P_{k+1} = P_k (s+2k-1)(s+2k)/N0^2, held as
+    p 2^shift with shift ~ (k-1) log2(4 pi^2) so that p does not grow with k,
+    and the sum of B_2k/(2k)! P_k is multiplied by N0^(-s-1) once.  Floor
+    shifts and divisions round a negative part away from zero, so the pass
+    would not mirror under conjugation: it takes Im s >= 0 and zeta conjugates.
     Returns (value as an mpc of work, order, certified): certified means the
-    first neglected term fell to 10^-(digits+5) or below while terms were
-    still shrinking, both decided on exact squared moduli.
+    first neglected term times Backlund's factor |s+2k-1|/(sigma+2k-1) (a
+    bound on the remainder for sigma+2k-1 > 0) fell to 10^-(digits+5) or below
+    while terms were still shrinking, both decided on exact integers.
     """
     bits = frac_bits(work)
     head_re, head_im, l_re, l_im = head
@@ -145,23 +198,26 @@ def _euler_maclaurin(
     sr, si = to_fixed(sw.real._mpf_, fbits), to_fixed(sw.imag._mpf_, fbits)
     si2 = si * si
     n2 = n0 * n0
-    # |T_k| <= 10^-(digits+5) <=> |A_k|^2 |N0^(-s)|^2 10^(2 digits+10) <= N0^2 2^(2 fbits+2 bits)
+    # |T_k| <= 10^-(digits+5) <=> |A_k|^2 |N0^(-s)|^2 10^(2 digits+10) <= N0^2 2^(2 fbits+2 bits),
+    # i.e. mag scale <= limit; Backlund's factor multiplies the left by |s+2k-1|^2/u^2 >= 1
     scale = (l_re * l_re + l_im * l_im) * 10 ** (2 * digits + 10)
-    bound = (n2 << (2 * fbits + 2 * bits)) // scale if scale else math.inf
+    limit = n2 << (2 * fbits + 2 * bits)
+    bound = limit // scale if scale else math.inf
     prec = work.prec_bits
     coefs = _em_coefficients(16, prec)
     p_re, p_im = sr, si
     c_re = c_im = 0
     prev = None
-    order = 0
+    order = shift = 0
     certified = False
     for k in range(1, max_order + 1):
         if k > len(coefs):
             coefs = _em_coefficients(2 * len(coefs), prec)
         man, exp = coefs[k - 1]
-        a_re, a_im = (man * p_re) >> -exp, (man * p_im) >> -exp  # A_k = B_2k/(2k)! P_k
+        a_re, a_im = (man * p_re) >> -(exp + shift), (man * p_im) >> -(exp + shift)  # A_k
         mag = a_re * a_re + a_im * a_im
-        if mag <= bound:
+        u = sr + (2 * k - 1) * one  # sigma + 2k - 1
+        if u > 0 and mag <= bound and mag * (u * u + si2) * scale <= limit * u * u:
             certified = True
             break
         if prev is not None and mag >= prev:
@@ -170,11 +226,12 @@ def _euler_maclaurin(
         c_im += a_im
         order = k
         prev = mag
-        # advance to k+1: multiply by (s+2k-1)(s+2k)/N0^2
-        u = sr + (2 * k - 1) * one
+        # advance to k+1: multiply by (s+2k-1)(s+2k)/N0^2 and move a power of
+        # two into shift, which tracks k log2(4 pi^2), so p stays near |A_k|
+        d, shift = fbits + (53 * k) // 10 - shift, (53 * k) // 10
         q_re = ((u * (u + one) - si2) >> fbits) // n2
         q_im = ((si * (2 * u + one)) >> fbits) // n2
-        p_re, p_im = (p_re * q_re - p_im * q_im) >> fbits, (p_re * q_im + p_im * q_re) >> fbits
+        p_re, p_im = (p_re * q_re - p_im * q_im) >> d, (p_re * q_im + p_im * q_re) >> d
     # head + C N0^(-s)/N0 - N0^(-s)/2, at bits + 1 fraction bits, plus the tail N0^(1-s)/(s-1)
     corr_re = ((c_re * l_re - c_im * l_im) >> fbits) // n0
     corr_im = ((c_re * l_im + c_im * l_re) >> fbits) // n0

@@ -6,12 +6,13 @@ Cohen-Rodriguez Villegas-Zagier acceleration of the eta series, with the depth
 doubled until two successive depths agree to the target.
 
 The exp/ln weighted sum, spiral sums, mpf_mul weight recurrence,
-Euler-Maclaurin pass (exp/ln head and mpc correction series), per-row grid
-assembly, linear truncation scan, mpc elimination and fdot residual are the
-direct paths the library's fixed-point power tables, integer-mantissa weights,
-fixed-point correction series, grid ladder, bisection, integer elimination
-sweep and raw-tuple residual replaced; they stay here as the reference those
-fast paths are checked against.
+Euler-Maclaurin pass (exp/ln head and mpc correction series) and its
+ceil(|t|/pi)+10 cutoff, per-row grid assembly, linear truncation scan, mpc
+elimination and fdot residual are the direct paths the library's fixed-point
+power tables, integer-mantissa weights, fixed-point correction series,
+cost-model cutoff, grid ladder, bisection, integer elimination sweep and
+raw-tuple residual replaced; they stay here as the reference those fast paths
+are checked against.
 """
 
 from __future__ import annotations
@@ -145,6 +146,11 @@ def linear_truncation_length(s, b: float, tail_eps: float) -> int:
         n += 1
 
 
+def t_over_pi_cutoff(s, digits: int) -> int:
+    """zeta's first cutoff before the cost model: ceil(|t|/pi)+10, at least ceil(1.3 P)."""
+    return max(math.ceil(abs(float(s.im)) / math.pi) + 10, math.ceil(1.3 * digits))
+
+
 def _mpc_correction(total, s, n_pow_ms, n0: int, mp, cutoff, max_order: int):
     """Add the Euler-Maclaurin correction terms to total, each on mp's mpc."""
     from zetalab.oracle import bernoulli_even
@@ -162,7 +168,8 @@ def _mpc_correction(total, s, n_pow_ms, n0: int, mp, cutoff, max_order: int):
         coef = mp.mpf(b.numerator) / mp.mpf(b.denominator * fact)
         term = coef * rising * npow
         mag = abs(term)
-        if mag <= cutoff:
+        # Backlund's bound on the remainder, which holds for sigma + 2k - 1 > 0
+        if s.real + 2 * k - 1 > 0 and mag * abs(s + 2 * k - 1) / (s.real + 2 * k - 1) <= cutoff:
             certified = True
             break
         if prev_mag is not None and mag >= prev_mag:

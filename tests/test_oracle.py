@@ -2,10 +2,12 @@ import math
 import random
 import sys
 import threading
+import timeit
 from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath import libmp
 
 from zetalab import PrecisionContext, chi, gamma, make_complex, zeta
 from zetalab.errors import NumericalError, ValidationError
@@ -19,7 +21,7 @@ from zetalab.oracle import (
 )
 from zetalab.precision import ComplexAP, to_string
 
-from .oracles import eta_zeta, exp_ln_euler_maclaurin, mpc_euler_maclaurin
+from .oracles import eta_zeta, exp_ln_euler_maclaurin, mpc_euler_maclaurin, t_over_pi_cutoff
 
 
 def _ref(dps=130):
@@ -120,9 +122,12 @@ class TestZeta:
             assert (a.terms_used, a.correction_order) == (b.terms_used, b.correction_order)
 
     def test_schedule_metadata(self):
+        # the first pass certifies, with t/2pi < N0 <= ceil(t/pi) + 10
         ctx = PrecisionContext(30)
-        result = zeta(make_complex("0.5", "1000", ctx), ctx)
-        assert result.terms_used >= 1000 / 3.15
+        s = make_complex("0.5", "1000", ctx)
+        result = zeta(s, ctx)
+        assert result.terms_used == oracle.first_cutoff(s, 30)
+        assert 1000 / (2 * math.pi) < result.terms_used <= math.ceil(1000 / math.pi) + 10
         assert result.correction_order >= 1
 
     def test_doubled_cutoff_agreement(self):
@@ -210,6 +215,62 @@ class TestFixedPointCorrection:
             assert ctx._mp.mpc(v1) == ctx._mp.mpc(v2)
 
 
+def _cutoff_points():
+    """Seeded (P, sigma, t): sigma in [-0.5, 3], +-t log-uniform in [1, 1e5]; t > 1e4 is slow."""
+    rng = random.Random(19)
+    points = []
+    for digits in (15, 30, 50, 100, 200):
+        for _ in range(6):
+            sigma = rng.uniform(-0.5, 3)
+            t = rng.choice((-1, 1)) * math.exp(rng.uniform(0, math.log(1e5)))
+            marks = pytest.mark.slow if abs(t) > 1e4 else ()
+            points.append(pytest.param(digits, f"{sigma:.6f}", f"{t:.6f}", marks=marks))
+    return points
+
+
+class TestCutoff:
+    """first_cutoff's cost model against the ceil(|t|/pi)+10 rule it replaced."""
+
+    @pytest.mark.parametrize("digits,sigma,t", _cutoff_points())
+    def test_against_t_over_pi_rule(self, monkeypatch, digits, sigma, t):
+        # the first pass certifies, N0 is no longer, and both values hold 10^-(P+5)
+        ctx = PrecisionContext(digits)
+        s = make_complex(sigma, t, ctx)
+        got = zeta(s, ctx)
+        assert got.terms_used == oracle.first_cutoff(s, digits)
+        assert got.terms_used <= t_over_pi_cutoff(s, digits)
+        monkeypatch.setattr(oracle, "first_cutoff", t_over_pi_cutoff)
+        want = zeta(s, ctx)
+        assert want.terms_used == t_over_pi_cutoff(s, digits)
+        ref = _ref(digits + 30)
+        assert abs(_as(ref, got.value) - _as(ref, want.value)) <= 2 * ref.mpf(10) ** -(digits + 5)
+
+    @pytest.mark.parametrize("sigma", ["-0.4", "0.5", "2"])
+    def test_backlund_stop_against_mpmath(self, sigma):
+        # |T_k| |s+2k-1|/(sigma+2k-1) bounds the remainder: 10^-(P+5) holds
+        ctx = PrecisionContext(15)
+        result = zeta(make_complex(sigma, "20000", ctx), ctx)
+        ref = _ref(60)
+        want = ref.zeta(ref.mpc(sigma, "20000"))
+        assert abs(_as(ref, result.value) - want) <= ref.mpf(10) ** -20 * max(1, abs(want))
+
+    def test_left_of_the_switch(self):
+        # the grid solver sizes its ladder by first_cutoff at any sigma, reflected or not
+        for sigma in ("-0.5", "-1", "-100"):
+            ctx = PrecisionContext(30)
+            s = make_complex(sigma, "3000", ctx)
+            assert 3000 / (2 * math.pi) < oracle.first_cutoff(s, 30) <= t_over_pi_cutoff(s, 30)
+
+    def test_cutoff_cost(self):
+        # O(1) float work: a call costs at most two head terms (~20 us at P = 30)
+        ctx = PrecisionContext(30)
+        work = oracle.working_context(ctx)
+        s = make_complex("0.5", "20000", ctx)
+        cutoff = min(timeit.repeat(lambda: oracle.first_cutoff(s, 30), number=200, repeat=5)) / 200
+        head = min(timeit.repeat(lambda: _head_sums(s, 1000, work), number=1, repeat=5)) / 1000
+        assert cutoff <= 2 * head
+
+
 class TestLeftHalfPlane:
     """zeta for sigma < 0 against mpmath.zeta: below oracle.REFLECT_BELOW the
     head's terms n^(-sigma) outgrow zeta(s), so zeta reflects."""
@@ -290,6 +351,21 @@ def test_coefficient_tables_under_contention():
         sys.setswitchinterval(old)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
+
+
+@pytest.mark.parametrize("prec", [90, 200, 420])
+def test_coefficients_from_zeta_2k(prec):
+    # orders 129..300 come from 2 zeta(2k)/(2 pi)^(2k): within 1 ulp of B_2k/(2k)! rounded once
+    wide = mpmath.mp.clone()
+    wide.prec = prec + 20
+    table = _em_coefficients(512, prec)
+    for k in range(129, 301):
+        b = bernoulli_even(k)
+        den = b.denominator * math.factorial(2 * k)
+        want = libmp.from_rational(b.numerator, den, prec, libmp.round_nearest)
+        _, _, exp, bc = want
+        got = wide.ldexp(table[k - 1][0], table[k - 1][1])
+        assert abs(got - wide.make_mpf(want)) <= wide.ldexp(1, exp + bc - prec), (prec, k)
 
 
 class TestGamma:
