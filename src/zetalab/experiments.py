@@ -70,8 +70,8 @@ def _json(obj) -> str:
 # configuration: every preset key is declared once, in PARAMS
 
 # Work bounds. The zeta oracle's head runs |t|/2pi to |t|/pi terms and the
-# weighted sums about |t|/pi, so t, the t_list entries and a grid's first
-# ordinate are capped; elimination is O(n^3) multiplications at `digits`
+# weighted sums about |t|/pi, so t, the t_list entries and a grid's first and
+# last ordinates are capped; elimination is O(n^3) multiplications at `digits`
 # precision. A far negative sigma lengthens the weighted sums, which stop at
 # series.N_TERMS_MAX terms.
 T_MAX = 10**6
@@ -292,6 +292,23 @@ def _check_bracket(params: dict):
                     raise ValidationError(f"bracket upper end {hi}: {exc} at t = {t}") from None
 
 
+def _check_grid(params: dict):
+    """Before any solve, reject a grid whose last ordinate t1 + (n-1) dt passes T_MAX."""
+    for t1 in params.get("t_list") or [params["t1"]]:
+        spec = GridSpec(sigma=params["sigma"], t1=t1, dt=params["dt"],
+                        n_rows=params["n"], digits=params["digits"])
+        if spec.max_ordinate > T_MAX:
+            raise ValidationError(
+                f"dt = {params['dt']} puts the last ordinate t1 + (n-1) dt = "
+                f"{spec.max_ordinate} past {T_MAX} at t1 = {t1}"
+            )
+
+
+def _check_work(params: dict):
+    """A grid preset's last ordinate, or else a calibration preset's bracket."""
+    (_check_grid if "dt" in params else _check_bracket)(params)
+
+
 def _nhat_row(args) -> list[str]:
     """One nhat_sweep.csv row: the grid starting at t1, solved, and its half crossing."""
     sigma, t1, dt, n, digits = args
@@ -445,7 +462,7 @@ def _spiral_terms(params: dict, b: float) -> int:
     s = make_complex(params["sigma"], params["t"], ctx)
     n_terms = 2 * truncation_length(s, b, tail_tolerance(ctx))
     if n_terms > N_TERMS_MAX:
-        raise ValidationError(f"n_terms: twice the truncation length at b = {b} passes {N_TERMS_MAX}")
+        raise ValidationError(f"n_terms (twice the truncation length at b = {b}) passes {N_TERMS_MAX}")
     return n_terms
 
 
@@ -498,7 +515,7 @@ class _Preset:
     defaults: dict  # key: text, or None for a value the runner works out
     runner: object
     min_entries: dict = dataclasses.field(default_factory=dict)  # list keys a fit needs filled
-    check: Callable[[dict], None] = _check_bracket  # work bounds, checked before any output
+    check: Callable[[dict], None] = _check_work  # work bounds, checked before any output
 
 
 _STABLE_GRID = {

@@ -7,10 +7,10 @@ correction terms puts it, in [ceil(|t|/2pi)+10, ceil(|t|/pi)+10] and at least
 ceil(1.3*P), and escalates until the first neglected correction term, times
 Backlund's remainder factor, certifies the digit budget.  The Dirichlet head
 sums fixed-point n^(-s) entries exactly in integers (16 bits past the working
-precision): the entries of powers.py (exp/ln at primes only), or a row the
-caller already holds, as the grid solver's ladder does.  The correction
-series runs on fixed-point ints too, for Im s >= 0, and zeta(conj s) is the
-conjugate of that pass, bit for bit.
+precision): a row the caller already holds, as the grid solver's ladder
+does, or else a powers.power_table (exp/ln at primes only) built to N0.
+The correction series runs on fixed-point ints too, for Im s >= 0, and
+zeta(conj s) is the conjugate of that pass, bit for bit.
 Below Re s = -1/2 the head's terms n^(-sigma) grow past zeta(s) itself, so
 zeta reflects: zeta(s) = chi(s) zeta(1 - s), with the passes run at 1 - s
 and chi at a precision widened by the bits its factors lose.
@@ -37,7 +37,7 @@ import mpmath
 from mpmath import libmp
 
 from .errors import NumericalError, ValidationError
-from .powers import _power_entries, frac_bits, from_fixed, to_fixed
+from .powers import frac_bits, from_fixed, power_table, to_fixed
 from .precision import ComplexAP, PrecisionContext, _raw, _wrap
 
 _ORACLE_GUARD = 10
@@ -162,15 +162,6 @@ def first_cutoff(s: ComplexAP, digits: int) -> int:
     return n0 if h * n0 + c * k < h * hi + c * k_hi else hi
 
 
-def _head_sums(s: ComplexAP, n0: int, work: PrecisionContext):
-    """(sum re, sum im, last re, last im) of the fixed-point n^(-s), n = 1..N0."""
-    head_re = head_im = 0
-    for _, re, im in _power_entries(s, n0, work):
-        head_re += re
-        head_im += im
-    return head_re, head_im, re, im
-
-
 def _euler_maclaurin(
     s: ComplexAP, n0: int, work: PrecisionContext, head, digits: int, max_order: int
 ):
@@ -245,17 +236,18 @@ def _certified(s: ComplexAP, ctx: PrecisionContext, head, sign: int):
     """Euler-Maclaurin passes at Im s >= 0 with N0 escalating until one certifies.
 
     Returns (value as an mpc of the working context, N0, order).  head as
-    for zeta, and sign -1 when it holds the entries of conj s.
+    for zeta, and sign -1 when it holds the entries of conj s; a pass whose
+    N0 it does not cover reads a power_table of s built to N0 instead.
     """
     digits = ctx.digits
     work = working_context(ctx)
     n0 = first_cutoff(s, digits)
     for _ in range(9):
-        if head is not None and n0 < len(head[0]):
-            re, im = head
-            sums = (sum(re[1 : n0 + 1]), sign * sum(im[1 : n0 + 1]), re[n0], sign * im[n0])
-        else:
-            sums = _head_sums(s, n0, work)
+        if head is None or n0 >= len(head[0]):
+            table = power_table(s, n0, work)
+            head, sign = (table.re, table.im), 1
+        re, im = head
+        sums = (sum(re[1 : n0 + 1]), sign * sum(im[1 : n0 + 1]), re[n0], sign * im[n0])
         value, order, certified = _euler_maclaurin(s, n0, work, sums, digits, max_order=8 * n0)
         if certified:
             return value, n0, order
@@ -292,7 +284,7 @@ def zeta(s: ComplexAP, ctx: PrecisionContext, head=None) -> OracleResult:
 
     head, if given, holds n^(-s) for n = 1..len - 1 as int lists (re, im) at
     frac_bits(working_context(ctx)), index 0 unused: a pass whose N0 it
-    covers sums its head from it, a longer pass streams _power_entries.
+    covers sums its head from it, a longer pass builds its own power_table.
     Below Re s = REFLECT_BELOW the head's terms n^(-sigma) outgrow zeta(s)
     by up to hundreds of digits, so zeta reflects (_reflected), head unread,
     and terms_used and correction_order are those of the passes at 1 - s.

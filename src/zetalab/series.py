@@ -85,12 +85,8 @@ def truncation_length(s: ComplexAP, b: float, tail_eps) -> int:
     log_eps = math.log(eps) if eps > 0 else float(mpmath.log(tail_eps))
 
     def below(n: int) -> bool:
-        x = (n - c) / b
-        if x > 0:
-            log_w = -x - math.log1p(math.exp(-x)) if x < 700 else -x
-        else:
-            log_w = -math.log1p(math.exp(x))
-        return log_w - sigma * math.log(n) < log_eps
+        x = (n - c) / b  # > 0: n >= floor_n > c
+        return -x - math.log1p(math.exp(-x)) - sigma * math.log(n) < log_eps
 
     n = floor_n
     if not below(n):

@@ -153,12 +153,12 @@ def _ladder(grid: list[ComplexAP], n_max: int, work: PrecisionContext):
     (re, im) at frac_bits(work), index 0 holding 0.  One row is alive at a time.
 
     Row m is row m-1 times the node x_n = n^(-i dt), dt = t_2 - t_1, products
-    rounded as _power_entries rounds its composites.  build_grid's ordinates
+    rounded as power_table rounds its composites.  build_grid's ordinates
     step by exactly dt below its 2^33 bound; a row with another sigma, or a
     step other than dt, restarts from its own table.  The row and node tables
-    are power tables of _power_entries at work's precision.  A grid that
-    starts below the real axis is run mirrored and its rows conjugated, so
-    conjugate grids give exactly conjugate rows.
+    are power tables at work's precision.  A grid that starts below the real
+    axis is run mirrored and its rows conjugated, so conjugate grids give
+    exactly conjugate rows.
     """
     bits, mp = frac_bits(work), work._mp
     half = 1 << (bits - 1)

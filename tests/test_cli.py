@@ -254,6 +254,8 @@ MALFORMED = {
     "sigma-law-list": ["sigma-law", "--t", "100", "--sigma-list", "0.3,abc,0.7", *OUT],
     "fit-sigmoid-cell": ["fit-sigmoid", "--input", "{csv}", "--digits", "20", *OUT],
     "fit-sigmoid-nan-cell": ["fit-sigmoid", "--input", "{nan_csv}", "--digits", "20", *OUT],
+    "fit-sigmoid-no-im-column": ["fit-sigmoid", "--input", "{no_im_csv}", "--digits", "20", *OUT],
+    "fit-sigmoid-header-only": ["fit-sigmoid", "--input", "{header_csv}", "--digits", "20", *OUT],
     "fit-sigmoid-digits-budget": [
         "fit-sigmoid", "--input", "{good_csv}", "--digits", "300000", *OUT
     ],
@@ -294,7 +296,12 @@ def test_malformed_input_exits_2(runner, tmp_path, args):
     nan_csv.write_text("n,re_delta,im_delta\n1,0.5,0\n2,nan,0\n")
     good_csv = tmp_path / "good.csv"
     good_csv.write_text("n,re_delta,im_delta\n1,0.9,0\n2,0.8,0\n3,0.7,0\n4,0.2,0\n")
-    paths = {"csv": csv_path, "nan_csv": nan_csv, "good_csv": good_csv, "out": tmp_path / "out"}
+    no_im_csv = tmp_path / "no_im.csv"
+    no_im_csv.write_text("n,re_delta\n1,0.9\n2,0.8\n")
+    header_csv = tmp_path / "header.csv"
+    header_csv.write_text("n,re_delta,im_delta\n")
+    paths = {"csv": csv_path, "nan_csv": nan_csv, "good_csv": good_csv, "no_im_csv": no_im_csv,
+             "header_csv": header_csv, "out": tmp_path / "out"}
     result = runner.invoke(main, [arg.format(**paths) for arg in args])
     assert result.exit_code == 2, result.output
     assert "error:" in result.stderr
@@ -417,8 +424,17 @@ PROBES = {
     ),
     # two power tables of 60,465,464 entries
     "spiral-b-terms": ("b", ["spiral", "--weighted", "--t", "200", "--b", "5e5"]),
+    # a truncation length that fits in 10^6 terms, twice of which does not
+    "spiral-n-terms-twice": ("n_terms", ["spiral", "--t", "100", "--b", "25000", "--digits", "15"]),
     # a weighted spiral without b calibrates, whatever n_terms is
     "spiral-weighted-bracket-terms": ("bracket", ["run", "fig-spiral-weighted", *SPIRAL_WIDE_BRACKET]),
+    # a grid whose last ordinate t1 + (n-1) dt passes T_MAX: the ladder would size
+    # its rows by N0 ~ t/pi
+    "run-dt-last-ordinate": ("dt", ["run", "fig-coeffs-stable", "--set", "dt=1e9", "--set", "n=2",
+                                    "--set", "digits=15"]),
+    "solve-coeffs-dt-last-ordinate": ("dt", ["solve-coeffs", "--t1", "100", "--dt", "1e7", "--n", "2",
+                                             "--digits", "15"]),
+    "run-nhat-dt-last-ordinate": ("dt", ["run", "fig-nhat-sweep", "--set", "dt=1e5"]),
 }
 
 

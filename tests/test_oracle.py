@@ -16,9 +16,9 @@ from zetalab.oracle import (
     _bernoulli_table,
     _em_coefficients,
     _euler_maclaurin,
-    _head_sums,
     bernoulli_even,
 )
+from zetalab.powers import power_table
 from zetalab.precision import ComplexAP, to_string
 
 from .oracles import eta_zeta, exp_ln_euler_maclaurin, mpc_euler_maclaurin, t_over_pi_cutoff
@@ -32,6 +32,12 @@ def _ref(dps=130):
 
 def _as(ref, z):
     return ref.mpc(z.re, z.im)
+
+
+def head_sums(s, n0, work):
+    """(sum re, sum im, last re, last im) of the fixed-point n^(-s), n = 1..N0, as zeta reads them."""
+    table = power_table(s, n0, work)
+    return sum(table.re), sum(table.im), table.re[n0], table.im[n0]
 
 
 class TestBernoulli:
@@ -137,7 +143,7 @@ class TestZeta:
         mp = ctx._mp
         s = make_complex("0.3", "45.0", ctx)
         n0 = 120
-        head1, head2 = _head_sums(s, n0, ctx), _head_sums(s, 2 * n0, ctx)
+        head1, head2 = head_sums(s, n0, ctx), head_sums(s, 2 * n0, ctx)
         v1, order1, cert1 = _euler_maclaurin(s, n0, ctx, head1, digits, max_order=8 * n0)
         # a cutoff of 10^-605 runs the second pass to its last term
         v2, order2, cert2 = _euler_maclaurin(s, 2 * n0, ctx, head2, 10 * digits, max_order=order1 + 2)
@@ -207,7 +213,7 @@ class TestFixedPointCorrection:
         for digits, sigma, t, n0 in ((30, "0.5", "40", 12), (100, "-1.5", "3", 20), (50, "2", "900", 160)):
             work = PrecisionContext(digits + 10)
             s = make_complex(sigma, t, work)
-            head = _head_sums(s, n0, work)
+            head = head_sums(s, n0, work)
             v1, order1, cert1 = _euler_maclaurin(s, n0, work, head, digits, max_order=8 * n0)
             v2, order2, cert2 = mpc_euler_maclaurin(s, n0, work, head, digits, max_order=8 * n0)
             assert order1 > 1 and not cert1 and (order1, cert1) == (order2, cert2)
@@ -267,7 +273,7 @@ class TestCutoff:
         work = oracle.working_context(ctx)
         s = make_complex("0.5", "20000", ctx)
         cutoff = min(timeit.repeat(lambda: oracle.first_cutoff(s, 30), number=200, repeat=5)) / 200
-        head = min(timeit.repeat(lambda: _head_sums(s, 1000, work), number=1, repeat=5)) / 1000
+        head = min(timeit.repeat(lambda: head_sums(s, 1000, work), number=1, repeat=5)) / 1000
         assert cutoff <= 2 * head
 
 

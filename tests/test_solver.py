@@ -221,7 +221,7 @@ class TestLadder:
         first = oracle.first_cutoff
         # the ladder runs to N = 12 only, short of every row's N0 = 39; row 5's zeta
         # starts at N0 = 4, which cannot certify, escalates N0 on the ladder row,
-        # and goes on past it on _power_entries
+        # and goes on past it on a power table of its own
         monkeypatch.setattr(solver, "first_cutoff", lambda s, d: 1)
         monkeypatch.setattr(oracle, "first_cutoff", lambda s, d: 4 if s == grid[4] else first(s, d))
         assert zeta(grid[4], ctx).terms_used > 12

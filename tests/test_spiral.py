@@ -89,6 +89,15 @@ def test_svg_rejects_non_finite_points(points):
     with pytest.raises(NumericalError, match="overflow a double"):
         spiral_svg(points)
 
+
+def test_svg_degenerate_points():
+    # no points is an error; points all at the origin render at the centre
+    with pytest.raises(ValidationError, match="no points"):
+        spiral_svg([])
+    svg = spiral_svg([(0.0, 0.0)] * 3)
+    assert 'points="320.000,320.000 320.000,320.000 320.000,320.000"' in svg
+
+
 @pytest.mark.slow
 class TestSpiralExperiment:
     def test_raw_spiral_winds_outward(self, ctx30):
