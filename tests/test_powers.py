@@ -1,5 +1,6 @@
 """The fixed-point power-table kernel against the direct exp/ln paths."""
 
+import functools
 import itertools
 import math
 import random
@@ -8,6 +9,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import libmp
 
 from zetalab import (
     PrecisionContext,
@@ -18,7 +20,9 @@ from zetalab import (
     weighted_partial_sums,
     weighted_zeta,
 )
+from zetalab import powers
 from zetalab.errors import ValidationError
+from zetalab.oracle import working_context
 from zetalab.powers import center, frac_bits, head_length, power_table, weights
 
 from .oracles import (
@@ -26,6 +30,7 @@ from .oracles import (
     exp_ln_weighted_zeta,
     linear_truncation_length,
     mpf_mul_weights,
+    mpmath_power_table,
 )
 
 
@@ -75,6 +80,97 @@ def test_table_rows_independent_of_length_and_conjugate(ctx30):
     assert short.re == long.re[:301] and short.im == long.im[:301]
     mirror = power_table(make_complex("0.7", "-1234.5", ctx30), 300, ctx30)
     assert mirror.re == short.re and mirror.im == [-v for v in short.im]
+
+
+def _primes(n_max):
+    return [n for n in range(2, n_max + 1) if all(n % q for q in range(2, math.isqrt(n) + 1))]
+
+
+def _sweep_cases():
+    """Seeded power tables: sigma in [-0.45, 3] (sigma = 0, the ladder's node
+    table, and sigma >= 2 among them), t = 0 or +-t log-uniform in [1e-3, 1e5],
+    n_max log-uniform to 2000 plus four to 2e4, at P = 15, 30, 100 and 200,
+    plain or widened as the oracle widens them."""
+    rng = random.Random(20261019)
+    cases = []
+    for i in range(320):
+        digits = (15, 30, 100, 200)[i % 4]
+        ctx = PrecisionContext(digits)
+        if i % 8 >= 4:
+            ctx = working_context(ctx)
+        sigma = (0.0, rng.uniform(2, 3), rng.uniform(-0.45, 3), rng.uniform(-0.45, 3))[i // 4 % 4]
+        t = 0.0 if i % 10 == 3 else math.exp(rng.uniform(math.log(1e-3), math.log(1e5)))
+        n_max = int(math.exp(rng.uniform(0, math.log(2000)))) if i >= 4 else rng.randint(5000, 20000)
+        cases.append((ctx, make_complex(repr(sigma), repr(t * rng.choice((1, -1))), ctx), n_max))
+    return cases
+
+
+@functools.cache
+def _sweep():
+    """(cases whose table differs from the mpmath route, fallbacks, prime entries)."""
+    fallbacks = []
+    route = powers._exp_ln_entry
+    differ, primes = [], 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(powers, "_exp_ln_entry", lambda *args: fallbacks.append(args[0]) or route(*args))
+        for ctx, s, n_max in _sweep_cases():
+            fast, slow = power_table(s, n_max, ctx), mpmath_power_table(s, n_max, ctx)
+            if fast.re != slow.re or fast.im != slow.im:
+                differ.append((ctx.digits, str(s), n_max))
+            primes += len(_primes(n_max))
+    return differ, len(fallbacks), primes
+
+
+def test_prime_kernel_matches_mpmath_route():
+    assert _sweep()[0] == []
+
+
+def test_prime_kernel_rarely_falls_back():
+    # a kernel that always fell back would match too; the rounding test takes a few in 10^3
+    _, fallbacks, primes = _sweep()
+    assert primes > 20000 and fallbacks < 0.01 * primes, (fallbacks, primes)
+
+
+def test_every_prime_down_the_fallback(monkeypatch):
+    monkeypatch.setattr(powers, "_KERNEL_EXP", -(1 << 40))
+    calls = []
+    route = powers._exp_ln_entry
+    monkeypatch.setattr(powers, "_exp_ln_entry", lambda *args: calls.append(args[0]) or route(*args))
+    cases = ((15, "-0.45", "0", 300), (30, "0.5", "-4321.5", 600), (100, "2.5", "0.01", 200))
+    for digits, sigma, t, n_max in cases:
+        ctx = working_context(PrecisionContext(digits))
+        s = make_complex(sigma, t, ctx)
+        calls.clear()
+        table, want = power_table(s, n_max, ctx), mpmath_power_table(s, n_max, ctx)
+        assert table.re == want.re and table.im == want.im
+        assert len(calls) == len(_primes(n_max))
+
+
+def test_mpmath_route_error_inside_rounding_margin():
+    # the rounding test assumes the mpmath route within |p^-s| 2^-10 (1 + |sigma| ln p/2^b)
+    # F-units, b = bitlen(floor(t ln p)); recomputed 64 bits wider, each error is 16 times inside
+    rnd = libmp.round_nearest
+    rng = random.Random(7)
+    worst, components = 0.0, 0
+    for ctx, s, n_max in _sweep_cases()[::4]:
+        bits, mp = frac_bits(ctx), ctx._mp
+        sigma, t = mp.mpf(s.re), abs(mp.mpf(s.im))
+        neg_s = (libmp.mpf_neg(sigma._mpf_), libmp.mpf_neg(t._mpf_))
+        primes = _primes(n_max)
+        for p in rng.sample(primes, min(len(primes), 50)):
+            b = int(float(t) * math.log(p)).bit_length()
+            wp = bits + 16 + b
+            logs = (libmp.mpf_log(libmp.from_int(p), prec, rnd) for prec in (wp, wp + 64))
+            got, exact = (
+                libmp.mpc_exp(libmp.mpc_mul_mpf(neg_s, log, prec, rnd), prec, rnd)
+                for log, prec in zip(logs, (wp, wp + 64))
+            )
+            margin = p ** -float(sigma) * 2.0**-10 * (1 + abs(float(sigma)) * math.log(p) / 2**b)
+            for g, x in zip(got, exact):
+                error = abs(libmp.to_float(libmp.mpf_sub(g, x, wp + 64, rnd)) * 2.0**bits)
+                worst = max(worst, error / margin)
+                components += 1
+    assert components >= 2000 and worst <= 1 / 16, (components, worst)
 
 
 def test_head_weights_are_exactly_one(ctx30):
