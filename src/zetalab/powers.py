@@ -182,6 +182,8 @@ def _prime_entries(re: list[int], im: list[int], spf: list[int], n_max: int, sig
     (1 + |sigma| ln p/2^b) F-units of a rounding boundary (the kernel's
     error plus 16 times _exp_ln_entry's, see power_table), or where |p^-s|
     (1 + |sigma| ln p/2^b) >= 2^_KERNEL_EXP, the entry is _exp_ln_entry's.
+    From the first prime with e >= _KERNEL_EXP on (sigma < 0), every entry
+    is _exp_ln_entry's, and the ln p chain stops.
     """
     h = bits + 32
     two_pi, ln2, levels = _constants(h)
@@ -237,6 +239,12 @@ def _prime_entries(re: list[int], im: list[int], spf: list[int], n_max: int, sig
                 re[p], im[p] = (vr >> 23) + 1 >> 1, (vi >> 23) + 1 >> 1
                 continue
         re[p], im[p] = _exp_ln_entry(p, neg_s, bits + 16 + b, bits)
+        if e >= _KERNEL_EXP:  # sigma < 0: e never falls as p grows, so no later prime passes
+            for q in range(p + 1, n_max + 1):
+                if spf[q] == q:
+                    wp = bits + 16 + int(t_f * math.log(q)).bit_length()
+                    re[q], im[q] = _exp_ln_entry(q, neg_s, wp, bits)
+            return
 
 
 def power_table(s: ComplexAP, n_max: int, ctx: PrecisionContext) -> PowerTable:

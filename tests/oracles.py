@@ -8,12 +8,12 @@ doubled until two successive depths agree to the target.
 The exp/ln weighted sum, spiral sums, mpmath exp/ln power table,
 mpf_mul weight recurrence, Euler-Maclaurin pass (exp/ln head and mpc
 correction series) and its ceil(|t|/pi)+10 cutoff, per-row grid assembly,
-linear truncation scan, mpc elimination and fdot residual are the direct
-paths the library's fixed-point power tables, integer prime kernel,
-integer-mantissa weights, fixed-point correction series, cost-model cutoff,
-grid ladder, bisection, integer elimination sweep and raw-tuple residual
-replaced; they stay here as the reference those fast paths are checked
-against.
+linear truncation scan, golden-section calibration, mpc elimination and
+fdot residual are the direct paths the library's fixed-point power tables,
+integer prime kernel, integer-mantissa weights, fixed-point correction
+series, cost-model cutoff, grid ladder, bisection, Brent's minimiser,
+integer elimination sweep and raw-tuple residual replaced; they stay here
+as the reference those fast paths are checked against.
 """
 
 from __future__ import annotations
@@ -178,6 +178,50 @@ def linear_truncation_length(s, b: float, tail_eps: float) -> int:
         if log_w - sigma * math.log(n) < log_eps:
             return n
         n += 1
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_calibrate_b(s, ctx, bracket=(0.1, 100.0)):
+    """calibrate_b's search with golden-section refinement, as the library ran
+    it before Brent's minimiser: the same err(b) and coarse scan, then golden
+    steps from the best coarse neighbours until (c - a) <= REL_TOL x2 (28 steps
+    on the default bracket).  Returns (b_hat, err_at_opt, trace)."""
+    from zetalab.oracle import zeta
+    from zetalab.powers import power_table
+    from zetalab.precision import _raw
+    from zetalab.series import COARSE_SAMPLES, REL_TOL, tail_tolerance, truncation_length, weighted_zeta
+
+    lo, hi = bracket
+    eps = tail_tolerance(ctx)
+    reference = _raw(zeta(s, ctx).value, ctx)
+    powers = power_table(s, truncation_length(s, hi, eps), ctx)
+    trace = []
+
+    def err(b):
+        approx = _raw(weighted_zeta(s, b, truncation_length(s, b, eps), ctx, powers), ctx)
+        trace.append((b, float(abs(reference - approx))))
+        return trace[-1][1]
+
+    coarse = [lo * (hi / lo) ** (j / (COARSE_SAMPLES - 1)) for j in range(COARSE_SAMPLES)]
+    errors = [err(b) for b in coarse]
+    best = min(range(COARSE_SAMPLES), key=lambda j: errors[j])
+    a, c = coarse[best - 1], coarse[best + 1]
+    x1 = c - (c - a) * _INV_PHI
+    x2 = a + (c - a) * _INV_PHI
+    f1, f2 = err(x1), err(x2)
+    while (c - a) > REL_TOL * max(x2, 1e-300):
+        if f1 < f2:
+            c, x2, f2 = x2, x1, f1
+            x1 = c - (c - a) * _INV_PHI
+            f1 = err(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + (c - a) * _INV_PHI
+            f2 = err(x2)
+    b_hat, err_opt = min(trace, key=lambda item: item[1])
+    return b_hat, err_opt, trace
 
 
 def t_over_pi_cutoff(s, digits: int) -> int:

@@ -2,6 +2,8 @@
 
 The digests were recorded from the code before the change that added this
 file; a refactor that is meant to keep output bytes must keep them.  The
+calibration presets' digests were re-recorded when Brent's minimiser
+replaced golden-section refinement in calibrate_b.  The
 manifest records wall time, so it is not pinned.
 """
 
@@ -61,23 +63,23 @@ DIGESTS = {
         "nhat_sweep.csv": "0634005570d5d4d6f9638725a0f7ff987cebaffafd4d44c978cae59b14391294",
     },
     "fig-eps-vs-b": {
-        "trace.csv": "e157ce2c6e738fd0bb7cf34577dcfa8832654b73ada541bc19f114ca1da144b7",
-        "calibration.json": "837ebbf1384f51c329b49f4ad63f5183bf9eb03a53abbf44117bb8017b787199",
+        "trace.csv": "8d643ccc6af150bf2f9c5d5889825c18acf4e872e08fdac469e28d59eb668706",
+        "calibration.json": "ce76a06242eb2a7792154ab38299dc286b296135a2edfcd2c5e9d486703efde3",
     },
     "fig-eps-vs-t": {
-        "accuracy.csv": "3c39749884494ca11784404d337e676ad5c6d871f229bb8a291a7c275ce43711",
+        "accuracy.csv": "ea7e74da0ca04ffff09f1b8d9ad019cbd61f4d33072b8ed75b97b2360c16ef92",
     },
     "fig-b-power-law": {
-        "accuracy.csv": "79f37de1523eef699080de6b2a30c622d31931631767cd7abf6568afce9dc41e",
-        "powerfit.json": "e065e64b957c65f48860291189a410a275e39f1bf522fc26dba6f90db38aa8f5",
+        "accuracy.csv": "0163c5f7d1b7d60f7422ad6f5c3413abf9bc0e91abc559bb8ef013e7931f5aec",
+        "powerfit.json": "a6224c35e36b1a99cb08bd28d231b44a13353d844fb91cdf73820d805578d005",
     },
     "fig-c-d-sigma": {
-        "cd_sigma.csv": "e88e0d9e05eec13566489923d717c29c767da643f678ba335e3a823edfef249e",
-        "expfits.json": "51215ec51049fa93953f92d86ea4a5e3348b6786941b7598f4048f109aa22398",
+        "cd_sigma.csv": "6b8b0648667535586e5b1cd2f9c10f914416c92c3e0709d49466d52ce05c1e54",
+        "expfits.json": "c771589dad859d9a35dd45f29a120c31f88716966f682a6d8d3ba2fe985b0f48",
     },
     "fig-b-sigma": {
-        "b_sigma.csv": "ef81c2c383a548ae3e681ff8cde1fdcbaf4b042897fca6848e379dfb0e84b754",
-        "expfit.json": "8a9c499890bc1dfbce7e61b90baa17dcec271d10c5adad0b66ce8e84c9146a12",
+        "b_sigma.csv": "a82fd36e71863cb6422b960aef47eb7c39a02487e17dcdadfd4ce065fcf95d8d",
+        "expfit.json": "f715b8cf0103c73c00b79da92c3394b908b31be95dd65355388f9eca531b8f9e",
     },
     "fig-spiral-raw": {
         "spiral.csv": "db1460152d93febe8dda9d114dd50df88330007266e6477c39c79942fee5b451",
@@ -85,9 +87,9 @@ DIGESTS = {
         "spiral.json": "55cbb19b74804a6d485365fd3a24228313bbe76971a6f88d9ad4ca20c416138d",
     },
     "fig-spiral-weighted": {
-        "spiral.csv": "78527c2d201f5d0faedfa73779195ee6fd5c49ede276f574b7a4cfd6be6c89dc",
+        "spiral.csv": "d7619a53efc2cdeed5af88649f765c8674801c28fc89022ee2ef2e821803ec55",
         "spiral.svg": "16ba83a5e817ea68a0d3d21a71002dd40fd5e7d0fa38df9c0b10651a8e64fe55",
-        "spiral.json": "b5ec3dce3cb3e0e0b28da7d6fb800a4c7b6b621cfd4ed2bea4b0c14e0bbccd09",
+        "spiral.json": "1916bab7a5fc126135c36ba45c2fef853b6cf525de7e2059ebbd6eac43c8b1c3",
     },
 }
 

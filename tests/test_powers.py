@@ -1,6 +1,7 @@
 """The fixed-point power-table kernel against the direct exp/ln paths."""
 
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -144,6 +145,21 @@ def test_every_prime_down_the_fallback(monkeypatch):
         table, want = power_table(s, n_max, ctx), mpmath_power_table(s, n_max, ctx)
         assert table.re == want.re and table.im == want.im
         assert len(calls) == len(_primes(n_max))
+
+
+@pytest.mark.parametrize(
+    ("sigma", "t", "n_max", "digest"),
+    [
+        ("-0.5", "0.001", 20000, "2138c74c108c00a5c0786044c0435459feb9f30499dd703f3e69d8eaddc04589"),
+        ("-100", "7", 2000, "0753fc78823a2426d5fb7fec4ab888b48928a8ae740e013eb7820d3010bb7bdd"),
+    ],
+)
+def test_tables_past_the_kernel_stop(sigma, t, n_max, digest):
+    # past the first prime with e >= _KERNEL_EXP every entry takes mpmath's
+    # route and the ln p chain stops; SHA-256 recorded while the chain still ran to n_max
+    ctx = PrecisionContext(15)
+    table = power_table(make_complex(sigma, t, ctx), n_max, ctx)
+    assert hashlib.sha256(repr((table.re, table.im)).encode()).hexdigest() == digest
 
 
 def test_mpmath_route_error_inside_rounding_margin():

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import mpmath
 import pytest
@@ -19,7 +21,9 @@ from zetalab import (
 )
 from zetalab.errors import NumericalError, ValidationError
 from zetalab.experiments import ExperimentConfig, run_preset
-from zetalab.series import N_TERMS_MAX, tail_tolerance
+from zetalab.series import COARSE_SAMPLES, N_TERMS_MAX, REL_TOL, tail_tolerance
+
+from .oracles import golden_calibrate_b
 
 
 def _ref(dps=80):
@@ -235,6 +239,67 @@ class TestCalibration:
         s = make_complex("0.5", "300", ctx30)
         with pytest.raises(ValidationError):
             calibrate_b(s, ctx30, bracket=(1.0, 0.5))
+
+
+# SHA-256 of repr(trace[:64]), recorded from the golden-section code: the
+# coarse scan, whose ends perfbench's calibrate check reads, must not move
+COARSE_DIGESTS = {
+    (30, "1000"): "a2f8557901eeb9ecc3c100be8bee53cfc2ac9e71db46667463e323c11d8102e2",
+    (15, "1000"): "01b4496f384c797d60bd0f7016d31fb49dd39637c1c51e6d5d02750270058a44",
+}
+
+
+def _refinement_shape(cal, max_evals):
+    coarse = cal.trace[:COARSE_SAMPLES]
+    best = min(range(COARSE_SAMPLES), key=lambda j: coarse[j][1])
+    lo, hi = coarse[best - 1][0], coarse[best + 1][0]
+    bs = [b for b, _ in cal.trace]
+    assert len(set(bs)) == len(bs)  # trace.csv sorts by b
+    assert all(lo < b < hi for b in bs[COARSE_SAMPLES:])
+    assert len(cal.trace) <= max_evals
+    assert (cal.b_hat, cal.err_at_opt) == min(cal.trace, key=lambda item: item[1])
+
+
+@pytest.mark.slow
+class TestBrentRefinement:
+    def test_unclipped_shape(self, cal1000):
+        assert hashlib.sha256(repr(cal1000.trace[:64]).encode()).hexdigest() == COARSE_DIGESTS[30, "1000"]
+        assert cal1000.digits_gained < 30 - 1
+        _refinement_shape(cal1000, 76)
+
+    def test_floor_clipped_shape(self):
+        # at P = 15 the valley floor is rounding noise, and Brent falls back to golden steps
+        ctx = PrecisionContext(15)
+        cal = calibrate_b(make_complex("0.5", "1000", ctx), ctx)
+        assert hashlib.sha256(repr(cal.trace[:64]).encode()).hexdigest() == COARSE_DIGESTS[15, "1000"]
+        assert cal.digits_gained > 15 - 1
+        _refinement_shape(cal, 92)
+
+
+def _equivalence_points():
+    """32 seeded points: 26 at P = 30 and t <= 2000, 4 at P = 50, 2 at P = 100."""
+    rng = random.Random(22)
+    points = []
+    for k in range(32):
+        digits, t_hi = (30, 2000.0) if k < 26 else (50, 3000.0) if k < 30 else (100, 5000.0)
+        t = math.exp(rng.uniform(math.log(100.0), math.log(t_hi)))
+        points.append((digits, f"{rng.uniform(-0.4, 0.9):.3f}", f"{t:.2f}"))
+    return points
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(("digits", "sigma", "t"), _equivalence_points())
+def test_brent_matches_golden_section(digits, sigma, t):
+    ctx = PrecisionContext(digits)
+    s = make_complex(sigma, t, ctx)
+    cal = calibrate_b(s, ctx)
+    if cal.digits_gained > digits - 1:
+        pytest.skip("floor-clipped: the valley floor is rounding noise")
+    b_hat, err_opt, trace = golden_calibrate_b(s, ctx)
+    assert cal.trace[:COARSE_SAMPLES] == tuple(trace[:COARSE_SAMPLES])
+    assert abs(cal.b_hat - b_hat) <= REL_TOL * b_hat
+    assert abs(cal.digits_gained - -math.log10(err_opt)) <= 1e-4
+    assert len(cal.trace) <= 76
 
 
 def _accuracy(tmp_path, **overrides) -> list[list[str]]:
