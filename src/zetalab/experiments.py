@@ -11,6 +11,7 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -144,7 +145,6 @@ PARAMS: dict[str, Param] = {
     "digits": Param(
         int, lambda v: MIN_DIGITS <= v <= DIGITS_MAX, f"an integer in [{MIN_DIGITS}, {DIGITS_MAX}]"
     ),
-    "stability_threshold": Param(float, _positive, "a positive real"),
     "t": Param(_ordinate, lambda v: 0 < abs(v) <= T_MAX, f"a nonzero real with |t| <= {T_MAX}"),
     "b": Param(float, _positive, "a positive real"),
     "n_terms": Param(int, lambda v: 1 <= v <= N_TERMS_MAX, f"an integer in [1, {N_TERMS_MAX}]"),
@@ -226,13 +226,9 @@ def parse_config_file(path: Path) -> dict:
 
 
 def _coeff_outputs(params: dict):
-    spec = GridSpec(
-        sigma=params["sigma"], t1=params["t1"], dt=params["dt"],
-        n_rows=params["n"], digits=params["digits"],
-    )
+    (spec,) = _grids(params)
     cs = solve_grid(spec)
     digits = spec.digits
-    threshold = params["stability_threshold"]
     rows = [
         [str(i), _format_real(z.re, digits), _format_real(z.im, digits)]
         for i, z in enumerate(cs.deltas, start=1)
@@ -240,8 +236,8 @@ def _coeff_outputs(params: dict):
     diag = {
         "residual_inf": _format_real(cs.residual_inf, 12),
         "im_stability": _format_real(cs.im_stability, 12),
-        "stable": bool(cs.im_stability < threshold),
-        "stability_threshold": threshold,
+        "stable": bool(cs.im_stability < DEFAULT_STABILITY_THRESHOLD),
+        "stability_threshold": DEFAULT_STABILITY_THRESHOLD,
         "ordinate_bound_ok": spec.ordinate_bound_ok,
     }
     try:
@@ -280,40 +276,53 @@ def _calibration(args) -> BCalibration:
     return calibrate_b(make_complex(sigma, t, ctx), ctx, bracket)
 
 
-def _check_bracket(params: dict):
-    """Before any calibration, reject a bracket whose power table passes N_TERMS_MAX terms."""
-    if "bracket" in params:
+def _points(params: dict) -> list[tuple]:
+    """(sigma, t, digits, bracket) of each calibration, sigma-major, in input order."""
+    return [
+        (sigma, t, params["digits"], params["bracket"])
+        for sigma in params.get("sigma_list") or [params["sigma"]]
+        for t in params.get("t_list") or [params["t"]]
+    ]
+
+
+def _grids(params: dict) -> list[GridSpec]:
+    """The grid of a grid preset, or one grid per t_list entry (fig-nhat-sweep)."""
+    return [
+        GridSpec(params["sigma"], t1, params["dt"], params["n"], params["digits"])
+        for t1 in params.get("t_list") or [params["t1"]]
+    ]
+
+
+def _calibrates(params: dict, weighted: bool) -> bool:
+    """Whether a run calibrates b: b is unset and it is weighted or sizes n_terms from b."""
+    return params.get("b") is None and (weighted or params["n_terms"] is None)
+
+
+def _check_work(params: dict, weighted: bool = True):
+    """Before any work: each grid's last ordinate, else each calibration's bracket, else b's terms."""
+    if "dt" in params:
+        for spec in _grids(params):
+            if spec.max_ordinate > T_MAX:
+                raise ValidationError(
+                    f"dt = {params['dt']} puts the last ordinate t1 + (n-1) dt = "
+                    f"{spec.max_ordinate} past {T_MAX} at t1 = {spec.t1}"
+                )
+    elif _calibrates(params, weighted):
         ctx, hi = PrecisionContext(params["digits"]), params["bracket"][1]
-        for sigma in params.get("sigma_list") or [params["sigma"]]:
-            for t in params.get("t_list") or [params["t"]]:
-                try:
-                    truncation_length(make_complex(sigma, t, ctx), hi, tail_tolerance(ctx))
-                except ValidationError as exc:
-                    raise ValidationError(f"bracket upper end {hi}: {exc} at t = {t}") from None
+        for sigma, t, _, _ in _points(params):
+            try:
+                truncation_length(make_complex(sigma, t, ctx), hi, tail_tolerance(ctx))
+            except ValidationError as exc:
+                raise ValidationError(f"bracket upper end {hi}: {exc} at t = {t}") from None
+    else:
+        _spiral_terms(params, params["b"])
 
 
-def _check_grid(params: dict):
-    """Before any solve, reject a grid whose last ordinate t1 + (n-1) dt passes T_MAX."""
-    for t1 in params.get("t_list") or [params["t1"]]:
-        spec = GridSpec(sigma=params["sigma"], t1=t1, dt=params["dt"],
-                        n_rows=params["n"], digits=params["digits"])
-        if spec.max_ordinate > T_MAX:
-            raise ValidationError(
-                f"dt = {params['dt']} puts the last ordinate t1 + (n-1) dt = "
-                f"{spec.max_ordinate} past {T_MAX} at t1 = {t1}"
-            )
-
-
-def _check_work(params: dict):
-    """A grid preset's last ordinate, or else a calibration preset's bracket."""
-    (_check_grid if "dt" in params else _check_bracket)(params)
-
-
-def _nhat_row(args) -> list[str]:
-    """One nhat_sweep.csv row: the grid starting at t1, solved, and its half crossing."""
-    sigma, t1, dt, n, digits = args
-    cs = solve_grid(GridSpec(sigma=sigma, t1=t1, dt=dt, n_rows=n, digits=digits))
-    mean_t = t1 + (n - 1) * dt.value / 2.0
+def _nhat_row(spec: GridSpec) -> list[str]:
+    """One nhat_sweep.csv row: the grid solved, and its half crossing."""
+    cs = solve_grid(spec)
+    t1 = float(spec.t1)
+    mean_t = t1 + (spec.n_rows - 1) * DecimalText(spec.dt).value / 2.0
     try:
         n_hat_star = half_crossing(cs).value
     except NumericalError:
@@ -338,8 +347,7 @@ def _pool_map(fn, items: list, jobs: int) -> list:
 
 
 def _run_coeffs(params: dict, jobs: int) -> dict:
-    outputs, _ = _coeff_outputs(params)
-    return outputs
+    return _coeff_outputs(params)[0]
 
 
 def _run_sigmoid(params: dict, jobs: int) -> dict:
@@ -349,20 +357,16 @@ def _run_sigmoid(params: dict, jobs: int) -> dict:
 
 
 def _run_nhat_sweep(params: dict, jobs: int) -> dict:
-    items = [
-        (params["sigma"], t1, params["dt"], params["n"], params["digits"])
-        for t1 in params["t_list"]
-    ]
     return {
         "nhat_sweep.csv": _csv(
             ["t1", "n_hat_star", "n_hat_formula", "mean_t_over_t1", "im_stability"],
-            _pool_map(_nhat_row, items, jobs),
+            _pool_map(_nhat_row, _grids(params), jobs),
         )
     }
 
 
 def _run_eps_vs_b(params: dict, jobs: int) -> dict:
-    cal = _calibration((params["sigma"], params["t"], params["digits"], params["bracket"]))
+    (cal,) = _pool_map(_calibration, _points(params), jobs)
     trace_rows = [[_f(b), _f(e)] for b, e in sorted(cal.trace)]
     return {
         "trace.csv": _csv(["B", "err"], trace_rows),
@@ -379,28 +383,23 @@ def _run_eps_vs_b(params: dict, jobs: int) -> dict:
     }
 
 
-def _calibrations(params: dict, sigmas: list, t_list: list, jobs: int) -> list[BCalibration]:
-    """_calibration at every (sigma, t), sigma-major, in input order."""
-    items = [(sigma, t, params["digits"], params["bracket"]) for sigma in sigmas for t in t_list]
-    return _pool_map(_calibration, items, jobs)
-
-
-def _accuracy_csv(t_list: list, cals: list[BCalibration]) -> str:
-    rows = [[_f(t), _f(cal.b_hat), _f(cal.digits_gained)] for t, cal in zip(t_list, cals)]
-    return _csv(["t", "b_hat", "digits_gained"], rows)
+def _accuracy_csv(column: str, xs: list, cals: list[BCalibration]) -> str:
+    """One (x, b_hat, digits_gained) row per calibration; column names x."""
+    rows = [[_f(x), _f(cal.b_hat), _f(cal.digits_gained)] for x, cal in zip(xs, cals)]
+    return _csv([column, "b_hat", "digits_gained"], rows)
 
 
 def _run_eps_vs_t(params: dict, jobs: int) -> dict:
-    cals = _calibrations(params, [params["sigma"]], params["t_list"], jobs)
-    return {"accuracy.csv": _accuracy_csv(params["t_list"], cals)}
+    cals = _pool_map(_calibration, _points(params), jobs)
+    return {"accuracy.csv": _accuracy_csv("t", params["t_list"], cals)}
 
 
 def _run_power_law(params: dict, jobs: int) -> dict:
     t_list = params["t_list"]
-    cals = _calibrations(params, [params["sigma"]], t_list, jobs)
+    cals = _pool_map(_calibration, _points(params), jobs)
     fit = fit_power_law([(t, cal.b_hat) for t, cal in zip(t_list, cals)])
     return {
-        "accuracy.csv": _accuracy_csv(t_list, cals),
+        "accuracy.csv": _accuracy_csv("t", t_list, cals),
         "powerfit.json": _json(
             {
                 "sigma": params["sigma"].value,
@@ -414,7 +413,7 @@ def _run_power_law(params: dict, jobs: int) -> dict:
 
 def _run_cd_sigma(params: dict, jobs: int) -> dict:
     sigmas, t_list = params["sigma_list"], params["t_list"]
-    cals = _calibrations(params, sigmas, t_list, jobs)
+    cals = _pool_map(_calibration, _points(params), jobs)
     rows = []
     c_samples, d_samples = [], []
     for i, sigma in enumerate(sigmas):
@@ -437,21 +436,13 @@ def _run_cd_sigma(params: dict, jobs: int) -> dict:
 
 
 def _run_b_sigma(params: dict, jobs: int) -> dict:
-    sigmas = params["sigma_list"]
-    cals = _calibrations(params, sigmas, [params["t"]], jobs)
-    rows = [
-        [_f(sigma.value), _f(cal.b_hat), _f(cal.digits_gained)] for sigma, cal in zip(sigmas, cals)
-    ]
-    fit = fit_sigma_dependence([(sigma.value, cal.b_hat) for sigma, cal in zip(sigmas, cals)])
+    sigmas = [sigma.value for sigma in params["sigma_list"]]
+    cals = _pool_map(_calibration, _points(params), jobs)
+    fit = fit_sigma_dependence([(sigma, cal.b_hat) for sigma, cal in zip(sigmas, cals)])
     return {
-        "b_sigma.csv": _csv(["sigma", "b_hat", "digits_gained"], rows),
+        "b_sigma.csv": _accuracy_csv("sigma", sigmas, cals),
         "expfit.json": _json({"p": fit.p, "q": fit.q, "r_squared": fit.r_squared}),
     }
-
-
-def _spiral_calibrates(params: dict, weighted: bool) -> bool:
-    """A spiral calibrates b when b is unset and it is weighted or sizes n_terms from b."""
-    return params["b"] is None and (weighted or params["n_terms"] is None)
 
 
 def _spiral_terms(params: dict, b: float) -> int:
@@ -466,19 +457,11 @@ def _spiral_terms(params: dict, b: float) -> int:
     return n_terms
 
 
-def _check_spiral(params: dict, weighted: bool):
-    """Before any work: the bracket if the spiral calibrates, else the terms a set b needs."""
-    if _spiral_calibrates(params, weighted):
-        _check_bracket(params)
-    else:
-        _spiral_terms(params, params["b"])
-
-
 def _run_spiral(params: dict, jobs: int, weighted: bool) -> dict:
     ctx = PrecisionContext(params["digits"])
     s = make_complex(params["sigma"], params["t"], ctx)
     b = params["b"]
-    if _spiral_calibrates(params, weighted):
+    if _calibrates(params, weighted):
         b = calibrate_b(s, ctx, params["bracket"]).b_hat
     n_terms = _spiral_terms(params, b)
     if weighted:
@@ -524,7 +507,6 @@ _STABLE_GRID = {
     "dt": "0.628318531",
     "n": "100",
     "digits": "100",
-    "stability_threshold": str(DEFAULT_STABILITY_THRESHOLD),
 }
 
 _CALIBRATION = {"digits": str(CALIBRATION_DIGITS), "bracket": ",".join(map(str, DEFAULT_BRACKET))}
@@ -605,14 +587,14 @@ _PRESETS: dict[str, _Preset] = {
     "fig-spiral-raw": _Preset(
         "divergent partial-sum spiral of the functional-equation combination",
         dict(_SPIRAL),
-        lambda params, jobs: _run_spiral(params, jobs, weighted=False),
-        check=lambda params: _check_spiral(params, weighted=False),
+        functools.partial(_run_spiral, weighted=False),
+        check=functools.partial(_check_work, weighted=False),
     ),
     "fig-spiral-weighted": _Preset(
         "sigmoid-weighted spiral converging to the origin",
         dict(_SPIRAL),
-        lambda params, jobs: _run_spiral(params, jobs, weighted=True),
-        check=lambda params: _check_spiral(params, weighted=True),
+        functools.partial(_run_spiral, weighted=True),
+        check=functools.partial(_check_work, weighted=True),
     ),
 }
 

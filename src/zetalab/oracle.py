@@ -228,6 +228,8 @@ def _euler_maclaurin(
     corr_im = ((c_re * l_im + c_im * l_re) >> fbits) // n0
     re, im = 2 * (head_re + corr_re) - l_re, 2 * (head_im + corr_im) - l_im
     n_pow_ms = _raw(from_fixed(l_re, l_im, bits, work), work)
+    if n0 > abs(sw - 1) * 2 ** (bits - work.prec_bits):  # the tail's N0/|s-1| outgrows F's guard bits
+        n_pow_ms = work._mp.exp(-sw * work._mp.ln(n0))
     total = _raw(from_fixed(re, im, bits + 1, work), work) + n_pow_ms * n0 / (sw - 1)
     return total, order, certified
 

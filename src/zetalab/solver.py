@@ -399,9 +399,8 @@ def solve_grid(spec: GridSpec) -> CoefficientSet:
     return solve_coefficients(matrix, rhs, ctx)
 
 
-# Separates the measured stable regime (~5e-2 for the reference grid) from
-# broken ones (>1e1) by a decade either side; exposed because the right
-# cutoff is configuration-dependent.
+# The fixed cutoff of the `stable` flag in a grid run's diagnostics: it separates the
+# measured stable regime (~5e-2 for the reference grid) from broken ones (>1e1).
 DEFAULT_STABILITY_THRESHOLD = 1.0
 
 

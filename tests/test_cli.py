@@ -44,6 +44,8 @@ class TestZetaEval:
              "-2.4695222137042171744879816568484911212319214932525i"),
             ("2,0", "50", "1.6449340668482264364724151666460251892189499012068+0.0i"),
             ("0.5,40000", "30", "3.26966619582050948386385727757+5.92999696213917340449718493860i"),
+            # next to the pole: 1/(s-1) plus Euler's gamma, as mpmath.zeta gives it
+            ("1,1e-40", "15", "0.577215664901533-1.00000000000000e+40i"),
         ],
     )
     def test_golden_text(self, runner, point, digits, text):
@@ -242,9 +244,7 @@ MALFORMED = {
     "run-nhat-t-list-empty": ["run", "fig-nhat-sweep", "--set", "t_list=,", *OUT],
     "run-sigma-list-empty": ["run", "fig-c-d-sigma", "--set", "sigma_list=,", *OUT],
     "run-sigma-nan": ["run", "fig-eps-vs-b", "--set", "sigma=nan", *OUT],
-    "run-stability-threshold-nan": [
-        "run", "fig-coeffs-stable", "--set", "n=4", "--set", "stability_threshold=nan", *OUT
-    ],
+    "run-dt-nan": ["run", "fig-coeffs-stable", "--set", "n=4", "--set", "dt=nan", *OUT],
     "search-b-t-inf": ["search-b", "--t", "inf", *OUT],
     "search-b-t-nan": ["search-b", "--t", "nan", *OUT],
     "spiral-b-inf": ["spiral", "--t", "200", "--b", "inf", "--n-terms", "10", *OUT],
@@ -403,9 +403,7 @@ SPIRAL_WIDE_BRACKET = ["--set", "n_terms=10", "--set", "bracket=0.1,1e6", "--set
 
 # each probe must be rejected, naming its key, before any preset work starts
 PROBES = {
-    "run-stability-threshold-negative": (
-        "stability_threshold", ["run", "fig-coeffs-stable", "--set", "stability_threshold=-1"]
-    ),
+    "run-b-negative": ("b", ["run", "fig-spiral-raw", "--set", "b=-1"]),
     "run-set-jobs": ("jobs", ["run", "fig-eps-vs-t", "--set", "jobs=0"]),
     "run-jobs-zero": ("jobs", ["run", "fig-eps-vs-t", "--jobs", "0"]),
     "run-t-budget": ("t", ["run", "fig-eps-vs-b", "--set", "t=1e9"]),

@@ -19,6 +19,9 @@ from zetalab.experiments import (
     preset_names,
     run_preset,
 )
+from zetalab.solver import GridSpec
+
+from .test_golden_presets import OVERRIDES as GOLDEN_OVERRIDES
 
 # cheap override sets so preset machinery is exercised without the
 # multiprecision heavyweights
@@ -89,7 +92,7 @@ class TestConfig:
         assert _resolve("sigma_list", "0.1, 0.5") == ["0.1", "0.5"]
         assert _resolve("sigma", "0.5") == "0.5"
         assert _resolve("t_list", "100,,200") == [100.0, 200.0]
-        assert _resolve("stability_threshold", "0.5") == 0.5
+        assert _resolve("b", "0.5") == 0.5
         assert _resolve("n_terms", "30") == 30
         assert _resolve("t", "100.0") == 100.0
         assert _resolve("t", "1000.5") == 1000.5
@@ -338,3 +341,36 @@ class TestRunPreset:
         fits = json.loads((tmp_path / "expfits.json").read_text())
         assert set(fits) == {"c_coef", "d_exp"}
         assert all("error" in fit for fit in fits.values())
+
+
+@pytest.mark.parametrize("preset", list(GOLDEN_OVERRIDES))
+def test_check_and_run_see_the_same_points(tmp_path, monkeypatch, preset):
+    # the pre-flight work check and the run walk one list: an (sigma, t) per
+    # calibration, a GridSpec per grid, in the same order; a call counts as
+    # the check's until the run's first calibration or solve
+    checked, ran = [], []
+
+    def recorded(fn, key, into):
+        def wrapper(*args, **kwargs):
+            if into is ran or not ran:
+                into.append(key(*args))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def point(s, *_):
+        return (s.re, s.im)
+
+    def spec(grid):
+        return grid
+
+    monkeypatch.setattr(
+        experiments, "truncation_length", recorded(experiments.truncation_length, point, checked)
+    )
+    monkeypatch.setattr(
+        GridSpec, "max_ordinate", property(recorded(GridSpec.max_ordinate.fget, spec, checked))
+    )
+    monkeypatch.setattr(experiments, "calibrate_b", recorded(experiments.calibrate_b, point, ran))
+    monkeypatch.setattr(experiments, "solve_grid", recorded(experiments.solve_grid, spec, ran))
+    run_preset(ExperimentConfig(preset, dict(GOLDEN_OVERRIDES[preset])), tmp_path)
+    assert ran and checked == ran

@@ -6,10 +6,12 @@ fail in the traced benchmark run, so it is checked here, by file path.
 The calibrate workload's check in perfbench/workloads.py reads the coarse
 scan's ends out of a calibration's trace, so the trace layout it assumes is
 checked too.  The preset parameter schema is guarded against keys it does
-not declare and declarations no preset uses.
+not declare, declarations no preset uses, and a README key table that
+drifts from it.
 """
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from zetalab import PrecisionContext, experiments, make_complex, series, solver
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 WORKLOADS = SPANS.with_name("workloads.py")
+README = SPANS.parents[1] / "README.md"
 
 
 def _spans():
@@ -69,3 +72,9 @@ def test_preset_keys_match_schema():
     assert set(experiments.PARAMS) - used == set(), "schema entries no preset uses"
     for name, preset in experiments._PRESETS.items():
         assert set(preset.min_entries) <= set(preset.defaults), name
+
+
+def test_readme_key_table_matches_schema():
+    section = README.read_text(encoding="utf-8").split("### Preset keys\n", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
+    assert sorted(rows) == sorted(experiments.PARAMS)

@@ -115,6 +115,19 @@ class TestZeta:
         with pytest.raises(NumericalError, match="zeta has a pole at s = 1"):
             zeta(make_complex(1, 0, ctx), ctx)
 
+    @pytest.mark.parametrize("digits", [15, 30, 100])
+    @pytest.mark.parametrize("im", ["1e-25", "1e-40", "1e-300", "-1e-40"])
+    def test_each_component_next_to_the_pole(self, digits, im):
+        # zeta(1 + it) ~ -i/t + gamma: the tail N0^(1-s)/(s-1) carries the huge
+        # imaginary part, and the real part must keep its digits beside it
+        ctx = PrecisionContext(digits)
+        s = make_complex(1, im, ctx)
+        value = zeta(s, ctx).value
+        ref = _ref(digits + 40)
+        expected = ref.zeta(_as(ref, s))
+        for got, want in ((value.re, expected.real), (value.im, expected.imag)):
+            assert abs(ref.mpf(got) / want - 1) < ref.mpf(10) ** -digits, (got, want)
+
     def test_conjugate_exact_at_representation(self):
         # zeta(conj s) runs its own pass on conjugated power entries; every
         # later step rounds to nearest, so value and schedule mirror exactly
