@@ -11,18 +11,21 @@ caller: the weighted sums, the spirals, the grid solver's ladder and the
 zeta oracle's Euler-Maclaurin head.
 
 The weight 1/(1 + E_n), E_n = exp((n - c)/B), is the fixed-point int
-w_n = floor(2^(2F) / (2^F + floor(E_n 2^F))).  E_n follows the recurrence
-E_{n+1} = E_n q, q = exp(1/B), on integer mantissas: each step multiplies
-mantissas, adds exponents and rounds to the context's precision half to
-even, as mpf_mul does.  A direct exp re-anchors it at every n = 1 (mod 32),
-so w_n depends on n alone and not on where a sum starts.
-series.weighted_zeta sums w_n n^(-s) exactly in ints and rounds once.
+w_n = floor(2^(2F) / (2^F + floor(E_n 2^F))).  E_n = man 2^exp follows the
+recurrence E_{n+1} = E_n q, q = exp(1/B): a step multiplies man by q's
+(F+1)-bit mantissa and shifts F bits off, rounding half up, and man is cut
+back to F bits only once it passes F + 64.  Each step is within 2^-F
+relative (man >= 2^(F-1)) and q within 2^-(F+1), so K steps are within
+about 1.5 K 2^-F (Higham, Accuracy and Stability of Numerical Algorithms,
+2nd ed., 3.1), a quarter of that in units of w_n.  A direct exp at F bits
+re-anchors E_n at every n = 1 (mod 128), so K < 128 and w_n depends on n
+alone, not on where a list starts.  series.weighted_zeta sums w_n n^(-s)
+exactly in ints and rounds once.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +35,7 @@ from .errors import ValidationError
 from .precision import ComplexAP, PrecisionContext
 
 _EXTRA_BITS = 16
-_ANCHOR_EVERY = 32
+_ANCHOR_EVERY = 128
 _RND = libmp.round_nearest
 _KERNEL_EXP = 6  # past |p^-s| (1 + |sigma| ln p/2^b) = 2^6 most primes fail the rounding test
 
@@ -49,8 +52,12 @@ def center(s: ComplexAP, ctx: PrecisionContext):
 
 
 def _exp_at(n: int, c, b, prec: int):
-    """E_n = exp((n - c)/b) as a raw mpf at prec bits (c, b raw mpfs)."""
-    x = libmp.mpf_div(libmp.mpf_sub(libmp.from_int(n), c, prec, _RND), b, prec, _RND)
+    """E_n = exp((n - c)/b) as a raw mpf at prec bits (c, b raw mpfs).
+
+    (n - c)/b carries 64 more bits: up to |n - c|/b = 2^64 its rounding moves
+    E_n by under 2^-prec relative.
+    """
+    x = libmp.mpf_div(libmp.mpf_sub(libmp.from_int(n), c), b, prec + 64, _RND)
     return libmp.mpf_exp(x, prec, _RND)
 
 
@@ -58,7 +65,7 @@ def sigmoid_weight(n: int, c, b: float, ctx: PrecisionContext):
     """1/(1 + exp((n - c)/b)) at the context's precision, by one direct exp.
 
     This is not the sums' w_n: they step E_n by the recurrence between
-    anchors, which can differ from the direct exp in the last bits.
+    anchors, which leaves w_n within about 50 units of 2^-F of the exact sigmoid.
     """
     mp = ctx._mp
     return 1 / (1 + mp.make_mpf(_exp_at(n, c._mpf_, mp.mpf(b)._mpf_, ctx.prec_bits)))
@@ -74,39 +81,37 @@ def head_length(c, b: float, bits: int) -> int:
     return math.ceil(limit) - 2 if limit > 2 else 0
 
 
-def weights(c, b: float, ctx: PrecisionContext, start: int = 1):
-    """Yield the fixed-point weights w_n for n = start, start + 1, ... without end."""
+def weights(c, b: float, ctx: PrecisionContext, first: int, last: int) -> list[int]:
+    """The fixed-point weights w_n for n = first..last."""
     bits = frac_bits(ctx)
-    prec = ctx.prec_bits
     one = 1 << bits
-    full = one << bits
+    full, half, cap = one << bits, one >> 1, one << 64
     head = head_length(c, b, bits)
-    for _ in range(start, head + 1):
-        yield one
-    first = max(start, head + 1)
+    out = [one] * max(0, min(head, last) - first + 1)
     c_raw, b_raw = c._mpf_, ctx._mp.mpf(b)._mpf_
-    _, q_man, q_exp, _ = libmp.mpf_exp(libmp.mpf_div(libmp.fone, b_raw, prec, _RND), prec, _RND)
-    # walk from the anchor at or before the first term, yielding from there on
-    for n in itertools.count(first - (first - 1) % _ANCHOR_EVERY):
-        if (n - 1) % _ANCHOR_EVERY == 0:
-            _, man, exp, _ = _exp_at(n, c_raw, b_raw, prec)
-        else:
-            # E_n = E_(n-1) q rounded to prec bits half to even, as mpf_mul rounds it
-            man *= q_man
-            exp += q_exp
-            s = man.bit_length() - prec
-            if s > 0:
-                # floor shift of man + 2^(s-1) - 1, plus one more when the kept part is odd
-                man = (man + (1 << s - 1) - 1 + (man >> s & 1)) >> s
+    # q = exp(1/B) as an (F+1)-bit mantissa; a step multiplies by it and drops F bits
+    _, q, dq, bc = libmp.mpf_exp(libmp.mpf_div(libmp.fone, b_raw, bits + 64, _RND), bits + 1, _RND)
+    q, dq = q << bits + 1 - bc, dq + bc - 1
+    n = max(first, head + 1)
+    a = n - (n - 1) % _ANCHOR_EVERY
+    while n <= last:
+        _, man, exp, bc = _exp_at(a, c_raw, b_raw, bits)
+        man, exp = man << bits - bc, exp + bc - bits
+        for m in range(a, min(a + _ANCHOR_EVERY, last + 1)):
+            if m >= n:
+                if exp + man.bit_length() > bits + 1:
+                    # E_m >= 2^(bits+1), so floor(E_m 2^bits) > 2^(2 bits): w_m and all after are 0
+                    return out + [0] * (last + 1 - m)
+                shift = exp + bits
+                out.append(full // (one + (man << shift if shift >= 0 else man >> -shift)))
+            man = man * q + half >> bits
+            exp += dq
+            if man >= cap:
+                s = man.bit_length() - bits
+                man = (man >> s - 1) + 1 >> 1
                 exp += s
-        if n < first:
-            continue
-        if exp + man.bit_length() > bits + 1:
-            # E_n >= 2^(bits+1), so floor(E_n 2^bits) > 2^(2 bits): the weight is 0
-            yield 0
-        else:
-            shift = exp + bits
-            yield full // (one + (man << shift if shift >= 0 else man >> -shift))
+        a = n = a + _ANCHOR_EVERY
+    return out
 
 
 @dataclass(frozen=True)
@@ -149,11 +154,12 @@ def _exp_ln_entry(p: int, neg_s, wp: int, bits: int) -> tuple[int, int]:
     return to_fixed(z_re, bits), to_fixed(z_im, bits)
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=8)
 def _constants(h: int):
     """2 pi, ln 2, and cis(2 pi a 2^-j), 2^(a 2^-j) for a < 64, j = 6, 12, 18, at h
     fraction bits: 63 steps of repeated multiplication, under 3 units each.
-    One precision is kept (0.2-0.5 ms to build): a set per precision pinned memory."""
+    A set takes 0.3-0.6 ms to build and 33-52 KiB at h = 180-446; callers
+    alternate widths (zeta at P = 30 and 100, the spirals), so eight are kept."""
     wp = h + 16
     pi, ln2 = libmp.mpf_pi(wp), libmp.mpf_ln2(wp)
     levels = []

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 
 import mpmath
@@ -117,12 +118,9 @@ def weighted_zeta(
         raise ValidationError(f"table holds {len(re) - 1} powers, {n_terms} requested")
     c, bits = center(s, ctx), frac_bits(powers.ctx)
     head = min(head_length(c, b, bits), n_terms)
-    acc_re = sum(re[1 : head + 1]) << bits
-    acc_im = sum(im[1 : head + 1]) << bits
-    for n, w in zip(range(head + 1, n_terms + 1), weights(c, b, powers.ctx, head + 1)):
-        if w:
-            acc_re += w * re[n]
-            acc_im += w * im[n]
+    w = weights(c, b, powers.ctx, head + 1, n_terms)
+    acc_re = (sum(re[1 : head + 1]) << bits) + sum(map(operator.mul, w, re[head + 1 : n_terms + 1]))
+    acc_im = (sum(im[1 : head + 1]) << bits) + sum(map(operator.mul, w, im[head + 1 : n_terms + 1]))
     return from_fixed(acc_re, acc_im, 2 * bits, powers.ctx)
 
 
@@ -145,9 +143,9 @@ def calibrate_b(
     A coarse logarithmic scan of COARSE_SAMPLES scales locates the valley;
     Brent's minimiser (parabolic steps, golden-section fallback) refines from
     the best point and its neighbours' known errors until that bracket is at
-    most REL_TOL b wide: 8-12 sums on a smooth valley.  Each sum is truncated
-    where its tail falls below 10^-P.  A minimum on a bracket endpoint raises
-    NumericalError: widen the bracket.
+    most REL_TOL b wide: 6-12 sums on a smooth valley, mostly 7.  Each sum is
+    truncated where its tail falls below 10^-P.  A minimum on a bracket
+    endpoint raises NumericalError: widen the bracket.
     """
     _require_off_axis(s)
     lo, hi = bracket

@@ -68,7 +68,7 @@ def raw_partial_sums(s: ComplexAP, n_terms: int, ctx: PrecisionContext) -> Spira
 def weighted_partial_sums(s: ComplexAP, b: float, n_terms: int, ctx: PrecisionContext) -> SpiralTrace:
     """Partial sums with each term damped by the generalized coefficient."""
     _require_scale(b)
-    w = weights(center(s, ctx), b, ctx)
+    w = weights(center(s, ctx), b, ctx, 1, n_terms)
     points = _partial_sums(s, n_terms, ctx, w, 3 * frac_bits(ctx))
     return SpiralTrace(points)
 

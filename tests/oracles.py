@@ -6,14 +6,14 @@ Cohen-Rodriguez Villegas-Zagier acceleration of the eta series, with the depth
 doubled until two successive depths agree to the target.
 
 The exp/ln weighted sum, spiral sums, mpmath exp/ln power table,
-mpf_mul weight recurrence, Euler-Maclaurin pass (exp/ln head and mpc
-correction series) and its ceil(|t|/pi)+10 cutoff, per-row grid assembly,
-linear truncation scan, golden-section calibration, mpc elimination and
-fdot residual are the direct paths the library's fixed-point power tables,
-integer prime kernel, integer-mantissa weights, fixed-point correction
-series, cost-model cutoff, grid ladder, bisection, Brent's minimiser,
-integer elimination sweep and raw-tuple residual replaced; they stay here
-as the reference those fast paths are checked against.
+Euler-Maclaurin pass (exp/ln head and mpc correction series) and its
+ceil(|t|/pi)+10 cutoff, per-row grid assembly, linear truncation scan,
+golden-section calibration, mpc elimination and fdot residual are the direct
+paths the library's fixed-point power tables, integer prime kernel,
+fixed-point correction series, cost-model cutoff, grid ladder, bisection,
+Brent's minimiser, integer elimination sweep and raw-tuple residual
+replaced; they stay here as the reference those fast paths are checked
+against.
 """
 
 from __future__ import annotations
@@ -125,42 +125,6 @@ def mpmath_power_table(s, n_max: int, ctx):
     if s.im < 0:
         im = [-v for v in im]
     return PowerTable(ctx=ctx, re=re, im=im)
-
-
-def mpf_mul_weights(c, b: float, ctx, start: int = 1):
-    """powers.weights with E_n stepped by libmp.mpf_mul, as the library did
-    before the recurrence moved to integer mantissas."""
-    from mpmath import libmp
-
-    from zetalab.powers import _ANCHOR_EVERY, _exp_at, frac_bits, head_length
-
-    rnd = libmp.round_nearest
-    bits = frac_bits(ctx)
-    prec = ctx.prec_bits
-    one = 1 << bits
-    full = one << bits
-    head = head_length(c, b, bits)
-    for _ in range(start, head + 1):
-        yield one
-    n = max(start, head + 1)
-    c_raw, b_raw = c._mpf_, ctx._mp.mpf(b)._mpf_
-    q = libmp.mpf_exp(libmp.mpf_div(libmp.fone, b_raw, prec, rnd), prec, rnd)
-    anchor = n - (n - 1) % _ANCHOR_EVERY
-    e = _exp_at(anchor, c_raw, b_raw, prec)
-    for _ in range(anchor, n):
-        e = libmp.mpf_mul(e, q, prec, rnd)
-    while True:
-        _, man, exp, bc = e
-        if exp + bc > bits + 1:
-            yield 0
-        else:
-            shift = exp + bits
-            yield full // (one + (man << shift if shift >= 0 else man >> -shift))
-        n += 1
-        if (n - 1) % _ANCHOR_EVERY == 0:
-            e = _exp_at(n, c_raw, b_raw, prec)
-        else:
-            e = libmp.mpf_mul(e, q, prec, rnd)
 
 
 def linear_truncation_length(s, b: float, tail_eps: float) -> int:

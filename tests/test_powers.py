@@ -2,7 +2,6 @@
 
 import functools
 import hashlib
-import itertools
 import math
 import random
 
@@ -30,7 +29,6 @@ from .oracles import (
     exp_ln_spiral_sums,
     exp_ln_weighted_zeta,
     linear_truncation_length,
-    mpf_mul_weights,
     mpmath_power_table,
 )
 
@@ -200,7 +198,7 @@ def test_head_weights_are_exactly_one(ctx30):
         assert mp.floor(mp.exp((n - c) / mp.mpf(b)) * mp.mpf(2) ** bits) == 0
     table = power_table(s, head + 200, ctx30)
     total_re = total_im = 0
-    for n, w in zip(range(1, head + 201), weights(c, b, ctx30)):
+    for n, w in zip(range(1, head + 201), weights(c, b, ctx30, 1, head + 200)):
         total_re += w * table.re[n]
         total_im += w * table.im[n]
     value = weighted_zeta(s, b, head + 200, ctx30, table)
@@ -210,37 +208,62 @@ def test_head_weights_are_exactly_one(ctx30):
 
 def test_weights_do_not_depend_on_start(ctx30):
     c = center(make_complex("0.5", "300", ctx30), ctx30)
-    every = [w for _, w in zip(range(200), weights(c, 3.0, ctx30))]
-    for start in (2, 31, 32, 33, 64, 150):
-        tail = [w for _, w in zip(range(200 - start + 1), weights(c, 3.0, ctx30, start))]
-        assert tail == every[start - 1 :]
+    every = weights(c, 3.0, ctx30, 1, 300)
+    for start in (2, 31, 32, 33, 64, 128, 129, 130, 150):
+        assert weights(c, 3.0, ctx30, start, 300) == every[start - 1 :]
 
 
-def test_weights_match_mpf_mul_recurrence():
-    # bit for bit the mpf_mul recurrence, from the first term, from the end of
-    # the head and from both sides of an anchor, on past the first zero weight
-    rng = random.Random(20261018)
+def _sigmoid_weights(c, b: float, bits: int, last: int, ref):
+    """2^bits/(1 + exp((n - c)/b)) for n = 1..last at ref's precision.
+
+    Where exp((n - c)/b) lies outside 2^-(bits+8)..2^(bits+8) the weight is
+    within 2^-8 of 2^bits or of 0, and takes that value.  Between, E_n starts
+    from a direct exp and steps by exp(1/b), each step within 2^(1-prec)
+    relative, so 10^5 of them stay under 2^(18-prec).
+    """
+    span = b * (bits + 8) * math.log(2)
+    lo, hi = max(1, math.ceil(float(c) - span)), min(last, math.floor(float(c) + span))
+    one = ref.mpf(2) ** bits
+    out = [one] * (lo - 1)
+    e, q = ref.exp((lo - ref.mpf(c)) / b), ref.exp(1 / ref.mpf(b))
+    for _ in range(lo, hi + 1):
+        out.append(one / (1 + e))
+        e *= q
+    return out + [0] * (last - len(out))
+
+
+def test_weights_match_sigmoid():
+    # within 2^8 units of 2^-F of the sigmoid, from the first term, from the
+    # end of the head and from both sides of an anchor, on past the first zero
+    # weight; b = 2 grows the mantissa past F + 64 bits between anchors and
+    # puts c on an anchor, where E_c = exp(0) = 1 has a one-bit mantissa;
+    # b = 1e300 makes exp(1/b) exactly 1 and b = 1e-300 a step at c
+    rng = random.Random(20261019)
     for digits in (15, 30, 100, 400):
         ctx = PrecisionContext(digits)
         bits = frac_bits(ctx)
-        # b = 100 at P = 400 would run ~10^5 terms per list
-        ends = (0.05, 100.0) if digits <= 100 else (0.05,)
-        for b in (*ends, *(math.exp(rng.uniform(math.log(0.05), math.log(100))) for _ in range(3))):
+        ref = mpmath.mp.clone()
+        ref.prec = 3 * bits
+        # the sigmoid spans ~1.4 b bits terms, so b = 100 at P = 400 would run 2*10^5
+        top = 100.0 if digits <= 100 else 10.0
+        draws = (math.exp(rng.uniform(math.log(0.05), math.log(top))) for _ in range(3))
+        for b in (0.05, 2.0, top, 1e-300, 1e300, *draws):
             t = math.exp(rng.uniform(0, math.log(1e5))) * rng.choice((1, -1))
             c = center(make_complex("0.5", repr(t), ctx), ctx)
+            if b == 2.0:
+                c = ctx._mp.mpf(128 * (int(c) // 128) + 1)
             head = head_length(c, b, bits)
-            # E_n >= 2^(bits+1) from n = c + b (bits+1) ln 2 on
-            zero = math.ceil(float(c) + b * (bits + 1) * math.log(2))
-            anchor = 32 * rng.randint(head // 32 + 1, max(head // 32 + 1, zero // 32))
+            # E_n >= 2^(bits+1) from n = c + b (bits+1) ln 2 on; at b = 1e300 E_n stays near 1
+            zero = math.ceil(float(c) + b * (bits + 1) * math.log(2)) if b < 1e300 else 300
+            anchor = 128 * rng.randint(head // 128 + 1, max(head // 128 + 1, zero // 128))
             last = max(zero, anchor + 2) + 40
-            want = list(itertools.islice(mpf_mul_weights(c, b, ctx), last))
-            assert want[-1] == 0 and want[head] > 0, (digits, b, t)
+            exact = _sigmoid_weights(c, b, bits, last, ref)
             for start in (1, head + 1, anchor, anchor + 1, anchor + 2):
-                got = list(itertools.islice(weights(c, b, ctx, start), last - start + 1))
-                assert got == want[start - 1 :], (digits, b, t, start)
-                window = got[:64]
-                same_start = itertools.islice(mpf_mul_weights(c, b, ctx, start), len(window))
-                assert window == list(same_start), (digits, b, t, start)
+                got = weights(c, b, ctx, start, last)
+                assert len(got) == last - start + 1
+                error = max(abs(w - x) for w, x in zip(got, exact[start - 1 :]))
+                assert error <= 2**8, (digits, b, t, start, float(error))
+            assert (got[-1] == 0) == (b < 1e300), (digits, b, t)
 
 
 def test_table_too_short_rejected(ctx30):

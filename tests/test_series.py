@@ -242,10 +242,12 @@ class TestCalibration:
 
 
 # SHA-256 of repr(trace[:64]), recorded from the golden-section code: the
-# coarse scan, whose ends perfbench's calibrate check reads, must not move
+# coarse scan, whose ends perfbench's calibrate check reads, must not move.
+# The P = 15 digest was re-recorded when the weights moved to F-bit
+# mantissas: three of its 64 errors changed in their trailing digits.
 COARSE_DIGESTS = {
     (30, "1000"): "a2f8557901eeb9ecc3c100be8bee53cfc2ac9e71db46667463e323c11d8102e2",
-    (15, "1000"): "01b4496f384c797d60bd0f7016d31fb49dd39637c1c51e6d5d02750270058a44",
+    (15, "1000"): "8bc8a319bc6d6f5dd889e541f57aa470ed5418fe6ad6fbfe432753105896ca05",
 }
 
 
