@@ -11,16 +11,16 @@ caller: the weighted sums, the spirals, the grid solver's ladder and the
 zeta oracle's Euler-Maclaurin head.
 
 The weight 1/(1 + E_n), E_n = exp((n - c)/B), is the fixed-point int
-w_n = floor(2^(2F) / (2^F + floor(E_n 2^F))).  E_n = man 2^exp follows the
-recurrence E_{n+1} = E_n q, q = exp(1/B): a step multiplies man by q's
-(F+1)-bit mantissa and shifts F bits off, rounding half up, and man is cut
-back to F bits only once it passes F + 64.  Each step is within 2^-F
-relative (man >= 2^(F-1)) and q within 2^-(F+1), so K steps are within
-about 1.5 K 2^-F (Higham, Accuracy and Stability of Numerical Algorithms,
-2nd ed., 3.1), a quarter of that in units of w_n.  A direct exp at F bits
-re-anchors E_n at every n = 1 (mod 128), so K < 128 and w_n depends on n
-alone, not on where a list starts.  series.weighted_zeta sums w_n n^(-s)
-exactly in ints and rounds once.
+w_n = floor(2^(2F) / (2^F + floor(E_n 2^F))), exactly 2^F through
+head_length.  E_n = man 2^exp steps by E_{n+1} = E_n q, q = exp(1/B): man
+times q's (F+1)-bit mantissa, F bits shifted off, rounding half up.  A direct
+exp at F bits re-anchors E_n at n = head+1, head+129, ..., and man gains
+under one bit a step, so it stays below F + 129 bits.  Each step is within
+2^-F relative (man >= 2^(F-1)) and q within 2^-(F+1), so K < 128 steps are
+within about 1.5 K 2^-F (Higham, Accuracy and Stability of Numerical
+Algorithms, 2nd ed., 3.1), a quarter of that in units of w_n.  A list
+depends on (c, B, ctx) alone, so a shorter one is a prefix of a longer one.
+series.weighted_zeta sums w_n n^(-s) exactly in ints and rounds once.
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ def sigmoid_weight(n: int, c, b: float, ctx: PrecisionContext):
     """1/(1 + exp((n - c)/b)) at the context's precision, by one direct exp.
 
     This is not the sums' w_n: they step E_n by the recurrence between
-    anchors, which leaves w_n within about 50 units of 2^-F of the exact sigmoid.
+    anchors, which leaves w_n within 2^8 units of 2^-F of the exact sigmoid
+    (13 at worst in the tests).
     """
     mp = ctx._mp
     return 1 / (1 + mp.make_mpf(_exp_at(n, c._mpf_, mp.mpf(b)._mpf_, ctx.prec_bits)))
@@ -81,37 +82,30 @@ def head_length(c, b: float, bits: int) -> int:
     return math.ceil(limit) - 2 if limit > 2 else 0
 
 
-def weights(c, b: float, ctx: PrecisionContext, first: int, last: int) -> list[int]:
-    """The fixed-point weights w_n for n = first..last."""
+def weights(c, b: float, ctx: PrecisionContext, last: int) -> tuple[int, list[int]]:
+    """(head, w) with head = min(head_length(c, b, F), last): w_n = 2^F for n <= head,
+    and w lists w_n for n = head+1..last, 0 from the first E_n >= 2^(F+1) on."""
     bits = frac_bits(ctx)
     one = 1 << bits
-    full, half, cap = one << bits, one >> 1, one << 64
-    head = head_length(c, b, bits)
-    out = [one] * max(0, min(head, last) - first + 1)
+    full, half = one << bits, one >> 1
+    head = min(head_length(c, b, bits), last)
+    out = []
     c_raw, b_raw = c._mpf_, ctx._mp.mpf(b)._mpf_
     # q = exp(1/B) as an (F+1)-bit mantissa; a step multiplies by it and drops F bits
     _, q, dq, bc = libmp.mpf_exp(libmp.mpf_div(libmp.fone, b_raw, bits + 64, _RND), bits + 1, _RND)
     q, dq = q << bits + 1 - bc, dq + bc - 1
-    n = max(first, head + 1)
-    a = n - (n - 1) % _ANCHOR_EVERY
-    while n <= last:
+    for a in range(head + 1, last + 1, _ANCHOR_EVERY):
         _, man, exp, bc = _exp_at(a, c_raw, b_raw, bits)
         man, exp = man << bits - bc, exp + bc - bits
         for m in range(a, min(a + _ANCHOR_EVERY, last + 1)):
-            if m >= n:
-                if exp + man.bit_length() > bits + 1:
-                    # E_m >= 2^(bits+1), so floor(E_m 2^bits) > 2^(2 bits): w_m and all after are 0
-                    return out + [0] * (last + 1 - m)
-                shift = exp + bits
-                out.append(full // (one + (man << shift if shift >= 0 else man >> -shift)))
+            if exp + man.bit_length() > bits + 1:
+                # E_m >= 2^(bits+1), so floor(E_m 2^bits) > 2^(2 bits): w_m and all after are 0
+                return head, out + [0] * (last + 1 - m)
+            shift = exp + bits
+            out.append(full // (one + (man << shift if shift >= 0 else man >> -shift)))
             man = man * q + half >> bits
             exp += dq
-            if man >= cap:
-                s = man.bit_length() - bits
-                man = (man >> s - 1) + 1 >> 1
-                exp += s
-        a = n = a + _ANCHOR_EVERY
-    return out
+    return head, out
 
 
 @dataclass(frozen=True)
@@ -201,30 +195,32 @@ def _prime_entries(re: list[int], im: list[int], spf: list[int], n_max: int, sig
     neg_s = (libmp.mpf_neg(sigma._mpf_), libmp.mpf_neg(t._mpf_))
     t_f, sigma_f, one = float(t), abs(float(sigma)), 1 << h
     logs = {2: to_fixed(libmp.mpf_ln2(w + 8), w)}
+    e = 0  # once e >= _KERNEL_EXP (sigma < 0) it never falls as p grows: the ln p chain and kernel stop
     for p in range(2, n_max + 1):
         if spf[p] != p:
             continue
-        lg = logs.get(p, 0)
-        if p > 2:  # ln p = (ln(p-1) + ln(p+1))/2 + atanh(1/(2p^2-1)), p -+ 1 by their factors
-            for m in (p - 1, p + 1):
-                while m > 1:
-                    lg += logs[spf[m]]
-                    m //= spf[m]
-            d = 2 * p * p - 1
-            a = series = (1 << w) // d
-            k = 1
-            while a:
-                a //= d * d
-                k += 2
-                series += a // k
-            lg = logs[p] = (lg >> 1) + series
         # the phase t ln p loses log2(t ln p) bits; an entry depends on p alone
         log_p = math.log(p)
         b = int(t_f * log_p).bit_length()
+        if e < _KERNEL_EXP:
+            lg = logs.get(p, 0)
+            if p > 2:  # ln p = (ln(p-1) + ln(p+1))/2 + atanh(1/(2p^2-1)), p -+ 1 by their factors
+                for m in (p - 1, p + 1):
+                    while m > 1:
+                        lg += logs[spf[m]]
+                        m //= spf[m]
+                d = 2 * p * p - 1
+                a = series = (1 << w) // d
+                k = 1
+                while a:
+                    a //= d * d
+                    k += 2
+                    series += a // k
+                lg = logs[p] = (lg >> 1) + series
+            u = rate * lg >> 2 * w - h
+            e = u >> h
         widen = 1 + sigma_f * log_p / (1 << b)
-        u = rate * lg >> 2 * w - h
-        e = u >> h
-        if math.ldexp(widen, min(e, _KERNEL_EXP)) < 2**_KERNEL_EXP:
+        if e < _KERNEL_EXP and math.ldexp(widen, e) < 2**_KERNEL_EXP:
             turn, f = (turns * lg >> 2 * w - h) % one, u % one
             y, x = turn % (one >> 18) * two_pi >> h, f % (one >> 18) * ln2 >> h
             y2, x2 = y * y >> h, x * x >> h
@@ -245,12 +241,6 @@ def _prime_entries(re: list[int], im: list[int], spf: list[int], n_max: int, sig
                 re[p], im[p] = (vr >> 23) + 1 >> 1, (vi >> 23) + 1 >> 1
                 continue
         re[p], im[p] = _exp_ln_entry(p, neg_s, bits + 16 + b, bits)
-        if e >= _KERNEL_EXP:  # sigma < 0: e never falls as p grows, so no later prime passes
-            for q in range(p + 1, n_max + 1):
-                if spf[q] == q:
-                    wp = bits + 16 + int(t_f * math.log(q)).bit_length()
-                    re[q], im[q] = _exp_ln_entry(q, neg_s, wp, bits)
-            return
 
 
 def power_table(s: ComplexAP, n_max: int, ctx: PrecisionContext) -> PowerTable:

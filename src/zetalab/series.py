@@ -25,7 +25,6 @@ from .powers import (
     center,
     frac_bits,
     from_fixed,
-    head_length,
     power_table,
     sigmoid_weight,
     weights,
@@ -104,7 +103,7 @@ def weighted_zeta(
 
     `powers` is power_table(s, M, ctx) with M >= n_terms, or None for a table
     built here; its context sets the fraction bits, the weights and the
-    rounding.  The head_length leading terms have w_n = 2^F, so their table
+    rounding.  The leading `head` terms have w_n = 2^F, so their table
     entries are summed as they are.
     """
     if n_terms < 1:
@@ -117,8 +116,7 @@ def weighted_zeta(
     if n_terms >= len(re):
         raise ValidationError(f"table holds {len(re) - 1} powers, {n_terms} requested")
     c, bits = center(s, ctx), frac_bits(powers.ctx)
-    head = min(head_length(c, b, bits), n_terms)
-    w = weights(c, b, powers.ctx, head + 1, n_terms)
+    head, w = weights(c, b, powers.ctx, n_terms)
     acc_re = (sum(re[1 : head + 1]) << bits) + sum(map(operator.mul, w, re[head + 1 : n_terms + 1]))
     acc_im = (sum(im[1 : head + 1]) << bits) + sum(map(operator.mul, w, im[head + 1 : n_terms + 1]))
     return from_fixed(acc_re, acc_im, 2 * bits, powers.ctx)

@@ -68,8 +68,9 @@ def raw_partial_sums(s: ComplexAP, n_terms: int, ctx: PrecisionContext) -> Spira
 def weighted_partial_sums(s: ComplexAP, b: float, n_terms: int, ctx: PrecisionContext) -> SpiralTrace:
     """Partial sums with each term damped by the generalized coefficient."""
     _require_scale(b)
-    w = weights(center(s, ctx), b, ctx, 1, n_terms)
-    points = _partial_sums(s, n_terms, ctx, w, 3 * frac_bits(ctx))
+    head, w = weights(center(s, ctx), b, ctx, n_terms)
+    factors = itertools.chain(itertools.repeat(1 << frac_bits(ctx), head), w)
+    points = _partial_sums(s, n_terms, ctx, factors, 3 * frac_bits(ctx))
     return SpiralTrace(points)
 
 

@@ -191,14 +191,14 @@ def test_head_weights_are_exactly_one(ctx30):
     # the head summed straight from the table is the same as weighting its terms one by one
     s = make_complex("0.5", "2500", ctx30)
     c, b, bits = center(s, ctx30), 0.5, frac_bits(ctx30)
-    head = head_length(c, b, bits)
-    assert head > 700
+    head, tail = weights(c, b, ctx30, head_length(c, b, bits) + 200)
+    assert head == head_length(c, b, bits) > 700 and len(tail) == 200
     mp = ctx30._mp
     for n in (1, head // 2, head):
         assert mp.floor(mp.exp((n - c) / mp.mpf(b)) * mp.mpf(2) ** bits) == 0
     table = power_table(s, head + 200, ctx30)
     total_re = total_im = 0
-    for n, w in zip(range(1, head + 201), weights(c, b, ctx30, 1, head + 200)):
+    for n, w in zip(range(1, head + 201), [1 << bits] * head + tail):
         total_re += w * table.re[n]
         total_im += w * table.im[n]
     value = weighted_zeta(s, b, head + 200, ctx30, table)
@@ -206,11 +206,30 @@ def test_head_weights_are_exactly_one(ctx30):
     assert value.im == mp.mpf(total_im) / mp.mpf(2) ** (2 * bits)
 
 
-def test_weights_do_not_depend_on_start(ctx30):
-    c = center(make_complex("0.5", "300", ctx30), ctx30)
-    every = weights(c, 3.0, ctx30, 1, 300)
-    for start in (2, 31, 32, 33, 64, 128, 129, 130, 150):
-        assert weights(c, 3.0, ctx30, start, 300) == every[start - 1 :]
+def test_weighted_spiral_head_is_the_raw_spiral(ctx30):
+    # w_n = 2^F through the head, so those partial sums round from the same values
+    s, b = make_complex("0.5", "2000", ctx30), 0.5
+    head, _ = weights(center(s, ctx30), b, ctx30, 700)
+    assert head > 500
+    raw, wtd = raw_partial_sums(s, 700, ctx30), weighted_partial_sums(s, b, 700, ctx30)
+    assert raw.points[:head] == wtd.points[:head]
+    assert raw.points[head + 100] != wtd.points[head + 100]
+
+
+def _full_weights(c, b: float, ctx, last: int) -> list[int]:
+    head, w = weights(c, b, ctx, last)
+    assert len(w) == last - head
+    return [1 << frac_bits(ctx)] * head + w
+
+
+def test_shorter_weight_lists_are_prefixes(ctx30):
+    # anchors sit at head+1, head+129, ..., whatever the list's length
+    c, b = center(make_complex("0.5", "3000", ctx30), ctx30), 3.0
+    head = head_length(c, b, frac_bits(ctx30))
+    longest = _full_weights(c, b, ctx30, head + 700)
+    assert head > 500 and longest[-1] == 0
+    for last in (1, head - 1, head, head + 1, head + 127, head + 128, head + 129, head + 300, head + 699):
+        assert _full_weights(c, b, ctx30, last) == longest[:last], last
 
 
 def _sigmoid_weights(c, b: float, bits: int, last: int, ref):
@@ -233,36 +252,32 @@ def _sigmoid_weights(c, b: float, bits: int, last: int, ref):
 
 
 def test_weights_match_sigmoid():
-    # within 2^8 units of 2^-F of the sigmoid, from the first term, from the
-    # end of the head and from both sides of an anchor, on past the first zero
-    # weight; b = 2 grows the mantissa past F + 64 bits between anchors and
-    # puts c on an anchor, where E_c = exp(0) = 1 has a one-bit mantissa;
-    # b = 1e300 makes exp(1/b) exactly 1 and b = 1e-300 a step at c
+    # within 2^8 units of 2^-F of the sigmoid from the first term on past the
+    # first zero weight; the B that makes c - head - 1 = 1 + floor(B (F+2) ln 2)
+    # equal 128 puts integer c on the second anchor, where E_c = exp(0) = 1 has
+    # a one-bit mantissa; b = 1e300 makes exp(1/b) exactly 1 and b = 1e-300 a step at c
     rng = random.Random(20261019)
     for digits in (15, 30, 100, 400):
         ctx = PrecisionContext(digits)
         bits = frac_bits(ctx)
         ref = mpmath.mp.clone()
         ref.prec = 3 * bits
+        on_anchor = 127.5 / ((bits + 2) * math.log(2))
         # the sigmoid spans ~1.4 b bits terms, so b = 100 at P = 400 would run 2*10^5
         top = 100.0 if digits <= 100 else 10.0
         draws = (math.exp(rng.uniform(math.log(0.05), math.log(top))) for _ in range(3))
-        for b in (0.05, 2.0, top, 1e-300, 1e300, *draws):
+        for b in (0.05, on_anchor, top, 1e-300, 1e300, *draws):
             t = math.exp(rng.uniform(0, math.log(1e5))) * rng.choice((1, -1))
             c = center(make_complex("0.5", repr(t), ctx), ctx)
-            if b == 2.0:
-                c = ctx._mp.mpf(128 * (int(c) // 128) + 1)
-            head = head_length(c, b, bits)
+            if b == on_anchor:
+                c = ctx._mp.mpf(max(400, int(c)))
+                assert c == head_length(c, b, bits) + 129
             # E_n >= 2^(bits+1) from n = c + b (bits+1) ln 2 on; at b = 1e300 E_n stays near 1
-            zero = math.ceil(float(c) + b * (bits + 1) * math.log(2)) if b < 1e300 else 300
-            anchor = 128 * rng.randint(head // 128 + 1, max(head // 128 + 1, zero // 128))
-            last = max(zero, anchor + 2) + 40
+            last = (math.ceil(float(c) + b * (bits + 1) * math.log(2)) if b < 1e300 else 300) + 40
+            got = _full_weights(c, b, ctx, last)
             exact = _sigmoid_weights(c, b, bits, last, ref)
-            for start in (1, head + 1, anchor, anchor + 1, anchor + 2):
-                got = weights(c, b, ctx, start, last)
-                assert len(got) == last - start + 1
-                error = max(abs(w - x) for w, x in zip(got, exact[start - 1 :]))
-                assert error <= 2**8, (digits, b, t, start, float(error))
+            error = max(abs(w - x) for w, x in zip(got, exact))
+            assert error <= 2**8, (digits, b, t, float(error))
             assert (got[-1] == 0) == (b < 1e300), (digits, b, t)
 
 
