@@ -39,7 +39,6 @@ from .solver import (
     half_crossing,
     solve_coefficients,
     solve_grid,
-    stability_metric,
 )
 from .spiral import SpiralTrace, functional_residual, raw_partial_sums, weighted_partial_sums
 
@@ -64,7 +63,6 @@ __all__ = [
     "assemble_system",
     "solve_coefficients",
     "solve_grid",
-    "stability_metric",
     "half_crossing",
     "SigmoidFit",
     "sigmoid_eval",

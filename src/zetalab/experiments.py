@@ -26,13 +26,7 @@ from . import __version__
 from .errors import NumericalError, ValidationError
 from .precision import MIN_DIGITS, PrecisionContext, _format_real, make_complex
 from .sigmoid import construct_fit, sigmoid_eval
-from .solver import (
-    DEFAULT_STABILITY_THRESHOLD,
-    CoefficientSet,
-    GridSpec,
-    half_crossing,
-    solve_grid,
-)
+from .solver import CoefficientSet, GridSpec, half_crossing, solve_grid
 from .series import (
     CALIBRATION_DIGITS,
     DEFAULT_BRACKET,
@@ -224,6 +218,10 @@ def parse_config_file(path: Path) -> dict:
 # ---------------------------------------------------------------------------
 # shared output builders
 
+# The cutoff of the `stable` flag in a grid run's diagnostics: it separates the
+# measured stable regime (~5e-2 for the reference grid) from broken ones (>1e1).
+STABILITY_THRESHOLD = 1.0
+
 
 def _coeff_outputs(params: dict):
     (spec,) = _grids(params)
@@ -236,8 +234,8 @@ def _coeff_outputs(params: dict):
     diag = {
         "residual_inf": _format_real(cs.residual_inf, 12),
         "im_stability": _format_real(cs.im_stability, 12),
-        "stable": bool(cs.im_stability < DEFAULT_STABILITY_THRESHOLD),
-        "stability_threshold": DEFAULT_STABILITY_THRESHOLD,
+        "stable": bool(cs.im_stability < STABILITY_THRESHOLD),
+        "stability_threshold": STABILITY_THRESHOLD,
         "ordinate_bound_ok": spec.ordinate_bound_ok,
     }
     try:

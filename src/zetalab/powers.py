@@ -61,17 +61,6 @@ def _exp_at(n: int, c, b, prec: int):
     return libmp.mpf_exp(x, prec, _RND)
 
 
-def sigmoid_weight(n: int, c, b: float, ctx: PrecisionContext):
-    """1/(1 + exp((n - c)/b)) at the context's precision, by one direct exp.
-
-    This is not the sums' w_n: they step E_n by the recurrence between
-    anchors, which leaves w_n within 2^8 units of 2^-F of the exact sigmoid
-    (13 at worst in the tests).
-    """
-    mp = ctx._mp
-    return 1 / (1 + mp.make_mpf(_exp_at(n, c._mpf_, mp.mpf(b)._mpf_, ctx.prec_bits)))
-
-
 def head_length(c, b: float, bits: int) -> int:
     """A count h of leading terms with E_n < 2^-(bits+2), so w_n = 2^bits for n <= h.
 

@@ -20,15 +20,7 @@ import mpmath
 
 from .errors import NumericalError, ValidationError
 from .oracle import zeta
-from .powers import (
-    PowerTable,
-    center,
-    frac_bits,
-    from_fixed,
-    power_table,
-    sigmoid_weight,
-    weights,
-)
+from .powers import PowerTable, _exp_at, center, frac_bits, from_fixed, power_table, weights
 from .precision import ComplexAP, PrecisionContext, _raw
 
 DEFAULT_BRACKET = (0.1, 100.0)
@@ -50,12 +42,21 @@ def _require_scale(b: float):
 
 
 def generalized_delta(n: int, s: ComplexAP, b: float, ctx: PrecisionContext):
-    """Weight 1/(1 + exp((n - t/pi)/b)) as an arbitrary-precision real."""
+    """Weight 1/(1 + exp((n - t/pi)/b)) at the context's precision, by one direct exp.
+
+    This is not the sums' w_n (powers.weights): they step E_n by the
+    recurrence between anchors, which leaves w_n within 2^8 units of 2^-F of
+    the exact sigmoid (13 at worst in the tests), and floor it to F fraction
+    bits, so w_n is 0 wherever the weight is below 2^-F.  This value keeps
+    its relative precision there: 4.95e-67 at n = 400, b = 1, s = 0.5 + 777i,
+    P = 30, where w_n is 0.
+    """
     if n < 1:
         raise ValidationError(f"term index must be >= 1, got {n}")
     _require_off_axis(s)
     _require_scale(b)
-    return sigmoid_weight(n, center(s, ctx), b, ctx)
+    mp = ctx._mp
+    return 1 / (1 + mp.make_mpf(_exp_at(n, center(s, ctx)._mpf_, mp.mpf(b)._mpf_, ctx.prec_bits)))
 
 
 def tail_tolerance(ctx: PrecisionContext):
@@ -80,7 +81,7 @@ def truncation_length(s: ComplexAP, b: float, tail_eps) -> int:
         raise ValidationError("tail_eps must be > 0")
     sigma = float(s.re)
     c = abs(float(s.im)) / math.pi
-    floor_n = max(math.ceil(c) + 1, 1)
+    floor_n = math.ceil(c) + 1
     eps = float(tail_eps)
     log_eps = math.log(eps) if eps > 0 else float(mpmath.log(tail_eps))
 

@@ -82,6 +82,7 @@ class GridSpec:
 class CoefficientSet:
     """Solved coefficients plus solve diagnostics.
 
+    im_stability is |sum_n Im d_n|, the stable-regime diagnostic.
     residual_inf and im_stability are kept as arbitrary-precision reals:
     at doubled budgets they drop below the double-precision floor.
     """
@@ -387,7 +388,7 @@ def solve_coefficients(
     return CoefficientSet(
         deltas=tuple(solution),
         residual_inf=residual,
-        im_stability=_abs_im_sum(solution),
+        im_stability=abs(sum(z.im for z in solution)),
     )
 
 
@@ -397,23 +398,6 @@ def solve_grid(spec: GridSpec) -> CoefficientSet:
     grid = build_grid(spec)
     matrix, rhs = assemble_system(grid, spec.n_rows, ctx)
     return solve_coefficients(matrix, rhs, ctx)
-
-
-# The fixed cutoff of the `stable` flag in a grid run's diagnostics: it separates the
-# measured stable regime (~5e-2 for the reference grid) from broken ones (>1e1).
-DEFAULT_STABILITY_THRESHOLD = 1.0
-
-
-def stability_metric(cs: CoefficientSet):
-    """|sum_n Im d_n| -- the stable-regime diagnostic."""
-    return _abs_im_sum(cs.deltas)
-
-
-def _abs_im_sum(deltas):
-    total = 0
-    for z in deltas:
-        total = z.im + total
-    return abs(total)
 
 
 @dataclass(frozen=True)

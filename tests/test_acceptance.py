@@ -21,7 +21,6 @@ from zetalab import (
     make_complex,
     raw_partial_sums,
     sigmoid_eval,
-    stability_metric,
     truncation_length,
     weighted_partial_sums,
     zeta,
@@ -101,16 +100,16 @@ class TestCriterion2StableRegime:
         # exact parameters (verified against an independent solver and across
         # digit budgets 100..142), so this check documents a real gap between
         # the stated threshold and the computable value.
-        metric = float(stability_metric(fig2_solution))
+        metric = float(fig2_solution.im_stability)
         ok = metric < 1e-6
         assert report("2-stability", ok, f"|sum Im d_n| = {metric:.6e} (stated tol 1e-6)")
 
 
 class TestCriterion3PrecisionSensitivity:
     def test_metric_ladder(self, fig2_solution, fig2_p90, fig2_p50):
-        m100 = float(stability_metric(fig2_solution))
-        m90 = float(stability_metric(fig2_p90))
-        m50 = float(stability_metric(fig2_p50))
+        m100 = float(fig2_solution.im_stability)
+        m90 = float(fig2_p90.im_stability)
+        m50 = float(fig2_p50.im_stability)
         ok = (m100 < m90 < m50) and m50 > 1e-2
         assert report(
             "3", ok, f"metric(P=100) = {m100:.3e} < metric(P=90) = {m90:.3e} < metric(P=50) = {m50:.3e}"

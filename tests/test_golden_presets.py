@@ -1,10 +1,13 @@
-"""SHA-256 of every data file of the 14 presets at small overrides.
+"""SHA-256 of every data file of the 14 presets, at small overrides and at
+their defaults.
 
-The digests were recorded from the code before the change that added this
-file; a refactor that is meant to keep output bytes must keep them.  The
-calibration presets' digests were re-recorded when Brent's minimiser
-replaced golden-section refinement in calibrate_b.  The
-manifest records wall time, so it is not pinned.
+The digests were recorded from the code before the change that added each
+table; a refactor that is meant to keep output bytes must keep them.  The
+calibration presets' override digests were re-recorded when Brent's
+minimiser replaced golden-section refinement in calibrate_b.  The defaults
+reach rows the overrides do not (grid rows past 16, calibrations at large
+t), so they are pinned too; running all 14 takes about 20 s with two
+workers.  The manifest records wall time, so it is not pinned.
 """
 
 import pytest
@@ -93,12 +96,80 @@ DIGESTS = {
     },
 }
 
+DEFAULT_DIGESTS = {
+    "fig-coeffs-stable": {
+        "coeffs.csv": "9b02a39e85c73872504438293d05307a61c92eca44f8c0ad3aba48a70bd626c4",
+        "diagnostics.jsonl": "d9c642f3aa031052fcaa78b152e14a36b7b7cebc7035953191bb60b4cac78071",
+    },
+    "fig-coeffs-left": {
+        "coeffs.csv": "d134aa60635e395f87bcfda2d957c217ddcd418f6a4a01240182fd7c8bea5696",
+        "diagnostics.jsonl": "4b5c7bf2438031f239a14ccbfba4eb1449183c09afd47d246835797ddf4483f3",
+    },
+    "fig-coeffs-right": {
+        "coeffs.csv": "bfe83544e60986bdf446e85552b9a7d75945ee6cd54ad5b5710d858415f37ba7",
+        "diagnostics.jsonl": "86a6a8d40f3d909809ca8d152fb69213b4d4d1be7ff0dc081b8135b61752869a",
+    },
+    "fig-precision-90": {
+        "coeffs.csv": "6896a9d85f88398156c4caa737325a1d91ec6d73d64be052460441bddad82510",
+        "diagnostics.jsonl": "00a5b313bf02e485c209f11c266b547da1fc5ed58012ffe4afaed73582c0bbb9",
+    },
+    "fig-precision-50": {
+        "coeffs.csv": "705a9ddf5c448d37eb758f795bffb71bac23ab93f0d7c14cd2e6881f79e1736f",
+        "diagnostics.jsonl": "66b1ba3f79730c1b75c742b3b138402ccfac691215ce1d63c2b85de775e7dbad",
+    },
+    "fig-sigmoid": {
+        "coeffs.csv": "9b02a39e85c73872504438293d05307a61c92eca44f8c0ad3aba48a70bd626c4",
+        "diagnostics.jsonl": "d9c642f3aa031052fcaa78b152e14a36b7b7cebc7035953191bb60b4cac78071",
+        "sigmoid.csv": "30b0dfd9fff3912e15b69c12d4ad49ab2a574ec877534f53940bf227e39767dc",
+        "fit.json": "109405faa9f2cb2d317ce148b4885b385ccc15c35da242a0a79ec22067d3206e",
+    },
+    "fig-nhat-sweep": {
+        "nhat_sweep.csv": "793f6edfdd296e855b6df51f0596085a9c2ee08753a28845a94eefa99625ca87",
+    },
+    "fig-eps-vs-b": {
+        "trace.csv": "95801d6c92d4da08afd660f669076e781feb1cf1169f013f401761e360559687",
+        "calibration.json": "388e0b748a53640be88e7c4779c67f2f641cc42a0663e909cb43cbfdfabb9430",
+    },
+    "fig-eps-vs-t": {
+        "accuracy.csv": "7267bf62264d0c5f1ecb7943398128379fa16a683e62b49090d335001c91f62a",
+    },
+    "fig-b-power-law": {
+        "accuracy.csv": "609f9ec4c7e8c64be51dd47bfdda03d97d21dd4dd4bf0769df2e1b16a249ab1d",
+        "powerfit.json": "af74ce4229bde84f2652937312dd6d718daef2c5371ec0e4ea0640f3d9a081d6",
+    },
+    "fig-c-d-sigma": {
+        "cd_sigma.csv": "3bbf03e50f2c74fd07370bc00fe7d0ad2827d7cf4666f33b8fecada27cddfe39",
+        "expfits.json": "b5cd439acc229054993d860500d70dc096aaa5235a0f3aa5a3821265f2a4646b",
+    },
+    "fig-b-sigma": {
+        "b_sigma.csv": "dd030f97735b123824e4e3e14f88320c46fe45d6fd95de2343314bcdf36c7107",
+        "expfit.json": "0d63713233077e0b978abef9239e586be5055d6881dfb2be301d0f657e926db3",
+    },
+    "fig-spiral-raw": {
+        "spiral.csv": "00a4d58454befcc652843c1cbf3bb83f4d0c5e24860d6a96c5acebc75a931845",
+        "spiral.svg": "620ef9d6213996b2020d9c78a537f00e7d446299aba235397b36cfda82662420",
+        "spiral.json": "cc300fb5384ae541612d73cfc3d9f1692f4cf67d103e2ea88f5ffdc7af7bdb31",
+    },
+    "fig-spiral-weighted": {
+        "spiral.csv": "736221514661d5306db75be2754c8a058cd5b78ae4cb0908a12b824e06d44371",
+        "spiral.svg": "fec13220b6f53937f6033df4efa7653698a8e736cfb4fbd92fe5dd616532b2ae",
+        "spiral.json": "72225000d373cdedfcd483a14449d9c33ce771add3719bb5f279e61af2e9ab15",
+    },
+}
+
 
 def test_every_preset_is_pinned():
-    assert sorted(OVERRIDES) == sorted(preset_names()) == sorted(DIGESTS)
+    assert sorted(OVERRIDES) == sorted(preset_names()) == sorted(DIGESTS) == sorted(DEFAULT_DIGESTS)
 
 
 @pytest.mark.parametrize("preset", list(OVERRIDES))
 def test_data_files_keep_their_bytes(tmp_path, preset):
     manifest = run_preset(ExperimentConfig(preset, dict(OVERRIDES[preset])), tmp_path)
     assert manifest.outputs == DIGESTS[preset]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("preset", list(DEFAULT_DIGESTS))
+def test_default_data_files_keep_their_bytes(tmp_path, preset):
+    manifest = run_preset(ExperimentConfig(preset, {}), tmp_path, jobs=2)
+    assert manifest.outputs == DEFAULT_DIGESTS[preset]

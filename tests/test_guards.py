@@ -7,9 +7,11 @@ The calibrate workload's check in perfbench/workloads.py reads the coarse
 scan's ends out of a calibration's trace, so the trace layout it assumes is
 checked too.  The preset parameter schema is guarded against keys it does
 not declare, declarations no preset uses, and a README key table that
-drifts from it.
+drifts from it.  README's Library example may import only public names, so
+an API removal cannot leave it broken.
 """
 
+import ast
 import importlib.util
 import re
 import sys
@@ -78,3 +80,16 @@ def test_readme_key_table_matches_schema():
     section = README.read_text(encoding="utf-8").split("### Preset keys\n", 1)[1].split("\n#", 1)[0]
     rows = re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
     assert sorted(rows) == sorted(experiments.PARAMS)
+
+
+def test_readme_library_example_imports_public_names():
+    section = README.read_text(encoding="utf-8").split("## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names = [
+        alias.name
+        for node in ast.walk(ast.parse(code))
+        if isinstance(node, ast.ImportFrom) and node.module == "zetalab"
+        for alias in node.names
+    ]
+    assert names, "no `from zetalab import` in README's Library example"
+    assert [name for name in names if name not in zetalab.__all__] == []

@@ -12,7 +12,6 @@ from zetalab import (
     half_crossing,
     make_complex,
     solve_coefficients,
-    stability_metric,
     zeta,
 )
 from zetalab import experiments, oracle, solver
@@ -577,10 +576,13 @@ class TestSolve:
 
 
 class TestDiagnostics:
-    def test_stability_metric_zero_for_reals(self):
+    def test_im_stability_zero_on_the_real_axis(self):
+        # real s gives a real system, so the solve keeps every Im d_n at exact 0
         ctx = PrecisionContext(30)
-        cs = _cs_from_reals(["1", "0.75", "0.25", "0"], ctx)
-        assert stability_metric(cs) == 0
+        grid = [make_complex(x, 0, ctx) for x in ("2", "2.5", "3", "3.5")]
+        cs = solve_coefficients(*assemble_system(grid, 4, ctx), ctx)
+        assert cs.im_stability == 0
+        assert all(z.im == 0 for z in cs.deltas)
 
     def test_half_crossing_midpoint(self):
         ctx = PrecisionContext(30)
@@ -631,7 +633,7 @@ class TestReferenceGrid:
         assert abs(hc.value - predicted) / predicted < 0.01
 
     def test_precision_ladder_monotone(self, fig2_solution, fig2_p90, fig2_p50):
-        m100 = float(stability_metric(fig2_solution))
-        m90 = float(stability_metric(fig2_p90))
-        m50 = float(stability_metric(fig2_p50))
+        m100 = float(fig2_solution.im_stability)
+        m90 = float(fig2_p90.im_stability)
+        m50 = float(fig2_p50.im_stability)
         assert m100 < m90 < m50
