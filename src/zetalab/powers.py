@@ -20,7 +20,10 @@ under one bit a step, so it stays below F + 129 bits.  Each step is within
 within about 1.5 K 2^-F (Higham, Accuracy and Stability of Numerical
 Algorithms, 2nd ed., 3.1), a quarter of that in units of w_n.  A list
 depends on (c, B, ctx) alone, so a shorter one is a prefix of a longer one.
-series.weighted_zeta sums w_n n^(-s) exactly in ints and rounds once.
+For B > 1/ln 2, q < 2 leaves exp fixed, and the stop test E_n >= 2^(F+1)
+runs once per anchor block: E_n only grows, and w_n past it is 0 anyway.
+series.weighted_zeta sums w_n n^(-s) exactly in ints, one multiply per term
+on the packed table (PowerTable.packed), and rounds once.
 """
 
 from __future__ import annotations
@@ -86,11 +89,16 @@ def weights(c, b: float, ctx: PrecisionContext, last: int) -> tuple[int, list[in
     for a in range(head + 1, last + 1, _ANCHOR_EVERY):
         _, man, exp, bc = _exp_at(a, c_raw, b_raw, bits)
         man, exp = man << bits - bc, exp + bc - bits
-        for m in range(a, min(a + _ANCHOR_EVERY, last + 1)):
+        for m in range(a, end := min(a + _ANCHOR_EVERY, last + 1)):
             if exp + man.bit_length() > bits + 1:
                 # E_m >= 2^(bits+1), so floor(E_m 2^bits) > 2^(2 bits): w_m and all after are 0
                 return head, out + [0] * (last + 1 - m)
             shift = exp + bits
+            if not dq:  # exp holds to the block's end, and w past the test above is 0 anyway
+                for _ in range(a, end):
+                    out.append(full // (one + (man << shift if shift >= 0 else man >> -shift)))
+                    man = man * q + half >> bits
+                break
             out.append(full // (one + (man << shift if shift >= 0 else man >> -shift)))
             man = man * q + half >> bits
             exp += dq
@@ -104,6 +112,13 @@ class PowerTable:
     ctx: PrecisionContext
     re: list[int]
     im: list[int]
+
+    @functools.cached_property
+    def packed(self) -> tuple[int, list[int]]:
+        """(K, pk), pk[n] = re[n] 2^K + im[n]: under weights 0 <= w_n <= 2^F, |sum w_n im[n]|
+        < 2^(K-1), so one sum of w_n pk[n] holds both parts apart (Kronecker substitution)."""
+        k = max(map(abs, self.im)).bit_length() + frac_bits(self.ctx) + len(self.im).bit_length() + 1
+        return k, [(r << k) + i for r, i in zip(self.re, self.im)]
 
 
 def to_fixed(x, bits: int) -> int:

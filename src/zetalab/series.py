@@ -104,8 +104,8 @@ def weighted_zeta(
 
     `powers` is power_table(s, M, ctx) with M >= n_terms, or None for a table
     built here; its context sets the fraction bits, the weights and the
-    rounding.  The leading `head` terms have w_n = 2^F, so their table
-    entries are summed as they are.
+    rounding.  One sum over its packed entries gives both parts; the leading
+    `head` terms have w_n = 2^F, so their entries are summed as they are.
     """
     if n_terms < 1:
         raise ValidationError(f"n_terms must be >= 1, got {n_terms}")
@@ -113,14 +113,14 @@ def weighted_zeta(
     _require_scale(b)
     if powers is None:
         powers = power_table(s, n_terms, ctx)
-    re, im = powers.re, powers.im
-    if n_terms >= len(re):
-        raise ValidationError(f"table holds {len(re) - 1} powers, {n_terms} requested")
+    if n_terms >= len(powers.re):
+        raise ValidationError(f"table holds {len(powers.re) - 1} powers, {n_terms} requested")
     c, bits = center(s, ctx), frac_bits(powers.ctx)
     head, w = weights(c, b, powers.ctx, n_terms)
-    acc_re = (sum(re[1 : head + 1]) << bits) + sum(map(operator.mul, w, re[head + 1 : n_terms + 1]))
-    acc_im = (sum(im[1 : head + 1]) << bits) + sum(map(operator.mul, w, im[head + 1 : n_terms + 1]))
-    return from_fixed(acc_re, acc_im, 2 * bits, powers.ctx)
+    k, pk = powers.packed
+    acc = (sum(pk[1 : head + 1]) << bits) + sum(map(operator.mul, w, pk[head + 1 : n_terms + 1]))
+    acc_im = (acc + (1 << k - 1) & (1 << k) - 1) - (1 << k - 1)
+    return from_fixed(acc - acc_im >> k, acc_im, 2 * bits, powers.ctx)
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,8 @@ def calibrate_b(
     """
     _require_off_axis(s)
     lo, hi = bracket
-    if not (0 < lo < hi):
-        raise ValidationError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
+    if not (0 < lo < hi and math.isfinite(hi / lo)):
+        raise ValidationError(f"bracket must satisfy 0 < lo < hi with hi/lo finite, got {bracket}")
     eps = tail_tolerance(ctx)
 
     reference = _raw(zeta(s, ctx).value, ctx)

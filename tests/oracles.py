@@ -8,12 +8,13 @@ doubled until two successive depths agree to the target.
 The exp/ln weighted sum, spiral sums, mpmath exp/ln power table,
 Euler-Maclaurin pass (exp/ln head and mpc correction series) and its
 ceil(|t|/pi)+10 cutoff, per-row grid assembly, linear truncation scan,
-golden-section calibration, mpc elimination and fdot residual are the direct
-paths the library's fixed-point power tables, integer prime kernel,
-fixed-point correction series, cost-model cutoff, grid ladder, bisection,
-Brent's minimiser, integer elimination sweep and raw-tuple residual
-replaced; they stay here as the reference those fast paths are checked
-against.
+golden-section calibration, per-term weight stop, two-sum weighted sum, mpc
+elimination and fdot residual are the direct paths the library's fixed-point
+power tables, integer prime kernel, fixed-point correction series,
+cost-model cutoff, grid ladder, bisection, Brent's minimiser, per-block
+weight stop, packed table sum, integer elimination sweep and raw-tuple
+residual replaced; they stay here as the reference those fast paths are
+checked against.
 """
 
 from __future__ import annotations
@@ -125,6 +126,50 @@ def mpmath_power_table(s, n_max: int, ctx):
     if s.im < 0:
         im = [-v for v in im]
     return PowerTable(ctx=ctx, re=re, im=im)
+
+
+def per_term_weights(c, b: float, ctx, last: int):
+    """powers.weights with the stop test E_m >= 2^(F+1) made at every term, as
+    the library stepped it before the per-block test.  Returns (head, w)."""
+    from mpmath import libmp
+
+    from zetalab.powers import _ANCHOR_EVERY, _exp_at, frac_bits, head_length
+
+    rnd = libmp.round_nearest
+    bits = frac_bits(ctx)
+    one = 1 << bits
+    full, half = one << bits, one >> 1
+    head = min(head_length(c, b, bits), last)
+    out = []
+    c_raw, b_raw = c._mpf_, ctx._mp.mpf(b)._mpf_
+    _, q, dq, bc = libmp.mpf_exp(libmp.mpf_div(libmp.fone, b_raw, bits + 64, rnd), bits + 1, rnd)
+    q, dq = q << bits + 1 - bc, dq + bc - 1
+    for a in range(head + 1, last + 1, _ANCHOR_EVERY):
+        _, man, exp, bc = _exp_at(a, c_raw, b_raw, bits)
+        man, exp = man << bits - bc, exp + bc - bits
+        for m in range(a, min(a + _ANCHOR_EVERY, last + 1)):
+            if exp + man.bit_length() > bits + 1:
+                return head, out + [0] * (last + 1 - m)
+            shift = exp + bits
+            out.append(full // (one + (man << shift if shift >= 0 else man >> -shift)))
+            man = man * q + half >> bits
+            exp += dq
+    return head, out
+
+
+def two_sum_weighted_zeta(s, b: float, n_terms: int, ctx, powers):
+    """series.weighted_zeta with the real and imaginary sums taken apart, as the
+    library summed them before the packed table view."""
+    import operator
+
+    from zetalab.powers import center, frac_bits, from_fixed, weights
+
+    re, im = powers.re, powers.im
+    bits = frac_bits(powers.ctx)
+    head, w = weights(center(s, ctx), b, powers.ctx, n_terms)
+    acc_re = (sum(re[1 : head + 1]) << bits) + sum(map(operator.mul, w, re[head + 1 : n_terms + 1]))
+    acc_im = (sum(im[1 : head + 1]) << bits) + sum(map(operator.mul, w, im[head + 1 : n_terms + 1]))
+    return from_fixed(acc_re, acc_im, 2 * bits, powers.ctx)
 
 
 def linear_truncation_length(s, b: float, tail_eps: float) -> int:

@@ -30,7 +30,7 @@ from zetalab.precision import ComplexAP, _raw
 from zetalab.sigmoid import SigmoidFit
 from zetalab.solver import CoefficientSet
 
-pytestmark = pytest.mark.acceptance
+pytestmark = [pytest.mark.acceptance, pytest.mark.slow]
 
 
 def _ref(dps=130):

@@ -452,6 +452,14 @@ def test_probe_exits_2_naming_key(runner, tmp_path, monkeypatch, key, args):
     assert not (tmp_path / "out").exists()
 
 
+def test_bracket_with_overflowing_ratio_exits_2(runner, tmp_path):
+    # hi/lo = inf used to send every coarse point past the first to b = inf
+    result = runner.invoke(main, ["run", "fig-eps-vs-b", "--set", "bracket=1e-320,5",
+                                  "--output-dir", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert "bracket must satisfy" in result.stderr and "1e-320" in result.stderr, result.stderr
+    assert "b = inf" not in result.stderr and "Traceback" not in result.output
+
 
 def test_raw_spiral_with_n_terms_skips_bracket(runner, tmp_path, monkeypatch):
     # it never calibrates, so a bracket too wide to calibrate with is no error

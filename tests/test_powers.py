@@ -30,6 +30,8 @@ from .oracles import (
     exp_ln_weighted_zeta,
     linear_truncation_length,
     mpmath_power_table,
+    per_term_weights,
+    two_sum_weighted_zeta,
 )
 
 
@@ -279,6 +281,47 @@ def test_weights_match_sigmoid():
             error = max(abs(w - x) for w, x in zip(got, exact))
             assert error <= 2**8, (digits, b, t, float(error))
             assert (got[-1] == 0) == (b < 1e300), (digits, b, t)
+
+
+def test_weights_match_per_term_stop():
+    # the per-block stop for exp(1/b) < 2 gives the lists of the per-term stop; the
+    # two b at 1/ln 2 (1 -+ 1e-9) put exp(1/b) just above and just below 2
+    rng = random.Random(20261020)
+    boundary = 1 / math.log(2)
+    cases = 0
+    for digits in (15, 30, 100, 400):
+        ctx = PrecisionContext(digits)
+        bits = frac_bits(ctx)
+        draws = [math.exp(rng.uniform(math.log(0.05), math.log(100))) for _ in range(3)]
+        for b in (1e-300, 0.05, boundary * (1 - 1e-9), boundary * (1 + 1e-9), *draws, 1e300):
+            for sign in (1, -1):
+                t = sign * math.exp(rng.uniform(0, math.log(1e5)))
+                c = center(make_complex("0.5", repr(t), ctx), ctx)
+                # E_n >= 2^(bits+1) from n = c + b (bits+1) ln 2 on; at b = 1e300 E_n stays near 1
+                last = (math.ceil(float(c) + b * (bits + 1) * math.log(2)) if b < 1e300 else 300)
+                last += rng.randrange(1, 300)
+                got = weights(c, b, ctx, last)
+                assert got == per_term_weights(c, b, ctx, last), (digits, b, t, last)
+                assert (got[1][-1] == 0) == (b < 1e300), (digits, b, t)
+                cases += 1
+    assert cases == 64
+
+
+def test_packed_sum_matches_two_sums(ctx30):
+    # one sum over the packed entries splits into the two exact sums, even where
+    # sigma < 0 makes the entries grow; s and its conjugate stay exact conjugates
+    rng = random.Random(20261021)
+    for sigma in ("-3", "-0.4", "0.5", "1.5"):
+        t = repr(math.exp(rng.uniform(math.log(20), math.log(3000))))
+        s, conj = make_complex(sigma, t, ctx30), make_complex(sigma, "-" + t, ctx30)
+        size = 10**4
+        table, mirror = power_table(s, size, ctx30), power_table(conj, size, ctx30)
+        for b in (1e-3, 0.7, 1.5, 40.0, 1e300):
+            for n in (1, 300, rng.randrange(2, size), size - 1):
+                got, want = weighted_zeta(s, b, n, ctx30, table), two_sum_weighted_zeta(s, b, n, ctx30, table)
+                assert (got.re, got.im) == (want.re, want.im), (sigma, t, b, n)
+                other = weighted_zeta(conj, b, n, ctx30, mirror)
+                assert (other.re, other.im) == (got.re, -got.im), (sigma, t, b, n)
 
 
 def test_table_too_short_rejected(ctx30):

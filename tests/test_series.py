@@ -240,6 +240,12 @@ class TestCalibration:
         with pytest.raises(ValidationError):
             calibrate_b(s, ctx30, bracket=(1.0, 0.5))
 
+    def test_bracket_ratio_must_be_finite(self, ctx30):
+        # 5/1e-320 overflows to inf, which put every coarse point past the first at b = inf
+        s = make_complex("0.5", "300", ctx30)
+        with pytest.raises(ValidationError, match=r"bracket .*\(1e-320, 5\.0\)"):
+            calibrate_b(s, ctx30, bracket=(1e-320, 5.0))
+
 
 # SHA-256 of repr(trace[:64]), recorded from the golden-section code: the
 # coarse scan, whose ends perfbench's calibrate check reads, must not move.
