@@ -10,12 +10,13 @@ right-hand side are rounded to exactly P significant digits before the solve
 (condition number ~1e90 for the reference 100x100 grid) that this input
 accuracy, not the elimination arithmetic, controls whether the coefficient
 profile survives.  Elimination runs at context precision (32 guard bits),
-bit for bit an mpc elimination (an integer sweep over matrix and rhs, the
-rest on raw libmp tuples), and the 2P residual sums each row as mpmath's
-fdot does.  The elimination's rounding is far from invisible: against the
-exact solution of the same rounded system, only 18.3 (min) and 24.1 (median)
-of the 100 digits printed per coefficient at P = 100 are correct; the rest
-is elimination rounding, which refinement against that system would remove.
+bit for bit an mpc elimination (each row step one integer loop over matrix
+and rhs with three products per complex entry, the rest on raw libmp
+tuples), and the 2P residual sums each row as mpmath's fdot does.  The
+elimination's rounding is far from invisible: against the exact solution of
+the same rounded system, only 18.3 (min) and 24.1 (median) of the 100
+digits printed per coefficient at P = 100 are correct; the rest is
+elimination rounding, which refinement against that system would remove.
 """
 
 from __future__ import annotations
@@ -232,33 +233,61 @@ def _mpc_entry(row, c):
     return libmp.from_man_exp(rm[c], rx[c]), libmp.from_man_exp(im[c], ix[c])
 
 
-def _sweep(man, exp, f, u, g, v, e0, cols, prec):
-    """man[c] 2^exp[c] -= (f u[c] + g v[c]) 2^e0 for c in cols, rounded to
-    prec bits half to even twice: the product as mpc_mul rounds it, then the
-    difference as mpc_sub does."""
+def _row_step(row, fr, fi, ur, us, ud, e0, cols, prec):
+    """row[c] -= (fr + i fi)(ur[c] + i ui[c]) 2^e0 for c in cols, each part
+    rounded to prec bits half to even twice, as mpc_mul rounds the product
+    and mpc_sub the difference.  With h = (fr + fi) ur, us = ur + ui and
+    ud = ui - ur, the exact parts are h - fi us and h + fr ud: three products.
+    t = x >> s - 1 holds the half bit as t & 1; x rounds up where that bit is
+    set and either a bit below it is set or t >> 1 is odd."""
+    am, ax, bm, bx = row
+    fs = fr + fi
     for c in cols:
-        x = f * u[c] + g * v[c]
+        h = ur[c] * fs
+        x = h - fi * us[c]
         s = x.bit_length() - prec
         if s > 0:
-            # floor shift of x + 2^(s-1) - 1, plus one more when the kept part is odd
-            x = (x + (1 << s - 1) - 1 + (x >> s & 1)) >> s
+            t = x >> s - 1
+            x = (t >> 1) + 1 if t & 1 and (t & 2 or x & (1 << s - 1) - 1) else t >> 1
             xe = e0 + s
         else:
             xe = e0
-        e = exp[c]
-        d = e - xe
+        d = ax[c] - xe
         if d >= 0:
-            x = (man[c] << d) - x
+            x = (am[c] << d) - x
         else:
-            x = man[c] - (x << -d)
-            xe = e
+            x = am[c] - (x << -d)
+            xe = ax[c]
         s = x.bit_length() - prec
         if s > 0:
-            man[c] = (x + (1 << s - 1) - 1 + (x >> s & 1)) >> s
-            exp[c] = xe + s
+            t = x >> s - 1
+            am[c] = (t >> 1) + 1 if t & 1 and (t & 2 or x & (1 << s - 1) - 1) else t >> 1
+            ax[c] = xe + s
         else:
-            man[c] = x
-            exp[c] = xe
+            am[c] = x
+            ax[c] = xe
+        x = h + fr * ud[c]
+        s = x.bit_length() - prec
+        if s > 0:
+            t = x >> s - 1
+            x = (t >> 1) + 1 if t & 1 and (t & 2 or x & (1 << s - 1) - 1) else t >> 1
+            xe = e0 + s
+        else:
+            xe = e0
+        d = bx[c] - xe
+        if d >= 0:
+            x = (bm[c] << d) - x
+        else:
+            x = bm[c] - (x << -d)
+            xe = bx[c]
+        s = x.bit_length() - prec
+        if s > 0:
+            t = x >> s - 1
+            bm[c] = (t >> 1) + 1 if t & 1 and (t & 2 or x & (1 << s - 1) - 1) else t >> 1
+            bx[c] = xe + s
+        else:
+            bm[c] = x
+            bx[c] = xe
 
 
 def _eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
@@ -268,11 +297,12 @@ def _eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
     that are values of mp.  The O(n^3) sweep a_rc -= f_r u_c runs on Python
     integers: each row holds signed mantissas and exponents per component,
     the right-hand side as column n; the pivot row u and each factor f are
-    put on one exponent each, so a product component is one integer
-    expression (_sweep).  Pivot search, factors, back substitution and any
-    row step where mpf_add may only nudge a product (factor and pivot row far
-    apart in scale) run on raw tuples, through the libmp functions mpc's
-    operators call; they read U from the integer rows, final once stepped.
+    put on one exponent each, so a row step is one integer loop with three
+    products per complex entry (_row_step).  Pivot search, factors, back
+    substitution and any row step where mpf_add may only nudge a product
+    (factor and pivot row far apart in scale) run on raw tuples, through the
+    libmp functions mpc's operators call; they read U from the integer rows,
+    final once stepped.
     """
     n = len(raw_matrix)
     prec = mp.prec
@@ -298,6 +328,7 @@ def _eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
         eu = min((e for c in cols for m, e in ((rm[c], rx[c]), (im[c], ix[c])) if m), default=0)
         ur = [0] * (k + 1) + [rm[c] << rx[c] - eu if rm[c] else 0 for c in cols]
         ui = [0] * (k + 1) + [im[c] << ix[c] - eu if im[c] else 0 for c in cols]
+        us, ud = [a + b for a, b in zip(ur, ui)], [b - a for a, b in zip(ur, ui)]
         # mpf_add only nudges the larger operand, not the exact sum, where
         # the other's top lies more than prec + 4 bits below; that needs
         # product tops that far apart, and gap_u bounds the pivot row's share
@@ -321,8 +352,7 @@ def _eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
                     z = sub(_mpc_entry(rows[r], c), mul(factor, _mpc_entry(rows[k], c)))
                     (am[c], ax[c]), (bm[c], bx[c]) = _signed(z[0]), _signed(z[1])
             else:
-                _sweep(am, ax, fr, ur, -fi, ui, ef + eu, cols, prec)
-                _sweep(bm, bx, fr, ui, fi, ur, ef + eu, cols, prec)
+                _row_step(rows[r], fr, fi, ur, us, ud, ef + eu, cols, prec)
     x = [None] * n
     for r in range(n - 1, -1, -1):
         acc = _mpc_entry(rows[r], n)

@@ -9,12 +9,12 @@ The exp/ln weighted sum, spiral sums, mpmath exp/ln power table,
 Euler-Maclaurin pass (exp/ln head and mpc correction series) and its
 ceil(|t|/pi)+10 cutoff, per-row grid assembly, linear truncation scan,
 golden-section calibration, per-term weight stop, two-sum weighted sum, mpc
-elimination and fdot residual are the direct paths the library's fixed-point
-power tables, integer prime kernel, fixed-point correction series,
-cost-model cutoff, grid ladder, bisection, Brent's minimiser, per-block
-weight stop, packed table sum, integer elimination sweep and raw-tuple
-residual replaced; they stay here as the reference those fast paths are
-checked against.
+elimination, four-product integer sweep and fdot residual are the direct
+paths the library's fixed-point power tables, integer prime kernel,
+fixed-point correction series, cost-model cutoff, grid ladder, bisection,
+Brent's minimiser, per-block weight stop, packed table sum, integer
+elimination, three-product row step and raw-tuple residual replaced;
+they stay here as the reference those fast paths are checked against.
 """
 
 from __future__ import annotations
@@ -343,6 +343,37 @@ def mpc_eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
             acc -= row_r[c] * x[c]
         x[r] = acc / m[r][r]
     return x
+
+
+def sweep(man, exp, f, u, g, v, e0, cols, prec):
+    """man[c] 2^exp[c] -= (f u[c] + g v[c]) 2^e0 for c in cols, rounded to
+    prec bits half to even twice: the product as mpc_mul rounds it, then the
+    difference as mpc_sub does.  One component of solver._row_step, from its
+    two products; the row step's real part is sweep(am, ax, fr, ur, -fi, ui,
+    ...) and its imaginary part sweep(bm, bx, fr, ui, fi, ur, ...)."""
+    for c in cols:
+        x = f * u[c] + g * v[c]
+        s = x.bit_length() - prec
+        if s > 0:
+            # floor shift of x + 2^(s-1) - 1, plus one more when the kept part is odd
+            x = (x + (1 << s - 1) - 1 + (x >> s & 1)) >> s
+            xe = e0 + s
+        else:
+            xe = e0
+        e = exp[c]
+        d = e - xe
+        if d >= 0:
+            x = (man[c] << d) - x
+        else:
+            x = man[c] - (x << -d)
+            xe = e
+        s = x.bit_length() - prec
+        if s > 0:
+            man[c] = (x + (1 << s - 1) - 1 + (x >> s & 1)) >> s
+            exp[c] = xe + s
+        else:
+            man[c] = x
+            exp[c] = xe
 
 
 def fdot_residual_inf(matrix, rhs, solution, check_ctx):

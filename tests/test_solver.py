@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import mpmath
@@ -24,9 +25,10 @@ from zetalab.solver import (
     _eliminate,
     _round_real,
     _round_to_digits,
+    _row_step,
 )
 
-from .oracles import fdot_residual_inf, mpc_eliminate, per_row_assemble
+from .oracles import fdot_residual_inf, mpc_eliminate, per_row_assemble, sweep
 
 
 def _ref(dps=130):
@@ -297,12 +299,80 @@ def _assert_kernel_matches_oracle(matrix, rhs, mp):
     assert matrix == before
 
 
-class TestEliminationKernel:
-    """The integer sweep of _eliminate against the mpc elimination, bit for bit."""
+def _signed_bits(rng, bits):
+    """A random integer of exactly bits bits (0 for bits < 1), either sign."""
+    return (rng.getrandbits(bits) | 1 << bits - 1) * rng.choice((1, -1)) if bits > 0 else 0
 
-    @pytest.mark.parametrize("digits", [15, 50, 100, 200])
-    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+
+def _row_step_case(rng, prec, n_cols, ties):
+    """(row, fr, fi, ur, ui, e0) for _row_step with n_cols columns after column 0.
+
+    Bit lengths are drawn so that products of at most prec bits, shifts of a
+    few bits (where ties are frequent) and of up to ~90 bits, and difference
+    exponents d of both signs all occur, and any factor, pivot or row
+    component may be 0.  With ties, each factor part is 0 or +-1 and the
+    pivot components have a tie at shift 1, 2, 3 or 40, or are odd and of at
+    most prec bits beside a row entry one bit up (a tie of the difference).
+    """
+    e0 = -2 * prec
+
+    def part(lo, hi):
+        return 0 if rng.random() < 0.2 else _signed_bits(rng, rng.randrange(lo, hi))
+
+    if ties:
+        fr, fi = rng.choice([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, 1)])
+    else:
+        fr, fi = part(1, prec + 40), part(1, prec + 40)
+    top = max(fr.bit_length(), fi.bit_length(), 1)
+    ur, ui, row = [0], [0], [[0], [0], [0], [0]]
+    for _ in range(n_cols):
+        entry = [part(1, prec + 1), e0 + rng.randrange(-60, 100), part(1, prec + 1), e0 + rng.randrange(-60, 100)]
+        if not ties:
+            lo = max(prec - top - 4, 1)
+            hi = prec + 41 if rng.random() < 0.25 else max(prec - top, 1) + 48
+            u = part(lo, hi), part(lo, hi)
+        elif rng.random() < 0.5:
+            s = rng.choice((1, 1, 2, 3, 40))
+            u = tuple(_signed_bits(rng, prec) << s | 1 << s - 1 for _ in "ri")
+        else:
+            u = (_signed_bits(rng, prec - 1) | 1, _signed_bits(rng, prec - 1) | 1)
+            entry = [_signed_bits(rng, prec), e0 + 1, _signed_bits(rng, prec), e0 + 1]
+        for lists, v in zip((ur, ui, *row), (*u, *entry)):
+            lists.append(v)
+    return row, fr, fi, ur, ui, e0
+
+
+def _real_part_kinds(row, fr, fi, ur, ui, e0, prec):
+    """What the real part of a row step meets, column by column: products
+    within prec bits, product ties by sign and shift, d < 0 and, behind an
+    exact product, difference ties by sign."""
+    kinds = set()
+    for c in range(1, len(ur)):
+        x = fr * ur[c] - fi * ui[c]
+        s = x.bit_length() - prec
+        if s <= 0:
+            kinds.add("exact product")
+        elif x & (1 << s) - 1 == 1 << s - 1:
+            kinds.add(("product tie", x > 0, s == 1))
+        d = row[1][c] - e0 - max(s, 0)
+        if d < 0:
+            kinds.add("d < 0")
+        elif s <= 0:
+            y = (row[0][c] << d) - x
+            t = y.bit_length() - prec
+            if t > 0 and y & (1 << t) - 1 == 1 << t - 1:
+                kinds.add(("difference tie", y > 0))
+    return kinds
+
+
+class TestEliminationKernel:
+    """The integer row steps of _eliminate against the mpc elimination, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n, digits", [*itertools.product([1, 2, 7, 30], [15, 50, 100, 200]), (2, 1000), (7, 1000)]
+    )
     def test_random_systems(self, n, digits):
+        # at 1000 digits the products pass CPython's Karatsuba cutoff (~2,100 bits)
         mp = PrecisionContext(digits)._mp
         for seed in range(3 if n < 30 else 1):
             _assert_kernel_matches_oracle(*_random_system(n, mp, seed), mp)
@@ -348,14 +418,13 @@ class TestEliminationKernel:
         # does.  The right-hand side (column n) is scaled so in all systems,
         # and alone in the last eight, so that it decides the row step
         mp = PrecisionContext(digits)._mp
-        sweeps = []
-        sweep = solver._sweep
+        steps = []
 
-        def counted_sweep(*args):
-            sweeps.append(args)
-            sweep(*args)
+        def counted_step(*args):
+            steps.append(args)
+            _row_step(*args)
 
-        monkeypatch.setattr(solver, "_sweep", counted_sweep)
+        monkeypatch.setattr(solver, "_row_step", counted_step)
 
         def scale(rng, r, c):
             return 0 if c == 0 or rng.random() < 0.5 else mp.prec + rng.randrange(2, 10)
@@ -367,8 +436,30 @@ class TestEliminationKernel:
             _assert_kernel_matches_oracle(
                 *_random_system(12, mp, seed, scale if seed < 8 else rhs_scale), mp
             )
-        # 16 dense 12 x 12 systems take 16 * 66 row steps, each two sweeps or one mpc step
-        assert 0 < len(sweeps) < 2 * 16 * 66
+        # 16 dense 12 x 12 systems take 16 * 66 row steps, each fused or an mpc step
+        assert 0 < len(steps) < 16 * 66
+
+    @pytest.mark.parametrize("digits", [15, 50, 100, 200, 1000])
+    def test_row_step_matches_two_sweeps(self, digits):
+        prec = PrecisionContext(digits)._mp.prec
+        rng = random.Random(digits)
+        kinds = set()
+        for case in range(24):
+            row, fr, fi, ur, ui, e0 = _row_step_case(rng, prec, 60, ties=case % 3 == 2)
+            kinds |= _real_part_kinds(row, fr, fi, ur, ui, e0, prec)
+            kinds |= {"fr = 0"} if not fr else {"fi = 0"} if not fi else set()
+            kinds |= {"zero pivot part"} if 0 in ur[1:] or 0 in ui[1:] else set()
+            cols = range(1, len(ur))
+            am, ax, bm, bx = want = [v[:] for v in row]
+            sweep(am, ax, fr, ur, -fi, ui, e0, cols, prec)
+            sweep(bm, bx, fr, ui, fi, ur, e0, cols, prec)
+            us = [a + b for a, b in zip(ur, ui)]
+            ud = [b - a for a, b in zip(ur, ui)]
+            _row_step(row, fr, fi, ur, us, ud, e0, cols, prec)
+            assert row == want, f"case {case}"
+        ties = {("product tie", sign, one) for sign in (True, False) for one in (True, False)}
+        assert kinds >= ties | {("difference tie", True), ("difference tie", False)}
+        assert kinds >= {"exact product", "d < 0", "fr = 0", "fi = 0", "zero pivot part"}
 
     def test_product_ties(self):
         # a unit pivot leaves each factor exact, and an odd factor mantissa of
