@@ -9,10 +9,11 @@ right-hand side are rounded to exactly P significant digits before the solve
 -- the digit budget is the experimental variable, and the system is ill-conditioned enough
 (condition number ~1e90 for the reference 100x100 grid) that this input
 accuracy, not the elimination arithmetic, controls whether the coefficient
-profile survives.  Elimination runs at context precision (32 guard bits),
-bit for bit an mpc elimination (each row step one integer loop over matrix
-and rhs with three products per complex entry, the rest on raw libmp
-tuples), and the 2P residual sums each row as mpmath's fdot does.  The
+profile survives.  Elimination runs at context precision (32 guard bits):
+each row step is one integer loop over matrix and rhs with three products
+per complex entry, each product part rounded once from its exact value and
+the difference rounded again; the rest runs on raw libmp tuples, as mpc's
+operators do.  The 2P residual sums each row as mpmath's fdot does.  The
 elimination's rounding is far from invisible: against the exact solution of
 the same rounded system, only 18.3 (min) and 24.1 (median) of the 100
 digits printed per coefficient at P = 100 are correct; the rest is
@@ -109,8 +110,8 @@ _TO_STR_LOG2_10 = math.log(10, 2)
 _pow10 = functools.cache((10).__pow__)
 
 
-def _round_real(x, digits: int, ctx: PrecisionContext):
-    """ctx.real(_format_real(x, digits))._mpf_ for a raw mpf x, computed in integers.
+def _round_real(x, ctx: PrecisionContext):
+    """ctx.real(_format_real(x, ctx.digits))._mpf_ for a raw mpf x, computed in integers.
 
     _format_real truncates x to a fixed-point decimal of about digits + 3
     digits, rounds the (digits + 1)-th digit half-up, and the parse rounds
@@ -118,6 +119,7 @@ def _round_real(x, digits: int, ctx: PrecisionContext):
     e.  Exponents where the parse or the formatting take another route, and
     integral decimals (e >= 0), fall back to the text round trip.
     """
+    digits = ctx.digits
     sign, man, exp, bc = x
     if not man or abs(exp + bc) > 3500:
         return ctx.real(_format_real(ctx._mp.make_mpf(x), digits))._mpf_
@@ -146,8 +148,8 @@ def _round_real(x, digits: int, ctx: PrecisionContext):
 
 def _round_to_digits(z: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
     """Round both components to exactly P significant decimal digits."""
-    p, mp = ctx.digits, ctx._mp
-    return ComplexAP(*(mp.make_mpf(_round_real(ctx.real(v)._mpf_, p, ctx)) for v in (z.re, z.im)))
+    mp = ctx._mp
+    return ComplexAP(*(mp.make_mpf(_round_real(ctx.real(v)._mpf_, ctx)) for v in (z.re, z.im)))
 
 
 def _ladder(grid: list[ComplexAP], n_max: int, work: PrecisionContext):
@@ -205,7 +207,7 @@ def assemble_system(
 
     def entry(v):
         """v / 2^F rounded to the context, then to P digits."""
-        return mp.make_mpf(_round_real(libmp.from_man_exp(v, -bits, prec, _RND), p, ctx))
+        return mp.make_mpf(_round_real(libmp.from_man_exp(v, -bits, prec, _RND), ctx))
 
     n_max = max([n_coeffs, *(first_cutoff(s, p) for s in grid)])
     matrix, rhs = [], []
@@ -235,8 +237,8 @@ def _mpc_entry(row, c):
 
 def _row_step(row, fr, fi, ur, us, ud, e0, cols, prec):
     """row[c] -= (fr + i fi)(ur[c] + i ui[c]) 2^e0 for c in cols, each part
-    rounded to prec bits half to even twice, as mpc_mul rounds the product
-    and mpc_sub the difference.  With h = (fr + fi) ur, us = ur + ui and
+    rounded to prec bits half to even twice: the product once from its exact
+    integer value, then the difference.  With h = (fr + fi) ur, us = ur + ui and
     ud = ui - ur, the exact parts are h - fi us and h + fr ud: three products.
     t = x >> s - 1 holds the half bit as t & 1; x rounds up where that bit is
     set and either a bit below it is set or t >> 1 is odd."""
@@ -293,16 +295,16 @@ def _row_step(row, fr, fi, ur, us, ud, e0, cols, prec):
 def _eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
     """Gaussian elimination with partial pivoting by modulus, at mp.prec bits.
 
-    Bit for bit the mpc elimination (kept in tests/oracles.py), for entries
-    that are values of mp.  The O(n^3) sweep a_rc -= f_r u_c runs on Python
-    integers: each row holds signed mantissas and exponents per component,
-    the right-hand side as column n; the pivot row u and each factor f are
-    put on one exponent each, so a row step is one integer loop with three
-    products per complex entry (_row_step).  Pivot search, factors, back
-    substitution and any row step where mpf_add may only nudge a product
-    (factor and pivot row far apart in scale) run on raw tuples, through the
-    libmp functions mpc's operators call; they read U from the integer rows,
-    final once stepped.
+    Bit for bit the mpc elimination of tests/oracles.py, for entries that
+    are values of mp, with each row-step product rounded once from its exact
+    parts.  The O(n^3) sweep a_rc -= f_r u_c runs on Python integers: each
+    row holds signed mantissas and exponents per component, the right-hand
+    side as column n; the pivot row u and each factor f are put on one
+    exponent each, so every row step with a nonzero factor is one integer
+    loop with three products per complex entry (_row_step).  Pivot search,
+    factors and back substitution run on raw tuples, through the libmp
+    functions mpc's operators call; they read U from the integer rows, final
+    once stepped.
     """
     n = len(raw_matrix)
     prec = mp.prec
@@ -329,30 +331,13 @@ def _eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
         ur = [0] * (k + 1) + [rm[c] << rx[c] - eu if rm[c] else 0 for c in cols]
         ui = [0] * (k + 1) + [im[c] << ix[c] - eu if im[c] else 0 for c in cols]
         us, ud = [a + b for a, b in zip(ur, ui)], [b - a for a, b in zip(ur, ui)]
-        # mpf_add only nudges the larger operand, not the exact sum, where
-        # the other's top lies more than prec + 4 bits below; that needs
-        # product tops that far apart, and gap_u bounds the pivot row's share
-        gap_u = max(
-            (abs(ur[c].bit_length() - ui[c].bit_length()) for c in cols if ur[c] and ui[c]),
-            default=0,
-        )
         inv = libmp.mpc_mpf_div(libmp.fone, col[0], prec, _RND)
         for r in range(k + 1, n):
-            factor = mul(col[r - k], inv)
-            (fr, efr), (fi, efi) = _signed(factor[0]), _signed(factor[1])
+            (fr, efr), (fi, efi) = (_signed(v) for v in mul(col[r - k], inv))
             if not (fr or fi):
                 continue
             ef = min(efr if fr else efi, efi if fi else efr)
-            fr <<= efr - ef
-            fi <<= efi - ef
-            am, ax, bm, bx = rows[r]
-            if fr and fi and abs(fr.bit_length() - fi.bit_length()) + gap_u > prec + 3:
-                # mpf_add may nudge a product here: take the row's step as mpc does
-                for c in cols:
-                    z = sub(_mpc_entry(rows[r], c), mul(factor, _mpc_entry(rows[k], c)))
-                    (am[c], ax[c]), (bm[c], bx[c]) = _signed(z[0]), _signed(z[1])
-            else:
-                _row_step(rows[r], fr, fi, ur, us, ud, ef + eu, cols, prec)
+            _row_step(rows[r], fr << efr - ef, fi << efi - ef, ur, us, ud, ef + eu, cols, prec)
     x = [None] * n
     for r in range(n - 1, -1, -1):
         acc = _mpc_entry(rows[r], n)
@@ -406,10 +391,9 @@ def solve_coefficients(
     residual = _residual_inf(matrix, rhs, solution, check_ctx)
 
     if residual >= contract:
-        # the kernel reads matrix entries as raw values, the same at 2P
+        # the same rounded system, eliminated at 2P
         wide = check_ctx._mp
-        raw_b2 = [wide.make_mpc(_parts(e, wide.prec)) for e in rhs]
-        retry = _eliminate(raw_m, raw_b2, wide, wide.mpf(pivot_floor))
+        retry = _eliminate(raw_m, raw_b, wide, wide.mpf(pivot_floor))
         solution = [_wrap(mp.mpc(v)) for v in retry]
         residual = _residual_inf(matrix, rhs, solution, check_ctx)
         if residual >= contract:

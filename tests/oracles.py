@@ -305,8 +305,23 @@ def exp_ln_euler_maclaurin(s, n0: int, work, head, digits: int, max_order: int):
     return _mpc_correction(total, sw, n_pow_ms, n0, mp, cutoff, max_order)
 
 
-def mpc_eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
-    """Gaussian elimination with partial pivoting by modulus, every step on mp's mpc."""
+def mpc_eliminate(raw_matrix, raw_rhs, mp, pivot_floor, once_rounded=True):
+    """Gaussian elimination with partial pivoting by modulus on mp's mpc.
+
+    With once_rounded, each row-step product factor * u (matrix and
+    right-hand side) is formed from exact fmul/fsub/fadd and each part
+    rounded once, as solver._row_step rounds it; otherwise it is mpc's own
+    product, whose mpf_add only nudges the larger of two exact products
+    more than prec + 4 bits apart.  Every other step is plain mpc."""
+
+    def product(f, u):
+        if not once_rounded:
+            return f * u
+        fr, fi, ur, ui = f.real, f.imag, u.real, u.imag
+        re = mp.fsub(mp.fmul(fr, ur, exact=True), mp.fmul(fi, ui, exact=True), exact=True)
+        im = mp.fadd(mp.fmul(fr, ui, exact=True), mp.fmul(fi, ur, exact=True), exact=True)
+        return mp.mpc(re, im)
+
     n = len(raw_matrix)
     m = [row[:] for row in raw_matrix]
     b = raw_rhs[:]
@@ -332,9 +347,9 @@ def mpc_eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
                 continue
             row_r = m[r]
             for c in range(k + 1, n):
-                row_r[c] -= factor * row_k[c]
+                row_r[c] -= product(factor, row_k[c])
             row_r[k] = mp.mpc(0)
-            b[r] -= factor * b[k]
+            b[r] -= product(factor, b[k])
     x = [mp.mpc(0)] * n
     for r in range(n - 1, -1, -1):
         acc = b[r]

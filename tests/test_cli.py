@@ -69,6 +69,17 @@ class TestZetaEval:
         )
         assert result.exit_code == 3
 
+    def test_residual_after_2p_retry_exits_3(self, runner, tmp_path):
+        # at sigma = -100 the entries n^100 reach 5e47, and the residual after
+        # the 2P re-elimination is still about 1e61, far above 10^(-P/2)
+        result = runner.invoke(
+            main,
+            ["run", "fig-coeffs-stable", "--set", "n=3", "--set", "digits=15",
+             "--set", "sigma=-100", "--set", "t1=10", "--output-dir", str(tmp_path)],
+        )
+        assert result.exit_code == 3
+        assert "above 10^(-P/2) after the 2P retry" in result.output
+
 
 @pytest.mark.slow
 class TestPipelines:
