@@ -20,10 +20,10 @@ working precision, ten guard digits past the budget, and rounded once back
 to the requested budget.
 
 Bernoulli numbers come from the tangent-number recurrence in exact integer
-arithmetic (the floating-point defining recurrence cancels catastrophically).
-They and the correction coefficients B_2k/(2k)! at each working precision
-(past k = 128, below about 1000 bits, from zeta(2k)) are cached process-wide as whole tables
-of 16, 32, 64, ... entries, so readers never observe a partial table.
+arithmetic (the floating-point defining recurrence cancels catastrophically),
+cached process-wide as whole tables of 16, 32, 64, ... entries, never partial.
+Each coefficient B_2k/(2k)! (past k = 128, below about 1000 bits, from
+zeta(2k)) is cached process-wide by order and working precision.
 """
 
 from __future__ import annotations
@@ -77,28 +77,24 @@ def bernoulli_even(k: int) -> Fraction:
 
 
 @functools.cache
-def _em_coefficients(size: int, prec: int) -> tuple[tuple[int, int], ...]:
-    """B_{2k}/(2k)! = man 2^exp for k = 1..size, as (man, exp) ints at prec bits:
-    mpf(num) / mpf(den * (2k)!) from the exact B_2k for k <= 128 or where zeta(2k)
-    needs over 16 terms, else (-1)^(k+1) 2 sum_n (2 pi n)^(-2k) = (-1)^(k+1)
-    2 zeta(2k)/(2 pi)^(2k), within 1 ulp.  Sizes 16, 32, 64, ... as for B_2k,
-    each extending (and sharing the entries of) the size below it."""
-    out = list(_em_coefficients(size // 2, prec)) if size > 16 else []
-    for k in range(len(out) + 1, size + 1):
-        if k <= 128 or 8 * k < prec + 20:
-            b = bernoulli_even(k)
-            num = libmp.from_int(b.numerator, prec, _RND)
-            den = libmp.from_int(b.denominator * math.factorial(2 * k), prec, _RND)
-            sign, man, exp, _ = libmp.mpf_div(num, den, prec, _RND)
-        else:  # (2 pi n)^(-2k) < 2^-wp for n > 2^(wp/2k)
-            wp = prec + 20 + k.bit_length()
-            two_pi = libmp.mpf_shift(libmp.mpf_pi(wp), 1)
-            powers = [libmp.mpf_pow_int(libmp.mpf_mul(two_pi, libmp.from_int(n)), -2 * k, wp, _RND)
-                      for n in range(1, int(2 ** (wp / (2 * k))) + 1)]
-            _, man, exp, _ = libmp.mpf_sum(powers, prec, _RND)
-            sign, exp = 1 - k % 2, exp + 1
-        out.append((-man if sign else man, exp))
-    return tuple(out)
+def _em_coefficient(k: int, prec: int) -> tuple[int, int]:
+    """B_{2k}/(2k)! = man 2^exp as (man, exp) ints at prec bits: mpf(num) /
+    mpf(den * (2k)!) from the exact B_2k for k <= 128 or where zeta(2k) needs
+    over 16 terms, else (-1)^(k+1) 2 sum_n (2 pi n)^(-2k) = (-1)^(k+1)
+    2 zeta(2k)/(2 pi)^(2k), within 1 ulp."""
+    if k <= 128 or 8 * k < prec + 20:
+        b = bernoulli_even(k)
+        num = libmp.from_int(b.numerator, prec, _RND)
+        den = libmp.from_int(b.denominator * math.factorial(2 * k), prec, _RND)
+        sign, man, exp, _ = libmp.mpf_div(num, den, prec, _RND)
+    else:  # (2 pi n)^(-2k) < 2^-wp for n > 2^(wp/2k)
+        wp = prec + 20 + k.bit_length()
+        two_pi = libmp.mpf_shift(libmp.mpf_pi(wp), 1)
+        powers = [libmp.mpf_pow_int(libmp.mpf_mul(two_pi, libmp.from_int(n)), -2 * k, wp, _RND)
+                  for n in range(1, int(2 ** (wp / (2 * k))) + 1)]
+        _, man, exp, _ = libmp.mpf_sum(powers, prec, _RND)
+        sign, exp = 1 - k % 2, exp + 1
+    return (-man if sign else man), exp
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +191,13 @@ def _euler_maclaurin(
     limit = n2 << (2 * fbits + 2 * bits)
     bound = limit // scale if scale else math.inf
     prec = work.prec_bits
-    coefs = _em_coefficients(16, prec)
     p_re, p_im = sr, si
     c_re = c_im = 0
     prev = None
     order = shift = 0
     certified = False
     for k in range(1, max_order + 1):
-        if k > len(coefs):
-            coefs = _em_coefficients(2 * len(coefs), prec)
-        man, exp = coefs[k - 1]
+        man, exp = _em_coefficient(k, prec)
         a_re, a_im = (man * p_re) >> -(exp + shift), (man * p_im) >> -(exp + shift)  # A_k
         mag = a_re * a_re + a_im * a_im
         u = sr + (2 * k - 1) * one  # sigma + 2k - 1

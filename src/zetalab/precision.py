@@ -9,11 +9,12 @@ dps on one, and the mpmath functions they call (exp, ln, sin, gamma, fdot,
 floor) read its precision without raising it for a while, as mpmath's
 higher-level functions do.  Values from different budgets cannot be mixed
 accidentally.
-Arithmetic runs on the context's mpc; ComplexAP is the immutable,
-finite-checked value that public functions take and return, and _raw/_wrap
-are the only bridge between the two.  make_complex reads a ComplexAP from
-text or numbers and to_string writes it.  Contexts and ComplexAP values are
-immutable and safe to share across threads.
+Public functions take and return ComplexAP, a finite-checked value; _raw
+and _wrap carry it to and from the context's mpc.  The heavy loops build
+values from Python integers and libmp raw tuples (powers.from_fixed,
+solver.assemble_system and _eliminate).  make_complex reads a ComplexAP
+from text or numbers and to_string writes it.  Contexts and ComplexAP
+values are immutable and safe to share across threads.
 """
 
 from __future__ import annotations

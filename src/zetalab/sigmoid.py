@@ -35,8 +35,6 @@ def sigmoid_eval(n: float, fit: SigmoidFit) -> float:
     x = (n - fit.a_param) / fit.b_param
     if x > _EXP_SATURATION:
         return 0.0
-    if x < -_EXP_SATURATION:
-        return 1.0
     return 1.0 / (1.0 + math.exp(x))
 
 

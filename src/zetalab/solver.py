@@ -300,11 +300,11 @@ def _eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
     parts.  The O(n^3) sweep a_rc -= f_r u_c runs on Python integers: each
     row holds signed mantissas and exponents per component, the right-hand
     side as column n; the pivot row u and each factor f are put on one
-    exponent each, so every row step with a nonzero factor is one integer
-    loop with three products per complex entry (_row_step).  Pivot search,
-    factors and back substitution run on raw tuples, through the libmp
-    functions mpc's operators call; they read U from the integer rows, final
-    once stepped.
+    exponent each, so every row step is one integer loop with three products
+    per complex entry (_row_step; a zero factor leaves each value as it was).
+    Pivot search, factors and back substitution run on raw tuples, through
+    the libmp functions mpc's operators call; they read U from the integer
+    rows, final once stepped.
     """
     n = len(raw_matrix)
     prec = mp.prec
@@ -334,8 +334,6 @@ def _eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
         inv = libmp.mpc_mpf_div(libmp.fone, col[0], prec, _RND)
         for r in range(k + 1, n):
             (fr, efr), (fi, efi) = (_signed(v) for v in mul(col[r - k], inv))
-            if not (fr or fi):
-                continue
             ef = min(efr if fr else efi, efi if fi else efr)
             _row_step(rows[r], fr << efr - ef, fi << efi - ef, ur, us, ud, ef + eu, cols, prec)
     x = [None] * n

@@ -80,6 +80,23 @@ class TestZetaEval:
         assert result.exit_code == 3
         assert "above 10^(-P/2) after the 2P retry" in result.output
 
+    def test_profile_without_half_crossing(self, runner, tmp_path):
+        # three coefficients at t1 = 20, dt = 2 never pass through 1/2: the
+        # coefficient preset records that, the sigmoid fit cannot proceed
+        keys = ["--set", "n=3", "--set", "digits=15", "--set", "t1=20", "--set", "dt=2"]
+        result = runner.invoke(
+            main, ["run", "fig-coeffs-stable", *keys, "--output-dir", str(tmp_path / "coeffs")]
+        )
+        assert result.exit_code == 0, result.output
+        diag = json.loads((tmp_path / "coeffs" / "diagnostics.jsonl").read_text())
+        assert diag["n_hat_star"] is None
+        assert diag["crossing_error"] == "real coefficient profile never passes through 1/2"
+        result = runner.invoke(
+            main, ["run", "fig-sigmoid", *keys, "--output-dir", str(tmp_path / "sigmoid")]
+        )
+        assert result.exit_code == 3
+        assert "real coefficient profile never passes through 1/2" in result.output
+
 
 @pytest.mark.slow
 class TestPipelines:

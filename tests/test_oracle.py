@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -14,7 +15,7 @@ from zetalab.errors import NumericalError, ValidationError
 from zetalab import oracle
 from zetalab.oracle import (
     _bernoulli_table,
-    _em_coefficients,
+    _em_coefficient,
     _euler_maclaurin,
     bernoulli_even,
 )
@@ -345,7 +346,7 @@ class TestLeftHalfPlane:
 
 def test_coefficient_tables_under_contention():
     # every thread sees B_2k/(2k)! rounded as mpf(num) / mpf(den * (2k)!) at its precision
-    _em_coefficients.cache_clear()
+    _em_coefficient.cache_clear()
     precs = (90, 200)
     want = {}
     for prec in precs:
@@ -362,8 +363,7 @@ def test_coefficient_tables_under_contention():
         rng = random.Random(seed)
         for _ in range(400):
             prec, k = rng.choice(precs), rng.randint(1, 120)
-            size = 16 << ((k - 1) // 16).bit_length()
-            if _em_coefficients(size, prec)[k - 1] != want[prec, k]:
+            if _em_coefficient(k, prec) != want[prec, k]:
                 wrong.append((prec, k))
 
     old = sys.getswitchinterval()
@@ -385,14 +385,29 @@ def test_coefficients_from_zeta_2k(prec):
     # orders 129..300 come from 2 zeta(2k)/(2 pi)^(2k): within 1 ulp of B_2k/(2k)! rounded once
     wide = mpmath.mp.clone()
     wide.prec = prec + 20
-    table = _em_coefficients(512, prec)
     for k in range(129, 301):
         b = bernoulli_even(k)
         den = b.denominator * math.factorial(2 * k)
         want = libmp.from_rational(b.numerator, den, prec, libmp.round_nearest)
         _, _, exp, bc = want
-        got = wide.ldexp(table[k - 1][0], table[k - 1][1])
+        got = wide.ldexp(*_em_coefficient(k, prec))
         assert abs(got - wide.make_mpf(want)) <= wide.ldexp(1, exp + bc - prec), (prec, k)
+
+
+@pytest.mark.parametrize(
+    "prec,digest",
+    [
+        (165, "8bcd948923a59e004b9e63945f93efc0ee89517806df1480dab8f09e9b8f5e04"),
+        (398, "1a657e5d15f73634b64341879ca4850ecd94f2a90cf569a65c76d687252f4386"),
+    ],
+    ids=["165", "398"],
+)
+def test_coefficients_pinned_through_order_2048(prec, digest):
+    # the working precisions of P = 30 and 100; a zeta pass at P = 100,
+    # t = 45,000 reaches order 1,446.  SHA-256 of the (man, exp) tuple's repr,
+    # recorded from whole-table reads of the coefficients for k = 1..2048
+    coefs = tuple(_em_coefficient(k, prec) for k in range(1, 2049))
+    assert hashlib.sha256(repr(coefs).encode()).hexdigest() == digest
 
 
 class TestGamma:
