@@ -123,6 +123,7 @@ def first_cutoff(s: ComplexAP, digits: int) -> int:
     With y = ln(2 pi N0/t), K ~ d/2y for d nats to shed, so the optimum solves
     y^2 e^y = pi c d/(h t).  ceil(t/pi)+10 stays unless Newton's method on
     ln(|T_k| |s+2k-1|/(sigma+2k-1)) finds that N0 certifies at a lower cost.
+    h = 5.5 + 0.15P predates the shared ln p and sieve; a refit moves terms_used bytes, for no gain.
     """
     t, sigma, floor = abs(float(s.im)), float(s.re), math.ceil(1.3 * digits)
     hi, lo = max(math.ceil(t / math.pi) + 10, floor), max(math.ceil(t / math.tau) + 10, floor)

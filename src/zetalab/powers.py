@@ -8,7 +8,11 @@ kernel gives the entry that mpmath's ln and exp would (_prime_entries).  The
 table is built for |Im s| and conjugated when Im s < 0, so s and its
 conjugate give exactly conjugate sums.  power_table runs this loop for every
 caller: the weighted sums, the spirals, the grid solver's ladder and the
-zeta oracle's Euler-Maclaurin head.
+zeta oracle's Euler-Maclaurin head.  What is the same for every s is built
+once per process: one sieve (_sieve), grown to the largest table asked for up
+to N_TERMS_MAX + 2 (0.1 MB at one-shot sizes, n ~ 8000; 10.3 MB at the cap),
+and ln p per kernel width (_prime_logs), kept for 8 widths (0.07-0.16 MB each
+at one-shot sizes; 9.4-42 MB each to the cap, P = 30-1000).
 
 The weight 1/(1 + E_n), E_n = exp((n - c)/B), is the fixed-point int
 w_n = floor(2^(2F) / (2^F + floor(E_n 2^F))), exactly 2^F through
@@ -38,6 +42,7 @@ from .errors import ValidationError
 from .precision import ComplexAP, PrecisionContext
 
 _EXTRA_BITS = 16
+N_TERMS_MAX = 10**6  # the most terms a weighted sum or spiral may need
 _ANCHOR_EVERY = 128
 _RND = libmp.round_nearest
 _KERNEL_EXP = 6  # past |p^-s| (1 + |sigma| ln p/2^b) = 2^6 most primes fail the rounding test
@@ -127,22 +132,29 @@ def to_fixed(x, bits: int) -> int:
 
 
 def from_fixed(re: int, im: int, bits: int, ctx: PrecisionContext) -> ComplexAP:
-    """(re + i im) / 2^bits rounded to the context's precision."""
-    mp, prec = ctx._mp, ctx.prec_bits
+    """(re + i im) / 2^bits rounded to the context's precision, as libmp.from_man_exp rounds it."""
+    mp, prec, a, b = ctx._mp, ctx.prec_bits, abs(re), abs(im)
     return ComplexAP(
-        mp.make_mpf(libmp.from_man_exp(re, -bits, prec, _RND)),
-        mp.make_mpf(libmp.from_man_exp(im, -bits, prec, _RND)),
+        mp.make_mpf(libmp.normalize(int(re < 0), a, -bits, a.bit_length(), prec, _RND)),
+        mp.make_mpf(libmp.normalize(int(im < 0), b, -bits, b.bit_length(), prec, _RND)),
     )
 
 
-def _smallest_prime_factors(n_max: int) -> list[int]:
-    spf = list(range(n_max + 1))
-    for p in range(2, math.isqrt(n_max) + 1):
-        if spf[p] == p:
-            for k in range(p * p, n_max + 1, p):
-                if spf[k] == k:
-                    spf[k] = p
-    return spf
+_SIEVE = ([0, 1], [])  # (spf, primes) of the largest request so far; callers only read them
+
+
+def _sieve(n: int) -> tuple[list[int], list[int]]:
+    """(spf, primes): the smallest prime factor of each m <= M and the primes <= M, M >= n."""
+    global _SIEVE
+    spf, primes = _SIEVE
+    if n >= len(spf):
+        spf = list(range(n + 1))
+        for d in range(math.isqrt(n), 1, -1):  # the smallest divisor d > 1 of m (d^2 <= m) writes last
+            spf[d * d :: d] = [d] * len(range(d * d, n + 1, d))
+        primes = [p for p in range(2, n + 1) if spf[p] == p]
+        if n <= N_TERMS_MAX + 2:
+            _SIEVE = spf, primes
+    return spf, primes
 
 
 def _exp_ln_entry(p: int, neg_s, wp: int, bits: int) -> tuple[int, int]:
@@ -174,7 +186,13 @@ def _constants(h: int):
     return to_fixed(libmp.mpf_shift(pi, 1), h), to_fixed(ln2, h), levels
 
 
-def _prime_entries(re: list[int], im: list[int], spf: list[int], n_max: int, sigma, t, bits: int):
+@functools.lru_cache(maxsize=8)
+def _prime_logs(width: int) -> dict[int, int]:
+    """ln p at width fraction bits by prime p, filled by _prime_entries in increasing p."""
+    return {2: to_fixed(libmp.mpf_ln2(width + 8), width)}
+
+
+def _prime_entries(re: list[int], im: list[int], sieve: tuple, n_max: int, sigma, t, bits: int):
     """Set re[p] + i im[p] = round(p^(-sigma - it) 2^bits) for the primes p <= n_max.
 
     The kernel (Tang's table-driven exp, ACM TOMS 15, 1989) runs at h = bits
@@ -189,7 +207,7 @@ def _prime_entries(re: list[int], im: list[int], spf: list[int], n_max: int, sig
     From the first prime with e >= _KERNEL_EXP on (sigma < 0), every entry
     is _exp_ln_entry's, and the ln p chain stops.
     """
-    h = bits + 32
+    h, (spf, primes) = bits + 32, sieve
     two_pi, ln2, levels = _constants(h)
     # ln p is within 2p (w/4 + 5) units (by induction over p -+ 1), so this
     # guard keeps t ln p/2pi and sigma log2 p within 2 units of 2^-h
@@ -198,29 +216,30 @@ def _prime_entries(re: list[int], im: list[int], spf: list[int], n_max: int, sig
     rate = to_fixed(libmp.mpf_div(libmp.mpf_neg(sigma._mpf_), libmp.mpf_ln2(2 * w), 2 * w, _RND), w)
     neg_s = (libmp.mpf_neg(sigma._mpf_), libmp.mpf_neg(t._mpf_))
     t_f, sigma_f, one = float(t), abs(float(sigma)), 1 << h
-    logs = {2: to_fixed(libmp.mpf_ln2(w + 8), w)}
+    # ln p at W = h + 96 >= w (w - h <= 75 within the library's limits), shared by every
+    # call of that W: within 2p (W/4 + 5) units of 2^-W, so shifted to w, within the bound above
+    logs = _prime_logs(width := max(h + 96, w))
     e = 0  # once e >= _KERNEL_EXP (sigma < 0) it never falls as p grows: the ln p chain and kernel stop
-    for p in range(2, n_max + 1):
-        if spf[p] != p:
-            continue
+    for p in primes:
+        if p > n_max:
+            break
         # the phase t ln p loses log2(t ln p) bits; an entry depends on p alone
         log_p = math.log(p)
         b = int(t_f * log_p).bit_length()
         if e < _KERNEL_EXP:
-            lg = logs.get(p, 0)
-            if p > 2:  # ln p = (ln(p-1) + ln(p+1))/2 + atanh(1/(2p^2-1)), p -+ 1 by their factors
+            if p not in logs:  # ln p = (ln(p-1) + ln(p+1))/2 + atanh(1/(2p^2-1)), p -+ 1 by factors
+                lg, d, k = 0, 2 * p * p - 1, 1
                 for m in (p - 1, p + 1):
                     while m > 1:
                         lg += logs[spf[m]]
                         m //= spf[m]
-                d = 2 * p * p - 1
-                a = series = (1 << w) // d
-                k = 1
+                a = series = (1 << width) // d
                 while a:
                     a //= d * d
                     k += 2
                     series += a // k
-                lg = logs[p] = (lg >> 1) + series
+                logs[p] = (lg >> 1) + series
+            lg = logs[p] >> width - w
             u = rate * lg >> 2 * w - h
             e = u >> h
         widen = 1 + sigma_f * log_p / (1 << b)
@@ -259,13 +278,12 @@ def power_table(s: ComplexAP, n_max: int, ctx: PrecisionContext) -> PowerTable:
     """
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
-    mp = ctx._mp
-    bits = frac_bits(ctx)
+    mp, bits = ctx._mp, frac_bits(ctx)
     half = 1 << (bits - 1)
-    spf = _smallest_prime_factors(n_max + 1)
+    spf, primes = _sieve(n_max + 1)
     re, im = [0] * (n_max + 1), [0] * (n_max + 1)
     re[1] = 1 << bits
-    _prime_entries(re, im, spf, n_max, mp.mpf(s.re), abs(mp.mpf(s.im)), bits)
+    _prime_entries(re, im, (spf, primes), n_max, mp.mpf(s.re), abs(mp.mpf(s.im)), bits)
     for n in range(4, n_max + 1):
         p = spf[n]
         if p != n:

@@ -14,7 +14,8 @@ and _wrap carry it to and from the context's mpc.  The heavy loops build
 values from Python integers and libmp raw tuples (powers.from_fixed,
 solver.assemble_system and _eliminate).  make_complex reads a ComplexAP
 from text or numbers and to_string writes it.  Contexts and ComplexAP
-values are immutable and safe to share across threads.
+values are immutable and safe to share across threads; the caches in powers
+and oracle fill lazily, and concurrent fills write equal entries.
 """
 
 from __future__ import annotations

@@ -20,14 +20,14 @@ import mpmath
 
 from .errors import NumericalError, ValidationError
 from .oracle import zeta
-from .powers import PowerTable, _exp_at, center, frac_bits, from_fixed, power_table, weights
+from .powers import N_TERMS_MAX, PowerTable, _exp_at, center, frac_bits, from_fixed, power_table
+from .powers import weights
 from .precision import ComplexAP, PrecisionContext, _raw
 
 DEFAULT_BRACKET = (0.1, 100.0)
 CALIBRATION_DIGITS = 30
 COARSE_SAMPLES = 64  # log-spaced scales of the coarse scan, bracket ends included
 REL_TOL = 1e-6  # refinement stops once its bracket is at most REL_TOL b wide
-N_TERMS_MAX = 10**6  # the most terms a weighted sum or spiral may need
 _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # Brent's golden-section step, a share of the larger side
 
 

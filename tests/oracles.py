@@ -5,16 +5,16 @@ Euler-Maclaurin path is cross-checked against a genuinely different method:
 Cohen-Rodriguez Villegas-Zagier acceleration of the eta series, with the depth
 doubled until two successive depths agree to the target.
 
-The exp/ln weighted sum, spiral sums, mpmath exp/ln power table,
-Euler-Maclaurin pass (exp/ln head and mpc correction series) and its
-ceil(|t|/pi)+10 cutoff, per-row grid assembly, linear truncation scan,
+The exp/ln weighted sum, spiral sums, mpmath exp/ln power table, from_man_exp
+conversion, Euler-Maclaurin pass (exp/ln head and mpc correction series) and
+its ceil(|t|/pi)+10 cutoff, per-row grid assembly, linear truncation scan,
 golden-section calibration, per-term weight stop, two-sum weighted sum, mpc
-elimination, four-product integer sweep and fdot residual are the direct
-paths the library's fixed-point power tables, integer prime kernel,
-fixed-point correction series, cost-model cutoff, grid ladder, bisection,
-Brent's minimiser, per-block weight stop, packed table sum, integer
-elimination, three-product row step and raw-tuple residual replaced;
-they stay here as the reference those fast paths are checked against.
+elimination, four-product integer sweep and fdot residual are the direct paths
+the library's fixed-point power tables, integer prime kernel, direct
+normalize, fixed-point correction series, cost-model cutoff, grid ladder,
+bisection, Brent's minimiser, per-block weight stop, packed table sum, integer
+elimination, three-product row step and raw-tuple residual replaced; they stay
+here as the reference those fast paths are checked against.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def mpmath_power_table(s, n_max: int, ctx):
     the library built it before its integer kernel for primes."""
     from mpmath import libmp
 
-    from zetalab.powers import PowerTable, _smallest_prime_factors, frac_bits, to_fixed
+    from zetalab.powers import PowerTable, _sieve, frac_bits, to_fixed
 
     rnd = libmp.round_nearest
     mp = ctx._mp
@@ -108,7 +108,7 @@ def mpmath_power_table(s, n_max: int, ctx):
     sigma, t = mp.mpf(s.re), abs(mp.mpf(s.im))
     neg_s = (libmp.mpf_neg(sigma._mpf_), libmp.mpf_neg(t._mpf_))
     half = 1 << (bits - 1)
-    spf = _smallest_prime_factors(n_max)
+    spf, _ = _sieve(n_max)
     re, im = [0] * (n_max + 1), [0] * (n_max + 1)
     re[1] = 1 << bits
     for n in range(2, n_max + 1):
@@ -126,6 +126,20 @@ def mpmath_power_table(s, n_max: int, ctx):
     if s.im < 0:
         im = [-v for v in im]
     return PowerTable(ctx=ctx, re=re, im=im)
+
+
+def from_man_exp_fixed(re: int, im: int, bits: int, ctx):
+    """powers.from_fixed through libmp.from_man_exp, as the library converted
+    fixed-point ints before it called normalize itself."""
+    from mpmath import libmp
+
+    from zetalab.precision import ComplexAP
+
+    mp, prec = ctx._mp, ctx.prec_bits
+    return ComplexAP(
+        mp.make_mpf(libmp.from_man_exp(re, -bits, prec, libmp.round_nearest)),
+        mp.make_mpf(libmp.from_man_exp(im, -bits, prec, libmp.round_nearest)),
+    )
 
 
 def per_term_weights(c, b: float, ctx, last: int):

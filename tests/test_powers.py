@@ -23,11 +23,12 @@ from zetalab import (
 from zetalab import powers
 from zetalab.errors import ValidationError
 from zetalab.oracle import working_context
-from zetalab.powers import center, frac_bits, head_length, power_table, weights
+from zetalab.powers import center, frac_bits, from_fixed, head_length, power_table, weights
 
 from .oracles import (
     exp_ln_spiral_sums,
     exp_ln_weighted_zeta,
+    from_man_exp_fixed,
     linear_truncation_length,
     mpmath_power_table,
     per_term_weights,
@@ -160,6 +161,98 @@ def test_tables_past_the_kernel_stop(sigma, t, n_max, digest):
     ctx = PrecisionContext(15)
     table = power_table(make_complex(sigma, t, ctx), n_max, ctx)
     assert hashlib.sha256(repr((table.re, table.im)).encode()).hexdigest() == digest
+
+
+def _cold_table(monkeypatch, s, n_max, ctx):
+    """power_table with the ln p tables and the sieve emptied first."""
+    powers._prime_logs.cache_clear()
+    monkeypatch.setattr(powers, "_SIEVE", ([0, 1], []))
+    return power_table(s, n_max, ctx)
+
+
+def test_warm_tables_equal_cold_builds(monkeypatch):
+    # the first table stops the ln p chain at p = 5 (e = floor(3.5 log2 5) = 8 >= 6), so the
+    # cache holds ln 2, 3 and 5 when the next, longer one at sigma >= 0 fills it past 10^3;
+    # the last has w - h = 16 + 81 + 13 = 110 > 96, so its ln p are built at w, not at h + 96
+    cases = [
+        (15, "-3.5", "40.25", 400),
+        (15, "0.5", "-1234.5", 2000),
+        (15, "-100", "-7", 300),
+        (15, "1.5", "0.001", 500),
+        (30, "0.25", "987.6", 1500),
+        (30, "-1.5", "-77.7", 600),
+        (30, "2.5", "-5000.5", 3000),
+        (100, "0.5", "14.134725", 400),
+        (100, "-0.45", "-0.01", 1200),
+        (100, "0.75", "33333.3", 250),
+        (15, "0.5", repr(2.0**80), 60),
+    ]
+    rng = random.Random(20261020)
+    order = cases[:2] + rng.sample(cases[2:], len(cases) - 2)
+    cold = {}
+    for digits, sigma, t, n_max in cases:
+        ctx = PrecisionContext(digits)
+        cold[digits, sigma, t] = _cold_table(monkeypatch, make_complex(sigma, t, ctx), n_max, ctx)
+        h = frac_bits(ctx) + 32
+        if sigma == "-3.5":
+            assert sorted(powers._prime_logs(h + 96)) == [2, 3, 5]
+        if n_max == 60:
+            w = h + 16 + 81 + (n_max * h).bit_length()
+            assert w > h + 96 and sorted(powers._prime_logs(w)) == _primes(n_max)
+            assert powers._prime_logs.cache_info().currsize == 1
+    powers._prime_logs.cache_clear()
+    monkeypatch.setattr(powers, "_SIEVE", ([0, 1], []))
+    for digits, sigma, t, n_max in order + order[::-1]:
+        ctx = PrecisionContext(digits)
+        s = make_complex(sigma, t, ctx)
+        warm, want = power_table(s, n_max, ctx), cold[digits, sigma, t]
+        assert (warm.re, warm.im) == (want.re, want.im), (digits, sigma, t)
+        if n_max <= 600:
+            slow = mpmath_power_table(s, n_max, ctx)
+            assert (warm.re, warm.im) == (slow.re, slow.im), (digits, sigma, t)
+
+
+def test_sieve_grows_to_the_largest_request(monkeypatch, ctx30):
+    # spf and the primes cover exactly 0..n_max + 1 of the largest table so far; a request
+    # past N_TERMS_MAX + 2 gets a sieve of its own, and no caller writes to the shared one
+    monkeypatch.setattr(powers, "_SIEVE", ([0, 1], []))
+    monkeypatch.setattr(powers, "N_TERMS_MAX", 1000)
+    s = make_complex("0.5", "100", ctx30)
+    for n_max, covered in ((500, 501), (300, 501), (700, 701), (701, 702), (1001, 1002), (1002, 1002)):
+        power_table(s, n_max, ctx30)
+        spf, primes = powers._SIEVE
+        assert len(spf) == covered + 1 and primes == _primes(covered), n_max
+        assert all(spf[m] == min(q for q in primes if m % q == 0) for m in range(2, covered + 1))
+    frozen = (spf[:], primes[:])
+    power_table(s, 900, ctx30)
+    mpmath_power_table(s, 900, ctx30)
+    assert powers._SIEVE == frozen and powers._SIEVE[0] is spf
+    assert powers._prime_logs.cache_info().maxsize == 8
+
+
+def _fixed_ints(bits: int, prec: int, rng: random.Random) -> list[int]:
+    """0, +-1, ints below 1024, exact halves at the rounding bit and 2F- to 3F-bit sums."""
+    values = [0, 1, -1] + [rng.randrange(-1023, 1024) for _ in range(40)]
+    for q in (1 << prec - 1, (1 << prec) - 1, rng.randrange(1 << prec - 1, 1 << prec)):
+        for zeros in (0, 1, 7, bits):
+            values += [(2 * q + 1) << zeros, -((2 * q + 1) << zeros)]
+    for _ in range(60):
+        size = rng.randint(2 * bits, 3 * bits)
+        values.append(rng.choice((1, -1)) * rng.randrange(1 << size - 1, 1 << size))
+    return values
+
+
+@pytest.mark.parametrize("digits", [15, 30, 100])
+def test_from_fixed_matches_from_man_exp(digits):
+    ctx = PrecisionContext(digits)
+    bits, prec = frac_bits(ctx), ctx.prec_bits
+    rng = random.Random(digits)
+    values = _fixed_ints(bits, prec, rng)
+    for shift in (bits, 2 * bits + 1):
+        for re, im in zip(values, rng.sample(values, len(values))):
+            got, want = from_fixed(re, im, shift, ctx), from_man_exp_fixed(re, im, shift, ctx)
+            assert (got.re._mpf_, got.im._mpf_) == (want.re._mpf_, want.im._mpf_), (re, im, shift)
+            assert type(got.re._mpf_[0]) is int and type(got.im._mpf_[0]) is int
 
 
 def test_mpmath_route_error_inside_rounding_margin():
