@@ -68,7 +68,7 @@ def _json(obj) -> str:
 # weighted sums about |t|/pi, so t, the t_list entries and a grid's first and
 # last ordinates are capped; elimination is O(n^3) multiplications at `digits`
 # precision. A far negative sigma lengthens the weighted sums, which stop at
-# series.N_TERMS_MAX terms.
+# powers.N_TERMS_MAX terms.
 T_MAX = 10**6
 N_MAX = 400
 DIGITS_MAX = 1000

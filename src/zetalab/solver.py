@@ -371,37 +371,25 @@ def solve_coefficients(
 
     The residual ||A d - b||_inf is measured at 2P digits; if it breaches the
     10^(-P/2) acceptance contract the system is re-eliminated once at 2P
-    digits and rounded back before giving up.
+    digits and rounded back before giving up: one loop over P and 2P, both
+    passes on the same P-rounded system.  A pivot failure at P raises at once.
     """
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix) or len(rhs) != n:
         raise ValidationError("solve_coefficients expects a square system")
 
-    p = ctx.digits
-    mp = ctx._mp
+    p, mp = ctx.digits, ctx._mp
     pivot_floor = mp.mpf(10) ** (5 - p)
     contract = mp.mpf(10) ** (-p / 2.0)
     check_ctx = PrecisionContext(2 * p)
-
     raw_m = [[mp.make_mpc(_parts(e, mp.prec)) for e in row] for row in matrix]
     raw_b = [mp.make_mpc(_parts(e, mp.prec)) for e in rhs]
-    solution = [_wrap(v) for v in _eliminate(raw_m, raw_b, mp, pivot_floor)]
-    residual = _residual_inf(matrix, rhs, solution, check_ctx)
-
-    if residual >= contract:
-        # the same rounded system, eliminated at 2P
-        wide = check_ctx._mp
-        retry = _eliminate(raw_m, raw_b, wide, wide.mpf(pivot_floor))
-        solution = [_wrap(mp.mpc(v)) for v in retry]
+    for wide in (mp, check_ctx._mp):
+        solution = [_wrap(mp.mpc(v)) for v in _eliminate(raw_m, raw_b, wide, wide.mpf(pivot_floor))]
         residual = _residual_inf(matrix, rhs, solution, check_ctx)
-        if residual >= contract:
-            raise NumericalError(f"residual {float(residual):.3e} above 10^(-P/2) after the 2P retry")
-
-    return CoefficientSet(
-        deltas=tuple(solution),
-        residual_inf=residual,
-        im_stability=abs(sum(z.im for z in solution)),
-    )
+        if residual < contract:
+            return CoefficientSet(tuple(solution), residual, abs(sum(z.im for z in solution)))
+    raise NumericalError(f"residual {float(residual):.3e} above 10^(-P/2) after the 2P retry")
 
 
 def solve_grid(spec: GridSpec) -> CoefficientSet:

@@ -1,14 +1,18 @@
 import dataclasses
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetalab import cli, experiments, series, spiral
+import zetalab
+from zetalab import cli, experiments, oracle, series, spiral
 from zetalab.cli import main
 
 
@@ -26,6 +30,32 @@ class TestZetaEval:
     def test_pole_exits_3(self, runner):
         result = runner.invoke(main, ["zeta", "eval", "--s", "1,0", "--digits", "20"])
         assert result.exit_code == 3
+
+    def test_uncertified_exits_3(self, runner, monkeypatch):
+        euler_maclaurin = oracle._euler_maclaurin
+
+        def never_certified(*args, **kwargs):
+            value, order, _ = euler_maclaurin(*args, **kwargs)
+            return value, order, False
+
+        monkeypatch.setattr(oracle, "_euler_maclaurin", never_certified)
+        result = runner.invoke(main, ["zeta", "eval", "--s", "0.5,100", "--digits", "15"])
+        assert result.exit_code == 3, result.output
+        assert "numerical failure: Euler-Maclaurin schedule cannot certify" in result.stderr
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("digits,code", [("15", 0), ("3", 2)])
+    def test_module_entry_point(self, digits, code):
+        # python -m zetalab.cli runs the same command group in a fresh interpreter
+        src = os.path.dirname(os.path.dirname(zetalab.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        args = [sys.executable, "-m", "zetalab.cli", "zeta", "eval", "--s", "2,0", "--digits", digits]
+        result = subprocess.run(args, capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == code, result.stderr
+        assert "Traceback" not in result.stderr
+        if code == 0:
+            assert result.stdout.strip() == "1.64493406684823+0.0i"
 
     def test_bad_argument_exits_2(self, runner):
         result = runner.invoke(main, ["zeta", "eval", "--s", "nonsense", "--digits", "20"])
@@ -68,6 +98,13 @@ class TestZetaEval:
              "--digits", "40", "--output-dir", str(tmp_path)],
         )
         assert result.exit_code == 3
+
+    def test_residual_met_by_2p_retry_exits_0(self, runner, tmp_path):
+        # this grid's P pass breaches 10^(-P/2); the 2P re-elimination meets it
+        keys = {"sigma": "-27.435", "t1": "22.1378", "dt": "2.80507", "n": "8", "digits": "28"}
+        args = [a for k, v in keys.items() for a in ("--set", f"{k}={v}")]
+        result = runner.invoke(main, ["run", "fig-coeffs-stable", *args, "--output-dir", str(tmp_path)])
+        assert result.exit_code == 0, result.output
 
     def test_residual_after_2p_retry_exits_3(self, runner, tmp_path):
         # at sigma = -100 the entries n^100 reach 5e47, and the residual after

@@ -116,6 +116,24 @@ class TestZeta:
         with pytest.raises(NumericalError, match="zeta has a pole at s = 1"):
             zeta(make_complex(1, 0, ctx), ctx)
 
+    def test_schedule_gives_up_after_nine_passes(self, monkeypatch):
+        # no pass certifies: N0 grows by half nine times, then zeta raises
+        cutoffs = []
+
+        def never_certified(s, n0, *args, **kwargs):
+            cutoffs.append(n0)
+            value, order, _ = _euler_maclaurin(s, n0, *args, **kwargs)
+            return value, order, False
+
+        monkeypatch.setattr(oracle, "_euler_maclaurin", never_certified)
+        ctx = PrecisionContext(15)
+        s = make_complex("0.5", "100", ctx)
+        with pytest.raises(NumericalError, match="cannot certify 15 digits at s with [|]Im s[|] = 100.0"):
+            zeta(s, ctx)
+        assert cutoffs[0] == oracle.first_cutoff(s, 15)
+        assert cutoffs[1:] == [math.ceil(1.5 * n0) for n0 in cutoffs[:-1]]
+        assert len(cutoffs) == 9
+
     @pytest.mark.parametrize("digits", [15, 30, 100])
     @pytest.mark.parametrize("im", ["1e-25", "1e-40", "1e-300", "-1e-40"])
     def test_each_component_next_to_the_pole(self, digits, im):
@@ -279,6 +297,21 @@ class TestCutoff:
         ref = _ref(60)
         want = ref.zeta(ref.mpc(sigma, "20000"))
         assert abs(_as(ref, result.value) - want) <= ref.mpf(10) ** -20 * max(1, abs(want))
+
+    @pytest.mark.parametrize(
+        "digits,sigma,t,n0",
+        [
+            (30, "14.357866692828878", "1974.5029090124428", 639),
+            (300, "98.05014537519921", "8269.740179015464", 2643),
+        ],
+    )
+    def test_newton_out_of_steps(self, digits, sigma, t, n0):
+        # Newton's twelve steps end without converging, so ceil(t/pi) + 10 stays
+        ctx = PrecisionContext(digits)
+        s = make_complex(sigma, t, ctx)
+        assert n0 == math.ceil(float(t) / math.pi) + 10
+        assert oracle.first_cutoff(s, digits) == n0
+        assert zeta(s, ctx).terms_used == n0
 
     def test_left_of_the_switch(self):
         # the grid solver sizes its ladder by first_cutoff at any sigma, reflected or not

@@ -417,6 +417,11 @@ def test_packed_sum_matches_two_sums(ctx30):
                 assert (other.re, other.im) == (got.re, -got.im), (sigma, t, b, n)
 
 
+def test_empty_table_rejected(ctx30):
+    with pytest.raises(ValidationError, match="n_max must be >= 1, got 0"):
+        power_table(make_complex("0.5", "300", ctx30), 0, ctx30)
+
+
 def test_table_too_short_rejected(ctx30):
     s = make_complex("0.5", "300", ctx30)
     with pytest.raises(ValidationError):

@@ -125,6 +125,12 @@ class TestTruncationLength:
         assert tail(n) < eps <= tail(n - 1)
         assert n > truncation_length(s, 2.0, 1e-300)
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-30, float("nan")])
+    def test_rejects_non_positive_tolerance(self, ctx30, eps):
+        s = make_complex("0.5", "1000", ctx30)
+        with pytest.raises(ValidationError, match="tail_eps must be > 0"):
+            truncation_length(s, 4.06, eps)
+
     def test_term_cap(self, ctx30):
         # the cap is the presets' n_terms bound; the search stops there
         s = make_complex("0.5", "1000", ctx30)
