@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 validation error (bad flags/config), 3 numerical
-failure (pole, singular system, unreachable precision, ...).
+Exit codes, set by `main` for every subcommand: 0 success, 2 validation
+error (bad flags/config), 3 numerical failure (pole, singular system,
+unreachable precision, ...); any other exception propagates.
 
 The experiment subcommands, built from SHORTCUTS, are shortcuts for `run
 <preset>`: one flag per preset key, passed on as text to override that key,
@@ -12,7 +13,6 @@ the preset's default.
 from __future__ import annotations
 
 import csv
-import functools
 import sys
 from pathlib import Path
 
@@ -38,21 +38,6 @@ from .experiments import (
 from .precision import ComplexAP, PrecisionContext, make_complex, to_string
 from .oracle import zeta as zeta_eval_op
 from .solver import CoefficientSet
-
-
-def _numerics_exit(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ValidationError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except NumericalError as exc:
-            click.echo(f"numerical failure: {exc}", err=True)
-            sys.exit(3)
-
-    return wrapper
 
 
 def _parse_s(text: str, ctx: PrecisionContext) -> ComplexAP:
@@ -92,7 +77,21 @@ _output_dir = click.option(
 _input_file = click.Path(exists=True, dir_okay=False, path_type=Path)
 
 
-@click.group()
+class _ExitCodes(click.Group):
+    """A command group whose invoke turns the package errors into exit codes 2 and 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValidationError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+        except NumericalError as exc:
+            click.echo(f"numerical failure: {exc}", err=True)
+            sys.exit(3)
+
+
+@click.group(cls=_ExitCodes)
 @click.version_option(__version__)
 def main():
     """Multiprecision laboratory for Dirichlet-series coefficients of zeta."""
@@ -106,7 +105,6 @@ def zeta():
 @zeta.command("eval")
 @click.option("--s", "s_text", required=True, help="complex argument as 're,im'")
 @click.option("--digits", default=50, show_default=True, help="decimal digit budget")
-@_numerics_exit
 def zeta_eval(s_text: str, digits: int):
     """Print zeta(s) as a decimal string with exactly P significant digits."""
     ctx = PrecisionContext(PARAMS["digits"].read("digits", str(digits)))
@@ -123,7 +121,10 @@ def _load_coeff_csv(path: Path, digits: int) -> CoefficientSet:
     for n, row in enumerate(reader, start=1):
         if str(row["n"]).strip() != str(n):
             raise ValidationError(f"{path}:{reader.line_num}: n = {row['n']!r}, expected n = {n}")
-        deltas.append(make_complex(row["re_delta"], row["im_delta"], ctx))
+        try:
+            deltas.append(make_complex(row["re_delta"], row["im_delta"], ctx))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
     if not deltas:
         raise ValidationError(f"{path}: no coefficient rows")
     return CoefficientSet(
@@ -135,7 +136,6 @@ def _load_coeff_csv(path: Path, digits: int) -> CoefficientSet:
 @click.option("--input", "input_path", required=True, type=_input_file)
 @click.option("--digits", default=50, show_default=True, help="parse precision for the CSV")
 @_output_dir
-@_numerics_exit
 def fit_sigmoid(input_path: Path, digits: int, output_dir):
     """Fit the sigmoid to a coefficient CSV; write sigmoid.csv + fit.json."""
     digits = PARAMS["digits"].read("digits", str(digits))
@@ -150,7 +150,6 @@ def fit_sigmoid(input_path: Path, digits: int, output_dir):
 @click.option("--set", "assignments", multiple=True, help="override as key=value (repeatable)")
 @_output_dir
 @click.option("--jobs", default=1, show_default=True)
-@_numerics_exit
 def run_cmd(preset, config_path, assignments, output_dir, jobs):
     """Run a named preset; write its outputs and manifest.json."""
     overrides = {} if config_path is None else parse_config_file(config_path)
@@ -159,7 +158,6 @@ def run_cmd(preset, config_path, assignments, output_dir, jobs):
 
 
 @main.command("list-presets")
-@_numerics_exit
 def list_presets_cmd():
     """Print every preset with its figure and default parameters."""
     for entry in list_presets():
@@ -179,7 +177,7 @@ def _shortcut(name: str, preset: str, required: set):
     def command(output_dir, weighted=False, **flags):
         _run("fig-spiral-weighted" if weighted else preset, flags, output_dir)
 
-    command = _output_dir(_numerics_exit(command))
+    command = _output_dir(command)
     for key in reversed(preset_keys(preset)):
         flag = f"--{key.replace('_', '-')}"
         command = click.option(flag, required=key in required, help=PARAMS[key].rule)(command)

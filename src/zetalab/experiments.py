@@ -663,7 +663,7 @@ def run_preset(config: ExperimentConfig, output_dir: str | Path = ".", jobs: int
         outputs=write_outputs(outputs, out_dir),
         wall_time_s=wall,
     )
-    _write_file(out_dir / "manifest.json", manifest.to_json().encode("utf-8"))
+    write_outputs({"manifest.json": manifest.to_json()}, out_dir)
     return manifest
 
 
@@ -677,19 +677,14 @@ def make_output_dir(output_dir: str | Path) -> Path:
     return out_dir
 
 
-def _write_file(path: Path, data: bytes) -> None:
-    """Write data to path; a path that cannot be written is invalid."""
-    try:
-        path.write_bytes(data)
-    except OSError as exc:
-        raise ValidationError(f"output file {path}: {exc.strerror}") from None
-
-
 def write_outputs(outputs: dict, out_dir: Path) -> dict:
     """Write {filename: text} into the existing out_dir; return {filename: sha256}."""
     checksums = {}
     for filename, content in outputs.items():
         data = content.encode("utf-8")
-        _write_file(out_dir / filename, data)
+        try:
+            (out_dir / filename).write_bytes(data)
+        except OSError as exc:  # a file that cannot be written is invalid
+            raise ValidationError(f"output file {out_dir / filename}: {exc.strerror}") from None
         checksums[filename] = hashlib.sha256(data).hexdigest()
     return checksums

@@ -7,8 +7,11 @@ context of a budget shares one MPContext.  Nothing writes to a shared
 context after it is made: no code here or in the modules above sets prec or
 dps on one, and the mpmath functions they call (exp, ln, sin, gamma, fdot,
 floor) read its precision without raising it for a while, as mpmath's
-higher-level functions do.  Values from different budgets cannot be mixed
-accidentally.
+higher-level functions do.  Values from different budgets can be mixed: an
+mpf operation rounds to its left operand's context, so
+PrecisionContext(15).real(1)/3 + PrecisionContext(100).real(1)/3 is an
+82-bit mpf and the swapped sum a 365-bit one.  sigmoid.fit_residual relies
+on this to add P-digit coefficients into a 40-digit sum.
 Public functions take and return ComplexAP, a finite-checked value; _raw
 and _wrap carry it to and from the context's mpc.  The heavy loops build
 values from Python integers and libmp raw tuples (powers.from_fixed,

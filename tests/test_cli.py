@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import random
 import subprocess
 import sys
 
+import click
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 import zetalab
 from zetalab import cli, experiments, oracle, series, spiral
 from zetalab.cli import main
+from zetalab.errors import NumericalError, ValidationError
 
 
 @pytest.fixture()
@@ -353,8 +356,15 @@ def test_run_takes_real_t(runner, tmp_path, preset, extra, filename, text, expec
     assert saved == expected and type(saved) is type(expected)
 
 
+# a malformed cell of a coefficient CSV is named by its file and line
+LOCATED = {
+    "fit-sigmoid-cell": "coeffs.csv:3: not a number: 'abc'",
+    "fit-sigmoid-nan-cell": "nan.csv:3: not a finite number: nan",
+}
+
+
 @pytest.mark.parametrize("args", list(MALFORMED.values()), ids=list(MALFORMED))
-def test_malformed_input_exits_2(runner, tmp_path, args):
+def test_malformed_input_exits_2(runner, tmp_path, request, args):
     csv_path = tmp_path / "coeffs.csv"
     csv_path.write_text("n,re_delta,im_delta\n1,0.5,0\n2,abc,0\n")
     nan_csv = tmp_path / "nan.csv"
@@ -372,6 +382,8 @@ def test_malformed_input_exits_2(runner, tmp_path, args):
     assert "error:" in result.stderr
     assert "Traceback" not in result.output
     assert not (tmp_path / "out").exists()
+    located = LOCATED.get(request.node.callspec.id)
+    assert located is None or located in result.stderr, result.stderr
 
 
 def test_fit_residual_overflow_exits_3(runner, tmp_path):
@@ -680,6 +692,52 @@ def test_bad_path_exits_2(runner, tmp_path, monkeypatch, named, args):
     assert paths["file"].read_text() == "kept\n"
     assert list(paths["out"].iterdir()) == [paths["out"] / named] if blocked else not paths["out"].exists()
     assert list(work.iterdir()) == []
+
+
+def test_unwritable_manifest_exits_2_after_outputs(runner, tmp_path):
+    # the manifest is written last, through the same path as the preset's files
+    out = tmp_path / "out"
+    (out / "manifest.json").mkdir(parents=True)
+    args = ["run", "fig-spiral-raw", "--set", "t=100", "--set", "n_terms=10", "--set", "digits=20"]
+    result = runner.invoke(main, [*args, "--output-dir", str(out)])
+    assert result.exit_code == 2, result.output
+    manifest = out / "manifest.json"
+    assert result.stderr.splitlines() == [f"error: output file {manifest}: {os.strerror(errno.EISDIR)}"]
+    assert "Traceback" not in result.output
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "spiral.csv", "spiral.json", "spiral.svg"]
+    assert list(manifest.iterdir()) == []
+
+
+@pytest.fixture()
+def raising_command(monkeypatch):
+    errors = {"validation": ValidationError, "numerical": NumericalError, "bug": RuntimeError}
+
+    @click.command()
+    @click.argument("kind", type=click.Choice(list(errors)))
+    def raises(kind):
+        raise errors[kind]("raised")
+
+    monkeypatch.setitem(main.commands, "raises", raises)
+
+
+@pytest.mark.parametrize("kind,code,line", [("validation", 2, "error: raised"),
+                                            ("numerical", 3, "numerical failure: raised")],
+                         ids=["validation", "numerical"])
+def test_main_maps_errors_of_any_command(runner, raising_command, kind, code, line):
+    # no decorator on the command: main's invoke gives the exit code
+    result = runner.invoke(main, ["raises", kind])
+    assert result.exit_code == code, result.output
+    assert result.stderr.splitlines() == [line]
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
+def test_main_lets_other_errors_through(runner, raising_command):
+    # a bug is never reported as a validation or numerical failure
+    result = runner.invoke(main, ["raises", "bug"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, RuntimeError)
+    assert "error:" not in result.stderr and "numerical failure:" not in result.stderr
 
 
 @pytest.fixture(scope="module")
