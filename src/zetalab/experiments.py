@@ -261,9 +261,7 @@ def sigmoid_outputs(cs: CoefficientSet, digits: int) -> dict:
     ]
     return {
         "sigmoid.csv": _csv(["n", "re_delta", "sigmoid_value"], rows),
-        "fit.json": _json(
-            {"a_param": fit.a_param, "b_param": fit.b_param, "residual": fit.residual}
-        ),
+        "fit.json": _json(dataclasses.asdict(fit)),
     }
 
 
@@ -398,39 +396,27 @@ def _run_power_law(params: dict, jobs: int) -> dict:
     fit = fit_power_law([(t, cal.b_hat) for t, cal in zip(t_list, cals)])
     return {
         "accuracy.csv": _accuracy_csv("t", t_list, cals),
-        "powerfit.json": _json(
-            {
-                "sigma": params["sigma"].value,
-                "c_coef": fit.c_coef,
-                "d_exp": fit.d_exp,
-                "r_squared": fit.r_squared,
-            }
-        ),
+        "powerfit.json": _json({"sigma": params["sigma"].value, **dataclasses.asdict(fit)}),
     }
 
 
 def _run_cd_sigma(params: dict, jobs: int) -> dict:
-    sigmas, t_list = params["sigma_list"], params["t_list"]
-    cals = _pool_map(_calibration, _points(params), jobs)
-    rows = []
-    c_samples, d_samples = [], []
-    for i, sigma in enumerate(sigmas):
-        block = cals[i * len(t_list) : (i + 1) * len(t_list)]
-        fit = fit_power_law([(t, cal.b_hat) for t, cal in zip(t_list, block)])
-        rows.append([_f(sigma.value), _f(fit.c_coef), _f(fit.d_exp), _f(fit.r_squared)])
-        c_samples.append((sigma.value, fit.c_coef))
-        d_samples.append((sigma.value, fit.d_exp))
-    outputs = {"cd_sigma.csv": _csv(["sigma", "c_coef", "d_exp", "r_squared"], rows)}
-    fits = {}
-    for label, samples in (("c_coef", c_samples), ("d_exp", d_samples)):
+    sigmas, t_list = [sigma.value for sigma in params["sigma_list"]], params["t_list"]
+    b_hats, k = [cal.b_hat for cal in _pool_map(_calibration, _points(params), jobs)], len(t_list)
+    fits = [fit_power_law(list(zip(t_list, b_hats[i * k : (i + 1) * k]))) for i in range(len(sigmas))]
+    rows = [[_f(sigma), *map(_f, dataclasses.astuple(fit))] for sigma, fit in zip(sigmas, fits)]
+    expfits = {}
+    for label in ("c_coef", "d_exp"):
         try:
-            efit = fit_sigma_dependence(samples)
-            fits[label] = {"p": efit.p, "q": efit.q, "r_squared": efit.r_squared}
+            samples = [(sigma, getattr(fit, label)) for sigma, fit in zip(sigmas, fits)]
+            expfits[label] = dataclasses.asdict(fit_sigma_dependence(samples))
         except (NumericalError, ValidationError) as exc:
             # d_exp may go non-positive, or too few sigmas to fit; report, don't abort
-            fits[label] = {"error": str(exc)}
-    outputs["expfits.json"] = _json(fits)
-    return outputs
+            expfits[label] = {"error": str(exc)}
+    return {
+        "cd_sigma.csv": _csv(["sigma", "c_coef", "d_exp", "r_squared"], rows),
+        "expfits.json": _json(expfits),
+    }
 
 
 def _run_b_sigma(params: dict, jobs: int) -> dict:
@@ -439,7 +425,7 @@ def _run_b_sigma(params: dict, jobs: int) -> dict:
     fit = fit_sigma_dependence([(sigma, cal.b_hat) for sigma, cal in zip(sigmas, cals)])
     return {
         "b_sigma.csv": _accuracy_csv("sigma", sigmas, cals),
-        "expfit.json": _json({"p": fit.p, "q": fit.q, "r_squared": fit.r_squared}),
+        "expfit.json": _json(dataclasses.asdict(fit)),
     }
 
 

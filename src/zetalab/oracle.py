@@ -37,7 +37,7 @@ import mpmath
 from mpmath import libmp
 
 from .errors import NumericalError, ValidationError
-from .powers import frac_bits, from_fixed, power_table, to_fixed
+from .powers import N_TERMS_MAX, frac_bits, from_fixed, power_table, to_fixed
 from .precision import ComplexAP, PrecisionContext, _raw, _wrap
 
 _ORACLE_GUARD = 10
@@ -124,8 +124,11 @@ def first_cutoff(s: ComplexAP, digits: int) -> int:
     y^2 e^y = pi c d/(h t).  ceil(t/pi)+10 stays unless Newton's method on
     ln(|T_k| |s+2k-1|/(sigma+2k-1)) finds that N0 certifies at a lower cost.
     h = 5.5 + 0.15P predates the shared ln p and sieve; a refit moves terms_used bytes, for no gain.
+    A ceil(t/pi)+10 past N_TERMS_MAX is a ValidationError.
     """
     t, sigma, floor = abs(float(s.im)), float(s.re), math.ceil(1.3 * digits)
+    if t / math.pi > N_TERMS_MAX - 10:
+        raise ValidationError(f"zeta at |Im s| = {t} needs more than {N_TERMS_MAX} head terms")
     hi, lo = max(math.ceil(t / math.pi) + 10, floor), max(math.ceil(t / math.tau) + 10, floor)
     if lo >= hi:
         return hi
@@ -233,7 +236,8 @@ def _certified(s: ComplexAP, ctx: PrecisionContext, head, sign: int):
 
     Returns (value as an mpc of the working context, N0, order).  head as
     for zeta, and sign -1 when it holds the entries of conj s; a pass whose
-    N0 it does not cover reads a power_table of s built to N0 instead.
+    N0 it does not cover reads a power_table of s built to N0 instead.  N0
+    stops at N_TERMS_MAX, past which no table is built.
     """
     digits = ctx.digits
     work = working_context(ctx)
@@ -248,6 +252,8 @@ def _certified(s: ComplexAP, ctx: PrecisionContext, head, sign: int):
         if certified:
             return value, n0, order
         n0 = math.ceil(1.5 * n0)
+        if n0 > N_TERMS_MAX:
+            break
     t = abs(float(s.im))
     raise NumericalError(
         f"Euler-Maclaurin schedule cannot certify {digits} digits at s with |Im s| = {t}"

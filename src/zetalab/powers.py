@@ -9,10 +9,10 @@ table is built for |Im s| and conjugated when Im s < 0, so s and its
 conjugate give exactly conjugate sums.  power_table runs this loop for every
 caller: the weighted sums, the spirals, the grid solver's ladder and the
 zeta oracle's Euler-Maclaurin head.  What is the same for every s is built
-once per process: one sieve (_sieve), grown to the largest table asked for up
-to N_TERMS_MAX + 2 (0.1 MB at one-shot sizes, n ~ 8000; 10.3 MB at the cap),
-and ln p per kernel width (_prime_logs), kept for 8 widths (0.07-0.16 MB each
-at one-shot sizes; 9.4-42 MB each to the cap, P = 30-1000).
+once per process: one sieve (_sieve), grown to the largest table asked for
+(at most N_TERMS_MAX entries: 0.1 MB at one-shot sizes, n ~ 8000; 10.3 MB
+at the cap), and ln p per kernel width (_prime_logs), kept for 8 widths
+(0.07-0.16 MB each at one-shot sizes; 9.4-42 MB each to the cap, P = 30-1000).
 
 The weight 1/(1 + E_n), E_n = exp((n - c)/B), is the fixed-point int
 w_n = floor(2^(2F) / (2^F + floor(E_n 2^F))), exactly 2^F through
@@ -42,7 +42,7 @@ from .errors import ValidationError
 from .precision import ComplexAP, PrecisionContext
 
 _EXTRA_BITS = 16
-N_TERMS_MAX = 10**6  # the most terms a weighted sum or spiral may need
+N_TERMS_MAX = 10**6  # the most terms a power table, and so a sum, spiral or zeta head, may hold
 _ANCHOR_EVERY = 128
 _RND = libmp.round_nearest
 _KERNEL_EXP = 6  # past |p^-s| (1 + |sigma| ln p/2^b) = 2^6 most primes fail the rounding test
@@ -152,8 +152,7 @@ def _sieve(n: int) -> tuple[list[int], list[int]]:
         for d in range(math.isqrt(n), 1, -1):  # the smallest divisor d > 1 of m (d^2 <= m) writes last
             spf[d * d :: d] = [d] * len(range(d * d, n + 1, d))
         primes = [p for p in range(2, n + 1) if spf[p] == p]
-        if n <= N_TERMS_MAX + 2:
-            _SIEVE = spf, primes
+        _SIEVE = spf, primes
     return spf, primes
 
 
@@ -278,6 +277,8 @@ def power_table(s: ComplexAP, n_max: int, ctx: PrecisionContext) -> PowerTable:
     """
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
+    if n_max > N_TERMS_MAX:
+        raise ValidationError(f"n_max must be <= {N_TERMS_MAX}, got {n_max}")
     mp, bits = ctx._mp, frac_bits(ctx)
     half = 1 << (bits - 1)
     spf, primes = _sieve(n_max + 1)

@@ -223,12 +223,22 @@ class ScalingFit:
     r_squared: float
 
 
-def _ols(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
-    """Least squares y = p + q*x over distinct abscissas; returns (p, q, r_squared).
+def _ols(
+    samples: list[tuple[float, float]], min_count: int, log_x: bool, name: str
+) -> tuple[float, float, float]:
+    """Least squares ln y = p + q*x over distinct abscissas; returns (p, q, r_squared).
 
+    x is ln of each sample's abscissa when log_x, else the abscissa itself.
     Repeated abscissas are rejected outright: the rounded mean of equal
     values need not equal them, so their spread would come out tiny, not 0.
     """
+    if len(samples) < min_count:
+        raise ValidationError(f"{name} fit needs at least {min_count} samples")
+    for x, y in samples:
+        if y <= 0 or log_x and x <= 0:
+            raise NumericalError(f"log-domain fit requires positive values, got {(x, y)!r}")
+    xs = [math.log(x) if log_x else float(x) for x, _ in samples]
+    ys = [math.log(y) for _, y in samples]
     n = len(xs)
     mean_x = sum(xs) / n
     mean_y = sum(ys) / n
@@ -246,14 +256,7 @@ def _ols(xs: list[float], ys: list[float]) -> tuple[float, float, float]:
 
 def fit_power_law(samples: list[tuple[float, float]]) -> ScalingFit:
     """OLS on (ln t, ln b_hat); needs >= 2 distinct positive samples."""
-    if len(samples) < 2:
-        raise ValidationError("power-law fit needs at least 2 samples")
-    for t, b in samples:
-        if t <= 0 or b <= 0:
-            raise NumericalError(f"log-domain fit requires positive values, got {(t, b)!r}")
-    xs = [math.log(t) for t, _ in samples]
-    ys = [math.log(b) for _, b in samples]
-    p, q, r2 = _ols(xs, ys)
+    p, q, r2 = _ols(samples, 2, True, "power-law")
     return ScalingFit(c_coef=math.exp(p), d_exp=q, r_squared=r2)
 
 
@@ -268,12 +271,4 @@ class ExponentialFit:
 
 def fit_sigma_dependence(samples: list[tuple[float, float]]) -> ExponentialFit:
     """Least squares of ln(value) against sigma over >= 3 samples."""
-    if len(samples) < 3:
-        raise ValidationError("sigma-dependence fit needs at least 3 samples")
-    for sigma, value in samples:
-        if value <= 0:
-            raise NumericalError(f"log-domain fit requires positive values, got {(sigma, value)!r}")
-    xs = [float(sig) for sig, _ in samples]
-    ys = [math.log(v) for _, v in samples]
-    p, q, r2 = _ols(xs, ys)
-    return ExponentialFit(p=p, q=q, r_squared=r2)
+    return ExponentialFit(*_ols(samples, 3, False, "sigma-dependence"))

@@ -7,8 +7,9 @@ The calibrate workload's check in perfbench/workloads.py reads the coarse
 scan's ends out of a calibration's trace, so the trace layout it assumes is
 checked too.  The preset parameter schema is guarded against keys it does
 not declare, declarations no preset uses, and a README key table that
-drifts from it.  README's Library example may import only public names, so
-an API removal cannot leave it broken.
+drifts from it.  README's Library example may import only public names, and
+it must run, so an API change cannot leave it broken.  No linter is
+installed, so a module that imports a name it never reads fails here.
 """
 
 import ast
@@ -16,6 +17,8 @@ import importlib.util
 import re
 import sys
 from pathlib import Path
+
+import pytest
 
 import zetalab
 from zetalab import PrecisionContext, experiments, make_complex, series, solver
@@ -82,9 +85,13 @@ def test_readme_key_table_matches_schema():
     assert sorted(rows) == sorted(experiments.PARAMS)
 
 
-def test_readme_library_example_imports_public_names():
+def _library_example() -> str:
     section = README.read_text(encoding="utf-8").split("## Library\n", 1)[1]
-    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example_imports_public_names():
+    code = _library_example()
     names = [
         alias.name
         for node in ast.walk(ast.parse(code))
@@ -93,3 +100,27 @@ def test_readme_library_example_imports_public_names():
     ]
     assert names, "no `from zetalab import` in README's Library example"
     assert [name for name in names if name not in zetalab.__all__] == []
+
+
+@pytest.mark.slow
+def test_readme_library_example_runs(capsys):
+    # one P = 100 grid and one calibration, about 2 s
+    exec(compile(_library_example(), str(README), "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def test_modules_read_every_name_they_import():
+    # __init__ re-exports its imports; solver's power_term is the tracer's patch target
+    unread = []
+    for path in sorted(Path(zetalab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    exempt = [f"__init__.py: {name}" for name in zetalab.__all__] + ["solver.py: power_term"]
+    assert [entry for entry in unread if entry not in exempt] == []

@@ -19,7 +19,8 @@ from zetalab.oracle import (
     _euler_maclaurin,
     bernoulli_even,
 )
-from zetalab.powers import power_table
+from zetalab import powers
+from zetalab.powers import N_TERMS_MAX, power_table
 from zetalab.precision import ComplexAP, to_string
 
 from .oracles import (
@@ -133,6 +134,22 @@ class TestZeta:
         assert cutoffs[0] == oracle.first_cutoff(s, 15)
         assert cutoffs[1:] == [math.ceil(1.5 * n0) for n0 in cutoffs[:-1]]
         assert len(cutoffs) == 9
+
+    def test_schedule_stops_at_the_term_cap(self, monkeypatch):
+        # no pass certifies and the cap is 200 terms: N0 = 42, 63, 95, 143, then 215 would pass it
+        cutoffs = []
+
+        def never_certified(s, n0, *args, **kwargs):
+            cutoffs.append(n0)
+            value, order, _ = _euler_maclaurin(s, n0, *args, **kwargs)
+            return value, order, False
+
+        monkeypatch.setattr(oracle, "_euler_maclaurin", never_certified)
+        monkeypatch.setattr(oracle, "N_TERMS_MAX", 200)
+        ctx = PrecisionContext(15)
+        with pytest.raises(NumericalError, match="cannot certify 15 digits"):
+            zeta(make_complex("0.5", "100", ctx), ctx)
+        assert len(cutoffs) == 4 and cutoffs[-1] <= 200 < math.ceil(1.5 * cutoffs[-1])
 
     @pytest.mark.parametrize("digits", [15, 30, 100])
     @pytest.mark.parametrize("im", ["1e-25", "1e-40", "1e-300", "-1e-40"])
@@ -375,6 +392,24 @@ class TestLeftHalfPlane:
         assert make_complex(below, "7", ctx).re < oracle.REFLECT_BELOW == ctx.real("-0.5")
         for sigma in ("-0.5", below):
             assert self._relative_error(sigma, "7", 50, 90) < mpmath.mpf(10) ** -50, sigma
+
+
+@pytest.mark.parametrize(
+    "sigma,t,n_max",
+    [("0.5", "1e16", None), ("0.5", "1e20", None), ("1", "1e300", None), ("0.5", "100", N_TERMS_MAX + 1)],
+    ids=["zeta-1e16", "zeta-1e20", "zeta-1e300", "table"],
+)
+def test_past_the_term_cap_is_a_validation_error(monkeypatch, sigma, t, n_max):
+    # these raised MemoryError and OverflowError in the sieve, ZeroDivisionError in
+    # first_cutoff, and built a table of N_TERMS_MAX + 1 entries; now each stops first
+    def no_sieve(n):
+        raise AssertionError(f"sieve of {n} requested")
+
+    monkeypatch.setattr(powers, "_sieve", no_sieve)
+    ctx = PrecisionContext(16)
+    s = make_complex(sigma, t, ctx)
+    with pytest.raises(ValidationError, match=f"more than {N_TERMS_MAX} head terms|must be <= {N_TERMS_MAX}"):
+        zeta(s, ctx) if n_max is None else power_table(s, n_max, ctx)
 
 
 def test_coefficient_tables_under_contention():

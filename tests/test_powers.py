@@ -213,17 +213,20 @@ def test_warm_tables_equal_cold_builds(monkeypatch):
 
 
 def test_sieve_grows_to_the_largest_request(monkeypatch, ctx30):
-    # spf and the primes cover exactly 0..n_max + 1 of the largest table so far; a request
-    # past N_TERMS_MAX + 2 gets a sieve of its own, and no caller writes to the shared one
+    # spf and the primes cover exactly 0..n_max + 1 of the largest table so far; a table
+    # past N_TERMS_MAX is rejected before the sieve grows, and no caller writes to the shared one
     monkeypatch.setattr(powers, "_SIEVE", ([0, 1], []))
     monkeypatch.setattr(powers, "N_TERMS_MAX", 1000)
     s = make_complex("0.5", "100", ctx30)
-    for n_max, covered in ((500, 501), (300, 501), (700, 701), (701, 702), (1001, 1002), (1002, 1002)):
+    for n_max, covered in ((500, 501), (300, 501), (700, 701), (701, 702), (1000, 1001)):
         power_table(s, n_max, ctx30)
         spf, primes = powers._SIEVE
         assert len(spf) == covered + 1 and primes == _primes(covered), n_max
         assert all(spf[m] == min(q for q in primes if m % q == 0) for m in range(2, covered + 1))
     frozen = (spf[:], primes[:])
+    with pytest.raises(ValidationError, match="n_max must be <= 1000, got 1001"):
+        power_table(s, 1001, ctx30)
+    assert powers._SIEVE == frozen
     power_table(s, 900, ctx30)
     mpmath_power_table(s, 900, ctx30)
     assert powers._SIEVE == frozen and powers._SIEVE[0] is spf
