@@ -37,7 +37,7 @@ import mpmath
 from mpmath import libmp
 
 from .errors import NumericalError, ValidationError
-from .powers import N_TERMS_MAX, frac_bits, from_fixed, power_table, to_fixed
+from .powers import N_TERMS_MAX, frac_bits, from_fixed, power_table, require_re_s, to_fixed
 from .precision import ComplexAP, PrecisionContext, _raw, _wrap
 
 _ORACLE_GUARD = 10
@@ -124,8 +124,9 @@ def first_cutoff(s: ComplexAP, digits: int) -> int:
     y^2 e^y = pi c d/(h t).  ceil(t/pi)+10 stays unless Newton's method on
     ln(|T_k| |s+2k-1|/(sigma+2k-1)) finds that N0 certifies at a lower cost.
     h = 5.5 + 0.15P predates the shared ln p and sieve; a refit moves terms_used bytes, for no gain.
-    A ceil(t/pi)+10 past N_TERMS_MAX is a ValidationError.
+    A ceil(t/pi)+10 past N_TERMS_MAX, or Re s past RE_S_MAX, is a ValidationError.
     """
+    require_re_s(s.re)
     t, sigma, floor = abs(float(s.im)), float(s.re), math.ceil(1.3 * digits)
     if t / math.pi > N_TERMS_MAX - 10:
         raise ValidationError(f"zeta at |Im s| = {t} needs more than {N_TERMS_MAX} head terms")
@@ -293,6 +294,7 @@ def zeta(s: ComplexAP, ctx: PrecisionContext, head=None) -> OracleResult:
     """
     if s.im == 0 and s.re == 1:
         raise NumericalError("zeta has a pole at s = 1")
+    require_re_s(s.re)
 
     # the passes run for |Im s| and the value is conjugated back
     conjugate = s.im < 0

@@ -43,6 +43,7 @@ from .precision import ComplexAP, PrecisionContext
 
 _EXTRA_BITS = 16
 N_TERMS_MAX = 10**6  # the most terms a power table, and so a sum, spiral or zeta head, may hold
+RE_S_MAX = 10**4  # Re s in [-RE_S_MAX, RE_S_MAX + 1], a band that s -> 1 - s maps onto itself
 _ANCHOR_EVERY = 128
 _RND = libmp.round_nearest
 _KERNEL_EXP = 6  # past |p^-s| (1 + |sigma| ln p/2^b) = 2^6 most primes fail the rounding test
@@ -265,6 +266,12 @@ def _prime_entries(re: list[int], im: list[int], sieve: tuple, n_max: int, sigma
         re[p], im[p] = _exp_ln_entry(p, neg_s, bits + 16 + b, bits)
 
 
+def require_re_s(sigma) -> None:
+    """Reject Re s outside [-RE_S_MAX, RE_S_MAX + 1] with a ValidationError."""
+    if not -RE_S_MAX <= float(sigma) <= RE_S_MAX + 1:
+        raise ValidationError(f"Re s = {float(sigma):g} lies outside [-{RE_S_MAX}, {RE_S_MAX + 1}]")
+
+
 def power_table(s: ComplexAP, n_max: int, ctx: PrecisionContext) -> PowerTable:
     """n^(-s) for n = 1..n_max as fixed-point ints with frac_bits(ctx) fraction bits.
 
@@ -279,6 +286,7 @@ def power_table(s: ComplexAP, n_max: int, ctx: PrecisionContext) -> PowerTable:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
     if n_max > N_TERMS_MAX:
         raise ValidationError(f"n_max must be <= {N_TERMS_MAX}, got {n_max}")
+    require_re_s(s.re)
     mp, bits = ctx._mp, frac_bits(ctx)
     half = 1 << (bits - 1)
     spf, primes = _sieve(n_max + 1)

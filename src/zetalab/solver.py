@@ -9,11 +9,11 @@ right-hand side are rounded to exactly P significant digits before the solve
 -- the digit budget is the experimental variable, and the system is ill-conditioned enough
 (condition number ~1e90 for the reference 100x100 grid) that this input
 accuracy, not the elimination arithmetic, controls whether the coefficient
-profile survives.  Elimination runs at context precision (32 guard bits):
-each row step is one integer loop over matrix and rhs with three products
-per complex entry, each product part rounded once from its exact value and
-the difference rounded again; the rest runs on raw libmp tuples, as mpc's
-operators do.  The 2P residual sums each row as mpmath's fdot does.  The
+profile survives.  Elimination runs at context precision (32 guard bits) on
+integer rows, each row-step product part rounded once from its exact value
+and each difference again; pivot search, factors and back substitution round
+as mpc does (mpf_add's nudge included), only the pivot reciprocals and the
+divisions on libmp.  The 2P residual sums each row as mpmath's fdot does.  The
 elimination's rounding is far from invisible: against the exact solution of
 the same rounded system, only 18.3 (min) and 24.1 (median) of the 100
 digits printed per coefficient at P = 100 are correct; the rest is
@@ -206,8 +206,11 @@ def assemble_system(
     bits, prec, mp = frac_bits(work), ctx.prec_bits, ctx._mp
 
     def entry(v):
-        """v / 2^F rounded to the context, then to P digits."""
-        return mp.make_mpf(_round_real(libmp.from_man_exp(v, -bits, prec, _RND), ctx))
+        """v / 2^F rounded to the context half to even, then to P digits."""
+        man, exp = _add(abs(v), -bits, 0, 0, prec)
+        tz = (man & -man).bit_length() - 1
+        raw = (int(v < 0), man >> tz, exp + tz, man.bit_length() - tz) if man else libmp.fzero
+        return mp.make_mpf(_round_real(raw, ctx))
 
     n_max = max([n_coeffs, *(first_cutoff(s, p) for s in grid)])
     matrix, rhs = [], []
@@ -233,6 +236,35 @@ def _signed(part):
 def _mpc_entry(row, c):
     rm, rx, im, ix = row
     return libmp.from_man_exp(rm[c], rx[c]), libmp.from_man_exp(im[c], ix[c])
+
+
+def _add(xm, xe, ym, ye, prec):
+    """xm 2^xe + ym 2^ye rounded to prec bits half to even, as mpf_add(x, y,
+    prec) rounds: once from the exact sum, except where both are nonzero, the
+    larger's top bit lies more than prec + 4 above the other's and its lowest
+    set bit more than 100 above the other's.  There mpf_add only nudges the
+    larger by the other's sign, 2^(prec + 4) below its lowest set bit.  For
+    two values of at most prec bits that nudge rounds as the exact sum does."""
+    if xm and ym:
+        d = xm.bit_length() + xe - ym.bit_length() - ye
+        if d < 0:
+            xm, xe, ym, ye, d = ym, ye, xm, xe, -d
+        if d > prec + 4:
+            tx, ty = (xm & -xm).bit_length() - 1, (ym & -ym).bit_length() - 1
+            if xe + tx - ye - ty > 100:
+                xm, xe, ym = (xm >> tx << prec + 4) + (1 if ym > 0 else -1), xe + tx - prec - 4, 0
+        if ym:
+            if xe >= ye:
+                xm, xe = (xm << xe - ye) + ym, ye
+            else:
+                xm += ym << ye - xe
+    elif ym:
+        xm, xe = ym, ye
+    s = xm.bit_length() - prec
+    if s <= 0:
+        return xm, xe
+    t = xm >> s - 1
+    return ((t >> 1) + 1 if t & 1 and (t & 2 or xm & (1 << s - 1) - 1) else t >> 1), xe + s
 
 
 def _row_step(row, fr, fi, ur, us, ud, e0, cols, prec):
@@ -297,69 +329,96 @@ def _eliminate(raw_matrix, raw_rhs, mp, pivot_floor):
 
     Bit for bit the mpc elimination of tests/oracles.py, for entries that
     are values of mp, with each row-step product rounded once from its exact
-    parts.  The O(n^3) sweep a_rc -= f_r u_c runs on Python integers: each
-    row holds signed mantissas and exponents per component, the right-hand
-    side as column n; the pivot row u and each factor f are put on one
-    exponent each, so every row step is one integer loop with three products
-    per complex entry (_row_step; a zero factor leaves each value as it was).
-    Pivot search, factors and back substitution run on raw tuples, through
-    the libmp functions mpc's operators call; they read U from the integer
-    rows, final once stepped.
+    parts.  Every step runs on integer rows (signed mantissas and exponents
+    per component, the right-hand side as column n).  The pivot is the row of
+    largest exact squared modulus, mpc_abs taken only for rows within
+    2^-(prec - 4) of it, so the first of equal rounded moduli still wins.  The
+    pivot row u and each factor f are put on one exponent each, so each row
+    step a_rc -= f_r u_c is one integer loop (_row_step; a zero factor leaves
+    each value as it was).  Factors and back substitution round through _add,
+    as mpc_mul and mpc_sub round; only mpc_mpf_div and mpc_div run on libmp.
     """
     n = len(raw_matrix)
     prec = mp.prec
-    mul, sub = (functools.partial(f, prec=prec, rnd=_RND) for f in (libmp.mpc_mul, libmp.mpc_sub))
     rows = []  # each: re mantissas, re exponents, im mantissas, im exponents
     for raw_row, b in zip(raw_matrix, raw_rhs):
         re = [_signed(z._mpc_[0]) for z in (*raw_row, b)]
         im = [_signed(z._mpc_[1]) for z in (*raw_row, b)]
         rows.append([[m for m, _ in re], [e for _, e in re], [m for m, _ in im], [e for _, e in im]])
     for k in range(n):
-        col = [_mpc_entry(row, k) for row in rows[k:]]
-        moduli = [mp.make_mpf(libmp.mpc_abs(z, prec, _RND)) for z in col]
-        piv = max(range(n - k), key=moduli.__getitem__)
+        col = [(rm[k], rx[k], im[k], ix[k]) for rm, rx, im, ix in rows[k:]]
+        e0 = min((e for a, ea, b, eb in col for m, e in ((a, ea), (b, eb)) if m), default=0)
+        sq = [(a << ea - e0 if a else 0) ** 2 + (b << eb - e0 if b else 0) ** 2 for a, ea, b, eb in col]
+        top = max(sq)
+        moduli = {
+            r: mp.make_mpf(libmp.mpc_abs(_mpc_entry(rows[k + r], k), prec, _RND))
+            for r, q in enumerate(sq)
+            if top - q << prec - 4 <= top
+        }
+        piv = max(moduli, key=moduli.__getitem__)
         if moduli[piv] < pivot_floor:
             raise NumericalError(
                 f"pivot modulus {float(moduli[piv]):.3e} below {float(pivot_floor):.3e} at column {k}"
             )
         if piv:
             rows[k], rows[k + piv] = rows[k + piv], rows[k]
-            col[0], col[piv] = col[piv], col[0]
         cols = range(k + 1, n + 1)
         rm, rx, im, ix = rows[k]
         eu = min((e for c in cols for m, e in ((rm[c], rx[c]), (im[c], ix[c])) if m), default=0)
         ur = [0] * (k + 1) + [rm[c] << rx[c] - eu if rm[c] else 0 for c in cols]
         ui = [0] * (k + 1) + [im[c] << ix[c] - eu if im[c] else 0 for c in cols]
         us, ud = [a + b for a, b in zip(ur, ui)], [b - a for a, b in zip(ur, ui)]
-        inv = libmp.mpc_mpf_div(libmp.fone, col[0], prec, _RND)
+        (cr, er), (ci, ei) = map(_signed, libmp.mpc_mpf_div(libmp.fone, _mpc_entry(rows[k], k), prec, _RND))
         for r in range(k + 1, n):
-            (fr, efr), (fi, efi) = (_signed(v) for v in mul(col[r - k], inv))
+            a, ea, b, eb = rows[r][0][k], rows[r][1][k], rows[r][2][k], rows[r][3][k]
+            fr, efr = _add(a * cr, ea + er, -b * ci, eb + ei, prec)
+            fi, efi = _add(a * ci, ea + ei, b * cr, eb + er, prec)
             ef = min(efr if fr else efi, efi if fi else efr)
-            _row_step(rows[r], fr << efr - ef, fi << efi - ef, ur, us, ud, ef + eu, cols, prec)
-    x = [None] * n
+            fr, fi = (fr << efr - ef if fr else 0), (fi << efi - ef if fi else 0)
+            _row_step(rows[r], fr, fi, ur, us, ud, ef + eu, cols, prec)
+    x, xs = [None] * n, [None] * n
     for r in range(n - 1, -1, -1):
-        acc = _mpc_entry(rows[r], n)
+        am, ax, bm, bx = rows[r]
+        sr, er, si, ei = am[n], ax[n], bm[n], bx[n]
         for c in range(r + 1, n):
-            acc = sub(acc, mul(_mpc_entry(rows[r], c), x[c]))
+            a, ea, b, eb = am[c], ax[c], bm[c], bx[c]
+            vr, evr, vi, evi = xs[c]
+            pr, epr = _add(a * vr, ea + evr, -b * vi, eb + evi, prec)
+            pi, epi = _add(a * vi, ea + evi, b * vr, eb + evr, prec)
+            sr, er = _add(sr, er, -pr, epr, prec)
+            si, ei = _add(si, ei, -pi, epi, prec)
+        acc = libmp.from_man_exp(sr, er), libmp.from_man_exp(si, ei)
         x[r] = libmp.mpc_div(acc, _mpc_entry(rows[r], r), prec, _RND)
+        xs[r] = (*_signed(x[r][0]), *_signed(x[r][1]))
     return [mp.make_mpc(v) for v in x]
 
 
 def _parts(z: ComplexAP, prec: int):
     """z as a raw mpc, each component rounded to prec bits as _raw rounds it."""
-    return libmp.mpf_pos(z.re._mpf_, prec, _RND), libmp.mpf_pos(z.im._mpf_, prec, _RND)
+    re, im = z.re._mpf_, z.im._mpf_
+    return (
+        re if re[3] <= prec else libmp.mpf_pos(re, prec, _RND),
+        im if im[3] <= prec else libmp.mpf_pos(im, prec, _RND),
+    )
+
+
+def _product(x, y, neg=0):
+    """mpf_mul(x, y) of two finite raw mpfs, negated if neg: odd mantissas
+    give an odd product, so the exact tuple is already normalized."""
+    man = x[1] * y[1]
+    return (x[0] ^ y[0] ^ neg, man, x[2] + y[2], man.bit_length()) if man else libmp.fzero
 
 
 def _residual_inf(matrix, rhs, solution, check_ctx: PrecisionContext):
     """max_m |sum_n a_mn d_n - b_m|, each row summed as fdot sums it: exact terms, one rounding."""
-    prec, mul, mp = check_ctx.prec_bits, libmp.mpf_mul, check_ctx._mp
+    prec, mp = check_ctx.prec_bits, check_ctx._mp
     sol = [_parts(z, prec) for z in solution] + [(libmp.fnone, libmp.fzero)]
     sums = []
     for row, b in zip(matrix, rhs):
         re, im = [], []
         for (ar, ai), (dr, di) in zip((_parts(e, prec) for e in (*row, b)), sol):
-            re += mul(ar, dr), libmp.mpf_neg(mul(ai, di))
-            im += mul(ar, di), mul(ai, dr)
+            re += _product(ar, dr), _product(ai, di, 1)
+            im += _product(ar, di), _product(ai, dr)
         sums.append(mp.make_mpc((libmp.mpf_sum(re, prec, _RND), libmp.mpf_sum(im, prec, _RND))))
     return max(abs(z) for z in sums)
 

@@ -30,14 +30,15 @@ class SpiralTrace:
 def _terms(s: ComplexAP, n_terms: int, ctx: PrecisionContext):
     """Yield n^(-s) - chi(s) n^(s-1) for n = 1..N as fixed-point int pairs scaled by 2^(2F).
 
-    n^(s-1) = n^(-(1-s)) comes from a power table for 1 - s.
+    n^(s-1) = n^(-(1-s)) comes from a power table for 1 - s, built before
+    chi(s) is taken, so the tables' checks on s come first.
     """
     _require_off_axis(s)
     bits = frac_bits(ctx)
-    chi_s = _raw(chi(s, ctx), ctx)
-    chi_re, chi_im = to_fixed(chi_s.real._mpf_, bits), to_fixed(chi_s.imag._mpf_, bits)
     direct = power_table(s, n_terms, ctx)
     mirror = power_table(_wrap(1 - _raw(s, ctx)), n_terms, ctx)
+    chi_s = _raw(chi(s, ctx), ctx)
+    chi_re, chi_im = to_fixed(chi_s.real._mpf_, bits), to_fixed(chi_s.imag._mpf_, bits)
     for n in range(1, n_terms + 1):
         m_re, m_im = mirror.re[n], mirror.im[n]
         yield (

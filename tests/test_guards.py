@@ -40,7 +40,7 @@ def test_tracer_patch_targets_resolve():
         assert callable(getattr(module, name, None)), f"{module.__name__}.{name} for {span}"
 
 
-def test_calibrate_check_reads_the_coarse_scan_ends(monkeypatch):
+def _workloads(monkeypatch):
     # workloads.py imports its sibling as the top-level module `spans`, and
     # its dataclasses look their own module up while it loads
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
@@ -48,6 +48,20 @@ def test_calibrate_check_reads_the_coarse_scan_ends(monkeypatch):
     monkeypatch.setitem(sys.modules, "spans", _spans())
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_benchmark_grid_pin_matches_the_default_digests(monkeypatch):
+    # grid-solve checks its paper pass against GRID_SHA256, a copy of these
+    # rows: a change to grid bytes fails here, not only in the benchmark
+    from .test_golden_presets import DEFAULT_DIGESTS
+
+    pin = _workloads(monkeypatch).GRID_SHA256
+    assert pin == {name: DEFAULT_DIGESTS[name] for name in pin}
+
+
+def test_calibrate_check_reads_the_coarse_scan_ends(monkeypatch):
+    workloads = _workloads(monkeypatch)
     assert workloads._COARSE_SAMPLES == series.COARSE_SAMPLES
     ctx = PrecisionContext(15)
     trace = series.calibrate_b(make_complex("0.5", "30", ctx), ctx).trace

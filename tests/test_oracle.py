@@ -19,8 +19,8 @@ from zetalab.oracle import (
     _euler_maclaurin,
     bernoulli_even,
 )
-from zetalab import powers
-from zetalab.powers import N_TERMS_MAX, power_table
+from zetalab import powers, spiral
+from zetalab.powers import N_TERMS_MAX, RE_S_MAX, power_table
 from zetalab.precision import ComplexAP, to_string
 
 from .oracles import (
@@ -410,6 +410,45 @@ def test_past_the_term_cap_is_a_validation_error(monkeypatch, sigma, t, n_max):
     s = make_complex(sigma, t, ctx)
     with pytest.raises(ValidationError, match=f"more than {N_TERMS_MAX} head terms|must be <= {N_TERMS_MAX}"):
         zeta(s, ctx) if n_max is None else power_table(s, n_max, ctx)
+
+
+@pytest.mark.parametrize(
+    "sigma, t, call",
+    [
+        ("1e300", "-100", "zeta"),
+        ("1e300", "3e5", "spiral"),
+        (f"{-RE_S_MAX - 0.5}", "5", "zeta"),
+        (f"{RE_S_MAX + 1.5}", "5", "zeta"),
+        (f"{RE_S_MAX + 1.5}", "5", "table"),
+        (f"{-RE_S_MAX - 1}", "3", "spiral"),
+    ],
+    ids=["zeta-1e300", "spiral-1e300", "zeta-below", "zeta-above", "table-above", "spiral-below"],
+)
+def test_past_the_re_s_cap_is_a_validation_error(sigma, t, call):
+    # the first two raised OverflowError, in first_cutoff and in to_fixed
+    ctx = PrecisionContext(16)
+    s = make_complex(sigma, t, ctx)
+    calls = {
+        "zeta": lambda: zeta(s, ctx),
+        "spiral": lambda: spiral.raw_partial_sums(s, 10, ctx),
+        "table": lambda: power_table(s, 10, ctx),
+    }
+    with pytest.raises(ValidationError, match=rf"^Re s = \S+ lies outside \[-{RE_S_MAX}, {RE_S_MAX + 1}\]$"):
+        calls[call]()
+
+
+@pytest.mark.parametrize("sigma", [-RE_S_MAX, RE_S_MAX, RE_S_MAX + 1])
+def test_re_s_at_the_cap(sigma):
+    # zeta at -RE_S_MAX reflects to 1 + RE_S_MAX, and the spiral's second
+    # table is for 1 - s
+    ctx = PrecisionContext(16)
+    s = make_complex(sigma, 5, ctx)
+    ref = mpmath.mp.clone()
+    ref.dps = 40
+    want = ref.zeta(ref.mpc(sigma, 5))
+    got = zeta(s, ctx).value
+    assert abs(ref.mpc(got.re, got.im) - want) <= abs(want) * ref.mpf(10) ** -16
+    assert len(spiral.raw_partial_sums(s, 3, ctx).points) == 3
 
 
 def test_coefficient_tables_under_contention():

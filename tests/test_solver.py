@@ -5,6 +5,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import libmp
 
 from zetalab import (
     PrecisionContext,
@@ -366,6 +367,37 @@ def _real_part_kinds(row, fr, fi, ur, ui, e0, prec):
     return kinds
 
 
+def _nudged_parts(rng, prec, c, d):
+    """Raw mpfs a, b for which mpc_mul's real part a c - b d takes mpf_add's
+    nudge, and the nudge rounds otherwise than the exact difference.
+
+    |a c| has 0111...1 in the bits rounded off, one unit of its last bit
+    below a tie; b d lies between prec + 4 bits below its top and two units of
+    its last bit, with its last bit more than 100 bits lower, and with the
+    sign that carries the exact difference past the tie.  The nudge adds only
+    2^-(prec + 4) units of that last bit and so stays below it.
+    """
+    cs, cm, ce, _ = c
+    ds, dm, de, _ = d
+    for s in range(cm.bit_length() - 1, 12, -1):
+        # the first am >= 2^(s + prec - 1) / cm with am cm = 2^(s - 1) - 1 mod 2^s
+        lo = -(-(1 << s + prec - 1) // cm)
+        am = lo + (((1 << s - 1) - 1) * pow(cm, -1, 1 << s) - lo) % (1 << s)
+        if (am * cm).bit_length() == s + prec and am.bit_length() <= prec:
+            break
+    a_sign = rng.getrandbits(1)
+    ae = -am.bit_length()
+    bm = rng.getrandbits(prec) | 1 << prec - 1 | 1
+    top = ae + ce + s // 2
+    be = top - (bm * dm).bit_length() - de
+    a = (a_sign, am, ae, am.bit_length())
+    b = (a_sign ^ cs ^ ds ^ 1, bm, be, prec)
+    p, q = libmp.mpf_mul(a, c), libmp.mpf_mul(b, d)
+    once = libmp.mpf_pos(libmp.mpf_sub(p, q), prec, libmp.round_nearest)
+    assert libmp.mpf_sub(p, q, prec, libmp.round_nearest) != once
+    return a, b
+
+
 class TestEliminationKernel:
     """The integer row steps of _eliminate against the mpc elimination, bit for bit."""
 
@@ -510,6 +542,69 @@ class TestEliminationKernel:
         with pytest.raises(NumericalError, match="^pivot modulus .* at column") as got:
             _eliminate(matrix, rhs, mp, floor)
         with pytest.raises(NumericalError, match="^pivot modulus .* at column") as want:
+            mpc_eliminate(matrix, rhs, mp, floor)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("digits", [15, 100, 1000])
+    def test_factor_products_where_mpf_add_nudges(self, digits):
+        # a complex pivot p gives inv = 1/p two nonzero parts, and the column-0
+        # entries below it are built so that each factor's real part takes
+        # mpf_add's nudge, which rounds otherwise than the exact value.  A
+        # factor moves the solution only through the row step's rounding, so
+        # every row below the pivot takes one
+        mp = PrecisionContext(digits)._mp
+        prec = mp.prec
+        rng = random.Random(digits)
+        for seed in range(4):
+            matrix, rhs = _random_system(5, mp, seed)
+            pivot = mp.mpc(_random_real(rng, mp) + 4, _random_real(rng, mp, 8))
+            inv = libmp.mpc_mpf_div(libmp.fone, pivot._mpc_, prec, libmp.round_nearest)
+            matrix[0][0] = pivot
+            for row in matrix[1:]:
+                row[0] = mp.make_mpc(_nudged_parts(rng, prec, *inv))
+            _assert_kernel_matches_oracle(matrix, rhs, mp)
+
+    @pytest.mark.parametrize("digits", [15, 100, 1000])
+    def test_back_substitution_products_where_mpf_add_nudges(self, digits):
+        # an upper triangular system with a unit diagonal: x_1 = b_1, and
+        # a_01 is built so that the real part of a_01 x_1 takes the nudge;
+        # b_0 lies well below that product, so its rounding reaches x_0
+        mp = PrecisionContext(digits)._mp
+        prec = mp.prec
+        rng = random.Random(digits + 1)
+        for _ in range(3):
+            x1 = mp.mpc(_random_real(rng, mp), _random_real(rng, mp))
+            a01 = mp.make_mpc(_nudged_parts(rng, prec, *x1._mpc_))
+            b0 = mp.mpc(_random_real(rng, mp, 40), _random_real(rng, mp, 40))
+            matrix = [[mp.mpc(1), a01], [mp.mpc(0), mp.mpc(1)]]
+            _assert_kernel_matches_oracle(matrix, [b0, x1], mp)
+
+    @pytest.mark.parametrize("digits", [15, 100, 1000])
+    def test_equal_rounded_moduli_keep_the_first_row(self, digits):
+        # rows 0 and 1 hold A and A + i 2^-prec A in column 0: the second is
+        # larger, but both moduli round to |A|, so row 0 stays the pivot
+        mp = PrecisionContext(digits)._mp
+        prec = mp.prec
+        for seed in range(3):
+            matrix, rhs = _random_system(4, mp, seed, lambda rng, r, c: 4 if c == 0 else 0)
+            a = _random_real(random.Random(seed), mp) * 4
+            matrix[0][0], matrix[1][0] = mp.mpc(a), mp.mpc(a, a * mp.mpf(2) ** -prec)
+            first, second = (libmp.mpc_abs(matrix[r][0]._mpc_, prec, libmp.round_nearest) for r in (0, 1))
+            squares = [libmp.mpf_add(*(libmp.mpf_mul(v, v) for v in matrix[r][0]._mpc_)) for r in (0, 1)]
+            assert first == second and libmp.mpf_gt(squares[1], squares[0])
+            assert max(abs(matrix[r][0]) for r in (2, 3)) < abs(a)
+            _assert_kernel_matches_oracle(matrix, rhs, mp)
+
+    @pytest.mark.parametrize("digits", [15, 100, 1000])
+    def test_all_zero_pivot_column(self, digits):
+        mp = PrecisionContext(digits)._mp
+        matrix, rhs = _random_system(5, mp, digits)
+        for row in matrix:
+            row[2] = mp.mpc(0)
+        floor = mp.mpf(2) ** (-mp.prec // 2)
+        with pytest.raises(NumericalError, match="^pivot modulus 0.000e[+]00 .* at column 2$") as got:
+            _eliminate(matrix, rhs, mp, floor)
+        with pytest.raises(NumericalError) as want:
             mpc_eliminate(matrix, rhs, mp, floor)
         assert str(got.value) == str(want.value)
 
