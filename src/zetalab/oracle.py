@@ -197,6 +197,10 @@ def _euler_maclaurin(
     bound = limit // scale if scale else math.inf
     prec = work.prec_bits
     p_re, p_im = sr, si
+    # u = sigma + 2k - 1, and q's numerators u(u + one) - si^2 and si(2u + one), all at
+    # fbits; each order adds 2 one to u, so they grow by (4u + 6 one) one and 4 si one
+    u = sr + one
+    q_re, q_im = u * (u + one) - si2, si * (2 * u + one)
     c_re = c_im = 0
     prev = None
     order = shift = 0
@@ -205,7 +209,6 @@ def _euler_maclaurin(
         man, exp = _em_coefficient(k, prec)
         a_re, a_im = (man * p_re) >> -(exp + shift), (man * p_im) >> -(exp + shift)  # A_k
         mag = a_re * a_re + a_im * a_im
-        u = sr + (2 * k - 1) * one  # sigma + 2k - 1
         if u > 0 and mag <= bound and mag * (u * u + si2) * scale <= limit * u * u:
             certified = True
             break
@@ -218,9 +221,11 @@ def _euler_maclaurin(
         # advance to k+1: multiply by (s+2k-1)(s+2k)/N0^2 and move a power of
         # two into shift, which tracks k log2(4 pi^2), so p stays near |A_k|
         d, shift = fbits + (53 * k) // 10 - shift, (53 * k) // 10
-        q_re = ((u * (u + one) - si2) >> fbits) // n2
-        q_im = ((si * (2 * u + one)) >> fbits) // n2
-        p_re, p_im = (p_re * q_re - p_im * q_im) >> d, (p_re * q_im + p_im * q_re) >> d
+        f_re, f_im = (q_re >> fbits) // n2, (q_im >> fbits) // n2
+        p_re, p_im = (p_re * f_re - p_im * f_im) >> d, (p_re * f_im + p_im * f_re) >> d
+        q_re += (u << fbits + 2) + (3 << 2 * fbits + 1)
+        q_im += si << fbits + 2
+        u += 2 * one
     # head + C N0^(-s)/N0 - N0^(-s)/2, at bits + 1 fraction bits, plus the tail N0^(1-s)/(s-1)
     corr_re = ((c_re * l_re - c_im * l_im) >> fbits) // n0
     corr_im = ((c_re * l_im + c_im * l_re) >> fbits) // n0

@@ -7,12 +7,17 @@ smallest prime factor's entry and its cofactor's.  At a prime, an integer
 kernel gives the entry that mpmath's ln and exp would (_prime_entries).  The
 table is built for |Im s| and conjugated when Im s < 0, so s and its
 conjugate give exactly conjugate sums.  power_table runs this loop for every
-caller: the weighted sums, the spirals, the grid solver's ladder and the
-zeta oracle's Euler-Maclaurin head.  What is the same for every s is built
-once per process: one sieve (_sieve), grown to the largest table asked for
-(at most N_TERMS_MAX entries: 0.1 MB at one-shot sizes, n ~ 8000; 10.3 MB
-at the cap), and ln p per kernel width (_prime_logs), kept for 8 widths
-(0.07-0.16 MB each at one-shot sizes; 9.4-42 MB each to the cap, P = 30-1000).
+caller: the weighted sums, the grid solver's ladder and the zeta oracle's
+Euler-Maclaurin head.  A spiral needs the tables of s and 1 - s, which share
+|Im s|: power_pair builds both in one sweep of the primes, with ln p and the
+phase of p^(-it) taken once per prime and only the magnitude p^(-sigma), the
+product and the rounding test per table; each entry is the one power_table
+gives, and the pair takes about 0.8 of two builds.  What is the same for
+every s is built once per process: one sieve (_sieve), grown to the largest
+table asked for (at most N_TERMS_MAX entries: 0.1 MB at one-shot sizes,
+n ~ 8000; 10.3 MB at the cap), and ln p per kernel width (_prime_logs),
+kept for 8 widths (0.07-0.16 MB each at one-shot sizes; 9.4-42 MB each to
+the cap, P = 30-1000).
 
 The weight 1/(1 + E_n), E_n = exp((n - c)/B), is the fixed-point int
 w_n = floor(2^(2F) / (2^F + floor(E_n 2^F))), exactly 2^F through
@@ -32,6 +37,7 @@ on the packed table (PowerTable.packed), and rounds once.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 from mpmath import libmp
 
 from .errors import ValidationError
-from .precision import ComplexAP, PrecisionContext
+from .precision import ComplexAP, PrecisionContext, _raw, _wrap
 
 _EXTRA_BITS = 16
 N_TERMS_MAX = 10**6  # the most terms a power table, and so a sum, spiral or zeta head, may hold
@@ -166,13 +172,14 @@ def _exp_ln_entry(p: int, neg_s, wp: int, bits: int) -> tuple[int, int]:
 
 @functools.lru_cache(maxsize=8)
 def _constants(h: int):
-    """2 pi, ln 2, and cis(2 pi a 2^-j), 2^(a 2^-j) for a < 64, j = 6, 12, 18, at h
-    fraction bits: 63 steps of repeated multiplication, under 3 units each.
+    """2 pi, ln 2, cis(2 pi a 2^-j) and 2^(a 2^-j) for a < 64, j = 6, 12, 18, at h
+    fraction bits (63 steps of repeated multiplication, under 3 units each),
+    and the ratios (2k)(2k+1) of the sin and sinh series' terms.
     A set takes 0.3-0.6 ms to build and 33-52 KiB at h = 180-446; callers
     alternate widths (zeta at P = 30 and 100, the spirals), so eight are kept."""
     wp = h + 16
     pi, ln2 = libmp.mpf_pi(wp), libmp.mpf_ln2(wp)
-    levels = []
+    cis, mags = [], []
     for j in range(6, 19, 6):
         c, s = (to_fixed(x, h) for x in libmp.mpf_cos_sin(libmp.mpf_shift(pi, 1 - j), wp))
         q = to_fixed(libmp.mpf_exp(libmp.mpf_shift(ln2, -j), wp), h)
@@ -182,8 +189,11 @@ def _constants(h: int):
             cr.append((x * c - y * s) >> h)
             ci.append((x * s + y * c) >> h)
             mag.append(mag[-1] * q >> h)
-        levels.append((h - j, cr, ci, mag))
-    return to_fixed(libmp.mpf_shift(pi, 1), h), to_fixed(ln2, h), levels
+        cis.append((h - j, cr, ci))
+        mags.append((h - j, mag))
+    # a series argument is below 2pi 2^-18, so a term is 2^30 times smaller than the one before
+    steps = [k * k + k for k in range(2, h // 8, 2)]
+    return to_fixed(libmp.mpf_shift(pi, 1), h), to_fixed(ln2, h), cis, mags, steps
 
 
 @functools.lru_cache(maxsize=8)
@@ -192,84 +202,140 @@ def _prime_logs(width: int) -> dict[int, int]:
     return {2: to_fixed(libmp.mpf_ln2(width + 8), width)}
 
 
-def _prime_entries(re: list[int], im: list[int], sieve: tuple, n_max: int, sigma, t, bits: int):
-    """Set re[p] + i im[p] = round(p^(-sigma - it) 2^bits) for the primes p <= n_max.
+def _prime_entries(parts: list, sieve: tuple, n_max: int, t, bits: int):
+    """For each (re, im, sigma) in parts, set re[p] + i im[p] = round(p^(-sigma - it) 2^bits)
+    for the primes p <= n_max.
 
     The kernel (Tang's table-driven exp, ACM TOMS 15, 1989) runs at h = bits
     + 32 fraction bits.  The top 18 bits of the turns t ln p/2pi and of f in
     -sigma log2 p = e + f pick _constants entries, the sin and sinh series
     give the rest, and v = p^(-s) 2^(bits+24) is their product times 2^e,
     within 2^11 units of 2^-h relative (the six tables give 6 3 63 of them).
+    The phase (ln p, the turns, the sin series and the cis levels) depends on
+    t alone, so every part shares it; the magnitude (f, the sinh series and
+    the 2^f levels), the product and the rounding test run per part.
     Ziv's rounding test (ACM TOMS 17, 1991): where v lies within |p^-s| 2^-9
     (1 + |sigma| ln p/2^b) F-units of a rounding boundary (the kernel's
     error plus 16 times _exp_ln_entry's, see power_table), or where |p^-s|
     (1 + |sigma| ln p/2^b) >= 2^_KERNEL_EXP, the entry is _exp_ln_entry's.
     From the first prime with e >= _KERNEL_EXP on (sigma < 0), every entry
-    is _exp_ln_entry's, and the ln p chain stops.
+    of that part is _exp_ln_entry's, and once that holds for every part the
+    ln p chain stops.
     """
     h, (spf, primes) = bits + 32, sieve
-    two_pi, ln2, levels = _constants(h)
-    # ln p is within 2p (w/4 + 5) units (by induction over p -+ 1), so this
-    # guard keeps t ln p/2pi and sigma log2 p within 2 units of 2^-h
-    w = h + 16 + int(t).bit_length() + int(abs(sigma)).bit_length() + (n_max * h).bit_length()
+    two_pi, ln2, cis, mags, steps = _constants(h)
+    # ln p is within 2p (w/4 + 5) units (by induction over p -+ 1), so this guard, at the
+    # largest |sigma|, keeps t ln p/2pi and every sigma log2 p within 2 units of 2^-h
+    top = max(int(abs(sigma)).bit_length() for _, _, sigma in parts)
+    w = h + 16 + int(t).bit_length() + top + (n_max * h).bit_length()
     turns = to_fixed(libmp.mpf_div(t._mpf_, libmp.mpf_shift(libmp.mpf_pi(2 * w), 1), 2 * w, _RND), w)
-    rate = to_fixed(libmp.mpf_div(libmp.mpf_neg(sigma._mpf_), libmp.mpf_ln2(2 * w), 2 * w, _RND), w)
-    neg_s = (libmp.mpf_neg(sigma._mpf_), libmp.mpf_neg(t._mpf_))
-    t_f, sigma_f, one = float(t), abs(float(sigma)), 1 << h
+    ln2_w, neg_t, rows = libmp.mpf_ln2(2 * w), libmp.mpf_neg(t._mpf_), []
+    for re, im, sigma in parts:  # rate = -sigma/ln 2 at w bits, and -s for the fallback
+        neg = libmp.mpf_neg(sigma._mpf_)
+        rate = to_fixed(libmp.mpf_div(neg, ln2_w, 2 * w, _RND), w)
+        rows.append((re, im, rate, abs(float(sigma)), (neg, neg_t)))
+    t_f, one, low = float(t), 1 << h, 1 << h - 18
+    sq = one * one
+    down, drop = 2 * w - h, 2 * h - bits - 24
+    kexp, klim, edge, mid = _KERNEL_EXP, 2.0**_KERNEL_EXP, 1 << 24, 1 << 23
     # ln p at W = h + 96 >= w (w - h <= 75 within the library's limits), shared by every
     # call of that W: within 2p (W/4 + 5) units of 2^-W, so shifted to w, within the bound above
     logs = _prime_logs(width := max(h + 96, w))
-    e = 0  # once e >= _KERNEL_EXP (sigma < 0) it never falls as p grows: the ln p chain and kernel stop
-    for p in primes:
-        if p > n_max:
-            break
+    log, isqrt, ldexp = math.log, math.isqrt, math.ldexp
+    live = True  # some part's e < _KERNEL_EXP; e never falls as p grows, so once none is, none will be
+    for p in primes[: bisect.bisect_right(primes, n_max)]:
         # the phase t ln p loses log2(t ln p) bits; an entry depends on p alone
-        log_p = math.log(p)
+        log_p = log(p)
         b = int(t_f * log_p).bit_length()
-        if e < _KERNEL_EXP:
-            if p not in logs:  # ln p = (ln(p-1) + ln(p+1))/2 + atanh(1/(2p^2-1)), p -+ 1 by factors
-                lg, d, k = 0, 2 * p * p - 1, 1
-                for m in (p - 1, p + 1):
-                    while m > 1:
-                        lg += logs[spf[m]]
-                        m //= spf[m]
-                a = series = (1 << width) // d
-                while a:
-                    a //= d * d
-                    k += 2
-                    series += a // k
-                logs[p] = (lg >> 1) + series
-            lg = logs[p] >> width - w
-            u = rate * lg >> 2 * w - h
+        if not live:
+            for re, im, _, _, neg_s in rows:
+                re[p], im[p] = _exp_ln_entry(p, neg_s, bits + 16 + b, bits)
+            continue
+        lg = logs.get(p)
+        if lg is None:  # ln p = (ln(p-1) + ln(p+1))/2 + atanh(1/(2p^2-1)), p -+ 1 by factors
+            lg, d, k = 0, 2 * p * p - 1, 1
+            for m in (p - 1, p + 1):
+                while m > 1:
+                    lg += logs[spf[m]]
+                    m //= spf[m]
+            a = series = (1 << width) // d
+            while a:
+                a //= d * d
+                k += 2
+                series += a // k
+            lg = logs[p] = (lg >> 1) + series
+        lg >>= width - w
+        turn = (turns * lg >> down) % one
+        y = turn % low * two_pi >> h
+        y2, sin, ty = y * y >> h, y, y
+        for d in steps:
+            ty = -(ty * y2 >> h) // d
+            if not ty:
+                break
+            sin += ty
+        zr, zi = isqrt(sq - sin * sin), sin
+        for shift, cr, ci in cis:
+            i = turn >> shift & 63
+            zr, zi = (zr * cr[i] - zi * ci[i]) >> h, (zr * ci[i] + zi * cr[i]) >> h
+        live = False
+        spread = ldexp(log_p, -b)
+        for re, im, rate, sigma_f, neg_s in rows:
+            u = rate * lg >> down
             e = u >> h
-        widen = 1 + sigma_f * log_p / (1 << b)
-        if e < _KERNEL_EXP and math.ldexp(widen, e) < 2**_KERNEL_EXP:
-            turn, f = (turns * lg >> 2 * w - h) % one, u % one
-            y, x = turn % (one >> 18) * two_pi >> h, f % (one >> 18) * ln2 >> h
-            y2, x2 = y * y >> h, x * x >> h
-            sin, sinh, ty, tx, k = y, x, y, x, 2
-            while ty or tx:
-                ty, tx = -(ty * y2 >> h) // (k * k + k), (tx * x2 >> h) // (k * k + k)
-                sin, sinh, k = sin + ty, sinh + tx, k + 2
-            zr, zi = math.isqrt(one * one - sin * sin), sin
-            mg = sinh + math.isqrt(one * one + sinh * sinh)
-            for shift, cr, ci, mag in levels:
-                i = turn >> shift & 63
-                zr, zi = (zr * cr[i] - zi * ci[i]) >> h, (zr * ci[i] + zi * cr[i]) >> h
-                mg = mg * mag[f >> shift & 63] >> h
-            drop = 2 * h - bits - 24 - e
-            vr, vi = zr * mg >> drop, -(zi * mg >> drop)
-            tol = int(((abs(vr) + abs(vi)) >> bits + 9) * widen) + 2
-            if abs(vr % (1 << 24) - (1 << 23)) > tol and abs(vi % (1 << 24) - (1 << 23)) > tol:
-                re[p], im[p] = (vr >> 23) + 1 >> 1, (vi >> 23) + 1 >> 1
-                continue
-        re[p], im[p] = _exp_ln_entry(p, neg_s, bits + 16 + b, bits)
+            widen = 1 + sigma_f * spread
+            if e < kexp:
+                live = True
+                if ldexp(widen, e) < klim:
+                    f = u % one
+                    x = f % low * ln2 >> h
+                    x2, sinh, tx = x * x >> h, x, x
+                    for d in steps:
+                        tx = (tx * x2 >> h) // d
+                        if not tx:
+                            break
+                        sinh += tx
+                    mg = sinh + isqrt(sq + sinh * sinh)
+                    for shift, mag in mags:
+                        mg = mg * mag[f >> shift & 63] >> h
+                    vr, vi = zr * mg >> drop - e, -(zi * mg >> drop - e)
+                    tol = int(((abs(vr) + abs(vi)) >> bits + 9) * widen) + 2
+                    if abs(vr % edge - mid) > tol and abs(vi % edge - mid) > tol:
+                        re[p], im[p] = (vr >> 23) + 1 >> 1, (vi >> 23) + 1 >> 1
+                        continue
+            re[p], im[p] = _exp_ln_entry(p, neg_s, bits + 16 + b, bits)
 
 
 def require_re_s(sigma) -> None:
     """Reject Re s outside [-RE_S_MAX, RE_S_MAX + 1] with a ValidationError."""
     if not -RE_S_MAX <= float(sigma) <= RE_S_MAX + 1:
         raise ValidationError(f"Re s = {float(sigma):g} lies outside [-{RE_S_MAX}, {RE_S_MAX + 1}]")
+
+
+def _tables(points: list[ComplexAP], n_max: int, ctx: PrecisionContext) -> list[PowerTable]:
+    """The power_table of each point, all of one |Im s|, from one sweep of _prime_entries."""
+    if n_max < 1:
+        raise ValidationError(f"n_max must be >= 1, got {n_max}")
+    if n_max > N_TERMS_MAX:
+        raise ValidationError(f"n_max must be <= {N_TERMS_MAX}, got {n_max}")
+    for z in points:
+        require_re_s(z.re)
+    mp, bits = ctx._mp, frac_bits(ctx)
+    half = 1 << (bits - 1)
+    spf, primes = _sieve(n_max + 1)
+    parts = [([0] * (n_max + 1), [0] * (n_max + 1), mp.mpf(z.re)) for z in points]
+    _prime_entries(parts, (spf, primes), n_max, abs(mp.mpf(points[0].im)), bits)
+    tables = []
+    for (re, im, _), z in zip(parts, points):
+        re[1] = 1 << bits
+        for n in range(4, n_max + 1):
+            p = spf[n]
+            if p != n:
+                q = n // p
+                a_re, a_im, b_re, b_im = re[p], im[p], re[q], im[q]
+                re[n] = (a_re * b_re - a_im * b_im + half) >> bits
+                im[n] = (a_re * b_im + a_im * b_re + half) >> bits
+        tables.append(PowerTable(ctx=ctx, re=re, im=[-v for v in im] if z.im < 0 else im))
+    return tables
 
 
 def power_table(s: ComplexAP, n_max: int, ctx: PrecisionContext) -> PowerTable:
@@ -282,23 +348,10 @@ def power_table(s: ComplexAP, n_max: int, ctx: PrecisionContext) -> PowerTable:
     move the phase by 2^(b+1-wp) and the exponent by 2 |sigma| ln p 2^-wp,
     and mpc_exp is accurate to about an ulp of wp.
     """
-    if n_max < 1:
-        raise ValidationError(f"n_max must be >= 1, got {n_max}")
-    if n_max > N_TERMS_MAX:
-        raise ValidationError(f"n_max must be <= {N_TERMS_MAX}, got {n_max}")
-    require_re_s(s.re)
-    mp, bits = ctx._mp, frac_bits(ctx)
-    half = 1 << (bits - 1)
-    spf, primes = _sieve(n_max + 1)
-    re, im = [0] * (n_max + 1), [0] * (n_max + 1)
-    re[1] = 1 << bits
-    _prime_entries(re, im, (spf, primes), n_max, mp.mpf(s.re), abs(mp.mpf(s.im)), bits)
-    for n in range(4, n_max + 1):
-        p = spf[n]
-        if p != n:
-            a_re, a_im, b_re, b_im = re[p], im[p], re[n // p], im[n // p]
-            re[n] = (a_re * b_re - a_im * b_im + half) >> bits
-            im[n] = (a_re * b_im + a_im * b_re + half) >> bits
-    if s.im < 0:
-        im = [-v for v in im]
-    return PowerTable(ctx=ctx, re=re, im=im)
+    return _tables([s], n_max, ctx)[0]
+
+
+def power_pair(s: ComplexAP, n_max: int, ctx: PrecisionContext) -> tuple[PowerTable, PowerTable]:
+    """power_table of s and of 1 - s (rounded to ctx), both from one prime sweep at |Im s|."""
+    direct, mirror = _tables([s, _wrap(1 - _raw(s, ctx))], n_max, ctx)
+    return direct, mirror

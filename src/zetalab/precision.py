@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import mpmath
 from mpmath.ctx_mp import MPContext
+from mpmath.libmp import finf, fnan, fninf
 from mpmath.libmp import to_str as _mpf_to_str
 
 from .errors import NumericalError, ValidationError
@@ -37,6 +38,7 @@ _LOG2_10 = math.log2(10)
 _GUARD_BITS = 32
 
 MIN_DIGITS = 15
+_NON_FINITE = (fnan, finf, fninf)  # the raw mpf values that mpmath's isnan and isinf accept
 
 
 @functools.cache
@@ -57,17 +59,15 @@ class PrecisionContext:
     """
 
     digits: int
+    prec_bits: int = field(init=False, repr=False, compare=False)  # _mp.prec, read per value built
     _mp: MPContext = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.digits < MIN_DIGITS:
             raise ValidationError(f"digits must be >= {MIN_DIGITS}, got {self.digits}")
         prec = math.ceil(self.digits * _LOG2_10) + _GUARD_BITS
+        object.__setattr__(self, "prec_bits", prec)
         object.__setattr__(self, "_mp", _mp_context(prec))
-
-    @property
-    def prec_bits(self) -> int:
-        return self._mp.prec
 
     def real(self, x) -> "mpmath.mpf":
         """Convert int/float/str/mpf to this context's precision."""
@@ -90,7 +90,12 @@ class ComplexAP:
 
     def __post_init__(self):
         for part in (self.re, self.im):
-            if mpmath.isnan(part) or mpmath.isinf(part):
+            raw = getattr(part, "_mpf_", None)
+            if raw is None:
+                bad = mpmath.isnan(part) or mpmath.isinf(part)
+            else:  # nan and the infinities have mantissa 0, as zero has
+                bad = not raw[1] and raw in _NON_FINITE
+            if bad:
                 raise NumericalError(f"non-finite component in ComplexAP: {part}")
 
     def conjugate(self) -> "ComplexAP":

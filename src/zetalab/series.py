@@ -257,7 +257,11 @@ def _ols(
 def fit_power_law(samples: list[tuple[float, float]]) -> ScalingFit:
     """OLS on (ln t, ln b_hat); needs >= 2 distinct positive samples."""
     p, q, r2 = _ols(samples, 2, True, "power-law")
-    return ScalingFit(c_coef=math.exp(p), d_exp=q, r_squared=r2)
+    try:
+        c = math.exp(p)
+    except OverflowError:
+        raise NumericalError(f"power-law fit: c = e^{p:.6g} overflows a double") from None
+    return ScalingFit(c_coef=c, d_exp=q, r_squared=r2)
 
 
 @dataclass(frozen=True)

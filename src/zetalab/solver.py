@@ -14,10 +14,11 @@ integer rows, each row-step product part rounded once from its exact value
 and each difference again; pivot search, factors and back substitution round
 as mpc does (mpf_add's nudge included), only the pivot reciprocals and the
 divisions on libmp.  The 2P residual sums each row as mpmath's fdot does.  The
-elimination's rounding is far from invisible: against the exact solution of
-the same rounded system, only 18.3 (min) and 24.1 (median) of the 100
-digits printed per coefficient at P = 100 are correct; the rest is
-elimination rounding, which refinement against that system would remove.
+elimination's rounding is far from invisible: by the relative error of the
+complex value against a P + 150 re-elimination of the same rounded system,
+only 18.3 (min) and 23.9 (median) of the 100 digits printed per coefficient
+at P = 100 are correct; the rest is elimination rounding, which refinement
+against that system would remove.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from mpmath import libmp
+from mpmath import libmp, mpf
 
 from .errors import NumericalError, ValidationError
 from .oracle import first_cutoff, working_context, zeta
@@ -467,6 +468,9 @@ class HalfCrossing:
     crossings: int
 
 
+_HALF = mpf(0.5)  # an mpf: a float 1/2 would be converted at every comparison
+
+
 def half_crossing(cs: CoefficientSet) -> HalfCrossing:
     """First downward crossing of Re d_n through 1/2, linearly interpolated.
 
@@ -475,7 +479,7 @@ def half_crossing(cs: CoefficientSet) -> HalfCrossing:
     change of (Re d_n - 1/2) is reported via the crossings field.
     """
     re = [z.re for z in cs.deltas]
-    half = 0.5
+    half = _HALF
     value = None
     for a in range(len(re) - 1):
         if re[a] >= half and re[a + 1] < half:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .oracle import chi
-from .powers import center, frac_bits, from_fixed, power_table, to_fixed, weights
-from .precision import ComplexAP, PrecisionContext, _raw, _wrap
+from .powers import center, frac_bits, from_fixed, power_pair, to_fixed, weights
+from .precision import ComplexAP, PrecisionContext, _raw
 from .series import _require_off_axis, _require_scale
 
 DISPLAY_DIGITS = 20
@@ -27,35 +27,26 @@ class SpiralTrace:
     points: tuple[ComplexAP, ...]
 
 
-def _terms(s: ComplexAP, n_terms: int, ctx: PrecisionContext):
-    """Yield n^(-s) - chi(s) n^(s-1) for n = 1..N as fixed-point int pairs scaled by 2^(2F).
+def _partial_sums(s: ComplexAP, n_terms: int, ctx: PrecisionContext, factors, bits: int):
+    """Running sums of factor * (n^(-s) - chi(s) n^(s-1)), each rounded once from bits-scaled ints.
 
-    n^(s-1) = n^(-(1-s)) comes from a power table for 1 - s, built before
+    A term is a fixed-point int pair scaled by 2^(2F).  n^(s-1) = n^(-(1-s))
+    comes from the table of 1 - s, built in one sweep with that of s before
     chi(s) is taken, so the tables' checks on s come first.
     """
-    _require_off_axis(s)
-    bits = frac_bits(ctx)
-    direct = power_table(s, n_terms, ctx)
-    mirror = power_table(_wrap(1 - _raw(s, ctx)), n_terms, ctx)
-    chi_s = _raw(chi(s, ctx), ctx)
-    chi_re, chi_im = to_fixed(chi_s.real._mpf_, bits), to_fixed(chi_s.imag._mpf_, bits)
-    for n in range(1, n_terms + 1):
-        m_re, m_im = mirror.re[n], mirror.im[n]
-        yield (
-            (direct.re[n] << bits) - (chi_re * m_re - chi_im * m_im),
-            (direct.im[n] << bits) - (chi_re * m_im + chi_im * m_re),
-        )
-
-
-def _partial_sums(s: ComplexAP, n_terms: int, ctx: PrecisionContext, factors, bits: int):
-    """Running sums of factor * term, each rounded once from bits-scaled ints."""
     if n_terms < 1:
         raise ValidationError(f"n_terms must be >= 1, got {n_terms}")
+    _require_off_axis(s)
+    frac = frac_bits(ctx)
+    direct, mirror = power_pair(s, n_terms, ctx)
+    chi_s = _raw(chi(s, ctx), ctx)
+    chi_re, chi_im = to_fixed(chi_s.real._mpf_, frac), to_fixed(chi_s.imag._mpf_, frac)
     acc_re = acc_im = 0
     points = []
-    for (term_re, term_im), w in zip(_terms(s, n_terms, ctx), factors):
-        acc_re += w * term_re
-        acc_im += w * term_im
+    terms = zip(direct.re[1:], direct.im[1:], mirror.re[1:], mirror.im[1:], factors)
+    for d_re, d_im, m_re, m_im, w in terms:
+        acc_re += w * ((d_re << frac) - (chi_re * m_re - chi_im * m_im))
+        acc_im += w * ((d_im << frac) - (chi_re * m_im + chi_im * m_re))
         points.append(from_fixed(acc_re, acc_im, bits, ctx))
     return tuple(points)
 

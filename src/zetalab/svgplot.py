@@ -5,6 +5,7 @@ No charting dependency; output is deterministic down to the byte.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from .errors import NumericalError, ValidationError
@@ -17,21 +18,16 @@ def spiral_svg(points: list[tuple[float, float]]) -> str:
     """Render complex-plane points as an auto-scaled polyline around the origin."""
     if not points:
         raise ValidationError("no points to render")
-    if not all(math.isfinite(v) for point in points for v in point):
+    flat = list(itertools.chain.from_iterable(points))  # x0, y0, x1, y1, ...
+    if not all(map(math.isfinite, flat)):
         raise NumericalError("spiral points overflow a double; the SVG cannot scale them")
-    extent = max(max(abs(x), abs(y)) for x, y in points)
-    if extent == 0:
-        extent = 1.0
+    extent = max(map(abs, flat)) or 1.0
     half = SIZE / 2.0
     scale = (half - MARGIN) / extent
-
-    def sx(x: float) -> float:
-        return half + x * scale
-
-    def sy(y: float) -> float:
-        return half - y * scale  # SVG y axis points down
-
-    coords = " ".join(f"{sx(x):.3f},{sy(y):.3f}" for x, y in points)
+    # to pixels, half + x scale and half - y scale: the SVG y axis points down
+    flat[0::2] = map(half.__add__, map(scale.__mul__, flat[0::2]))
+    flat[1::2] = map(half.__sub__, map(scale.__mul__, flat[1::2]))
+    coords = " ".join(["%.3f,%.3f"] * len(points)) % tuple(flat)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}" '
@@ -42,8 +38,8 @@ def spiral_svg(points: list[tuple[float, float]]) -> str:
         f'<line x1="{half:.1f}" y1="0" x2="{half:.1f}" y2="{SIZE}" '
         'stroke="#999999" stroke-width="1"/>',
         f'<polyline points="{coords}" fill="none" stroke="#1f4e9c" stroke-width="1"/>',
-        f'<circle cx="{sx(points[0][0]):.3f}" cy="{sy(points[0][1]):.3f}" r="3" fill="#1f9c4e"/>',
-        f'<circle cx="{sx(points[-1][0]):.3f}" cy="{sy(points[-1][1]):.3f}" r="3" fill="#9c1f1f"/>',
+        f'<circle cx="{flat[0]:.3f}" cy="{flat[1]:.3f}" r="3" fill="#1f9c4e"/>',
+        f'<circle cx="{flat[-2]:.3f}" cy="{flat[-1]:.3f}" r="3" fill="#9c1f1f"/>',
         "</svg>",
         "",
     ]

@@ -521,7 +521,7 @@ def test_probe_exits_2_naming_key(runner, tmp_path, monkeypatch, key, args):
     monkeypatch.setattr(experiments, "calibrate_b", no_work)
     monkeypatch.setattr(experiments, "solve_grid", no_work)
     monkeypatch.setattr(series, "power_table", no_work)
-    monkeypatch.setattr(spiral, "power_table", no_work)
+    monkeypatch.setattr(spiral, "power_pair", no_work)
     result = runner.invoke(main, [*args, "--output-dir", str(tmp_path / "out")])
     assert result.exit_code == 2, result.output
     assert f"{key} " in result.stderr or f"'{key}'" in result.stderr, result.stderr
@@ -673,7 +673,7 @@ def test_bad_path_exits_2(runner, tmp_path, monkeypatch, named, args):
         (tmp_path / "out" / named).mkdir(parents=True)
     else:
         for module, name in ((experiments, "calibrate_b"), (experiments, "solve_grid"),
-                             (series, "power_table"), (spiral, "power_table"),
+                             (series, "power_table"), (spiral, "power_pair"),
                              (cli, "sigmoid_outputs")):
             monkeypatch.setattr(module, name, no_work)
     work = tmp_path / "work"

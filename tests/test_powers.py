@@ -84,6 +84,34 @@ def test_table_rows_independent_of_length_and_conjugate(ctx30):
     assert mirror.re == short.re and mirror.im == [-v for v in short.im]
 
 
+def test_pair_equals_two_tables(monkeypatch):
+    # power_pair's one sweep shares the phase of s and 1 - s and runs the magnitude per part;
+    # every entry must be its own power_table's.  sigma = -3 passes the kernel stop at p = 5
+    # (e = floor(3 log2 5) = 6) while 1 - sigma = 4 keeps the ln p chain and kernel running
+    fallbacks = []
+    route = powers._exp_ln_entry
+    monkeypatch.setattr(powers, "_exp_ln_entry", lambda *args: fallbacks.append(args[:2]) or route(*args))
+    rng = random.Random(20261021)
+    cases = [(15, "-3", "-250.5", 700), (30, "3", "40.25", 500), (100, "0.5", "-1234.5", 400)]
+    cases += [
+        (digits, f"{rng.uniform(-3, 3):.4f}", f"{rng.choice((-1, 1)) * 10 ** rng.uniform(-2, 3.5):.4f}",
+         rng.randint(2, 900))
+        for digits in (15, 30, 100)
+        for _ in range(5)
+    ]
+    for digits, sigma, t, n_max in cases:
+        ctx = PrecisionContext(digits)
+        s = make_complex(sigma, t, ctx)
+        direct, mirror = powers.power_pair(s, n_max, ctx)
+        mirror_s = make_complex(ctx._mp.mpf(1) - s.re, -s.im, ctx)
+        for table, want in ((direct, power_table(s, n_max, ctx)), (mirror, power_table(mirror_s, n_max, ctx))):
+            assert (table.re, table.im) == (want.re, want.im), (digits, sigma, t, n_max)
+    stopped = {p for p, (neg_sigma, _) in fallbacks if libmp.to_float(neg_sigma) == 3.0}
+    assert stopped >= set(_primes(700)[2:]), sorted(stopped)[:5]
+    # while sigma = -3 falls back, its partner 4 still takes the kernel at nearly every prime
+    assert len([p for p, (neg_sigma, _) in fallbacks if libmp.to_float(neg_sigma) == -4.0]) < 3
+
+
 def _primes(n_max):
     return [n for n in range(2, n_max + 1) if all(n % q for q in range(2, math.isqrt(n) + 1))]
 

@@ -49,7 +49,8 @@ def test_shared_contexts_keep_their_precision(tmp_path):
     for preset in ("fig-sigmoid", "fig-b-power-law", "fig-spiral-weighted"):
         run_preset(ExperimentConfig(preset, dict(OVERRIDES[preset])), tmp_path / preset)
     for digits in range(15, 121):
-        assert PrecisionContext(digits)._mp.prec == math.ceil(digits * math.log2(10)) + 32, digits
+        ctx = PrecisionContext(digits)
+        assert ctx._mp.prec == ctx.prec_bits == math.ceil(digits * math.log2(10)) + 32, digits
 
 
 class TestFieldOps:
@@ -65,6 +66,13 @@ class TestFieldOps:
             ComplexAP(mpmath.mpf("nan"), mpmath.mpf(0))
         with pytest.raises(NumericalError, match="non-finite component in ComplexAP"):
             ComplexAP(mpmath.mpf(0), mpmath.inf)
+        # an mpf part is tested on its raw value, any other part by mpmath's isnan and isinf
+        with pytest.raises(NumericalError, match="non-finite component in ComplexAP: -inf"):
+            ComplexAP(mpmath.mpf(1), -mpmath.inf)
+        with pytest.raises(NumericalError, match="non-finite component in ComplexAP: nan"):
+            ComplexAP(float("nan"), mpmath.mpf(0))
+        zero = ComplexAP(mpmath.mpf(0), mpmath.mpf("-0.0"))
+        assert zero.re == 0 and zero.im == 0
 
 
 class TestPowerTerm:

@@ -360,6 +360,11 @@ class TestPowerLawFit:
         with pytest.raises(NumericalError, match=r"requires positive values, got \(20\.0, -2\.0\)"):
             fit_power_law([(10.0, 1.0), (20.0, -2.0)])
 
+    def test_overflowing_coefficient(self):
+        # ln c = 713.8 > ln(max double) = 709.8, so c is no double
+        with pytest.raises(NumericalError, match=r"power-law fit: c = e\^713\.8"):
+            fit_power_law([(1e-10, 1e300), (1e-9, 1e301)])
+
 
 class TestSigmaDependenceFit:
     def test_synthetic_exact(self):
