@@ -12,12 +12,13 @@ does, or else a powers.power_table (integer exp/ln at primes) built to N0.
 The correction series runs on fixed-point ints too, for Im s >= 0, and
 zeta(conj s) is the conjugate of that pass, bit for bit.
 Below Re s = -1/2 the head's terms n^(-sigma) grow past zeta(s) itself, so
-zeta reflects: zeta(s) = chi(s) zeta(1 - s), with the passes run at 1 - s
-and chi at a precision widened by the bits its factors lose.
+zeta reflects: zeta(s) = chi(s) zeta(1 - s), with the passes run at 1 - s.
+One _chi_wide serves chi and the reflection, log2(8|s| + 16) bits past the
+working precision, so chi holds 10^-P to |Im s| = powers.IM_S_MAX = 1e300.
 Only zeta carries a certified schedule: gamma(s), and the gamma(1-s) factor
-of chi(s), are mpmath's gamma.  Everything is computed at the oracle's
-working precision, ten guard digits past the budget, and rounded once back
-to the requested budget.
+of chi(s), are mpmath's gamma.  All else is computed at the oracle's
+working precision, ten guard digits past the budget, and all is rounded
+once back to the requested budget.
 
 Bernoulli numbers come from the tangent-number recurrence in exact integer
 arithmetic (the floating-point defining recurrence cancels catastrophically),
@@ -33,11 +34,10 @@ import functools
 import math
 from fractions import Fraction
 
-import mpmath
 from mpmath import libmp
 
 from .errors import NumericalError, ValidationError
-from .powers import N_TERMS_MAX, frac_bits, from_fixed, power_table, require_re_s, to_fixed
+from .powers import N_TERMS_MAX, frac_bits, from_fixed, power_table, require_s, to_fixed
 from .precision import ComplexAP, PrecisionContext, _raw, _wrap
 
 _ORACLE_GUARD = 10
@@ -124,9 +124,9 @@ def first_cutoff(s: ComplexAP, digits: int) -> int:
     y^2 e^y = pi c d/(h t).  ceil(t/pi)+10 stays unless Newton's method on
     ln(|T_k| |s+2k-1|/(sigma+2k-1)) finds that N0 certifies at a lower cost.
     h = 5.5 + 0.15P predates the shared ln p and sieve; a refit moves terms_used bytes, for no gain.
-    A ceil(t/pi)+10 past N_TERMS_MAX, or Re s past RE_S_MAX, is a ValidationError.
+    A ceil(t/pi)+10 past N_TERMS_MAX, or s outside powers.require_s's band, is a ValidationError.
     """
-    require_re_s(s.re)
+    require_s(s)
     t, sigma, floor = abs(float(s.im)), float(s.re), math.ceil(1.3 * digits)
     if t / math.pi > N_TERMS_MAX - 10:
         raise ValidationError(f"zeta at |Im s| = {t} needs more than {N_TERMS_MAX} head terms")
@@ -271,20 +271,12 @@ def _reflected(s: ComplexAP, ctx: PrecisionContext):
 
     zeta(1 - s) is the conjugate of the certified passes at 1 - conj s, whose
     real part 1 - sigma > 3/2 keeps every bit of sigma at the working
-    precision, 33 bits wider than the context's.  chi(s) takes sin(pi s/2)
-    as sinpi(s/2), whose argument is reduced exactly (the trivial zeros
-    s = -2k give exactly 0), and runs log2(8|s| + 16) bits, rounded up to
-    whole digits, past the working precision: the rounded arguments of 2^s,
-    pi^(s-1) and of sinpi's cosh/sinh parts each cost up to log2|s| bits.
-    Returns (value as an mpc, N0, order of the passes).
+    precision, 33 bits wider than the context's.  Returns (value as an mpc,
+    N0, order of the passes).
     """
     work = working_context(ctx)
     value, n0, order = _certified(ComplexAP(work._mp.mpf(1) - s.re, s.im), ctx, None, 1)
-    size = abs(float(s.re)) + abs(float(s.im))
-    wide = PrecisionContext(work.digits + math.ceil(math.log10(8 * size + 16)))
-    mp = wide._mp
-    z = _raw(s, wide)
-    return _chi_product(z, mp, mp.sinpi(z / 2)) * mp.conj(value), n0, order
+    return _chi_wide(s, ctx) * value.conjugate(), n0, order
 
 
 def zeta(s: ComplexAP, ctx: PrecisionContext, head=None) -> OracleResult:
@@ -299,7 +291,7 @@ def zeta(s: ComplexAP, ctx: PrecisionContext, head=None) -> OracleResult:
     """
     if s.im == 0 and s.re == 1:
         raise NumericalError("zeta has a pole at s = 1")
-    require_re_s(s.re)
+    require_s(s)
 
     # the passes run for |Im s| and the value is conjugated back
     conjugate = s.im < 0
@@ -318,27 +310,29 @@ def zeta(s: ComplexAP, ctx: PrecisionContext, head=None) -> OracleResult:
 
 def gamma(s: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
     """gamma(s) to the digit budget; poles at non-positive integers."""
-    if s.im == 0 and s.re <= 0 and s.re == mpmath.floor(s.re):
+    if s.im == 0 and s.re <= 0 and ctx._mp.isint(s.re):
         raise NumericalError(f"gamma has a pole at s = {s.re}")
     work = working_context(ctx)
     return _wrap(ctx._mp.mpc(work._mp.gamma(_raw(s, work))))
 
 
 def chi(s: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
-    """chi(s) = 2^s pi^(s-1) sin(pi s / 2) gamma(1 - s).
+    """chi(s) = 2^s pi^(s-1) sin(pi s / 2) gamma(1 - s), from _chi_wide, rounded to ctx.
 
-    Integer s hits a zero/pole degeneracy of this product form and is
-    rejected; zeta(s) = chi(s) zeta(1-s) holds where defined.
+    Integer s (a zero/pole degeneracy of the product form) and s outside
+    powers.require_s's band are rejected; zeta(s) = chi(s) zeta(1-s) where defined.
     """
-    if s.im == 0 and s.re == mpmath.floor(s.re):
+    if s.im == 0 and ctx._mp.isint(s.re):
         raise NumericalError(f"chi product form degenerates at integer s = {s.re}")
-
-    work = working_context(ctx)
-    mp = work._mp
-    z = _raw(s, work)
-    return _wrap(ctx._mp.mpc(_chi_product(z, mp, mp.sin(mp.pi * z / 2))))
+    require_s(s)
+    return _wrap(ctx._mp.mpc(_chi_wide(s, ctx)))
 
 
-def _chi_product(z, mp, sine):
-    """2^z pi^(z-1) sine gamma(1 - z) on mp's mpc, for sine = sin(pi z/2)."""
-    return mp.exp(z * mp.ln(2)) * mp.exp((z - 1) * mp.ln(mp.pi)) * sine * mp.gamma(1 - z)
+def _chi_wide(s: ComplexAP, ctx: PrecisionContext):
+    """chi(s) as an mpc, log2(8|s| + 16) bits (whole digits) past the working precision:
+    the rounded arguments of 2^s, pi^(s-1) and sinpi's cosh/sinh parts each cost up to
+    log2|s| bits.  sinpi reduces s/2 exactly, so the trivial zeros give exactly 0."""
+    size = abs(float(s.re)) + abs(float(s.im))
+    mp = PrecisionContext(working_context(ctx).digits + math.ceil(math.log10(8 * size + 16)))._mp
+    z = mp.mpc(s.re, s.im)
+    return mp.exp(z * mp.ln(2)) * mp.exp((z - 1) * mp.ln(mp.pi)) * mp.sinpi(z / 2) * mp.gamma(1 - z)

@@ -50,6 +50,7 @@ from .precision import ComplexAP, PrecisionContext, _raw, _wrap
 _EXTRA_BITS = 16
 N_TERMS_MAX = 10**6  # the most terms a power table, and so a sum, spiral or zeta head, may hold
 RE_S_MAX = 10**4  # Re s in [-RE_S_MAX, RE_S_MAX + 1], a band that s -> 1 - s maps onto itself
+IM_S_MAX = 1e300  # |Im s| at most this: chi holds 10^-P to here, and 8|s| stays a finite float
 _ANCHOR_EVERY = 128
 _RND = libmp.round_nearest
 _KERNEL_EXP = 6  # past |p^-s| (1 + |sigma| ln p/2^b) = 2^6 most primes fail the rounding test
@@ -305,10 +306,13 @@ def _prime_entries(parts: list, sieve: tuple, n_max: int, t, bits: int):
             re[p], im[p] = _exp_ln_entry(p, neg_s, bits + 16 + b, bits)
 
 
-def require_re_s(sigma) -> None:
-    """Reject Re s outside [-RE_S_MAX, RE_S_MAX + 1] with a ValidationError."""
-    if not -RE_S_MAX <= float(sigma) <= RE_S_MAX + 1:
-        raise ValidationError(f"Re s = {float(sigma):g} lies outside [-{RE_S_MAX}, {RE_S_MAX + 1}]")
+def require_s(s: ComplexAP) -> None:
+    """Reject Re s outside [-RE_S_MAX, RE_S_MAX + 1] or |Im s| past IM_S_MAX with a ValidationError."""
+    sigma, t = float(s.re), abs(float(s.im))
+    if not -RE_S_MAX <= sigma <= RE_S_MAX + 1:
+        raise ValidationError(f"Re s = {sigma:g} lies outside [-{RE_S_MAX}, {RE_S_MAX + 1}]")
+    if not t <= IM_S_MAX:
+        raise ValidationError(f"|Im s| = {t:g} lies past IM_S_MAX = {IM_S_MAX:g}")
 
 
 def _tables(points: list[ComplexAP], n_max: int, ctx: PrecisionContext) -> list[PowerTable]:
@@ -318,7 +322,7 @@ def _tables(points: list[ComplexAP], n_max: int, ctx: PrecisionContext) -> list[
     if n_max > N_TERMS_MAX:
         raise ValidationError(f"n_max must be <= {N_TERMS_MAX}, got {n_max}")
     for z in points:
-        require_re_s(z.re)
+        require_s(z)
     mp, bits = ctx._mp, frac_bits(ctx)
     half = 1 << (bits - 1)
     spf, primes = _sieve(n_max + 1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .oracle import chi
-from .powers import center, frac_bits, from_fixed, power_pair, to_fixed, weights
+from .powers import center, frac_bits, from_fixed, power_pair, require_s, to_fixed, weights
 from .precision import ComplexAP, PrecisionContext, _raw
 from .series import _require_off_axis, _require_scale
 
@@ -60,6 +60,7 @@ def raw_partial_sums(s: ComplexAP, n_terms: int, ctx: PrecisionContext) -> Spira
 def weighted_partial_sums(s: ComplexAP, b: float, n_terms: int, ctx: PrecisionContext) -> SpiralTrace:
     """Partial sums with each term damped by the generalized coefficient."""
     _require_scale(b)
+    require_s(s)  # before the weights, whose head length reads |Im s| as a float
     head, w = weights(center(s, ctx), b, ctx, n_terms)
     factors = itertools.chain(itertools.repeat(1 << frac_bits(ctx), head), w)
     points = _partial_sums(s, n_terms, ctx, factors, 3 * frac_bits(ctx))

@@ -1,0 +1,62 @@
+"""A seeded fuzz of the public s-plane functions: only package errors may escape.
+
+Reals are drawn log-uniform up to 10^307.5 in magnitude, small halves and
+quarters, and edge values (integers past 2^53, the Re s band's and IM_S_MAX's
+edges, 10^400).  Sizes are bounded instead of limited: n is at most 40, and
+zeta is not drawn for 3e4 < |t| < 4e6, where its head would grow past 10^4
+entries (past about 3.14e6 it raises before building any).
+"""
+
+import random
+import traceback
+
+from zetalab import PrecisionContext, chi, gamma, make_complex, zeta
+from zetalab.errors import NumericalError, ValidationError
+from zetalab.powers import power_table
+from zetalab.spiral import raw_partial_sums, weighted_partial_sums
+
+_EDGES = [
+    "0", "1", "-1", "2", "-2", "0.5", "-0.5", "-4",
+    str(2**53 + 1), str(-(2**53 + 1)), "6.518660e39",
+    "10000", "-10000", "10001", "10001.5", "-10000.5",
+    "1e300", "-1e300", "1.0000001e300", "1e307", "1e400", "-1e400", "1e-400",
+]
+
+
+def _real(rng: random.Random) -> str:
+    r = rng.random()
+    if r < 0.3:
+        return rng.choice(_EDGES)
+    if r < 0.5:
+        return str(rng.randint(-50, 50) / rng.choice([1, 2, 4]))
+    top = 307.5 if r < 0.75 else 5
+    return f"{rng.choice('+-')}{10 ** rng.uniform(-3, top):.6e}"
+
+
+def test_only_package_errors_escape():
+    rng = random.Random(20261020)
+    escapes = []
+    for _ in range(15000):
+        digits = rng.randint(15, 40)
+        ctx = PrecisionContext(digits)
+        s = make_complex(_real(rng), _real(rng), ctx)
+        n, b = rng.randint(1, 40), 10 ** rng.uniform(-3, 6)
+        name = rng.choice(["chi", "gamma", "zeta", "raw", "weighted", "table"])
+        if name == "zeta" and 3e4 < abs(float(s.im)) < 4e6:
+            continue
+        call = {
+            "chi": lambda: chi(s, ctx),
+            "gamma": lambda: gamma(s, ctx),
+            "zeta": lambda: zeta(s, ctx),
+            "raw": lambda: raw_partial_sums(s, n, ctx),
+            "weighted": lambda: weighted_partial_sums(s, b, n, ctx),
+            "table": lambda: power_table(s, n, ctx),
+        }[name]
+        try:
+            call()
+        except (ValidationError, NumericalError):
+            pass
+        except Exception:
+            where = traceback.format_exc().splitlines()[-1]
+            escapes.append(f"{name} P={digits} s={s.re},{s.im} n={n} b={b}: {where}")
+    assert not escapes, "\n".join(escapes[:10])

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 import sys
 import threading
 import timeit
@@ -20,7 +21,7 @@ from zetalab.oracle import (
     bernoulli_even,
 )
 from zetalab import powers, spiral
-from zetalab.powers import N_TERMS_MAX, RE_S_MAX, power_table
+from zetalab.powers import IM_S_MAX, N_TERMS_MAX, RE_S_MAX, power_table
 from zetalab.precision import ComplexAP, to_string
 
 from .oracles import (
@@ -451,6 +452,33 @@ def test_re_s_at_the_cap(sigma):
     assert len(spiral.raw_partial_sums(s, 3, ctx).points) == 3
 
 
+@pytest.mark.parametrize(
+    "sigma, t, call",
+    [
+        ("0.5", "1e301", "chi"),
+        ("0.5", "-1e301", "zeta"),
+        ("0.5", "1e301", "table"),
+        ("0.5", "1e301", "spiral"),
+        ("0.5", "-1e400", "weighted"),
+    ],
+    ids=["chi", "zeta", "table", "spiral", "weighted-1e400"],
+)
+def test_past_the_im_s_cap_is_a_validation_error(sigma, t, call):
+    # unbounded, chi(1/2 + 1e301i) had a modulus near 10^(-2.9e268) in place
+    # of 1, and the spirals raised OverflowError in to_fixed and in head_length
+    ctx = PrecisionContext(15)
+    s = make_complex(sigma, t, ctx)
+    calls = {
+        "chi": lambda: chi(s, ctx),
+        "zeta": lambda: zeta(s, ctx),
+        "table": lambda: power_table(s, 3, ctx),
+        "spiral": lambda: spiral.raw_partial_sums(s, 3, ctx),
+        "weighted": lambda: spiral.weighted_partial_sums(s, 2.0, 3, ctx),
+    }
+    with pytest.raises(ValidationError, match=rf"^\|Im s\| = \S+ lies past IM_S_MAX = {re.escape(f'{IM_S_MAX:g}')}$"):
+        calls[call]()
+
+
 def test_coefficient_tables_under_contention():
     # every thread sees B_2k/(2k)! rounded as mpf(num) / mpf(den * (2k)!) at its precision
     _em_coefficient.cache_clear()
@@ -546,6 +574,12 @@ class TestGamma:
             with pytest.raises(NumericalError, match="gamma has a pole at s = "):
                 gamma(make_complex(bad, 0, ctx), ctx)
 
+    def test_pole_past_double_precision(self):
+        # a 53-bit floor rounded -(2^53 + 1) to -2^53 and let it reach mpmath's pole
+        ctx = PrecisionContext(15)
+        with pytest.raises(NumericalError, match="gamma has a pole at s = "):
+            gamma(make_complex(-(2**53 + 1), 0, ctx), ctx)
+
     def test_against_library_sample(self):
         ctx = PrecisionContext(50)
         ref = _ref()
@@ -585,6 +619,25 @@ class TestChi:
         for bad in (2, 3, -4, 0):
             with pytest.raises(NumericalError, match="chi product form degenerates at integer s = "):
                 chi(make_complex(bad, 0, ctx), ctx)
+
+    @pytest.mark.parametrize("bad", [2**53 + 1, "6.518660e39"])
+    def test_integer_past_double_precision(self, bad):
+        # integers that a 53-bit floor rounds to a neighbour: they reached mpmath's gamma pole
+        ctx = PrecisionContext(15)
+        with pytest.raises(NumericalError, match="chi product form degenerates at integer s = "):
+            chi(make_complex(bad, 0, ctx), ctx)
+
+    @pytest.mark.parametrize("digits", [15, 30])
+    def test_budget_held_to_the_im_s_cap(self, digits):
+        # chi at 1/2 + it against mpmath at 3P + log10 t + 20 digits; a chi at the
+        # working precision lost log10 t digits to the rounded pi t/2
+        ctx = PrecisionContext(digits)
+        for k in (10, 20, 30, 40, 100, 200, 300):
+            ref = _ref(3 * digits + k + 20)
+            s = make_complex("0.5", f"1e{k}", ctx)
+            z = _as(ref, s)
+            want = ref.power(2, z) * ref.power(ref.pi, z - 1) * ref.sinpi(z / 2) * ref.gamma(1 - z)
+            assert abs(_as(ref, chi(s, ctx)) - want) <= abs(want) * ref.mpf(10) ** -digits, k
 
 
 def test_functional_equation_random_strip():

@@ -4,6 +4,7 @@ import mpmath
 import pytest
 
 from zetalab import (
+    PrecisionContext,
     chi,
     functional_residual,
     make_complex,
@@ -71,6 +72,22 @@ class TestTraceBasics:
             raw_partial_sums(make_complex("0.5", 0, ctx30), 5, ctx30)
         with pytest.raises(ValidationError):
             weighted_partial_sums(s, 0.0, 5, ctx30)
+
+    @pytest.mark.parametrize("sigma, t", [("0.5", "1e30"), ("0.5", "1e300"), ("-100", "1e300")])
+    def test_last_step_at_large_t(self, sigma, t):
+        # the last of 3 steps against mpmath at 3P + log10 t + 20 digits, within the
+        # benchmark's spiral check; chi at the working precision was off by 1e-5 at
+        # 1e30 and overflowed to_fixed at 1e300
+        ctx = PrecisionContext(15)
+        s = make_complex(sigma, t, ctx)
+        before, last = raw_partial_sums(s, 3, ctx).points[-2:]
+        ref = _ref(3 * 15 + 320)
+        z = ref.mpc(s.re, s.im)
+        chi_z = ref.power(2, z) * ref.power(ref.pi, z - 1) * ref.sinpi(z / 2) * ref.gamma(1 - z)
+        term = ref.power(3, -z) - chi_z * ref.power(3, z - 1)
+        last, before = ref.mpc(last.re, last.im), ref.mpc(before.re, before.im)
+        bound = ref.mpf(10) ** (1 - ctx.digits) * max(1, abs(last), abs(before))
+        assert abs((last - before) - term) <= bound
 
     def test_unit_like_weights_match_raw_prefix(self, ctx30):
         # deep in the left tail the weights are 1 to working precision,
