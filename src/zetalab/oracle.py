@@ -7,8 +7,8 @@ correction terms puts it, in [ceil(|t|/2pi)+10, ceil(|t|/pi)+10] and at least
 ceil(1.3*P), and escalates until the first neglected correction term, times
 Backlund's remainder factor, certifies the digit budget.  The Dirichlet head
 sums fixed-point n^(-s) entries exactly in integers (16 bits past the working
-precision): a row the caller already holds, as the grid solver's ladder
-does, or else a powers.power_table (integer exp/ln at primes) built to N0.
+precision): a row the caller holds (the grid solver's ladder), or else
+powers.head_sum, which groups the terms by their 5-smooth part.
 The correction series runs on fixed-point ints too, for Im s >= 0, and
 zeta(conj s) is the conjugate of that pass, bit for bit.
 Below Re s = -1/2 the head's terms n^(-sigma) grow past zeta(s) itself, so
@@ -37,7 +37,7 @@ from fractions import Fraction
 from mpmath import libmp
 
 from .errors import NumericalError, ValidationError
-from .powers import N_TERMS_MAX, frac_bits, from_fixed, power_table, require_s, to_fixed
+from .powers import N_TERMS_MAX, frac_bits, from_fixed, head_sum, require_s, to_fixed
 from .precision import ComplexAP, PrecisionContext, _raw, _wrap
 
 _ORACLE_GUARD = 10
@@ -123,7 +123,7 @@ def first_cutoff(s: ComplexAP, digits: int) -> int:
     With y = ln(2 pi N0/t), K ~ d/2y for d nats to shed, so the optimum solves
     y^2 e^y = pi c d/(h t).  ceil(t/pi)+10 stays unless Newton's method on
     ln(|T_k| |s+2k-1|/(sigma+2k-1)) finds that N0 certifies at a lower cost.
-    h = 5.5 + 0.15P predates the shared ln p and sieve; a refit moves terms_used bytes, for no gain.
+    h = 5.5 + 0.15P predates the shared ln p, sieve and head_sum, so overstates; a refit moves N0 bytes.
     A ceil(t/pi)+10 past N_TERMS_MAX, or s outside powers.require_s's band, is a ValidationError.
     """
     require_s(s)
@@ -242,18 +242,18 @@ def _certified(s: ComplexAP, ctx: PrecisionContext, head, sign: int):
 
     Returns (value as an mpc of the working context, N0, order).  head as
     for zeta, and sign -1 when it holds the entries of conj s; a pass whose
-    N0 it does not cover reads a power_table of s built to N0 instead.  N0
-    stops at N_TERMS_MAX, past which no table is built.
+    N0 it does not cover takes powers.head_sum of s to N0 instead.  N0
+    stops at N_TERMS_MAX, past which no head is built.
     """
     digits = ctx.digits
     work = working_context(ctx)
     n0 = first_cutoff(s, digits)
     for _ in range(9):
         if head is None or n0 >= len(head[0]):
-            table = power_table(s, n0, work)
-            head, sign = (table.re, table.im), 1
-        re, im = head
-        sums = (sum(re[1 : n0 + 1]), sign * sum(im[1 : n0 + 1]), re[n0], sign * im[n0])
+            sums = head_sum(s, n0, work)
+        else:
+            re, im = head
+            sums = (sum(re[1 : n0 + 1]), sign * sum(im[1 : n0 + 1]), re[n0], sign * im[n0])
         value, order, certified = _euler_maclaurin(s, n0, work, sums, digits, max_order=8 * n0)
         if certified:
             return value, n0, order
@@ -284,7 +284,7 @@ def zeta(s: ComplexAP, ctx: PrecisionContext, head=None) -> OracleResult:
 
     head, if given, holds n^(-s) for n = 1..len - 1 as int lists (re, im) at
     frac_bits(working_context(ctx)), index 0 unused: a pass whose N0 it
-    covers sums its head from it, a longer pass builds its own power_table.
+    covers sums its head from it, a longer pass takes powers.head_sum.
     Below Re s = REFLECT_BELOW the head's terms n^(-sigma) outgrow zeta(s)
     by up to hundreds of digits, so zeta reflects (_reflected), head unread,
     and terms_used and correction_order are those of the passes at 1 - s.

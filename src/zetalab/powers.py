@@ -5,14 +5,14 @@ F = context precision + 16 bits.  n^(-s) is completely multiplicative, so
 exp/ln run only at primes; each composite is the rounded product of its
 smallest prime factor's entry and its cofactor's.  At a prime, an integer
 kernel gives the entry that mpmath's ln and exp would (_prime_entries).  The
-table is built for |Im s| and conjugated when Im s < 0, so s and its
-conjugate give exactly conjugate sums.  power_table runs this loop for every
-caller: the weighted sums, the grid solver's ladder and the zeta oracle's
-Euler-Maclaurin head.  A spiral needs the tables of s and 1 - s, which share
-|Im s|: power_pair builds both in one sweep of the primes, with ln p and the
-phase of p^(-it) taken once per prime and only the magnitude p^(-sigma), the
-product and the rounding test per table; each entry is the one power_table
-gives, and the pair takes about 0.8 of two builds.  What is the same for
+table is built for |Im s| and conjugated when Im s < 0, so s and its conjugate
+give exactly conjugate sums.  power_table serves the weighted sums and the grid
+ladder; head_sum, zeta's Euler-Maclaurin head, builds only the entries prime to
+30 and the 5-smooth ones.  A spiral needs the tables of s and 1 - s, which share
+|Im s|: power_pair builds both in one sweep of the primes, with ln p and the phase
+of p^(-it) taken once per prime and only the magnitude p^(-sigma), the product
+and the rounding test per table; each entry is the one power_table gives, and
+the pair takes about 0.8 of two builds.  What is the same for
 every s is built once per process: one sieve (_sieve), grown to the largest
 table asked for (at most N_TERMS_MAX entries: 0.1 MB at one-shot sizes,
 n ~ 8000; 10.3 MB at the cap), and ln p per kernel width (_prime_logs),
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,6 +54,7 @@ RE_S_MAX = 10**4  # Re s in [-RE_S_MAX, RE_S_MAX + 1], a band that s -> 1 - s ma
 IM_S_MAX = 1e300  # |Im s| at most this: chi holds 10^-P to here, and 8|s| stays a finite float
 _ANCHOR_EVERY = 128
 _RND = libmp.round_nearest
+_WHEEL = (1, 7, 11, 13, 17, 19, 23, 29)  # the residues mod 30 prime to 30
 _KERNEL_EXP = 6  # past |p^-s| (1 + |sigma| ln p/2^b) = 2^6 most primes fail the rounding test
 
 
@@ -315,8 +317,9 @@ def require_s(s: ComplexAP) -> None:
         raise ValidationError(f"|Im s| = {t:g} lies past IM_S_MAX = {IM_S_MAX:g}")
 
 
-def _tables(points: list[ComplexAP], n_max: int, ctx: PrecisionContext) -> list[PowerTable]:
-    """The power_table of each point, all of one |Im s|, from one sweep of _prime_entries."""
+def _tables(points: list[ComplexAP], n_max: int, ctx: PrecisionContext, order) -> list[PowerTable]:
+    """Per point (all of one |Im s|) a PowerTable from one sweep of _prime_entries: its
+    prime entries, and each composite n of order, after its cofactor; 0 at the rest."""
     if n_max < 1:
         raise ValidationError(f"n_max must be >= 1, got {n_max}")
     if n_max > N_TERMS_MAX:
@@ -331,7 +334,7 @@ def _tables(points: list[ComplexAP], n_max: int, ctx: PrecisionContext) -> list[
     tables = []
     for (re, im, _), z in zip(parts, points):
         re[1] = 1 << bits
-        for n in range(4, n_max + 1):
+        for n in order:
             p = spf[n]
             if p != n:
                 q = n // p
@@ -352,10 +355,36 @@ def power_table(s: ComplexAP, n_max: int, ctx: PrecisionContext) -> PowerTable:
     move the phase by 2^(b+1-wp) and the exponent by 2 |sigma| ln p 2^-wp,
     and mpc_exp is accurate to about an ulp of wp.
     """
-    return _tables([s], n_max, ctx)[0]
+    return _tables([s], n_max, ctx, range(4, n_max + 1))[0]
 
 
 def power_pair(s: ComplexAP, n_max: int, ctx: PrecisionContext) -> tuple[PowerTable, PowerTable]:
     """power_table of s and of 1 - s (rounded to ctx), both from one prime sweep at |Im s|."""
-    direct, mirror = _tables([s, _wrap(1 - _raw(s, ctx))], n_max, ctx)
+    direct, mirror = _tables([s, _wrap(1 - _raw(s, ctx))], n_max, ctx, range(4, n_max + 1))
     return direct, mirror
+
+
+def head_sum(s: ComplexAP, n0: int, ctx: PrecisionContext) -> tuple[int, int, int, int]:
+    """(sum re, sum im, re[N0], im[N0]) over n = 1..N0 of power_table(s, N0, ctx).
+
+    The sum is sum_k T[k] C(N0 // k), k 5-smooth, C(x) summing T[m] over m <= x prime to 30;
+    only those entries and N0's cofactors N0/k are built (as power_table builds them), and
+    the exact products are rounded once.  The sums are within 5/2 N0 max(1, N0^-sigma) + 1
+    units of 2^-F of power_table's: k's chain of roundings moves T[km] from T[k] T[m] 2^-F
+    by at most sqrt(2) Omega(k) max(1, n^-sigma), and sum_{n <= N0} Omega(k) <= 7 N0/4.
+    """
+    smooth = [1]
+    for p in (2, 3, 5):
+        for k in smooth:  # the loop visits what it appends, so every k p^e
+            if k * p <= n0:
+                smooth.append(k * p)
+    # capped, so that an N0 past N_TERMS_MAX reaches _tables' check before a long list
+    coprime = [b + r for b in range(0, min(n0, N_TERMS_MAX) + 1, 30) for r in _WHEEL if b + r <= n0]
+    table = _tables([s], n0, ctx, coprime + smooth + sorted(n0 // k for k in smooth if n0 % k == 0))[0]
+    c_re, c_im = (list(itertools.accumulate(part[m] for m in coprime)) for part in (table.re, table.im))
+    # C(N0 // k) is c[i] at i + 1 = the count of m <= N0 // k prime to 30
+    ki = [(k, 8 * (n0 // k // 30) + bisect.bisect_right(_WHEEL, n0 // k % 30) - 1) for k in smooth]
+    total_re = sum(table.re[k] * c_re[i] - table.im[k] * c_im[i] for k, i in ki)
+    total_im = sum(table.re[k] * c_im[i] + table.im[k] * c_re[i] for k, i in ki)
+    half = 1 << (bits := frac_bits(ctx)) - 1
+    return total_re + half >> bits, total_im + half >> bits, table.re[n0], table.im[n0]

@@ -21,7 +21,7 @@ import mpmath
 from .errors import NumericalError, ValidationError
 from .oracle import zeta
 from .powers import N_TERMS_MAX, PowerTable, _exp_at, center, frac_bits, from_fixed, power_table
-from .powers import weights
+from .powers import require_s, weights
 from .precision import ComplexAP, PrecisionContext, _raw
 
 DEFAULT_BRACKET = (0.1, 100.0)
@@ -68,13 +68,14 @@ def tail_tolerance(ctx: PrecisionContext):
 def truncation_length(s: ComplexAP, b: float, tail_eps) -> int:
     """Smallest N with weight(N) * N^(-sigma) < tail_eps, floored at ceil(t/pi)+1.
 
-    tail_eps may be an mpf below the double range.  The test runs in
-    log-domain double precision: it only gates truncation noise, which sits
-    far below the measured error.  Past the floor the log-weight falls in n,
-    and for sigma >= 0 so does -sigma ln n; for sigma <= 0 both terms are
-    concave in n.  Either way the test flips once past a failing floor, so
-    bisect finds the first N there.  An N past N_TERMS_MAX is a ValidationError.
+    tail_eps may be an mpf below the double range.  The test runs in log-domain
+    double precision: it only gates truncation noise, which sits far below the
+    measured error.  Past the floor the log-weight falls in n, and for sigma >= 0
+    so does -sigma ln n; for sigma <= 0 both terms are concave in n.  Either way the
+    test flips once past a failing floor, so bisect finds the first N there.  An N
+    past N_TERMS_MAX, or s outside powers.require_s's band, is a ValidationError.
     """
+    require_s(s)
     _require_off_axis(s)
     _require_scale(b)
     if not tail_eps > 0:

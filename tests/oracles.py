@@ -6,15 +6,16 @@ Cohen-Rodriguez Villegas-Zagier acceleration of the eta series, with the depth
 doubled until two successive depths agree to the target.
 
 The exp/ln weighted sum, spiral sums, mpmath exp/ln power table, from_man_exp
-conversion, Euler-Maclaurin pass (exp/ln head and mpc correction series) and
-its ceil(|t|/pi)+10 cutoff, per-row grid assembly, linear truncation scan,
-golden-section calibration, per-term weight stop, two-sum weighted sum, mpc
-elimination, four-product integer sweep and fdot residual are the direct paths
-the library's fixed-point power tables, integer prime kernel, direct
-normalize, fixed-point correction series, cost-model cutoff, grid ladder,
-bisection, Brent's minimiser, per-block weight stop, packed table sum, integer
-elimination, three-product row step and raw-tuple residual replaced; they stay
-here as the reference those fast paths are checked against.
+conversion, Euler-Maclaurin pass (exp/ln head and mpc correction series), its
+whole-table head sum and its ceil(|t|/pi)+10 cutoff, per-row grid assembly,
+linear truncation scan, golden-section calibration, per-term weight stop,
+two-sum weighted sum, mpc elimination, four-product integer sweep and fdot
+residual are the direct paths the library's fixed-point power tables, integer
+prime kernel, direct normalize, fixed-point correction series, 5-smooth
+grouped head sum, cost-model cutoff, grid ladder, bisection, Brent's
+minimiser, per-block weight stop, packed table sum, integer elimination,
+three-product row step and raw-tuple residual replaced; they stay here as the
+reference those fast paths are checked against.
 """
 
 from __future__ import annotations
@@ -245,6 +246,15 @@ def golden_calibrate_b(s, ctx, bracket=(0.1, 100.0)):
             f2 = err(x2)
     b_hat, err_opt = min(trace, key=lambda item: item[1])
     return b_hat, err_opt, trace
+
+
+def table_head_sum(s, n0: int, work) -> tuple[int, int, int, int]:
+    """powers.head_sum summed entry by entry over a whole power_table to N0,
+    as zeta's head was before it grouped the terms by their 5-smooth part."""
+    from zetalab.powers import power_table
+
+    table = power_table(s, n0, work)
+    return sum(table.re), sum(table.im), table.re[n0], table.im[n0]
 
 
 def t_over_pi_cutoff(s, digits: int) -> int:

@@ -1,4 +1,4 @@
-"""A seeded fuzz of the public s-plane functions: only package errors may escape.
+"""A seeded fuzz of the public s-plane and series functions: only package errors may escape.
 
 Reals are drawn log-uniform up to 10^307.5 in magnitude, small halves and
 quarters, and edge values (integers past 2^53, the Re s band's and IM_S_MAX's
@@ -13,6 +13,7 @@ import traceback
 from zetalab import PrecisionContext, chi, gamma, make_complex, zeta
 from zetalab.errors import NumericalError, ValidationError
 from zetalab.powers import power_table
+from zetalab.series import generalized_delta, truncation_length, weighted_zeta
 from zetalab.spiral import raw_partial_sums, weighted_partial_sums
 
 _EDGES = [
@@ -41,7 +42,7 @@ def test_only_package_errors_escape():
         ctx = PrecisionContext(digits)
         s = make_complex(_real(rng), _real(rng), ctx)
         n, b = rng.randint(1, 40), 10 ** rng.uniform(-3, 6)
-        name = rng.choice(["chi", "gamma", "zeta", "raw", "weighted", "table"])
+        name = rng.choice(["chi", "gamma", "zeta", "raw", "weighted", "table", "trunc", "wzeta", "delta"])
         if name == "zeta" and 3e4 < abs(float(s.im)) < 4e6:
             continue
         call = {
@@ -51,6 +52,9 @@ def test_only_package_errors_escape():
             "raw": lambda: raw_partial_sums(s, n, ctx),
             "weighted": lambda: weighted_partial_sums(s, b, n, ctx),
             "table": lambda: power_table(s, n, ctx),
+            "trunc": lambda: truncation_length(s, b, 10.0 ** -digits),
+            "wzeta": lambda: weighted_zeta(s, b, n, ctx),
+            "delta": lambda: generalized_delta(n, s, b, ctx),
         }[name]
         try:
             call()

@@ -20,7 +20,7 @@ from zetalab.oracle import (
     _euler_maclaurin,
     bernoulli_even,
 )
-from zetalab import powers, spiral
+from zetalab import powers, series, spiral
 from zetalab.powers import IM_S_MAX, N_TERMS_MAX, RE_S_MAX, power_table
 from zetalab.precision import ComplexAP, to_string
 
@@ -30,6 +30,7 @@ from .oracles import (
     mpc_euler_maclaurin,
     mpmath_power_table,
     t_over_pi_cutoff,
+    table_head_sum,
 )
 
 
@@ -41,12 +42,6 @@ def _ref(dps=130):
 
 def _as(ref, z):
     return ref.mpc(z.re, z.im)
-
-
-def head_sums(s, n0, work):
-    """(sum re, sum im, last re, last im) of the fixed-point n^(-s), n = 1..N0, as zeta reads them."""
-    table = power_table(s, n0, work)
-    return sum(table.re), sum(table.im), table.re[n0], table.im[n0]
 
 
 class TestBernoulli:
@@ -199,7 +194,7 @@ class TestZeta:
         mp = ctx._mp
         s = make_complex("0.3", "45.0", ctx)
         n0 = 120
-        head1, head2 = head_sums(s, n0, ctx), head_sums(s, 2 * n0, ctx)
+        head1, head2 = powers.head_sum(s, n0, ctx), powers.head_sum(s, 2 * n0, ctx)
         v1, order1, cert1 = _euler_maclaurin(s, n0, ctx, head1, digits, max_order=8 * n0)
         # a cutoff of 10^-605 runs the second pass to its last term
         v2, order2, cert2 = _euler_maclaurin(s, 2 * n0, ctx, head2, 10 * digits, max_order=order1 + 2)
@@ -223,6 +218,31 @@ class TestZeta:
                 patch.setattr(oracle, "_euler_maclaurin", exp_ln_euler_maclaurin)
                 want = zeta(s, ctx)
             assert got == want, (digits, sigma, t)
+
+    def test_grouped_head_matches_table_head(self, monkeypatch):
+        # same value, terms_used and correction_order as summing a whole power_table to N0,
+        # reflected and escalated passes (first_cutoff at 4) included
+        rng = random.Random(38)
+        points = []
+        for digits in (15, 30, 100):
+            for _ in range(6):
+                sigma, t = rng.uniform(-1.5, 3), rng.choice((-1, 1)) * math.exp(rng.uniform(0, math.log(2e4)))
+                points.append((digits, f"{sigma:.4f}", f"{t:.4f}", False))
+            points.append((digits, f"{rng.uniform(-1.5, 2):.4f}", f"{rng.uniform(-30, 30):.4f}", True))
+        points.append((30, "0.5", "-19500.5", False))
+        heads = []
+        for digits, sigma, t, escalate in points:
+            ctx = PrecisionContext(digits)
+            s = make_complex(sigma, t, ctx)
+            with monkeypatch.context() as patch:
+                if escalate:
+                    patch.setattr(oracle, "first_cutoff", lambda s, digits: 4)
+                got = zeta(s, ctx)
+                patch.setattr(oracle, "head_sum", lambda *args: heads.append(args[1]) or table_head_sum(*args))
+                want = zeta(s, ctx)
+            assert got == want, (digits, sigma, t)
+            assert not escalate or got.terms_used > 4
+        assert len(heads) > len(points) and max(heads) > 3000 and min(heads) == 4
 
 
 class TestFixedPointCorrection:
@@ -269,7 +289,7 @@ class TestFixedPointCorrection:
         for digits, sigma, t, n0 in ((30, "0.5", "40", 12), (100, "-1.5", "3", 20), (50, "2", "900", 160)):
             work = PrecisionContext(digits + 10)
             s = make_complex(sigma, t, work)
-            head = head_sums(s, n0, work)
+            head = powers.head_sum(s, n0, work)
             v1, order1, cert1 = _euler_maclaurin(s, n0, work, head, digits, max_order=8 * n0)
             v2, order2, cert2 = mpc_euler_maclaurin(s, n0, work, head, digits, max_order=8 * n0)
             assert order1 > 1 and not cert1 and (order1, cert1) == (order2, cert2)
@@ -422,17 +442,20 @@ def test_past_the_term_cap_is_a_validation_error(monkeypatch, sigma, t, n_max):
         (f"{RE_S_MAX + 1.5}", "5", "zeta"),
         (f"{RE_S_MAX + 1.5}", "5", "table"),
         (f"{-RE_S_MAX - 1}", "3", "spiral"),
+        ("8.5e20", "1e400", "trunc"),
     ],
-    ids=["zeta-1e300", "spiral-1e300", "zeta-below", "zeta-above", "table-above", "spiral-below"],
+    ids=["zeta-1e300", "spiral-1e300", "zeta-below", "zeta-above", "table-above", "spiral-below", "trunc-1e400"],
 )
 def test_past_the_re_s_cap_is_a_validation_error(sigma, t, call):
-    # the first two raised OverflowError, in first_cutoff and in to_fixed
+    # the first two raised OverflowError, in first_cutoff and in to_fixed, and the last
+    # in truncation_length, which read |Im s|/pi as a float before checking s
     ctx = PrecisionContext(16)
     s = make_complex(sigma, t, ctx)
     calls = {
         "zeta": lambda: zeta(s, ctx),
         "spiral": lambda: spiral.raw_partial_sums(s, 10, ctx),
         "table": lambda: power_table(s, 10, ctx),
+        "trunc": lambda: series.truncation_length(s, 0.12, 1e-25),
     }
     with pytest.raises(ValidationError, match=rf"^Re s = \S+ lies outside \[-{RE_S_MAX}, {RE_S_MAX + 1}\]$"):
         calls[call]()
@@ -460,8 +483,9 @@ def test_re_s_at_the_cap(sigma):
         ("0.5", "1e301", "table"),
         ("0.5", "1e301", "spiral"),
         ("0.5", "-1e400", "weighted"),
+        ("0.5", "1e400", "trunc"),
     ],
-    ids=["chi", "zeta", "table", "spiral", "weighted-1e400"],
+    ids=["chi", "zeta", "table", "spiral", "weighted-1e400", "trunc-1e400"],
 )
 def test_past_the_im_s_cap_is_a_validation_error(sigma, t, call):
     # unbounded, chi(1/2 + 1e301i) had a modulus near 10^(-2.9e268) in place
@@ -474,6 +498,7 @@ def test_past_the_im_s_cap_is_a_validation_error(sigma, t, call):
         "table": lambda: power_table(s, 3, ctx),
         "spiral": lambda: spiral.raw_partial_sums(s, 3, ctx),
         "weighted": lambda: spiral.weighted_partial_sums(s, 2.0, 3, ctx),
+        "trunc": lambda: series.truncation_length(s, 0.12, 1e-25),
     }
     with pytest.raises(ValidationError, match=rf"^\|Im s\| = \S+ lies past IM_S_MAX = {re.escape(f'{IM_S_MAX:g}')}$"):
         calls[call]()

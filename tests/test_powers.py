@@ -112,6 +112,43 @@ def test_pair_equals_two_tables(monkeypatch):
     assert len([p for p, (neg_sigma, _) in fallbacks if libmp.to_float(neg_sigma) == -4.0]) < 3
 
 
+def _head_cases():
+    """(P, sigma, t, N0): N0 prime, 5-smooth, prime to 30, 4 7 11, below 30, and seeded
+    sigma in [-1/2, 3], +-t log-uniform in [1, 5e4], N0 log-uniform to 2 10^4."""
+    rng = random.Random(20261021)
+    cases = [(30, "0.5", "-45000", 7510), (15, "-0.5", "300", 7919), (100, "3", "-20", 15625)]
+    cases += [(30, "1.25", "777", 1001), (15, "0.5", "-1000", 308), (30, "0.75", "50", 210)]
+    cases += [(15, "0.5", "14.1", n0) for n0 in range(1, 30)]
+    for _ in range(16):
+        t = rng.choice((-1, 1)) * math.exp(rng.uniform(0, math.log(5e4)))
+        n0 = int(math.exp(rng.uniform(math.log(30), math.log(2e4))))
+        cases.append((rng.choice((15, 30, 100)), f"{rng.uniform(-0.5, 3):.4f}", f"{t:.4f}", n0))
+    return cases
+
+
+def test_head_sum_matches_table_sum(monkeypatch):
+    # head_sum builds, as power_table does, exactly the entries of the primes, the m prime
+    # to 30, the 5-smooth k and N0's cofactors N0/k; its last entry is the table's and its
+    # sums lie within the stated 5/2 N0 max(1, N0^-sigma) + 1 units of the table's
+    built = []
+    tables = powers._tables
+    monkeypatch.setattr(powers, "_tables", lambda *args: built.append(tables(*args)[0]) or built[-1:])
+    for digits, sigma, t, n0 in _head_cases():
+        ctx = PrecisionContext(digits)
+        s = make_complex(sigma, t, ctx)
+        sum_re, sum_im, last_re, last_im = powers.head_sum(s, n0, ctx)
+        part, table = built.pop(), power_table(s, n0, ctx)
+        assert (last_re, last_im) == (table.re[n0], table.im[n0]), (digits, sigma, t, n0)
+        bound = 2.5 * n0 * max(1, n0 ** -float(sigma)) + 1
+        assert abs(sum_re - sum(table.re)) <= bound and abs(sum_im - sum(table.im)) <= bound
+        smooth = {k for k in range(1, n0 + 1) if 30**15 % k == 0}  # N0 < 2^15
+        want = {n for n in range(1, n0 + 1) if math.gcd(n, 30) == 1} | smooth | set(_primes(n0))
+        want |= {n0 // k for k in smooth if n0 % k == 0}
+        got = {n for n in range(1, n0 + 1) if (part.re[n], part.im[n]) != (0, 0)}
+        assert got == want, (digits, sigma, t, n0, sorted(got ^ want)[:5])
+        assert all((part.re[n], part.im[n]) == (table.re[n], table.im[n]) for n in want)
+
+
 def _primes(n_max):
     return [n for n in range(2, n_max + 1) if all(n % q for q in range(2, math.isqrt(n) + 1))]
 
