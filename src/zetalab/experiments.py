@@ -8,7 +8,6 @@ CSV/SVG outputs (the manifest records wall time and therefore differs).
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import dataclasses
 import functools
@@ -333,6 +332,8 @@ def _pool_map(fn, items: list, jobs: int) -> list:
     """fn over items in input order, in min(jobs, len(items)) worker processes when that is > 1."""
     workers = min(jobs, len(items))
     if workers > 1:
+        import concurrent.futures  # here, not at the top: it loads logging, which a serial run never needs
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]

@@ -123,7 +123,8 @@ def first_cutoff(s: ComplexAP, digits: int) -> int:
     With y = ln(2 pi N0/t), K ~ d/2y for d nats to shed, so the optimum solves
     y^2 e^y = pi c d/(h t).  ceil(t/pi)+10 stays unless Newton's method on
     ln(|T_k| |s+2k-1|/(sigma+2k-1)) finds that N0 certifies at a lower cost.
-    h = 5.5 + 0.15P predates the shared ln p, sieve and head_sum, so overstates; a refit moves N0 bytes.
+    h = 5.5 + 0.15P predates the integer prime kernel, its two-level tables, the shared ln p,
+    sieve and head_sum, so overstates a head term's cost; a refit would move N0, so it stays.
     A ceil(t/pi)+10 past N_TERMS_MAX, or s outside powers.require_s's band, is a ValidationError.
     """
     require_s(s)
@@ -198,16 +199,19 @@ def _euler_maclaurin(
     prec = work.prec_bits
     p_re, p_im = sr, si
     # u = sigma + 2k - 1, and q's numerators u(u + one) - si^2 and si(2u + one), all at
-    # fbits; each order adds 2 one to u, so they grow by (4u + 6 one) one and 4 si one
+    # fbits; each order adds two = 2 one to u, so they grow by 4u one + q_const (6 one^2)
+    # and q_step_im (4 si one), the constant steps taken once here
     u = sr + one
     q_re, q_im = u * (u + one) - si2, si * (2 * u + one)
+    two, q_const, q_step_im = 2 * one, 3 << 2 * fbits + 1, si << fbits + 2
     c_re = c_im = 0
     prev = None
     order = shift = 0
     certified = False
     for k in range(1, max_order + 1):
         man, exp = _em_coefficient(k, prec)
-        a_re, a_im = (man * p_re) >> -(exp + shift), (man * p_im) >> -(exp + shift)  # A_k
+        r = -(exp + shift)
+        a_re, a_im = (man * p_re) >> r, (man * p_im) >> r  # A_k
         mag = a_re * a_re + a_im * a_im
         if u > 0 and mag <= bound and mag * (u * u + si2) * scale <= limit * u * u:
             certified = True
@@ -219,13 +223,16 @@ def _euler_maclaurin(
         order = k
         prev = mag
         # advance to k+1: multiply by (s+2k-1)(s+2k)/N0^2 and move a power of
-        # two into shift, which tracks k log2(4 pi^2), so p stays near |A_k|
+        # two into shift, which tracks k log2(4 pi^2), so p stays near |A_k|; the
+        # product takes three multiplications, j = f_re (p_re + p_im), with the
+        # integers of the four-multiplication one
         d, shift = fbits + (53 * k) // 10 - shift, (53 * k) // 10
         f_re, f_im = (q_re >> fbits) // n2, (q_im >> fbits) // n2
-        p_re, p_im = (p_re * f_re - p_im * f_im) >> d, (p_re * f_im + p_im * f_re) >> d
-        q_re += (u << fbits + 2) + (3 << 2 * fbits + 1)
-        q_im += si << fbits + 2
-        u += 2 * one
+        j = f_re * (p_re + p_im)
+        p_re, p_im = (j - p_im * (f_re + f_im)) >> d, (j + p_re * (f_im - f_re)) >> d
+        q_re += (u << fbits + 2) + q_const
+        q_im += q_step_im
+        u += two
     # head + C N0^(-s)/N0 - N0^(-s)/2, at bits + 1 fraction bits, plus the tail N0^(1-s)/(s-1)
     corr_re = ((c_re * l_re - c_im * l_im) >> fbits) // n0
     corr_im = ((c_re * l_im + c_im * l_re) >> fbits) // n0

@@ -15,9 +15,10 @@ and the rounding test per table; each entry is the one power_table gives, and
 the pair takes about 0.8 of two builds.  What is the same for
 every s is built once per process: one sieve (_sieve), grown to the largest
 table asked for (at most N_TERMS_MAX entries: 0.1 MB at one-shot sizes,
-n ~ 8000; 10.3 MB at the cap), and ln p per kernel width (_prime_logs),
-kept for 8 widths (0.07-0.16 MB each at one-shot sizes; 9.4-42 MB each to
-the cap, P = 30-1000).
+n ~ 8000; 10.3 MB at the cap), and per kernel width h, kept for 8 widths,
+ln p (_prime_logs: 0.07-0.16 MB each at one-shot sizes; 9.4-42 MB each to
+the cap, P = 30-1000) and the kernel's tables (_constants: 0.24-0.38 MB and
+1.4-4.4 ms each at h = 180-446).
 
 The weight 1/(1 + E_n), E_n = exp((n - c)/B), is the fixed-point int
 w_n = floor(2^(2F) / (2^F + floor(E_n 2^F))), exactly 2^F through
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 from mpmath import libmp
 
 from .errors import ValidationError
-from .precision import ComplexAP, PrecisionContext, _raw, _wrap
+from .precision import ComplexAP, PrecisionContext, _raw, _wrap, from_fixed_pairs
 
 _EXTRA_BITS = 16
 N_TERMS_MAX = 10**6  # the most terms a power table, and so a sum, spiral or zeta head, may hold
@@ -55,6 +56,7 @@ IM_S_MAX = 1e300  # |Im s| at most this: chi holds 10^-P to here, and 8|s| stays
 _ANCHOR_EVERY = 128
 _RND = libmp.round_nearest
 _WHEEL = (1, 7, 11, 13, 17, 19, 23, 29)  # the residues mod 30 prime to 30
+_LEVEL_BITS = 9  # the kernel's two table levels index 9 bits each, to 2^-18
 _KERNEL_EXP = 6  # past |p^-s| (1 + |sigma| ln p/2^b) = 2^6 most primes fail the rounding test
 
 
@@ -143,11 +145,7 @@ def to_fixed(x, bits: int) -> int:
 
 def from_fixed(re: int, im: int, bits: int, ctx: PrecisionContext) -> ComplexAP:
     """(re + i im) / 2^bits rounded to the context's precision, as libmp.from_man_exp rounds it."""
-    mp, prec, a, b = ctx._mp, ctx.prec_bits, abs(re), abs(im)
-    return ComplexAP(
-        mp.make_mpf(libmp.normalize(int(re < 0), a, -bits, a.bit_length(), prec, _RND)),
-        mp.make_mpf(libmp.normalize(int(im < 0), b, -bits, b.bit_length(), prec, _RND)),
-    )
+    return from_fixed_pairs(((re, im),), bits, ctx)[0]
 
 
 _SIEVE = ([0, 1], [])  # (spf, primes) of the largest request so far; callers only read them
@@ -175,28 +173,39 @@ def _exp_ln_entry(p: int, neg_s, wp: int, bits: int) -> tuple[int, int]:
 
 @functools.lru_cache(maxsize=8)
 def _constants(h: int):
-    """2 pi, ln 2, cis(2 pi a 2^-j) and 2^(a 2^-j) for a < 64, j = 6, 12, 18, at h
-    fraction bits (63 steps of repeated multiplication, under 3 units each),
-    and the ratios (2k)(2k+1) of the sin and sinh series' terms.
-    A set takes 0.3-0.6 ms to build and 33-52 KiB at h = 180-446; callers
+    """2 pi, ln 2, the cis and 2^x tables and the series' divisors, at h fraction bits.
+
+    Two levels, j = 9 and 18, of 512 entries: level j holds cis(2 pi a 2^-j)
+    = cr + i ci as the lists (cr, ci - cr, cr + ci), so that a complex product
+    takes three multiplications, and 2^(a 2^-j).  Each level is built by 511
+    steps of repeated multiplication at h + 16 bits (under 2.5 units of
+    2^-(h+16) a step, at most doubled by the 2^x levels' growth, so under 2^11
+    by the last) and rounded to h bits: every entry is within 1/2 + 2^-5 units
+    of 2^-h.  The divisors come in pairs ((2k)(2k+1), (2k+2)(2k+3)), two
+    terms of the sin and sinh series at a time.
+    A set takes 1.4-4.4 ms to build and 234-371 KiB at h = 180-446; callers
     alternate widths (zeta at P = 30 and 100, the spirals), so eight are kept."""
-    wp = h + 16
-    pi, ln2 = libmp.mpf_pi(wp), libmp.mpf_ln2(wp)
+    guard = 16
+    g, wp = h + guard, h + 2 * guard
+    half, pi, ln2 = 1 << guard - 1, libmp.mpf_pi(wp), libmp.mpf_ln2(wp)
     cis, mags = [], []
-    for j in range(6, 19, 6):
-        c, s = (to_fixed(x, h) for x in libmp.mpf_cos_sin(libmp.mpf_shift(pi, 1 - j), wp))
-        q = to_fixed(libmp.mpf_exp(libmp.mpf_shift(ln2, -j), wp), h)
-        cr, ci, mag = [1 << h], [0], [1 << h]
-        for _ in range(63):
-            x, y = cr[-1], ci[-1]
-            cr.append((x * c - y * s) >> h)
-            ci.append((x * s + y * c) >> h)
-            mag.append(mag[-1] * q >> h)
-        cis.append((h - j, cr, ci))
-        mags.append((h - j, mag))
+    for j in (_LEVEL_BITS, 2 * _LEVEL_BITS):
+        c, s = (to_fixed(x, g) for x in libmp.mpf_cos_sin(libmp.mpf_shift(pi, 1 - j), wp))
+        q = to_fixed(libmp.mpf_exp(libmp.mpf_shift(ln2, -j), wp), g)
+        x, y, m = 1 << g, 0, 1 << g
+        cr, cd, cs, mag = [], [], [], []
+        for _ in range(1 << _LEVEL_BITS):
+            a, b = x + half >> guard, y + half >> guard
+            cr.append(a)
+            cd.append(b - a)
+            cs.append(a + b)
+            mag.append(m + half >> guard)
+            x, y, m = (x * c - y * s) >> g, (x * s + y * c) >> g, m * q >> g
+        cis.append((cr, cd, cs))
+        mags.append(mag)
     # a series argument is below 2pi 2^-18, so a term is 2^30 times smaller than the one before
-    steps = [k * k + k for k in range(2, h // 8, 2)]
-    return to_fixed(libmp.mpf_shift(pi, 1), h), to_fixed(ln2, h), cis, mags, steps
+    pairs = [(k * k + k, k * k + 5 * k + 6) for k in range(2, h // 8, 4)]
+    return to_fixed(libmp.mpf_shift(pi, 1), h), to_fixed(ln2, h), cis, mags, pairs
 
 
 @functools.lru_cache(maxsize=8)
@@ -211,9 +220,14 @@ def _prime_entries(parts: list, sieve: tuple, n_max: int, t, bits: int):
 
     The kernel (Tang's table-driven exp, ACM TOMS 15, 1989) runs at h = bits
     + 32 fraction bits.  The top 18 bits of the turns t ln p/2pi and of f in
-    -sigma log2 p = e + f pick _constants entries, the sin and sinh series
-    give the rest, and v = p^(-s) 2^(bits+24) is their product times 2^e,
-    within 2^11 units of 2^-h relative (the six tables give 6 3 63 of them).
+    -sigma log2 p = e + f pick _constants entries, 9 bits a level, the sin
+    and sinh series give the rest, and v = p^(-s) 2^(bits+24) is their
+    product times 2^e.  Before its last floor v is within 30 + h/12 units of
+    2^-h relative: 14 from the turns and the rate, under 12 from the four
+    table entries, the four products, the series' arguments and the two isqrt,
+    and under h/12 + 3 from the series' terms (at most 19 seen at h =
+    213-1110).  The rounding test below leaves the kernel |p^-s| 2^14 units of
+    v, 2^22 of these units.
     The phase (ln p, the turns, the sin series and the cis levels) depends on
     t alone, so every part shares it; the magnitude (f, the sinh series and
     the 2^f levels), the product and the rounding test run per part.
@@ -226,7 +240,7 @@ def _prime_entries(parts: list, sieve: tuple, n_max: int, t, bits: int):
     ln p chain stops.
     """
     h, (spf, primes) = bits + 32, sieve
-    two_pi, ln2, cis, mags, steps = _constants(h)
+    two_pi, ln2, ((cr1, cd1, cs1), (cr2, cd2, cs2)), (mag1, mag2), pairs = _constants(h)
     # ln p is within 2p (w/4 + 5) units (by induction over p -+ 1), so this guard, at the
     # largest |sigma|, keeps t ln p/2pi and every sigma log2 p within 2 units of 2^-h
     top = max(int(abs(sigma)).bit_length() for _, _, sigma in parts)
@@ -237,10 +251,11 @@ def _prime_entries(parts: list, sieve: tuple, n_max: int, t, bits: int):
         neg = libmp.mpf_neg(sigma._mpf_)
         rate = to_fixed(libmp.mpf_div(neg, ln2_w, 2 * w, _RND), w)
         rows.append((re, im, rate, abs(float(sigma)), (neg, neg_t)))
-    t_f, one, low = float(t), 1 << h, 1 << h - 18
-    sq = one * one
+    t_f, one = float(t), 1 << h
+    top_shift, mid_shift = h - _LEVEL_BITS, h - 2 * _LEVEL_BITS
+    sq, frac_mask, tail_mask, level_mask = one * one, one - 1, (1 << mid_shift) - 1, (1 << _LEVEL_BITS) - 1
     down, drop = 2 * w - h, 2 * h - bits - 24
-    kexp, klim, edge, mid = _KERNEL_EXP, 2.0**_KERNEL_EXP, 1 << 24, 1 << 23
+    kexp, klim, edge_mask, mid = _KERNEL_EXP, 2.0**_KERNEL_EXP, (1 << 24) - 1, 1 << 23
     # ln p at W = h + 96 >= w (w - h <= 75 within the library's limits), shared by every
     # call of that W: within 2p (W/4 + 5) units of 2^-W, so shifted to w, within the bound above
     logs = _prime_logs(width := max(h + 96, w))
@@ -268,18 +283,26 @@ def _prime_entries(parts: list, sieve: tuple, n_max: int, t, bits: int):
                 series += a // k
             lg = logs[p] = (lg >> 1) + series
         lg >>= width - w
-        turn = (turns * lg >> down) % one
-        y = turn % low * two_pi >> h
-        y2, sin, ty = y * y >> h, y, y
-        for d in steps:
-            ty = -(ty * y2 >> h) // d
+        # the power-of-two moduli as masks, which give the same residue for negative ints too
+        turn = turns * lg >> down & frac_mask
+        y = (turn & tail_mask) * two_pi >> h
+        y2 = y * y >> h
+        sin = ty = y
+        for d1, d2 in pairs:
+            ty = (ty * y2 >> h) // d1
+            sin -= ty
+            ty = (ty * y2 >> h) // d2
+            sin += ty
             if not ty:
                 break
-            sin += ty
         zr, zi = isqrt(sq - sin * sin), sin
-        for shift, cr, ci in cis:
-            i = turn >> shift & 63
-            zr, zi = (zr * cr[i] - zi * ci[i]) >> h, (zr * ci[i] + zi * cr[i]) >> h
+        # (zr + i zi)(cr + i ci) = k - zi (cr + ci) + i (k + zr (ci - cr)), k = cr (zr + zi)
+        i = turn >> top_shift
+        k = cr1[i] * (zr + zi)
+        zr, zi = k - zi * cs1[i] >> h, k + zr * cd1[i] >> h
+        i = turn >> mid_shift & level_mask
+        k = cr2[i] * (zr + zi)
+        zr, zi = k - zi * cs2[i] >> h, k + zr * cd2[i] >> h
         live = False
         spread = ldexp(log_p, -b)
         for re, im, rate, sigma_f, neg_s in rows:
@@ -289,20 +312,23 @@ def _prime_entries(parts: list, sieve: tuple, n_max: int, t, bits: int):
             if e < kexp:
                 live = True
                 if ldexp(widen, e) < klim:
-                    f = u % one
-                    x = f % low * ln2 >> h
-                    x2, sinh, tx = x * x >> h, x, x
-                    for d in steps:
-                        tx = (tx * x2 >> h) // d
+                    f = u & frac_mask
+                    x = (f & tail_mask) * ln2 >> h
+                    x2 = x * x >> h
+                    sinh = tx = x
+                    for d1, d2 in pairs:
+                        tx = (tx * x2 >> h) // d1
+                        sinh += tx
+                        tx = (tx * x2 >> h) // d2
+                        sinh += tx
                         if not tx:
                             break
-                        sinh += tx
                     mg = sinh + isqrt(sq + sinh * sinh)
-                    for shift, mag in mags:
-                        mg = mg * mag[f >> shift & 63] >> h
+                    mg = mg * mag1[f >> top_shift] >> h
+                    mg = mg * mag2[f >> mid_shift & level_mask] >> h
                     vr, vi = zr * mg >> drop - e, -(zi * mg >> drop - e)
                     tol = int(((abs(vr) + abs(vi)) >> bits + 9) * widen) + 2
-                    if abs(vr % edge - mid) > tol and abs(vi % edge - mid) > tol:
+                    if abs((vr & edge_mask) - mid) > tol and abs((vi & edge_mask) - mid) > tol:
                         re[p], im[p] = (vr >> 23) + 1 >> 1, (vi >> 23) + 1 >> 1
                         continue
             re[p], im[p] = _exp_ln_entry(p, neg_s, bits + 16 + b, bits)

@@ -14,9 +14,11 @@ PrecisionContext(15).real(1)/3 + PrecisionContext(100).real(1)/3 is an
 on this to add P-digit coefficients into a 40-digit sum.
 Public functions take and return ComplexAP, a finite-checked value; _raw
 and _wrap carry it to and from the context's mpc.  The heavy loops build
-values from Python integers and libmp raw tuples (powers.from_fixed,
-solver.assemble_system and _eliminate).  make_complex reads a ComplexAP
-from text or numbers and to_string writes it.  Contexts and ComplexAP
+values from Python integers and libmp raw tuples (from_fixed_pairs, which
+powers.from_fixed and the spiral points take, solver.assemble_system and
+_eliminate); from_fixed_pairs skips the finite check, as its ints are
+finite.  make_complex reads a ComplexAP from text or numbers and to_string
+writes it.  Contexts and ComplexAP
 values are immutable and safe to share across threads; the caches in powers
 and oracle fill lazily, and concurrent fills write equal entries.
 """
@@ -118,6 +120,43 @@ def _raw(z: ComplexAP, ctx: PrecisionContext):
 
 def _wrap(v) -> ComplexAP:
     return ComplexAP(v.real, v.imag)
+
+
+def from_fixed_pairs(pairs, bits: int, ctx: PrecisionContext) -> list[ComplexAP]:
+    """(re + i im)/2^bits for each int pair (re, im), each part rounded to the context's
+    precision half to even, as libmp.normalize rounds it.
+
+    Parts from ints are finite, so the values skip ComplexAP's finite check: each mpf
+    and ComplexAP is made with object.__new__ and its raw tuple or fields set directly.
+    """
+    mpf, prec, new = ctx._mp.mpf, ctx.prec_bits, object.__new__
+    out = []
+    for pair in pairs:
+        z = new(ComplexAP)
+        fields = z.__dict__
+        for key, man in zip(("re", "im"), pair):
+            sign = 0
+            if man < 0:
+                sign, man = 1, -man
+            n, exp, bc = man.bit_length() - prec, -bits, prec
+            if n > 0:  # keep prec bits; a tie rounds to the even mantissa
+                half = man >> n - 1
+                man = (half >> 1) + 1 if half & 1 and (half & 2 or man & (1 << n - 1) - 1) else half >> 1
+                exp += n
+            else:
+                bc += n
+            if not man & 1:  # strip trailing zeros; a carry to 2^prec leaves man = 1
+                if man:
+                    zeros = (man & -man).bit_length() - 1
+                    man >>= zeros
+                    exp, bc = exp + zeros, 1 if man == 1 else bc - zeros
+                else:
+                    sign = exp = 0
+            part = new(mpf)
+            part._mpf_ = (sign, man, exp, bc)
+            fields[key] = part
+        out.append(z)
+    return out
 
 
 def power_term(n: int, s: ComplexAP, ctx: PrecisionContext) -> ComplexAP:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .oracle import chi
-from .powers import center, frac_bits, from_fixed, power_pair, require_s, to_fixed, weights
-from .precision import ComplexAP, PrecisionContext, _raw
+from .powers import center, frac_bits, power_pair, require_s, to_fixed, weights
+from .precision import ComplexAP, PrecisionContext, _raw, from_fixed_pairs
 from .series import _require_off_axis, _require_scale
 
 DISPLAY_DIGITS = 20
@@ -41,14 +41,16 @@ def _partial_sums(s: ComplexAP, n_terms: int, ctx: PrecisionContext, factors, bi
     direct, mirror = power_pair(s, n_terms, ctx)
     chi_s = _raw(chi(s, ctx), ctx)
     chi_re, chi_im = to_fixed(chi_s.real._mpf_, frac), to_fixed(chi_s.imag._mpf_, frac)
-    acc_re = acc_im = 0
-    points = []
-    terms = zip(direct.re[1:], direct.im[1:], mirror.re[1:], mirror.im[1:], factors)
-    for d_re, d_im, m_re, m_im, w in terms:
-        acc_re += w * ((d_re << frac) - (chi_re * m_re - chi_im * m_im))
-        acc_im += w * ((d_im << frac) - (chi_re * m_im + chi_im * m_re))
-        points.append(from_fixed(acc_re, acc_im, bits, ctx))
-    return tuple(points)
+
+    def sums():  # a generator, so no sum outlives its point
+        acc_re = acc_im = 0
+        terms = zip(direct.re[1:], direct.im[1:], mirror.re[1:], mirror.im[1:], factors)
+        for d_re, d_im, m_re, m_im, w in terms:
+            acc_re += w * ((d_re << frac) - (chi_re * m_re - chi_im * m_im))
+            acc_im += w * ((d_im << frac) - (chi_re * m_im + chi_im * m_re))
+            yield acc_re, acc_im
+
+    return tuple(from_fixed_pairs(sums(), bits, ctx))
 
 
 def raw_partial_sums(s: ComplexAP, n_terms: int, ctx: PrecisionContext) -> SpiralTrace:

@@ -96,6 +96,28 @@ def exp_ln_spiral_sums(s, chi_s, b, n_terms: int, mp):
     return points
 
 
+def per_point_partial_sums(s, n_terms: int, ctx, factors, bits: int):
+    """spiral._partial_sums with each running sum converted on its own through
+    libmp.from_man_exp, as the library converted its points before it rounded
+    them all in one pass of precision.from_fixed_pairs."""
+    from zetalab.oracle import chi
+    from zetalab.powers import frac_bits, power_pair, to_fixed
+    from zetalab.precision import _raw
+
+    frac = frac_bits(ctx)
+    direct, mirror = power_pair(s, n_terms, ctx)
+    chi_s = _raw(chi(s, ctx), ctx)
+    chi_re, chi_im = to_fixed(chi_s.real._mpf_, frac), to_fixed(chi_s.imag._mpf_, frac)
+    acc_re = acc_im = 0
+    points = []
+    terms = zip(direct.re[1:], direct.im[1:], mirror.re[1:], mirror.im[1:], factors)
+    for d_re, d_im, m_re, m_im, w in terms:
+        acc_re += w * ((d_re << frac) - (chi_re * m_re - chi_im * m_im))
+        acc_im += w * ((d_im << frac) - (chi_re * m_im + chi_im * m_re))
+        points.append(from_man_exp_fixed(acc_re, acc_im, bits, ctx))
+    return tuple(points)
+
+
 def mpmath_power_table(s, n_max: int, ctx):
     """powers.power_table with every prime entry from mpmath's ln and exp, as
     the library built it before its integer kernel for primes."""

@@ -9,12 +9,16 @@ checked too.  The preset parameter schema is guarded against keys it does
 not declare, declarations no preset uses, and a README key table that
 drifts from it.  README's Library example may import only public names, and
 it must run, so an API change cannot leave it broken.  No linter is
-installed, so a module that imports a name it never reads fails here.
+installed, so a module that imports a name it never reads fails here.  A
+CLI start loads neither concurrent.futures nor logging, which only a worker
+pool needs.
 """
 
 import ast
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -138,3 +142,15 @@ def test_modules_read_every_name_they_import():
         unread += [f"{path.name}: {name}" for name in sorted(imported - read)]
     exempt = [f"__init__.py: {name}" for name in zetalab.__all__] + ["solver.py: power_term"]
     assert [entry for entry in unread if entry not in exempt] == []
+
+
+def test_cli_import_loads_no_pool_modules():
+    # a fresh interpreter: this one may have loaded them for pytest itself
+    code = (
+        "import sys, zetalab, zetalab.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
+    )
+    src = str(Path(zetalab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert (out.returncode, out.stdout.strip()) == (0, "[]"), out.stderr

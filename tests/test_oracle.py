@@ -284,6 +284,24 @@ class TestFixedPointCorrection:
             assert got.terms_used > 4
             assert got == want, (digits, sigma, t)
 
+    def test_passes_pinned_bit_for_bit(self):
+        # value, order and certified of single passes at orders 18-1,446; SHA-256 of
+        # their repr, recorded from the loop that advanced p by four multiplications
+        out = []
+        for digits, sigma, t in (
+            (30, "0.5", "45000.25"), (100, "0.5", "45000.25"), (100, "3.5", "20000"),
+            (30, "-0.3", "1000"), (100, "0.5", "150"), (50, "0.5", "0.001"),
+        ):
+            work = oracle.working_context(PrecisionContext(digits))
+            s = make_complex(sigma, t, work)
+            n0 = oracle.first_cutoff(s, digits)
+            head = powers.head_sum(s, n0, work)
+            v, order, cert = _euler_maclaurin(s, n0, work, head, digits, max_order=8 * n0)
+            out.append((v.real._mpf_, v.imag._mpf_, order, cert))
+        assert [o[2] for o in out] == [829, 1446, 933, 151, 77, 18]
+        digest = "7ba71d8a47093d5fa12d72d7763d5c2764dd35821020268d91661bb4d19e6184"
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == digest
+
     def test_uncertified_pass_matches_mpc_loop(self):
         # a pass at too small an N0 stops where its terms stop shrinking, in both
         for digits, sigma, t, n0 in ((30, "0.5", "40", 12), (100, "-1.5", "3", 20), (50, "2", "900", 160)):

@@ -188,6 +188,26 @@ def _sweep():
     return differ, len(fallbacks), primes
 
 
+@pytest.mark.parametrize("h", [180, 213, 301, 446])
+def test_kernel_tables_within_half_a_unit(h):
+    # each level's cis(2 pi a 2^-j) and 2^(a 2^-j), a < 512, within 1/2 + 2^-5 units of 2^-h
+    # of its value 32 bits wider; ci is stored only in ci - cr and cr + ci
+    two_pi, ln2, cis, mags, _ = powers._constants(h)
+    ref = mpmath.mp.clone()
+    ref.prec = h + 32
+    scale, bound = ref.mpf(2) ** h, 0.5 + 2**-5
+    assert abs(two_pi - 2 * ref.pi * scale) <= 0.5 and abs(ln2 - ref.ln2 * scale) <= 0.5
+    for j, (cr, cd, cs), mag in zip((9, 18), cis, mags):
+        assert len(cr) == len(cd) == len(cs) == len(mag) == 512
+        for a in range(512):
+            ci = cd[a] + cr[a]
+            assert cs[a] == cr[a] + ci
+            turn = ref.mpf(a) / 2 ** (j - 1)
+            assert abs(cr[a] - ref.cospi(turn) * scale) <= bound, (j, a)
+            assert abs(ci - ref.sinpi(turn) * scale) <= bound, (j, a)
+            assert abs(mag[a] - ref.power(2, ref.mpf(a) / 2**j) * scale) <= bound, (j, a)
+
+
 def test_prime_kernel_matches_mpmath_route():
     assert _sweep()[0] == []
 

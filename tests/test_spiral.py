@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import pytest
@@ -14,8 +15,12 @@ from zetalab import (
     zeta,
 )
 from zetalab.errors import NumericalError, ValidationError
+from zetalab.powers import center, frac_bits, weights
 from zetalab.precision import ComplexAP
+from zetalab.spiral import _partial_sums
 from zetalab.svgplot import spiral_svg
+
+from .oracles import per_point_partial_sums
 
 
 def _ref(dps=80):
@@ -99,6 +104,32 @@ class TestTraceBasics:
         for r, w in zip(raw.points, wtd.points):
             assert abs(ref.mpc(r.re - w.re, r.im - w.im)) < ref.mpf(10) ** (-25)
 
+    @pytest.mark.parametrize(
+        ("seed", "digits", "sigma", "sign"),
+        [
+            (1, 15, "-0.75", -1), (2, 100, "0.5", 1), (3, 15, "0.5", -1),
+            (4, 100, "-2.5", -1), (5, 30, "1.5", 1),
+        ],
+    )
+    def test_points_match_per_point_rounding(self, seed, digits, sigma, sign):
+        # raw and weighted points against one from_man_exp per point, bit for bit
+        rng = random.Random(seed)
+        ctx = PrecisionContext(digits)
+        t = rng.uniform(50, 3000)
+        s = make_complex(sigma, repr(sign * t), ctx)
+        n_terms, frac = rng.randint(100, 400), frac_bits(ctx)
+        head, w = weights(center(s, ctx), 0.14 * t**0.49, ctx, n_terms)
+        # raw, weighted, and factors whose seven leading zeros keep the accumulator at 0
+        for factors, bits in (
+            ([1] * n_terms, 2 * frac),
+            ([1 << frac] * head + w, 3 * frac),
+            ([0] * 7 + [1 << frac] * (n_terms - 7), 3 * frac),
+        ):
+            got = _partial_sums(s, n_terms, ctx, iter(factors), bits)
+            want = per_point_partial_sums(s, n_terms, ctx, iter(factors), bits)
+            assert [(z.re._mpf_, z.im._mpf_) for z in got] == [(z.re._mpf_, z.im._mpf_) for z in want]
+            assert all(type(z.re) is type(ctx._mp.mpf(0)) for z in got)
+        assert got[:7] == (ComplexAP(ctx._mp.zero, ctx._mp.zero),) * 7
 
 
 @pytest.mark.parametrize("points", [[(math.inf, 0.0)], [(0.0, 0.0), (1.0, math.nan)]])
