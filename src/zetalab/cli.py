@@ -159,14 +159,14 @@ def run_cmd(preset, config_path, assignments, output_dir, jobs):
 
 @main.command("list-presets")
 def list_presets_cmd():
-    """Print every preset with its figure and default parameters."""
+    """Print every preset with its figure and default parameters, as a `run --config` stub."""
     for entry in list_presets():
-        click.echo(f"preset = {entry['preset']}")
-        click.echo(f"figure = {entry['figure']}")
+        # the preset and figure are not keys, and a None default has no text form
+        click.echo(f"# preset = {entry['preset']}")
+        click.echo(f"# figure = {entry['figure']}")
         for key, value in entry["parameters"].items():
             if isinstance(value, (list, tuple)):
                 value = ",".join(str(v) for v in value)
-            # a None default has no text form; leave it unset in the stub
             click.echo(f"# {key} = None" if value is None else f"{key} = {value}")
         click.echo("")
 

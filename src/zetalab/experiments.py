@@ -23,7 +23,7 @@ import mpmath
 
 from . import __version__
 from .errors import NumericalError, ValidationError
-from .precision import MIN_DIGITS, PrecisionContext, _format_real, make_complex
+from .precision import MIN_DIGITS, PrecisionContext, _format_real, make_complex, require_count
 from .sigmoid import construct_fit, sigmoid_eval
 from .solver import CoefficientSet, GridSpec, half_crossing, solve_grid
 from .series import (
@@ -631,8 +631,7 @@ def run_preset(config: ExperimentConfig, output_dir: str | Path = ".", jobs: int
     the grids of fig-nhat-sweep and the calibrations of fig-eps-vs-t,
     fig-b-power-law, fig-c-d-sigma and fig-b-sigma.
     """
-    if not (isinstance(jobs, int) and jobs >= 1):
-        raise ValidationError(f"jobs must be an integer >= 1, got {jobs!r}")
+    require_count("jobs", jobs, 1)
     preset = _preset(config.preset)
     params = config.resolved()
     preset.check(params)

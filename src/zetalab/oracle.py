@@ -38,7 +38,7 @@ from mpmath import libmp
 
 from .errors import NumericalError, ValidationError
 from .powers import N_TERMS_MAX, frac_bits, from_fixed, head_sum, require_s, to_fixed
-from .precision import ComplexAP, PrecisionContext, _raw, _wrap
+from .precision import ComplexAP, PrecisionContext, _raw, _wrap, require_count
 
 _ORACLE_GUARD = 10
 REFLECT_BELOW = -0.5  # zeta(s) is chi(s) zeta(1 - s) for Re s below this
@@ -71,8 +71,7 @@ def _bernoulli_table(size: int) -> tuple[Fraction, ...]:
 
 def bernoulli_even(k: int) -> Fraction:
     """Exact B_{2k} for k >= 1, from the table of size 16, 32, 64, ... that holds it."""
-    if k < 1:
-        raise ValidationError(f"bernoulli_even needs k >= 1, got {k}")
+    require_count("k", k, 1)
     return _bernoulli_table(16 << ((k - 1) // 16).bit_length())[k - 1]
 
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from mpmath import libmp
 
 from .errors import ValidationError
-from .precision import ComplexAP, PrecisionContext, _raw, _wrap, from_fixed_pairs
+from .precision import ComplexAP, PrecisionContext, _raw, _wrap, from_fixed_pairs, require_count
 
 _EXTRA_BITS = 16
 N_TERMS_MAX = 10**6  # the most terms a power table, and so a sum, spiral or zeta head, may hold
@@ -343,13 +343,10 @@ def require_s(s: ComplexAP) -> None:
         raise ValidationError(f"|Im s| = {t:g} lies past IM_S_MAX = {IM_S_MAX:g}")
 
 
-def _tables(points: list[ComplexAP], n_max: int, ctx: PrecisionContext, order) -> list[PowerTable]:
-    """Per point (all of one |Im s|) a PowerTable from one sweep of _prime_entries: its
-    prime entries, and each composite n of order, after its cofactor; 0 at the rest."""
-    if n_max < 1:
-        raise ValidationError(f"n_max must be >= 1, got {n_max}")
-    if n_max > N_TERMS_MAX:
-        raise ValidationError(f"n_max must be <= {N_TERMS_MAX}, got {n_max}")
+def _tables(points: list[ComplexAP], n_max: int, ctx: PrecisionContext, order=None) -> list[PowerTable]:
+    """Per point (all of one |Im s|) a PowerTable from one sweep of _prime_entries: its prime
+    entries, and each composite n of order (4..n_max if None), after its cofactor; 0 at the rest."""
+    require_count("n_max", n_max, 1, N_TERMS_MAX)
     for z in points:
         require_s(z)
     mp, bits = ctx._mp, frac_bits(ctx)
@@ -360,7 +357,7 @@ def _tables(points: list[ComplexAP], n_max: int, ctx: PrecisionContext, order) -
     tables = []
     for (re, im, _), z in zip(parts, points):
         re[1] = 1 << bits
-        for n in order:
+        for n in range(4, n_max + 1) if order is None else order:
             p = spf[n]
             if p != n:
                 q = n // p
@@ -381,12 +378,12 @@ def power_table(s: ComplexAP, n_max: int, ctx: PrecisionContext) -> PowerTable:
     move the phase by 2^(b+1-wp) and the exponent by 2 |sigma| ln p 2^-wp,
     and mpc_exp is accurate to about an ulp of wp.
     """
-    return _tables([s], n_max, ctx, range(4, n_max + 1))[0]
+    return _tables([s], n_max, ctx)[0]
 
 
 def power_pair(s: ComplexAP, n_max: int, ctx: PrecisionContext) -> tuple[PowerTable, PowerTable]:
     """power_table of s and of 1 - s (rounded to ctx), both from one prime sweep at |Im s|."""
-    direct, mirror = _tables([s, _wrap(1 - _raw(s, ctx))], n_max, ctx, range(4, n_max + 1))
+    direct, mirror = _tables([s, _wrap(1 - _raw(s, ctx))], n_max, ctx)
     return direct, mirror
 
 

@@ -15,12 +15,12 @@ on this to add P-digit coefficients into a 40-digit sum.
 Public functions take and return ComplexAP, a finite-checked value; _raw
 and _wrap carry it to and from the context's mpc.  The heavy loops build
 values from Python integers and libmp raw tuples (from_fixed_pairs, which
-powers.from_fixed and the spiral points take, solver.assemble_system and
-_eliminate); from_fixed_pairs skips the finite check, as its ints are
-finite.  make_complex reads a ComplexAP from text or numbers and to_string
-writes it.  Contexts and ComplexAP
-values are immutable and safe to share across threads; the caches in powers
-and oracle fill lazily, and concurrent fills write equal entries.
+powers.from_fixed, the spiral points and solver.assemble_system's entries
+take, and solver._eliminate); from_fixed_pairs skips the finite check, as
+its ints are finite.  make_complex reads a ComplexAP from text or numbers
+and to_string writes it.  Contexts and ComplexAP values are immutable and
+safe to share across threads; the caches in powers and oracle fill lazily,
+and concurrent fills write equal entries.
 """
 
 from __future__ import annotations
@@ -41,6 +41,16 @@ _GUARD_BITS = 32
 
 MIN_DIGITS = 15
 _NON_FINITE = (fnan, finf, fninf)  # the raw mpf values that mpmath's isnan and isinf accept
+
+
+def require_count(name: str, value, least: int, most: int | None = None) -> None:
+    """ValidationError naming `name` unless value is an int, not a bool, in [least, most]."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ValidationError(f"{name} must be <= {most}, got {value}")
 
 
 @functools.cache
@@ -65,8 +75,7 @@ class PrecisionContext:
     _mp: MPContext = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.digits < MIN_DIGITS:
-            raise ValidationError(f"digits must be >= {MIN_DIGITS}, got {self.digits}")
+        require_count("digits", self.digits, MIN_DIGITS)
         prec = math.ceil(self.digits * _LOG2_10) + _GUARD_BITS
         object.__setattr__(self, "prec_bits", prec)
         object.__setattr__(self, "_mp", _mp_context(prec))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ from .errors import NumericalError, ValidationError
 from .oracle import zeta
 from .powers import N_TERMS_MAX, PowerTable, _exp_at, center, frac_bits, from_fixed, power_table
 from .powers import require_s, weights
-from .precision import ComplexAP, PrecisionContext, _raw
+from .precision import ComplexAP, PrecisionContext, _raw, require_count
 
 DEFAULT_BRACKET = (0.1, 100.0)
 CALIBRATION_DIGITS = 30
@@ -108,8 +109,7 @@ def weighted_zeta(
     rounding.  One sum over its packed entries gives both parts; the leading
     `head` terms have w_n = 2^F, so their entries are summed as they are.
     """
-    if n_terms < 1:
-        raise ValidationError(f"n_terms must be >= 1, got {n_terms}")
+    require_count("n_terms", n_terms, 1)
     _require_off_axis(s)
     _require_scale(b)
     if powers is None:
@@ -148,9 +148,10 @@ def calibrate_b(
     endpoint raises NumericalError: widen the bracket.
     """
     _require_off_axis(s)
-    lo, hi = bracket
+    pair = isinstance(bracket, (tuple, list)) and len(bracket) == 2
+    lo, hi = bracket if pair and all(isinstance(v, numbers.Real) for v in bracket) else (0, 0)
     if not (0 < lo < hi and math.isfinite(hi / lo)):
-        raise ValidationError(f"bracket must satisfy 0 < lo < hi with hi/lo finite, got {bracket}")
+        raise ValidationError(f"bracket must satisfy 0 < lo < hi for reals with hi/lo finite, got {bracket}")
     eps = tail_tolerance(ctx)
 
     reference = _raw(zeta(s, ctx).value, ctx)
@@ -236,6 +237,8 @@ def _ols(
     if len(samples) < min_count:
         raise ValidationError(f"{name} fit needs at least {min_count} samples")
     for x, y in samples:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise NumericalError(f"{name} fit requires finite values, got {(x, y)!r}")
         if y <= 0 or log_x and x <= 0:
             raise NumericalError(f"log-domain fit requires positive values, got {(x, y)!r}")
     xs = [math.log(x) if log_x else float(x) for x, _ in samples]

@@ -32,6 +32,7 @@ from mpmath import libmp, mpf
 from .errors import NumericalError, ValidationError
 from .oracle import first_cutoff, working_context, zeta
 from .powers import frac_bits, power_table
+from .precision import from_fixed_pairs, require_count
 
 # power_term has no caller here; the benchmark tracer still patches this name
 from .precision import ComplexAP, PrecisionContext, _format_real, _wrap, power_term  # noqa: F401
@@ -60,8 +61,7 @@ class GridSpec:
         object.__setattr__(self, "t1", str(self.t1))
         object.__setattr__(self, "dt", str(self.dt))
         ctx = PrecisionContext(self.digits)
-        if self.n_rows < 2:
-            raise ValidationError(f"n_rows must be >= 2, got {self.n_rows}")
+        require_count("n_rows", self.n_rows, 2)
         if not ctx.real(self.t1) > 0:
             raise ValidationError(f"t1 must be > 0, got {self.t1}")
         if not ctx.real(self.dt) > 0:
@@ -148,9 +148,8 @@ def _round_real(x, ctx: PrecisionContext):
 
 
 def _round_to_digits(z: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
-    """Round both components to exactly P significant decimal digits."""
-    mp = ctx._mp
-    return ComplexAP(*(mp.make_mpf(_round_real(ctx.real(v)._mpf_, ctx)) for v in (z.re, z.im)))
+    """Round both components, values of ctx, to exactly P significant decimal digits."""
+    return ComplexAP(*(ctx._mp.make_mpf(_round_real(v._mpf_, ctx)) for v in (z.re, z.im)))
 
 
 def _ladder(grid: list[ComplexAP], n_max: int, work: PrecisionContext):
@@ -204,15 +203,7 @@ def assemble_system(
     p = ctx.digits
     near_zero = 10.0 ** (-p / 4)
     work = working_context(ctx)
-    bits, prec, mp = frac_bits(work), ctx.prec_bits, ctx._mp
-
-    def entry(v):
-        """v / 2^F rounded to the context half to even, then to P digits."""
-        man, exp = _add(abs(v), -bits, 0, 0, prec)
-        tz = (man & -man).bit_length() - 1
-        raw = (int(v < 0), man >> tz, exp + tz, man.bit_length() - tz) if man else libmp.fzero
-        return mp.make_mpf(_round_real(raw, ctx))
-
+    bits, mp = frac_bits(work), ctx._mp
     n_max = max([n_coeffs, *(first_cutoff(s, p) for s in grid)])
     matrix, rhs = [], []
     for m, (s, (re, im)) in enumerate(zip(grid, _ladder(grid, n_max, work)), start=1):
@@ -224,7 +215,8 @@ def assemble_system(
                 f"{near_zero:.3e}; perturb the grid away from the zeta zero"
             )
         rhs.append(_round_to_digits(value, ctx))
-        matrix.append([ComplexAP(entry(re[n]), entry(im[n])) for n in range(1, n_coeffs + 1)])
+        entries = from_fixed_pairs(zip(re[1 : n_coeffs + 1], im[1 : n_coeffs + 1]), bits, ctx)
+        matrix.append([_round_to_digits(z, ctx) for z in entries])
     return matrix, rhs
 
 

@@ -11,10 +11,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import ValidationError
 from .oracle import chi
-from .powers import center, frac_bits, power_pair, require_s, to_fixed, weights
-from .precision import ComplexAP, PrecisionContext, _raw, from_fixed_pairs
+from .powers import N_TERMS_MAX, center, frac_bits, power_pair, require_s, to_fixed, weights
+from .precision import ComplexAP, PrecisionContext, _raw, from_fixed_pairs, require_count
 from .series import _require_off_axis, _require_scale
 
 DISPLAY_DIGITS = 20
@@ -34,8 +33,7 @@ def _partial_sums(s: ComplexAP, n_terms: int, ctx: PrecisionContext, factors, bi
     comes from the table of 1 - s, built in one sweep with that of s before
     chi(s) is taken, so the tables' checks on s come first.
     """
-    if n_terms < 1:
-        raise ValidationError(f"n_terms must be >= 1, got {n_terms}")
+    require_count("n_terms", n_terms, 1)
     _require_off_axis(s)
     frac = frac_bits(ctx)
     direct, mirror = power_pair(s, n_terms, ctx)
@@ -62,6 +60,7 @@ def raw_partial_sums(s: ComplexAP, n_terms: int, ctx: PrecisionContext) -> Spira
 def weighted_partial_sums(s: ComplexAP, b: float, n_terms: int, ctx: PrecisionContext) -> SpiralTrace:
     """Partial sums with each term damped by the generalized coefficient."""
     _require_scale(b)
+    require_count("n_terms", n_terms, 1, N_TERMS_MAX)  # before the weights list n_terms entries
     require_s(s)  # before the weights, whose head length reads |Im s| as a float
     head, w = weights(center(s, ctx), b, ctx, n_terms)
     factors = itertools.chain(itertools.repeat(1 << frac_bits(ctx), head), w)

@@ -288,8 +288,17 @@ class TestListPresets:
         assert len(blocks) == 14
         for block in blocks:
             lines = block.strip().splitlines()
-            pairs = dict(line.split(" = ", 1) for line in lines)
+            pairs = dict(line.removeprefix("# ").split(" = ", 1) for line in lines)
             assert "preset" in pairs and "figure" in pairs
+
+    def test_printed_block_runs_as_config(self, runner, tmp_path):
+        blocks = runner.invoke(main, ["list-presets"]).output.split("\n\n")
+        block = next(b for b in blocks if b.startswith("# preset = fig-eps-vs-b\n"))
+        stub = tmp_path / "fig-eps-vs-b.cfg"
+        stub.write_text(block)
+        cheap = ["--set", "t=100", "--set", "digits=20", "--output-dir", str(tmp_path / "out")]
+        result = runner.invoke(main, ["run", "fig-eps-vs-b", "--config", str(stub), *cheap])
+        assert result.exit_code == 0, result.output
 
 
 # every malformed number must surface as a validation error before any output

@@ -51,17 +51,17 @@ class TestPresetTable:
 
     def test_round_trip_as_config_stub(self, tmp_path):
         # every block `list-presets` prints feeds back through --config parsing
-        # and the override coercion to the preset's own defaults
+        # and the override coercion to the preset's own defaults; the preset
+        # and figure, which are not keys, are comments
         output = CliRunner().invoke(main, ["list-presets"]).output
         blocks = [block for block in output.split("\n\n") if block.strip()]
         entries = list_presets()
         assert len(blocks) == len(entries)
         for block, entry in zip(blocks, entries):
+            assert block.startswith(f"# preset = {entry['preset']}\n# figure = {entry['figure']}\n")
             stub = tmp_path / f"{entry['preset']}.cfg"
             stub.write_text(block)
             overrides = parse_config_file(stub)
-            assert overrides.pop("preset") == entry["preset"]
-            assert overrides.pop("figure") == entry["figure"]
             resolved = ExperimentConfig(preset=entry["preset"], overrides=overrides).resolved()
             for key, value in entry["parameters"].items():
                 if isinstance(value, tuple):

@@ -10,10 +10,15 @@ entries (past about 3.14e6 it raises before building any).
 import random
 import traceback
 
+import pytest
+
 from zetalab import PrecisionContext, chi, gamma, make_complex, zeta
 from zetalab.errors import NumericalError, ValidationError
+from zetalab.experiments import ExperimentConfig, run_preset
+from zetalab.oracle import bernoulli_even
 from zetalab.powers import power_table
 from zetalab.series import generalized_delta, truncation_length, weighted_zeta
+from zetalab.solver import GridSpec
 from zetalab.spiral import raw_partial_sums, weighted_partial_sums
 
 _EDGES = [
@@ -64,3 +69,31 @@ def test_only_package_errors_escape():
             where = traceback.format_exc().splitlines()[-1]
             escapes.append(f"{name} P={digits} s={s.re},{s.im} n={n} b={b}: {where}")
     assert not escapes, "\n".join(escapes[:10])
+
+
+_CTX = PrecisionContext(30)
+_S = make_complex("0.5", "100", _CTX)
+_GRID = {"sigma": "0.5", "t1": "10", "dt": "1", "n_rows": 3, "digits": 30}
+
+# (the argument the message must name, a call given a directory to write to)
+_MALFORMED_COUNTS = {
+    "context-float": ("digits", lambda out: PrecisionContext(15.5)),
+    "context-text": ("digits", lambda out: PrecisionContext("30")),
+    "context-none": ("digits", lambda out: PrecisionContext(None)),
+    "table-float": ("n_max", lambda out: power_table(_S, 10.5, _CTX)),
+    "table-bool": ("n_max", lambda out: power_table(_S, True, _CTX)),
+    "wzeta-text": ("n_terms", lambda out: weighted_zeta(_S, 1.0, "5", _CTX)),
+    "raw-float": ("n_terms", lambda out: raw_partial_sums(_S, 2.0, _CTX)),
+    "weighted-text": ("n_terms", lambda out: weighted_partial_sums(_S, 1.0, "5", _CTX)),
+    "grid-rows-text": ("n_rows", lambda out: GridSpec(**{**_GRID, "n_rows": "3"})),
+    "grid-rows-float": ("n_rows", lambda out: GridSpec(**{**_GRID, "n_rows": 3.0})),
+    "grid-digits-float": ("digits", lambda out: GridSpec(**{**_GRID, "digits": 15.5})),
+    "bernoulli-float": ("k", lambda out: bernoulli_even(1.5)),
+    "jobs-bool": ("jobs", lambda out: run_preset(ExperimentConfig("fig-eps-vs-b", {}), out, jobs=True)),
+}
+
+
+@pytest.mark.parametrize("name,call", _MALFORMED_COUNTS.values(), ids=_MALFORMED_COUNTS)
+def test_count_that_is_no_integer_is_a_validation_error(tmp_path, name, call):
+    with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+        call(tmp_path)

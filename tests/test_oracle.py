@@ -383,9 +383,11 @@ class TestCutoff:
         ctx = PrecisionContext(30)
         work = oracle.working_context(ctx)
         s = make_complex("0.5", "20000", ctx)
-        cutoff = min(timeit.repeat(lambda: oracle.first_cutoff(s, 30), number=200, repeat=5)) / 200
-        head = min(timeit.repeat(lambda: mpmath_power_table(s, 1000, work), number=1, repeat=5)) / 1000
-        assert cutoff <= 2 * head
+        cutoff, head = [], []
+        for _ in range(20):  # round by round, so a burst of load on the host slows both sides
+            cutoff.append(timeit.timeit(lambda: oracle.first_cutoff(s, 30), number=200) / 200)
+            head.append(timeit.timeit(lambda: mpmath_power_table(s, 1000, work), number=1) / 1000)
+        assert min(cutoff) <= 2 * min(head)
 
 
 class TestLeftHalfPlane:

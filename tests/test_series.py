@@ -246,6 +246,14 @@ class TestCalibration:
         with pytest.raises(ValidationError):
             calibrate_b(s, ctx30, bracket=(1.0, 0.5))
 
+    @pytest.mark.parametrize(
+        "bracket", [(0.1,), (0.1, 1.0, 10.0), ("0.1", "100")], ids=["one", "three", "text"]
+    )
+    def test_bracket_must_be_two_real_numbers(self, ctx30, bracket):
+        s = make_complex("0.5", "300", ctx30)
+        with pytest.raises(ValidationError, match="bracket must satisfy 0 < lo < hi for reals"):
+            calibrate_b(s, ctx30, bracket=bracket)
+
     def test_bracket_ratio_must_be_finite(self, ctx30):
         # 5/1e-320 overflows to inf, which put every coarse point past the first at b = inf
         s = make_complex("0.5", "300", ctx30)
@@ -353,6 +361,10 @@ class TestPowerLawFit:
         # one repeated t is enough
         with pytest.raises(NumericalError, match="fit abscissas must be distinct"):
             fit_power_law([(100.0, 1.0), (100.0, 2.0), (300.0, 3.0)])
+        # a NaN passes a y <= 0 test
+        for samples in ([(1.0, math.nan), (2.0, 3.0)], [(math.inf, 1.0), (2.0, 3.0)]):
+            with pytest.raises(NumericalError, match="power-law fit requires finite values"):
+                fit_power_law(samples)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -384,6 +396,8 @@ class TestSigmaDependenceFit:
         # the mean of three 0.1 is not 0.1
         with pytest.raises(NumericalError, match="fit abscissas must be distinct"):
             fit_sigma_dependence([(0.1, 1.0), (0.1, 2.0), (0.1, 3.0)])
+        with pytest.raises(NumericalError, match=r"sigma-dependence fit .* got \(0\.5, inf\)"):
+            fit_sigma_dependence([(0.1, 1.0), (0.5, math.inf), (0.9, 2.0)])
 
     def test_non_positive_reported_with_sample(self):
         with pytest.raises(NumericalError, match=r"requires positive values, got \(0\.5, 0\.0\)"):
