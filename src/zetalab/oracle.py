@@ -38,7 +38,7 @@ from mpmath import libmp
 
 from .errors import NumericalError, ValidationError
 from .powers import N_TERMS_MAX, frac_bits, from_fixed, head_sum, require_s, to_fixed
-from .precision import ComplexAP, PrecisionContext, _raw, _wrap, require_count
+from .precision import ComplexAP, PrecisionContext, _raw, _wrap, require_complex, require_count
 
 _ORACLE_GUARD = 10
 REFLECT_BELOW = -0.5  # zeta(s) is chi(s) zeta(1 - s) for Re s below this
@@ -295,9 +295,9 @@ def zeta(s: ComplexAP, ctx: PrecisionContext, head=None) -> OracleResult:
     by up to hundreds of digits, so zeta reflects (_reflected), head unread,
     and terms_used and correction_order are those of the passes at 1 - s.
     """
+    require_s(s)
     if s.im == 0 and s.re == 1:
         raise NumericalError("zeta has a pole at s = 1")
-    require_s(s)
 
     # the passes run for |Im s| and the value is conjugated back
     conjugate = s.im < 0
@@ -316,6 +316,7 @@ def zeta(s: ComplexAP, ctx: PrecisionContext, head=None) -> OracleResult:
 
 def gamma(s: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
     """gamma(s) to the digit budget; poles at non-positive integers."""
+    require_complex("s", s)
     if s.im == 0 and s.re <= 0 and ctx._mp.isint(s.re):
         raise NumericalError(f"gamma has a pole at s = {s.re}")
     work = working_context(ctx)
@@ -325,9 +326,10 @@ def gamma(s: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
 def chi(s: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
     """chi(s) = 2^s pi^(s-1) sin(pi s / 2) gamma(1 - s), from _chi_wide, rounded to ctx.
 
-    Integer s (a zero/pole degeneracy of the product form) and s outside
-    powers.require_s's band are rejected; zeta(s) = chi(s) zeta(1-s) where defined.
+    Integer s (a zero/pole degeneracy of the product form, tested first) and s
+    outside powers.require_s's band are rejected; zeta(s) = chi(s) zeta(1-s) where defined.
     """
+    require_complex("s", s)
     if s.im == 0 and ctx._mp.isint(s.re):
         raise NumericalError(f"chi product form degenerates at integer s = {s.re}")
     require_s(s)

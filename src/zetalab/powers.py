@@ -47,7 +47,8 @@ from dataclasses import dataclass
 from mpmath import libmp
 
 from .errors import ValidationError
-from .precision import ComplexAP, PrecisionContext, _raw, _wrap, from_fixed_pairs, require_count
+from .precision import ComplexAP, PrecisionContext, _raw, _wrap, from_fixed_pairs, require_complex
+from .precision import require_count
 
 _EXTRA_BITS = 16
 N_TERMS_MAX = 10**6  # the most terms a power table, and so a sum, spiral or zeta head, may hold
@@ -335,7 +336,8 @@ def _prime_entries(parts: list, sieve: tuple, n_max: int, t, bits: int):
 
 
 def require_s(s: ComplexAP) -> None:
-    """Reject Re s outside [-RE_S_MAX, RE_S_MAX + 1] or |Im s| past IM_S_MAX with a ValidationError."""
+    """ValidationError unless s is a ComplexAP, Re s in [-RE_S_MAX, RE_S_MAX + 1], |Im s| <= IM_S_MAX."""
+    require_complex("s", s)
     sigma, t = float(s.re), abs(float(s.im))
     if not -RE_S_MAX <= sigma <= RE_S_MAX + 1:
         raise ValidationError(f"Re s = {sigma:g} lies outside [-{RE_S_MAX}, {RE_S_MAX + 1}]")

@@ -13,20 +13,21 @@ PrecisionContext(15).real(1)/3 + PrecisionContext(100).real(1)/3 is an
 82-bit mpf and the swapped sum a 365-bit one.  sigmoid.fit_residual relies
 on this to add P-digit coefficients into a 40-digit sum.
 Public functions take and return ComplexAP, a finite-checked value; _raw
-and _wrap carry it to and from the context's mpc.  The heavy loops build
-values from Python integers and libmp raw tuples (from_fixed_pairs, which
-powers.from_fixed, the spiral points and solver.assemble_system's entries
-take, and solver._eliminate); from_fixed_pairs skips the finite check, as
-its ints are finite.  make_complex reads a ComplexAP from text or numbers
-and to_string writes it.  Contexts and ComplexAP values are immutable and
-safe to share across threads; the caches in powers and oracle fill lazily,
-and concurrent fills write equal entries.
+and _wrap carry it to and from the context's mpc; require_count, require_real
+and require_complex check arguments.  The heavy loops build values from Python
+integers and libmp raw tuples (from_fixed_pairs, which powers.from_fixed, the
+spiral points and solver.assemble_system's entries take, and solver._eliminate);
+from_fixed_pairs skips the finite check, as its ints are finite.  make_complex
+reads a ComplexAP from text or numbers and to_string writes it.  Contexts and
+ComplexAP values are immutable and safe to share across threads; the caches
+in powers and oracle fill lazily, and concurrent fills write equal entries.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import mpmath
@@ -40,7 +41,9 @@ _LOG2_10 = math.log2(10)
 _GUARD_BITS = 32
 
 MIN_DIGITS = 15
+MAX_DIGITS = 10**6  # far past the presets' 1000; keeps digits * log2(10) a float
 _NON_FINITE = (fnan, finf, fninf)  # the raw mpf values that mpmath's isnan and isinf accept
+_DOUBLE_LIMIT = 2**1024  # past every finite double; named, as Python recomputes 2**1024 per use
 
 
 def require_count(name: str, value, least: int, most: int | None = None) -> None:
@@ -51,6 +54,25 @@ def require_count(name: str, value, least: int, most: int | None = None) -> None
         raise ValidationError(f"{name} must be >= {least}, got {value}")
     if most is not None and value > most:
         raise ValidationError(f"{name} must be <= {most}, got {value}")
+
+
+def require_real(name: str, value, above=None):
+    """value if a finite numbers.Real, not a bool, > above if given, else a ValidationError naming
+    `name`.  An mpf is finite unless NaN or infinite; any other real lies in the double range."""
+    if not isinstance(value, (float, int, numbers.Real)) or isinstance(value, bool):  # ABC last (slow)
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    if above is not None and not value > above:
+        raise ValidationError(f"{name} must be > {above}, got {value}")
+    raw = getattr(value, "_mpf_", None)
+    if not (abs(value) < _DOUBLE_LIMIT if raw is None else raw not in _NON_FINITE):
+        raise ValidationError(f"not a finite number: {value} ({name})")
+    return value
+
+
+def require_complex(name: str, value) -> None:
+    """ValidationError naming `name` unless value is a ComplexAP."""
+    if not isinstance(value, ComplexAP):
+        raise ValidationError(f"{name} must be a ComplexAP, got {value!r}")
 
 
 @functools.cache
@@ -75,7 +97,7 @@ class PrecisionContext:
     _mp: MPContext = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        require_count("digits", self.digits, MIN_DIGITS)
+        require_count("digits", self.digits, MIN_DIGITS, MAX_DIGITS)
         prec = math.ceil(self.digits * _LOG2_10) + _GUARD_BITS
         object.__setattr__(self, "prec_bits", prec)
         object.__setattr__(self, "_mp", _mp_context(prec))
@@ -113,13 +135,9 @@ class ComplexAP:
         return ComplexAP(self.re, -self.im)
 
 
-def make_complex(re, im, ctx: PrecisionContext) -> ComplexAP:
+def make_complex(re: float | str, im: float | str, ctx: PrecisionContext) -> ComplexAP:
     """A ComplexAP from int/float/str/mpf components; NaN or infinity is invalid input."""
-    parts = ctx.real(re), ctx.real(im)
-    for part in parts:
-        if not mpmath.isfinite(part):
-            raise ValidationError(f"not a finite number: {part}")
-    return ComplexAP(*parts)
+    return ComplexAP(require_real("re", ctx.real(re)), require_real("im", ctx.real(im)))
 
 
 def _raw(z: ComplexAP, ctx: PrecisionContext):
@@ -170,8 +188,8 @@ def from_fixed_pairs(pairs, bits: int, ctx: PrecisionContext) -> list[ComplexAP]
 
 def power_term(n: int, s: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
     """n^(-s) for a positive integer n, computed as exp(-s * ln n)."""
-    if n < 1:
-        raise ValidationError(f"power_term needs n >= 1, got {n}")
+    require_complex("s", s)
+    require_count("n", n, 1)
     mp = ctx._mp
     return _wrap(mp.exp(-mp.mpc(s.re, s.im) * mp.ln(mp.mpf(n))))
 
@@ -183,6 +201,7 @@ def _format_real(x, digits: int) -> str:
 
 def to_string(z: ComplexAP, ctx: PrecisionContext) -> str:
     """Serialize as "re+im i" / "re-im i" with exactly P significant digits."""
+    require_complex("z", z)
     digits = ctx.digits
     re_s = _format_real(ctx.real(z.re), digits)
     im_val = ctx.real(z.im)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 
@@ -23,7 +22,7 @@ from .errors import NumericalError, ValidationError
 from .oracle import zeta
 from .powers import N_TERMS_MAX, PowerTable, _exp_at, center, frac_bits, from_fixed, power_table
 from .powers import require_s, weights
-from .precision import ComplexAP, PrecisionContext, _raw, require_count
+from .precision import ComplexAP, PrecisionContext, _raw, require_count, require_real
 
 DEFAULT_BRACKET = (0.1, 100.0)
 CALIBRATION_DIGITS = 30
@@ -33,13 +32,9 @@ _GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0  # Brent's golden-section step, a share o
 
 
 def _require_off_axis(s: ComplexAP):
+    require_s(s)
     if s.im == 0:
         raise NumericalError("generalized coefficients are undefined for Im s = 0")
-
-
-def _require_scale(b: float):
-    if not b > 0:
-        raise ValidationError(f"scale must be > 0, got {b}")
 
 
 def generalized_delta(n: int, s: ComplexAP, b: float, ctx: PrecisionContext):
@@ -52,10 +47,9 @@ def generalized_delta(n: int, s: ComplexAP, b: float, ctx: PrecisionContext):
     its relative precision there: 4.95e-67 at n = 400, b = 1, s = 0.5 + 777i,
     P = 30, where w_n is 0.
     """
-    if n < 1:
-        raise ValidationError(f"term index must be >= 1, got {n}")
     _require_off_axis(s)
-    _require_scale(b)
+    require_count("n", n, 1)
+    require_real("scale", b, above=0)
     mp = ctx._mp
     return 1 / (1 + mp.make_mpf(_exp_at(n, center(s, ctx)._mpf_, mp.mpf(b)._mpf_, ctx.prec_bits)))
 
@@ -66,7 +60,7 @@ def tail_tolerance(ctx: PrecisionContext):
     return eps if eps > 0 else ctx._mp.mpf(10) ** (-ctx.digits)
 
 
-def truncation_length(s: ComplexAP, b: float, tail_eps) -> int:
+def truncation_length(s: ComplexAP, b: float, tail_eps: float) -> int:
     """Smallest N with weight(N) * N^(-sigma) < tail_eps, floored at ceil(t/pi)+1.
 
     tail_eps may be an mpf below the double range.  The test runs in log-domain
@@ -76,11 +70,9 @@ def truncation_length(s: ComplexAP, b: float, tail_eps) -> int:
     test flips once past a failing floor, so bisect finds the first N there.  An N
     past N_TERMS_MAX, or s outside powers.require_s's band, is a ValidationError.
     """
-    require_s(s)
     _require_off_axis(s)
-    _require_scale(b)
-    if not tail_eps > 0:
-        raise ValidationError("tail_eps must be > 0")
+    require_real("scale", b, above=0)
+    require_real("tail_eps", tail_eps, above=0)
     sigma = float(s.re)
     c = abs(float(s.im)) / math.pi
     floor_n = math.ceil(c) + 1
@@ -109,9 +101,9 @@ def weighted_zeta(
     rounding.  One sum over its packed entries gives both parts; the leading
     `head` terms have w_n = 2^F, so their entries are summed as they are.
     """
-    require_count("n_terms", n_terms, 1)
     _require_off_axis(s)
-    _require_scale(b)
+    require_count("n_terms", n_terms, 1)
+    require_real("scale", b, above=0)
     if powers is None:
         powers = power_table(s, n_terms, ctx)
     if n_terms >= len(powers.re):
@@ -148,10 +140,11 @@ def calibrate_b(
     endpoint raises NumericalError: widen the bracket.
     """
     _require_off_axis(s)
-    pair = isinstance(bracket, (tuple, list)) and len(bracket) == 2
-    lo, hi = bracket if pair and all(isinstance(v, numbers.Real) for v in bracket) else (0, 0)
-    if not (0 < lo < hi and math.isfinite(hi / lo)):
-        raise ValidationError(f"bracket must satisfy 0 < lo < hi for reals with hi/lo finite, got {bracket}")
+    lo, hi = bracket if isinstance(bracket, (tuple, list)) and len(bracket) == 2 else (None, None)
+    try:
+        require_real("hi/lo", float(require_real("hi", hi) / require_real("lo", lo, above=0)), above=1)
+    except ValidationError:
+        raise ValidationError(f"bracket must satisfy 0 < lo < hi for reals with hi/lo finite, got {bracket}") from None
     eps = tail_tolerance(ctx)
 
     reference = _raw(zeta(s, ctx).value, ctx)
@@ -234,11 +227,13 @@ def _ols(
     Repeated abscissas are rejected outright: the rounded mean of equal
     values need not equal them, so their spread would come out tiny, not 0.
     """
-    if len(samples) < min_count:
-        raise ValidationError(f"{name} fit needs at least {min_count} samples")
-    for x, y in samples:
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise NumericalError(f"{name} fit requires finite values, got {(x, y)!r}")
+    if not isinstance(samples, (tuple, list)) or len(samples) < min_count:
+        raise ValidationError(f"{name} fit needs a list of at least {min_count} samples")
+    for sample in samples:
+        pair = tuple(sample) if isinstance(sample, (tuple, list)) and len(sample) == 2 else (sample, None)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in pair):  # a failed computation
+            raise NumericalError(f"{name} fit requires finite values, got {pair!r}")
+        x, y = (require_real(f"{name} fit sample {sample!r}", v) for v in pair)
         if y <= 0 or log_x and x <= 0:
             raise NumericalError(f"log-domain fit requires positive values, got {(x, y)!r}")
     xs = [math.log(x) if log_x else float(x) for x, _ in samples]
@@ -246,7 +241,10 @@ def _ols(
     n = len(xs)
     mean_x = sum(xs) / n
     mean_y = sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
+    try:
+        sxx = sum((x - mean_x) ** 2 for x in xs)
+    except OverflowError:
+        raise NumericalError(f"{name} fit: the abscissas' spread overflows a double") from None
     if sxx == 0 or len(set(xs)) < n:
         raise NumericalError("fit abscissas must be distinct")
     sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))

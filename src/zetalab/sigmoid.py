@@ -12,8 +12,9 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from .errors import NumericalError, ValidationError
-from .precision import PrecisionContext
+from .errors import NumericalError
+from .powers import N_TERMS_MAX
+from .precision import PrecisionContext, require_count, require_real
 from .solver import CoefficientSet, half_crossing
 
 _EXP_SATURATION = 700.0  # beyond this exp over/underflows double precision
@@ -26,13 +27,13 @@ class SigmoidFit:
     residual: float | None = None
 
     def __post_init__(self):
-        if not self.b_param > 0:
-            raise ValidationError(f"sigmoid scale must be > 0, got {self.b_param}")
+        require_real("sigmoid center", self.a_param)
+        require_real("sigmoid scale", self.b_param, above=0)
 
 
 def sigmoid_eval(n: float, fit: SigmoidFit) -> float:
     """Model value at index n; saturates to 0/1 outside the exp range."""
-    x = (n - fit.a_param) / fit.b_param
+    x = (require_real("n", n) - fit.a_param) / fit.b_param
     if x > _EXP_SATURATION:
         return 0.0
     return 1.0 / (1.0 + math.exp(x))
@@ -40,7 +41,8 @@ def sigmoid_eval(n: float, fit: SigmoidFit) -> float:
 
 def scale_from_formula(n_hat_star: float, n_coeffs: int) -> float:
     """B = sqrt(n* - 2N/pi); below the floor no valid scale exists."""
-    radicand = n_hat_star - 2.0 * n_coeffs / math.pi
+    require_count("n_coeffs", n_coeffs, 1, N_TERMS_MAX)
+    radicand = require_real("n_hat_star", n_hat_star) - 2.0 * n_coeffs / math.pi
     if radicand <= 0:
         raise NumericalError(
             f"n* = {n_hat_star} is at or below the minimum 2N/pi = {2.0 * n_coeffs / math.pi:.6f}"

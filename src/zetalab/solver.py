@@ -32,7 +32,7 @@ from mpmath import libmp, mpf
 from .errors import NumericalError, ValidationError
 from .oracle import first_cutoff, working_context, zeta
 from .powers import frac_bits, power_table
-from .precision import from_fixed_pairs, require_count
+from .precision import from_fixed_pairs, require_count, require_real
 
 # power_term has no caller here; the benchmark tracer still patches this name
 from .precision import ComplexAP, PrecisionContext, _format_real, _wrap, power_term  # noqa: F401
@@ -57,15 +57,11 @@ class GridSpec:
     digits: int
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", str(self.sigma))
-        object.__setattr__(self, "t1", str(self.t1))
-        object.__setattr__(self, "dt", str(self.dt))
         ctx = PrecisionContext(self.digits)
         require_count("n_rows", self.n_rows, 2)
-        if not ctx.real(self.t1) > 0:
-            raise ValidationError(f"t1 must be > 0, got {self.t1}")
-        if not ctx.real(self.dt) > 0:
-            raise ValidationError(f"dt must be > 0, got {self.dt}")
+        for key, above in (("sigma", None), ("t1", 0), ("dt", 0)):
+            object.__setattr__(self, key, str(getattr(self, key)))
+            require_real(key, ctx.real(getattr(self, key)), above)
 
     @property
     def max_ordinate(self) -> float:
@@ -200,6 +196,7 @@ def assemble_system(
     too close to a zeta zero (|zeta(s_m)| <= 10^(-P/4)); the caller must
     perturb the grid.
     """
+    require_count("n_coeffs", n_coeffs, 1)
     p = ctx.digits
     near_zero = 10.0 ** (-p / 4)
     work = working_context(ctx)

@@ -12,9 +12,9 @@ import itertools
 from dataclasses import dataclass
 
 from .oracle import chi
-from .powers import N_TERMS_MAX, center, frac_bits, power_pair, require_s, to_fixed, weights
-from .precision import ComplexAP, PrecisionContext, _raw, from_fixed_pairs, require_count
-from .series import _require_off_axis, _require_scale
+from .powers import N_TERMS_MAX, center, frac_bits, power_pair, to_fixed, weights
+from .precision import ComplexAP, PrecisionContext, _raw, from_fixed_pairs, require_count, require_real
+from .series import _require_off_axis
 
 DISPLAY_DIGITS = 20
 
@@ -33,8 +33,8 @@ def _partial_sums(s: ComplexAP, n_terms: int, ctx: PrecisionContext, factors, bi
     comes from the table of 1 - s, built in one sweep with that of s before
     chi(s) is taken, so the tables' checks on s come first.
     """
-    require_count("n_terms", n_terms, 1)
     _require_off_axis(s)
+    require_count("n_terms", n_terms, 1)
     frac = frac_bits(ctx)
     direct, mirror = power_pair(s, n_terms, ctx)
     chi_s = _raw(chi(s, ctx), ctx)
@@ -59,9 +59,9 @@ def raw_partial_sums(s: ComplexAP, n_terms: int, ctx: PrecisionContext) -> Spira
 
 def weighted_partial_sums(s: ComplexAP, b: float, n_terms: int, ctx: PrecisionContext) -> SpiralTrace:
     """Partial sums with each term damped by the generalized coefficient."""
-    _require_scale(b)
+    _require_off_axis(s)  # before the weights, whose head length reads |Im s| as a float
+    require_real("scale", b, above=0)
     require_count("n_terms", n_terms, 1, N_TERMS_MAX)  # before the weights list n_terms entries
-    require_s(s)  # before the weights, whose head length reads |Im s| as a float
     head, w = weights(center(s, ctx), b, ctx, n_terms)
     factors = itertools.chain(itertools.repeat(1 << frac_bits(ctx), head), w)
     points = _partial_sums(s, n_terms, ctx, factors, 3 * frac_bits(ctx))

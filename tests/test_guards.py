@@ -8,10 +8,11 @@ scan's ends out of a calibration's trace, so the trace layout it assumes is
 checked too.  The preset parameter schema is guarded against keys it does
 not declare, declarations no preset uses, and a README key table that
 drifts from it.  README's Library example may import only public names, and
-it must run, so an API change cannot leave it broken.  No linter is
-installed, so a module that imports a name it never reads fails here.  A
-CLI start loads neither concurrent.futures nor logging, which only a worker
-pool needs.
+it must run, so an API change cannot leave it broken.  Only precision.py words
+a check of a scalar's sign or finiteness, so no module hand-rolls one beside
+require_count and require_real.  No linter is installed, so a module that
+imports a name it never reads fails here.  A CLI start loads neither
+concurrent.futures nor logging, which only a worker pool needs.
 """
 
 import ast
@@ -154,3 +155,15 @@ def test_cli_import_loads_no_pool_modules():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert (out.returncode, out.stdout.strip()) == (0, "[]"), out.stderr
+
+
+def test_only_precision_checks_a_scalar_by_hand():
+    pattern = re.compile(r"must be (> |>= |finite)|not a finite number")
+    hits = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(Path(zetalab.__file__).parent.glob("*.py"))
+        if path.name != "precision.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if pattern.search(line)
+    ]
+    assert hits == [], "route the check through precision.require_count or require_real"
