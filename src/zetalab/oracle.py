@@ -37,8 +37,9 @@ from fractions import Fraction
 from mpmath import libmp
 
 from .errors import NumericalError, ValidationError
-from .powers import N_TERMS_MAX, frac_bits, from_fixed, head_sum, require_s, to_fixed
-from .precision import ComplexAP, PrecisionContext, _raw, _wrap, require_complex, require_count
+from .powers import N_TERMS_MAX, frac_bits, head_sum, require_s
+from .precision import ComplexAP, PrecisionContext, _raw, _wrap, from_fixed_pairs, require_complex
+from .precision import require_count, to_fixed
 
 _ORACLE_GUARD = 10
 REFLECT_BELOW = -0.5  # zeta(s) is chi(s) zeta(1 - s) for Re s below this
@@ -236,10 +237,10 @@ def _euler_maclaurin(
     corr_re = ((c_re * l_re - c_im * l_im) >> fbits) // n0
     corr_im = ((c_re * l_im + c_im * l_re) >> fbits) // n0
     re, im = 2 * (head_re + corr_re) - l_re, 2 * (head_im + corr_im) - l_im
-    n_pow_ms = _raw(from_fixed(l_re, l_im, bits, work), work)
+    n_pow_ms = _raw(from_fixed_pairs([(l_re, l_im)], bits, work)[0], work)
     if n0 > abs(sw - 1) * 2 ** (bits - work.prec_bits):  # the tail's N0/|s-1| outgrows F's guard bits
         n_pow_ms = work._mp.exp(-sw * work._mp.ln(n0))
-    total = _raw(from_fixed(re, im, bits + 1, work), work) + n_pow_ms * n0 / (sw - 1)
+    total = _raw(from_fixed_pairs([(re, im)], bits + 1, work)[0], work) + n_pow_ms * n0 / (sw - 1)
     return total, order, certified
 
 

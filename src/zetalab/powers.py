@@ -7,8 +7,9 @@ smallest prime factor's entry and its cofactor's.  At a prime, an integer
 kernel gives the entry that mpmath's ln and exp would (_prime_entries).  The
 table is built for |Im s| and conjugated when Im s < 0, so s and its conjugate
 give exactly conjugate sums.  power_table serves the weighted sums and the grid
-ladder; head_sum, zeta's Euler-Maclaurin head, builds only the entries prime to
-30 and the 5-smooth ones.  A spiral needs the tables of s and 1 - s, which share
+ladder (power_ladder: each grid row the row before times n^(-i dt)); head_sum,
+zeta's Euler-Maclaurin head, builds only the entries prime to 30 and the
+5-smooth ones.  A spiral needs the tables of s and 1 - s, which share
 |Im s|: power_pair builds both in one sweep of the primes, with ln p and the phase
 of p^(-it) taken once per prime and only the magnitude p^(-sigma), the product
 and the rounding test per table; each entry is the one power_table gives, and
@@ -47,8 +48,7 @@ from dataclasses import dataclass
 from mpmath import libmp
 
 from .errors import ValidationError
-from .precision import ComplexAP, PrecisionContext, _raw, _wrap, from_fixed_pairs, require_complex
-from .precision import require_count
+from .precision import ComplexAP, PrecisionContext, _raw, _wrap, require_complex, require_count, to_fixed
 
 _EXTRA_BITS = 16
 N_TERMS_MAX = 10**6  # the most terms a power table, and so a sum, spiral or zeta head, may hold
@@ -137,16 +137,6 @@ class PowerTable:
         < 2^(K-1), so one sum of w_n pk[n] holds both parts apart (Kronecker substitution)."""
         k = max(map(abs, self.im)).bit_length() + frac_bits(self.ctx) + len(self.im).bit_length() + 1
         return k, [(r << k) + i for r, i in zip(self.re, self.im)]
-
-
-def to_fixed(x, bits: int) -> int:
-    """round(x * 2^bits) for a raw mpf tuple x."""
-    return libmp.to_int(libmp.mpf_shift(x, bits), _RND)
-
-
-def from_fixed(re: int, im: int, bits: int, ctx: PrecisionContext) -> ComplexAP:
-    """(re + i im) / 2^bits rounded to the context's precision, as libmp.from_man_exp rounds it."""
-    return from_fixed_pairs(((re, im),), bits, ctx)[0]
 
 
 _SIEVE = ([0, 1], [])  # (spf, primes) of the largest request so far; callers only read them
@@ -257,8 +247,9 @@ def _prime_entries(parts: list, sieve: tuple, n_max: int, t, bits: int):
     sq, frac_mask, tail_mask, level_mask = one * one, one - 1, (1 << mid_shift) - 1, (1 << _LEVEL_BITS) - 1
     down, drop = 2 * w - h, 2 * h - bits - 24
     kexp, klim, edge_mask, mid = _KERNEL_EXP, 2.0**_KERNEL_EXP, (1 << 24) - 1, 1 << 23
-    # ln p at W = h + 96 >= w (w - h <= 75 within the library's limits), shared by every
-    # call of that W: within 2p (W/4 + 5) units of 2^-W, so shifted to w, within the bound above
+    # ln p at W = max(h + 96, w), shared by every call of that W: within 2p (W/4 + 5) units of
+    # 2^-W, so shifted to w, within the bound above.  W = h + 96 for the presets' |t| <= 1e6
+    # (w - h <= 75) and for short tables to |t| ~ 1e19; w passes it beyond (h + 1,027 at 1e300)
     logs = _prime_logs(width := max(h + 96, w))
     log, isqrt, ldexp = math.log, math.isqrt, math.ldexp
     live = True  # some part's e < _KERNEL_EXP; e never falls as p grows, so once none is, none will be
@@ -387,6 +378,42 @@ def power_pair(s: ComplexAP, n_max: int, ctx: PrecisionContext) -> tuple[PowerTa
     """power_table of s and of 1 - s (rounded to ctx), both from one prime sweep at |Im s|."""
     direct, mirror = _tables([s, _wrap(1 - _raw(s, ctx))], n_max, ctx)
     return direct, mirror
+
+
+def power_ladder(grid: list[ComplexAP], n_max: int, work: PrecisionContext):
+    """Yield n^(-s_m) for n = 1..n_max, for each grid point in turn, as int lists
+    (re, im) at frac_bits(work), index 0 holding 0.  One row is alive at a time.
+
+    Row m is row m-1 times the node x_n = n^(-i dt), dt = t_2 - t_1, products
+    rounded as power_table rounds its composites.  solver.build_grid's ordinates
+    step by exactly dt below its 2^33 bound; a row with another sigma, or a
+    step other than dt, restarts from its own table.  The row and node tables
+    are power tables at work's precision.  A grid that starts below the real
+    axis is run mirrored and its rows conjugated, so conjugate grids give
+    exactly conjugate rows.
+    """
+    bits, mp = frac_bits(work), work._mp
+    half = 1 << (bits - 1)
+    flip = bool(grid) and grid[0].im < 0
+    dt = node = prev = None
+    for s in grid:
+        if flip:
+            s = s.conjugate()
+        sigma, t = mp.mpf(s.re)._mpf_, mp.mpf(s.im)._mpf_
+        step = libmp.mpf_sub(t, prev[1]) if prev and sigma == prev[0] else None
+        if step is not None and dt is None:
+            dt = libmp.mpf_sub(t, prev[1], work.prec_bits, _RND)
+            node = power_table(ComplexAP(mp.zero, mp.make_mpf(dt)), n_max, work)
+        if step is None or step != dt:
+            table = power_table(s, n_max, work)
+            re, im = table.re, table.im
+        else:
+            re, im = (
+                [(a * c - b * d + half) >> bits for a, b, c, d in zip(re, im, node.re, node.im)],
+                [(a * d + b * c + half) >> bits for a, b, c, d in zip(re, im, node.re, node.im)],
+            )
+        prev = sigma, t
+        yield (re, [-v for v in im]) if flip else (re, im)
 
 
 def head_sum(s: ComplexAP, n0: int, ctx: PrecisionContext) -> tuple[int, int, int, int]:

@@ -14,13 +14,15 @@ PrecisionContext(15).real(1)/3 + PrecisionContext(100).real(1)/3 is an
 on this to add P-digit coefficients into a 40-digit sum.
 Public functions take and return ComplexAP, a finite-checked value; _raw
 and _wrap carry it to and from the context's mpc; require_count, require_real
-and require_complex check arguments.  The heavy loops build values from Python
-integers and libmp raw tuples (from_fixed_pairs, which powers.from_fixed, the
-spiral points and solver.assemble_system's entries take, and solver._eliminate);
-from_fixed_pairs skips the finite check, as its ints are finite.  make_complex
-reads a ComplexAP from text or numbers and to_string writes it.  Contexts and
-ComplexAP values are immutable and safe to share across threads; the caches
-in powers and oracle fill lazily, and concurrent fills write equal entries.
+and require_complex check arguments and write what they reject through shown.
+The heavy loops run on fixed-point ints: to_fixed rounds a raw mpf to one, and
+from_fixed_pairs turns int pairs back into ComplexAP values (zeta, the weighted
+sums, the spiral points, the grid's entries), skipping the finite check, as
+ints are finite.  make_complex reads a ComplexAP from text or numbers and
+to_string writes its P digits, whose value round_to_digits gives in integers.
+Contexts and ComplexAP values are immutable and safe to share across threads;
+the caches in powers and oracle fill lazily, and concurrent fills write equal
+entries.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ import numbers
 from dataclasses import dataclass, field
 
 import mpmath
+from mpmath import libmp
 from mpmath.ctx_mp import MPContext
-from mpmath.libmp import finf, fnan, fninf
-from mpmath.libmp import to_str as _mpf_to_str
 
 from .errors import NumericalError, ValidationError
 
@@ -42,37 +43,50 @@ _GUARD_BITS = 32
 
 MIN_DIGITS = 15
 MAX_DIGITS = 10**6  # far past the presets' 1000; keeps digits * log2(10) a float
-_NON_FINITE = (fnan, finf, fninf)  # the raw mpf values that mpmath's isnan and isinf accept
+_NON_FINITE = (libmp.fnan, libmp.finf, libmp.fninf)  # the raw mpfs mpmath's isnan and isinf accept
 _DOUBLE_LIMIT = 2**1024  # past every finite double; named, as Python recomputes 2**1024 per use
+_RND = libmp.round_nearest
+
+
+def shown(value, text=repr) -> str:
+    """text(value) for an error message, an int past the double range shown by its bit length,
+    also in a tuple or list that text cannot write: str() of an int past 4,300 digits raises."""
+    if isinstance(value, int) and abs(value) >= _DOUBLE_LIMIT:
+        return f"<int of {value.bit_length()} bits>"
+    try:
+        return text(value)
+    except ValueError:
+        inner = ", ".join(map(shown, value))
+        return f"[{inner}]" if isinstance(value, list) else f"({inner})"
 
 
 def require_count(name: str, value, least: int, most: int | None = None) -> None:
     """ValidationError naming `name` unless value is an int, not a bool, in [least, most]."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+        raise ValidationError(f"{name} must be an integer, got {shown(value)}")
     if value < least:
-        raise ValidationError(f"{name} must be >= {least}, got {value}")
+        raise ValidationError(f"{name} must be >= {least}, got {shown(value, str)}")
     if most is not None and value > most:
-        raise ValidationError(f"{name} must be <= {most}, got {value}")
+        raise ValidationError(f"{name} must be <= {most}, got {shown(value, str)}")
 
 
 def require_real(name: str, value, above=None):
     """value if a finite numbers.Real, not a bool, > above if given, else a ValidationError naming
     `name`.  An mpf is finite unless NaN or infinite; any other real lies in the double range."""
     if not isinstance(value, (float, int, numbers.Real)) or isinstance(value, bool):  # ABC last (slow)
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
+        raise ValidationError(f"{name} must be a real number, got {shown(value)}")
     if above is not None and not value > above:
-        raise ValidationError(f"{name} must be > {above}, got {value}")
+        raise ValidationError(f"{name} must be > {above}, got {shown(value, str)}")
     raw = getattr(value, "_mpf_", None)
     if not (abs(value) < _DOUBLE_LIMIT if raw is None else raw not in _NON_FINITE):
-        raise ValidationError(f"not a finite number: {value} ({name})")
+        raise ValidationError(f"not a finite number: {shown(value, str)} ({name})")
     return value
 
 
 def require_complex(name: str, value) -> None:
     """ValidationError naming `name` unless value is a ComplexAP."""
     if not isinstance(value, ComplexAP):
-        raise ValidationError(f"{name} must be a ComplexAP, got {value!r}")
+        raise ValidationError(f"{name} must be a ComplexAP, got {shown(value)}")
 
 
 @functools.cache
@@ -107,7 +121,7 @@ class PrecisionContext:
         try:
             return self._mp.mpf(x)
         except (ValueError, TypeError) as exc:
-            raise ValidationError(f"not a number: {x!r}") from exc
+            raise ValidationError(f"not a number: {shown(x)}") from exc
 
 
 @dataclass(frozen=True)
@@ -147,6 +161,11 @@ def _raw(z: ComplexAP, ctx: PrecisionContext):
 
 def _wrap(v) -> ComplexAP:
     return ComplexAP(v.real, v.imag)
+
+
+def to_fixed(x, bits: int) -> int:
+    """round(x * 2^bits) for a raw mpf tuple x."""
+    return libmp.to_int(libmp.mpf_shift(x, bits), _RND)
 
 
 def from_fixed_pairs(pairs, bits: int, ctx: PrecisionContext) -> list[ComplexAP]:
@@ -196,7 +215,53 @@ def power_term(n: int, s: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
 
 def _format_real(x, digits: int) -> str:
     """An mpf as decimal text with exactly `digits` significant digits."""
-    return _mpf_to_str(x._mpf_, digits, strip_zeros=False)
+    return libmp.to_str(x._mpf_, digits, strip_zeros=False)
+
+
+# the ratio mpmath's to_str sizes its digit string with (not math.log2(10))
+_TO_STR_LOG2_10 = math.log(10, 2)
+_pow10 = functools.cache((10).__pow__)
+
+
+def _round_real(x, ctx: PrecisionContext):
+    """ctx.real(_format_real(x, ctx.digits))._mpf_ for a raw mpf x, computed in integers.
+
+    _format_real truncates x to a fixed-point decimal of about digits + 3
+    digits, rounds the (digits + 1)-th digit half-up, and the parse rounds
+    that decimal D 10^e to the nearest mpf: both are repeated here on D and
+    e.  Exponents where the parse or the formatting take another route, and
+    integral decimals (e >= 0), fall back to the text round trip.
+    """
+    digits = ctx.digits
+    sign, man, exp, bc = x
+    if not man or abs(exp + bc) > 3500:
+        return ctx.real(_format_real(ctx._mp.make_mpf(x), digits))._mpf_
+    fixprec = max(int((digits + 3) * _TO_STR_LOG2_10) + 10 - exp - bc, 0)
+    fixdps = int(fixprec / _TO_STR_LOG2_10 + 0.5)
+    shift = exp + fixprec
+    dec = (man << shift if shift >= 0 else man >> -shift) * _pow10(fixdps) >> fixprec
+    # 10^(k-1) <= dec < 10^(k+1); the float floor is exact for bit lengths to 3e5
+    k = int((dec.bit_length() - 1) / _TO_STR_LOG2_10) + 1
+    dropped = k + (dec >= _pow10(k)) - digits
+    e10 = -fixdps
+    if dropped > 0:
+        dec, last = divmod(dec // _pow10(dropped - 1), 10)
+        dec += last >= 5
+        e10 += dropped
+    if not -400 <= e10 < 0 or e10 + digits > 400:
+        return ctx.real(_format_real(ctx._mp.make_mpf(x), digits))._mpf_
+    prec = ctx.prec_bits
+    # a quotient of prec + 5 bits plus a sticky bit rounds as mpf division does
+    den = _pow10(-e10)
+    extra = max(prec - dec.bit_length() + den.bit_length() + 5, 5)
+    quot, rem = divmod(dec << extra, den)
+    num = quot << 1 | (rem != 0)
+    return libmp.normalize(sign, num, -extra - 1, num.bit_length(), prec, _RND)
+
+
+def round_to_digits(z: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
+    """Round both components, values of ctx, to exactly P significant decimal digits."""
+    return ComplexAP(*(ctx._mp.make_mpf(_round_real(v._mpf_, ctx)) for v in (z.re, z.im)))
 
 
 def to_string(z: ComplexAP, ctx: PrecisionContext) -> str:

@@ -20,9 +20,8 @@ import mpmath
 
 from .errors import NumericalError, ValidationError
 from .oracle import zeta
-from .powers import N_TERMS_MAX, PowerTable, _exp_at, center, frac_bits, from_fixed, power_table
-from .powers import require_s, weights
-from .precision import ComplexAP, PrecisionContext, _raw, require_count, require_real
+from .powers import N_TERMS_MAX, PowerTable, _exp_at, center, frac_bits, power_table, require_s, weights
+from .precision import ComplexAP, PrecisionContext, _raw, from_fixed_pairs, require_count, require_real, shown
 
 DEFAULT_BRACKET = (0.1, 100.0)
 CALIBRATION_DIGITS = 30
@@ -113,7 +112,7 @@ def weighted_zeta(
     k, pk = powers.packed
     acc = (sum(pk[1 : head + 1]) << bits) + sum(map(operator.mul, w, pk[head + 1 : n_terms + 1]))
     acc_im = (acc + (1 << k - 1) & (1 << k) - 1) - (1 << k - 1)
-    return from_fixed(acc - acc_im >> k, acc_im, 2 * bits, powers.ctx)
+    return from_fixed_pairs([(acc - acc_im >> k, acc_im)], 2 * bits, powers.ctx)[0]
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,9 @@ def calibrate_b(
     try:
         require_real("hi/lo", float(require_real("hi", hi) / require_real("lo", lo, above=0)), above=1)
     except ValidationError:
-        raise ValidationError(f"bracket must satisfy 0 < lo < hi for reals with hi/lo finite, got {bracket}") from None
+        raise ValidationError(
+            f"bracket must satisfy 0 < lo < hi for reals with hi/lo finite, got {shown(bracket, str)}"
+        ) from None
     eps = tail_tolerance(ctx)
 
     reference = _raw(zeta(s, ctx).value, ctx)
@@ -229,15 +230,19 @@ def _ols(
     """
     if not isinstance(samples, (tuple, list)) or len(samples) < min_count:
         raise ValidationError(f"{name} fit needs a list of at least {min_count} samples")
+    points = []
     for sample in samples:
         pair = tuple(sample) if isinstance(sample, (tuple, list)) and len(sample) == 2 else (sample, None)
-        if any(isinstance(v, float) and not math.isfinite(v) for v in pair):  # a failed computation
-            raise NumericalError(f"{name} fit requires finite values, got {pair!r}")
-        x, y = (require_real(f"{name} fit sample {sample!r}", v) for v in pair)
+        label = f"{name} fit sample {shown(sample)}"
+        # each part read as a double once; a NaN or infinite float is a failed computation
+        x, y = (v if isinstance(v, float) else float(require_real(label, v)) for v in pair)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise NumericalError(f"{name} fit requires finite values, got {shown(pair)}")
         if y <= 0 or log_x and x <= 0:
             raise NumericalError(f"log-domain fit requires positive values, got {(x, y)!r}")
-    xs = [math.log(x) if log_x else float(x) for x, _ in samples]
-    ys = [math.log(y) for _, y in samples]
+        points.append((x, y))
+    xs = [math.log(x) if log_x else x for x, _ in points]
+    ys = [math.log(y) for _, y in points]
     n = len(xs)
     mean_x = sum(xs) / n
     mean_y = sum(ys) / n

@@ -3,9 +3,9 @@
 The system interpolates zeta at N grid points s_m = sigma + i*t_m on a linear
 ordinate ladder: a_mn = n^(-s_m), b_m = zeta(s_m).  Assembly walks that
 ladder once: each row of n^(-s_m), n up to max(N, N0), is the previous row
-times n^(-i dt) in fixed-point ints at the oracle's working precision, and
-gives both the row's matrix entries and the head of its zeta.  Entries and
-right-hand side are rounded to exactly P significant digits before the solve
+times n^(-i dt) (powers.power_ladder), and gives both the row's matrix
+entries and the head of its zeta.  Entries and right-hand side are rounded
+to exactly P significant digits (precision.round_to_digits) before the solve
 -- the digit budget is the experimental variable, and the system is ill-conditioned enough
 (condition number ~1e90 for the reference 100x100 grid) that this input
 accuracy, not the elimination arithmetic, controls whether the coefficient
@@ -23,7 +23,6 @@ against that system would remove.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -31,11 +30,11 @@ from mpmath import libmp, mpf
 
 from .errors import NumericalError, ValidationError
 from .oracle import first_cutoff, working_context, zeta
-from .powers import frac_bits, power_table
-from .precision import from_fixed_pairs, require_count, require_real
+from .powers import N_TERMS_MAX, frac_bits, power_ladder
+from .precision import from_fixed_pairs, require_count, require_real, round_to_digits
 
 # power_term has no caller here; the benchmark tracer still patches this name
-from .precision import ComplexAP, PrecisionContext, _format_real, _wrap, power_term  # noqa: F401
+from .precision import ComplexAP, PrecisionContext, _wrap, power_term  # noqa: F401
 
 _RND = libmp.round_nearest
 
@@ -58,10 +57,11 @@ class GridSpec:
 
     def __post_init__(self):
         ctx = PrecisionContext(self.digits)
-        require_count("n_rows", self.n_rows, 2)
+        require_count("n_rows", self.n_rows, 2, N_TERMS_MAX)
         for key, above in (("sigma", None), ("t1", 0), ("dt", 0)):
-            object.__setattr__(self, key, str(getattr(self, key)))
-            require_real(key, ctx.real(getattr(self, key)), above)
+            value = getattr(self, key)  # text is parsed at the context; a number is checked as it is
+            require_real(key, ctx.real(value) if isinstance(value, str) else value, above)
+            object.__setattr__(self, key, str(value))
 
     @property
     def max_ordinate(self) -> float:
@@ -102,94 +102,12 @@ def build_grid(spec: GridSpec) -> list[ComplexAP]:
     return [ComplexAP(sigma, mp.fadd(t1, mp.fmul(m, dt))) for m in range(spec.n_rows)]
 
 
-# the ratio mpmath's to_str sizes its digit string with (not math.log2(10))
-_TO_STR_LOG2_10 = math.log(10, 2)
-_pow10 = functools.cache((10).__pow__)
-
-
-def _round_real(x, ctx: PrecisionContext):
-    """ctx.real(_format_real(x, ctx.digits))._mpf_ for a raw mpf x, computed in integers.
-
-    _format_real truncates x to a fixed-point decimal of about digits + 3
-    digits, rounds the (digits + 1)-th digit half-up, and the parse rounds
-    that decimal D 10^e to the nearest mpf: both are repeated here on D and
-    e.  Exponents where the parse or the formatting take another route, and
-    integral decimals (e >= 0), fall back to the text round trip.
-    """
-    digits = ctx.digits
-    sign, man, exp, bc = x
-    if not man or abs(exp + bc) > 3500:
-        return ctx.real(_format_real(ctx._mp.make_mpf(x), digits))._mpf_
-    fixprec = max(int((digits + 3) * _TO_STR_LOG2_10) + 10 - exp - bc, 0)
-    fixdps = int(fixprec / _TO_STR_LOG2_10 + 0.5)
-    shift = exp + fixprec
-    dec = (man << shift if shift >= 0 else man >> -shift) * _pow10(fixdps) >> fixprec
-    # 10^(k-1) <= dec < 10^(k+1); the float floor is exact for bit lengths to 3e5
-    k = int((dec.bit_length() - 1) / _TO_STR_LOG2_10) + 1
-    dropped = k + (dec >= _pow10(k)) - digits
-    e10 = -fixdps
-    if dropped > 0:
-        dec, last = divmod(dec // _pow10(dropped - 1), 10)
-        dec += last >= 5
-        e10 += dropped
-    if not -400 <= e10 < 0 or e10 + digits > 400:
-        return ctx.real(_format_real(ctx._mp.make_mpf(x), digits))._mpf_
-    prec = ctx.prec_bits
-    # a quotient of prec + 5 bits plus a sticky bit rounds as mpf division does
-    den = _pow10(-e10)
-    extra = max(prec - dec.bit_length() + den.bit_length() + 5, 5)
-    quot, rem = divmod(dec << extra, den)
-    num = quot << 1 | (rem != 0)
-    return libmp.normalize(sign, num, -extra - 1, num.bit_length(), prec, _RND)
-
-
-def _round_to_digits(z: ComplexAP, ctx: PrecisionContext) -> ComplexAP:
-    """Round both components, values of ctx, to exactly P significant decimal digits."""
-    return ComplexAP(*(ctx._mp.make_mpf(_round_real(v._mpf_, ctx)) for v in (z.re, z.im)))
-
-
-def _ladder(grid: list[ComplexAP], n_max: int, work: PrecisionContext):
-    """Yield n^(-s_m) for n = 1..n_max, for each grid point in turn, as int lists
-    (re, im) at frac_bits(work), index 0 holding 0.  One row is alive at a time.
-
-    Row m is row m-1 times the node x_n = n^(-i dt), dt = t_2 - t_1, products
-    rounded as power_table rounds its composites.  build_grid's ordinates
-    step by exactly dt below its 2^33 bound; a row with another sigma, or a
-    step other than dt, restarts from its own table.  The row and node tables
-    are power tables at work's precision.  A grid that starts below the real
-    axis is run mirrored and its rows conjugated, so conjugate grids give
-    exactly conjugate rows.
-    """
-    bits, mp = frac_bits(work), work._mp
-    half = 1 << (bits - 1)
-    flip = bool(grid) and grid[0].im < 0
-    dt = node = prev = None
-    for s in grid:
-        if flip:
-            s = s.conjugate()
-        sigma, t = mp.mpf(s.re)._mpf_, mp.mpf(s.im)._mpf_
-        step = libmp.mpf_sub(t, prev[1]) if prev and sigma == prev[0] else None
-        if step is not None and dt is None:
-            dt = libmp.mpf_sub(t, prev[1], work.prec_bits, _RND)
-            node = power_table(ComplexAP(mp.zero, mp.make_mpf(dt)), n_max, work)
-        if step is None or step != dt:
-            table = power_table(s, n_max, work)
-            re, im = table.re, table.im
-        else:
-            re, im = (
-                [(a * c - b * d + half) >> bits for a, b, c, d in zip(re, im, node.re, node.im)],
-                [(a * d + b * c + half) >> bits for a, b, c, d in zip(re, im, node.re, node.im)],
-            )
-        prev = sigma, t
-        yield (re, [-v for v in im]) if flip else (re, im)
-
-
 def assemble_system(
     grid: list[ComplexAP], n_coeffs: int, ctx: PrecisionContext
 ) -> tuple[list[list[ComplexAP]], list[ComplexAP]]:
     """Matrix a_mn = n^(-s_m) and rhs b_m = zeta(s_m), both to P digits.
 
-    One ladder row per grid point (_ladder, at the oracle's working
+    One ladder row per grid point (powers.power_ladder, at the oracle's working
     precision, to n_max = max(N, N0 of every row)) gives both that row's
     matrix entries, rounded once to the context and then to P digits, and
     the head of its zeta.  Raises NumericalError when a row ordinate passes
@@ -203,7 +121,7 @@ def assemble_system(
     bits, mp = frac_bits(work), ctx._mp
     n_max = max([n_coeffs, *(first_cutoff(s, p) for s in grid)])
     matrix, rhs = [], []
-    for m, (s, (re, im)) in enumerate(zip(grid, _ladder(grid, n_max, work)), start=1):
+    for m, (s, (re, im)) in enumerate(zip(grid, power_ladder(grid, n_max, work)), start=1):
         value = zeta(s, ctx, head=(re, im)).value
         modulus = abs(mp.mpc(value.re, value.im))
         if modulus <= near_zero:
@@ -211,9 +129,9 @@ def assemble_system(
                 f"|zeta(s_{m})| = {float(modulus):.3e} is below the row threshold "
                 f"{near_zero:.3e}; perturb the grid away from the zeta zero"
             )
-        rhs.append(_round_to_digits(value, ctx))
+        rhs.append(round_to_digits(value, ctx))
         entries = from_fixed_pairs(zip(re[1 : n_coeffs + 1], im[1 : n_coeffs + 1]), bits, ctx)
-        matrix.append([_round_to_digits(z, ctx) for z in entries])
+        matrix.append([round_to_digits(z, ctx) for z in entries])
     return matrix, rhs
 
 

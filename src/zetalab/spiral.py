@@ -12,8 +12,9 @@ import itertools
 from dataclasses import dataclass
 
 from .oracle import chi
-from .powers import N_TERMS_MAX, center, frac_bits, power_pair, to_fixed, weights
+from .powers import N_TERMS_MAX, center, frac_bits, power_pair, weights
 from .precision import ComplexAP, PrecisionContext, _raw, from_fixed_pairs, require_count, require_real
+from .precision import to_fixed
 from .series import _require_off_axis
 
 DISPLAY_DIGITS = 20

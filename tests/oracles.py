@@ -101,8 +101,8 @@ def per_point_partial_sums(s, n_terms: int, ctx, factors, bits: int):
     libmp.from_man_exp, as the library converted its points before it rounded
     them all in one pass of precision.from_fixed_pairs."""
     from zetalab.oracle import chi
-    from zetalab.powers import frac_bits, power_pair, to_fixed
-    from zetalab.precision import _raw
+    from zetalab.powers import frac_bits, power_pair
+    from zetalab.precision import _raw, to_fixed
 
     frac = frac_bits(ctx)
     direct, mirror = power_pair(s, n_terms, ctx)
@@ -123,7 +123,8 @@ def mpmath_power_table(s, n_max: int, ctx):
     the library built it before its integer kernel for primes."""
     from mpmath import libmp
 
-    from zetalab.powers import PowerTable, _sieve, frac_bits, to_fixed
+    from zetalab.powers import PowerTable, _sieve, frac_bits
+    from zetalab.precision import to_fixed
 
     rnd = libmp.round_nearest
     mp = ctx._mp
@@ -152,7 +153,7 @@ def mpmath_power_table(s, n_max: int, ctx):
 
 
 def from_man_exp_fixed(re: int, im: int, bits: int, ctx):
-    """powers.from_fixed through libmp.from_man_exp, as the library converted
+    """precision.from_fixed_pairs through libmp.from_man_exp, as the library converted
     fixed-point ints before it called normalize itself."""
     from mpmath import libmp
 
@@ -199,14 +200,15 @@ def two_sum_weighted_zeta(s, b: float, n_terms: int, ctx, powers):
     library summed them before the packed table view."""
     import operator
 
-    from zetalab.powers import center, frac_bits, from_fixed, weights
+    from zetalab.powers import center, frac_bits, weights
+    from zetalab.precision import from_fixed_pairs
 
     re, im = powers.re, powers.im
     bits = frac_bits(powers.ctx)
     head, w = weights(center(s, ctx), b, powers.ctx, n_terms)
     acc_re = (sum(re[1 : head + 1]) << bits) + sum(map(operator.mul, w, re[head + 1 : n_terms + 1]))
     acc_im = (sum(im[1 : head + 1]) << bits) + sum(map(operator.mul, w, im[head + 1 : n_terms + 1]))
-    return from_fixed(acc_re, acc_im, 2 * bits, powers.ctx)
+    return from_fixed_pairs([(acc_re, acc_im)], 2 * bits, powers.ctx)[0]
 
 
 def linear_truncation_length(s, b: float, tail_eps: float) -> int:
@@ -321,13 +323,14 @@ def mpc_euler_maclaurin(s, n0: int, work, head, digits: int, max_order: int):
     its correction series run term by term on mpc, as the library did before
     the series moved to fixed-point ints.
     """
-    from zetalab.powers import frac_bits, from_fixed
+    from zetalab.powers import frac_bits
+    from zetalab.precision import from_fixed_pairs
 
     mp = work._mp
     bits = frac_bits(work)
     head_re, head_im, l_re, l_im = head
     sw = mp.mpc(s.re, s.im)
-    head_sum, last = from_fixed(head_re, head_im, bits, work), from_fixed(l_re, l_im, bits, work)
+    head_sum, last = from_fixed_pairs([(head_re, head_im), (l_re, l_im)], bits, work)
     n_pow_ms = mp.mpc(last.re, last.im)
     n0r = mp.mpf(n0)
     total = mp.mpc(head_sum.re, head_sum.im) + n_pow_ms * n0r / (sw - 1) - n_pow_ms / 2
@@ -452,13 +455,13 @@ def per_row_assemble(grid, n_coeffs: int, ctx):
     row at the context's precision, and a zeta that builds its own head.
     """
     from zetalab.oracle import zeta
-    from zetalab.powers import frac_bits, from_fixed, power_table
-    from zetalab.solver import _round_to_digits
+    from zetalab.powers import frac_bits, power_table
+    from zetalab.precision import from_fixed_pairs, round_to_digits
 
     bits = frac_bits(ctx)
     matrix = []
     for s in grid:
         table = power_table(s, n_coeffs, ctx)
-        entries = (from_fixed(table.re[n], table.im[n], bits, ctx) for n in range(1, n_coeffs + 1))
-        matrix.append([_round_to_digits(z, ctx) for z in entries])
-    return matrix, [_round_to_digits(zeta(s, ctx).value, ctx) for s in grid]
+        entries = from_fixed_pairs(zip(table.re[1 : n_coeffs + 1], table.im[1 : n_coeffs + 1]), bits, ctx)
+        matrix.append([round_to_digits(z, ctx) for z in entries])
+    return matrix, [round_to_digits(zeta(s, ctx).value, ctx) for s in grid]

@@ -44,7 +44,8 @@ from zetalab import (
 from zetalab.errors import NumericalError, ValidationError
 from zetalab.experiments import ExperimentConfig, run_preset
 from zetalab.oracle import bernoulli_even
-from zetalab.powers import power_table
+from zetalab.powers import N_TERMS_MAX, power_table
+from zetalab.precision import shown
 from zetalab.series import truncation_length, weighted_zeta
 from zetalab.solver import CoefficientSet
 from zetalab.spiral import raw_partial_sums, weighted_partial_sums
@@ -161,6 +162,18 @@ _ESCAPES = {
     "grid-sigma-nan": ("sigma", lambda: GridSpec(**{**_GRID, "sigma": "nan"})),
     "grid-t1-inf": ("t1", lambda: GridSpec(**{**_GRID, "t1": "inf"})),
     "grid-dt-inf": ("dt", lambda: GridSpec(**{**_GRID, "dt": "inf"})),
+    # an int past Python's 4,300-digit limit, which str() cannot write into a message
+    "context-digit-limit": ("digits", lambda: PrecisionContext(10**5000)),
+    "trunc-b-digit-limit": ("scale", lambda: truncation_length(_S, 10**5000, 1e-15)),
+    "wzeta-n-digit-limit": ("n_max", lambda: weighted_zeta(_S, 1.0, 10**5000, _CTX)),
+    "bracket-digit-limit": ("bracket", lambda: calibrate_b(_S, _CTX, (1, 10**5000))),
+    "power-law-digit-limit": ("power-law fit", lambda: fit_power_law([(1.0, 10**5000), (2.0, 3.0)])),
+    "sigmoid-center-digit-limit": ("sigmoid center", lambda: SigmoidFit(10**5000, 1.0)),
+    "sigmoid-eval-digit-limit": ("(n)", lambda: sigmoid_eval(10**5000, SigmoidFit(1.0, 2.0))),
+    "formula-count-digit-limit": ("n_coeffs", lambda: scale_from_formula(1.0, 10**5000)),
+    "grid-t1-digit-limit": ("t1", lambda: GridSpec(**{**_GRID, "t1": 10**5000})),
+    "grid-rows-digit-limit": ("n_rows", lambda: GridSpec(**{**_GRID, "n_rows": 10**5000})),
+    "grid-rows-past-max": ("n_rows", lambda: GridSpec(**{**_GRID, "n_rows": N_TERMS_MAX + 1})),
 }
 
 
@@ -171,7 +184,8 @@ def test_malformed_scalar_is_a_validation_error(name, call):
 
 
 _MALFORMED = [
-    "text", None, True, math.nan, math.inf, -math.inf, -1, 0, 10**400, 1e308, [], (1,), object(), 2.5, 1 + 1j,
+    "text", None, True, math.nan, math.inf, -math.inf, -1, 0, 10**400, 10**5000, 1e308, [], (1,), object(), 2.5,
+    1 + 1j,
 ]
 
 # annotations of the parameters the signature fuzz swaps: numbers (GridSpec
@@ -191,7 +205,7 @@ _SKIPPED = {
     "grid": "the list of s that build_grid returns",
     "matrix": "the system that assemble_system returns",
     "rhs": "the system that assemble_system returns",
-    "head": "zeta's feed from the grid solver's ladder, kept while ROADMAP item 23 stays open",
+    "head": "zeta's feed from a grid row of powers.power_ladder, which only the solver passes",
 }
 
 # public callables the fuzz does not call, with the reason
@@ -279,5 +293,5 @@ def test_malformed_arguments_raise_only_package_errors():
                     pass
                 except Exception:
                     where = traceback.format_exc().splitlines()[-1]
-                    escapes.append(f"{name}({param.name}={bad!r:.40}): {where}")
+                    escapes.append(f"{name}({param.name}={shown(bad):.40}): {where}")
     assert calls > 500 and not escapes, "\n".join(escapes)

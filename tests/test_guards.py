@@ -8,11 +8,13 @@ scan's ends out of a calibration's trace, so the trace layout it assumes is
 checked too.  The preset parameter schema is guarded against keys it does
 not declare, declarations no preset uses, and a README key table that
 drifts from it.  README's Library example may import only public names, and
-it must run, so an API change cannot leave it broken.  Only precision.py words
-a check of a scalar's sign or finiteness, so no module hand-rolls one beside
-require_count and require_real.  No linter is installed, so a module that
-imports a name it never reads fails here.  A CLI start loads neither
-concurrent.futures nor logging, which only a worker pool needs.
+it must run, so an API change cannot leave it broken, and every `module.name`
+README quotes must resolve, so a move cannot leave it naming nothing.  Only
+precision.py words a check of a scalar's sign or finiteness, so no module
+hand-rolls one beside require_count and require_real.  No linter is
+installed, so a module that imports a name it never reads fails here.  A CLI
+start loads neither concurrent.futures nor logging, which only a worker pool
+needs.
 """
 
 import ast
@@ -119,6 +121,26 @@ def test_readme_library_example_imports_public_names():
     ]
     assert names, "no `from zetalab import` in README's Library example"
     assert [name for name in names if name not in zetalab.__all__] == []
+
+
+def test_readme_module_names_resolve():
+    # file names such as `spiral.json`, and the names README lists as removed, are no attributes
+    text = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.DOTALL)
+    removed = text.split("Removed from the API", 1)[1].split("\n\n", 2)[1]
+    skipped = set(re.findall(r"^- `([^`]+)`", removed, re.MULTILINE))
+    modules = {path.stem for path in Path(zetalab.__file__).parent.glob("*.py")} - {"__init__"}
+    missing, seen = [], 0
+    for span in set(re.findall(r"`([^`]+)`", text)) - skipped:
+        match = re.match(r"(?:zetalab\.)?(\w+)\.(\w+(?:\.\w+)*)", span)
+        if not match or match[1] not in modules or match[2] in ("csv", "json", "jsonl", "svg"):
+            continue
+        seen += 1
+        obj = importlib.import_module(f"zetalab.{match[1]}")
+        for attr in match[2].split("."):
+            obj = getattr(obj, attr, missing)
+        if obj is missing:
+            missing.append(span)
+    assert seen > 10 and missing == []
 
 
 @pytest.mark.slow

@@ -23,7 +23,8 @@ from zetalab import (
 from zetalab import powers
 from zetalab.errors import ValidationError
 from zetalab.oracle import working_context
-from zetalab.powers import center, frac_bits, from_fixed, head_length, power_table, weights
+from zetalab.powers import center, frac_bits, head_length, power_table, weights
+from zetalab.precision import from_fixed_pairs
 
 from .oracles import (
     exp_ln_spiral_sums,
@@ -338,7 +339,7 @@ def test_from_fixed_matches_from_man_exp(digits):
     values = _fixed_ints(bits, prec, rng)
     for shift in (bits, 2 * bits + 1):
         for re, im in zip(values, rng.sample(values, len(values))):
-            got, want = from_fixed(re, im, shift, ctx), from_man_exp_fixed(re, im, shift, ctx)
+            got, want = from_fixed_pairs([(re, im)], shift, ctx)[0], from_man_exp_fixed(re, im, shift, ctx)
             assert (got.re._mpf_, got.im._mpf_) == (want.re._mpf_, want.im._mpf_), (re, im, shift)
             assert type(got.re._mpf_[0]) is int and type(got.im._mpf_[0]) is int
 

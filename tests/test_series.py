@@ -372,6 +372,11 @@ class TestPowerLawFit:
         with pytest.raises(NumericalError, match=r"requires positive values, got \(20\.0, -2\.0\)"):
             fit_power_law([(10.0, 1.0), (20.0, -2.0)])
 
+    def test_mpf_below_the_double_range_reads_as_zero(self):
+        # each sample is read as a double once, so ln of the abscissa is never taken of 0.0
+        with pytest.raises(NumericalError, match=r"requires positive values, got \(0\.0, 1\.0\)"):
+            fit_power_law([(mpmath.mpf("1e-400"), 1.0), (2.0, 3.0)])
+
     def test_overflowing_coefficient(self):
         # ln c = 713.8 > ln(max double) = 709.8, so c is no double
         with pytest.raises(NumericalError, match=r"power-law fit: c = e\^713\.8"):
@@ -398,6 +403,11 @@ class TestSigmaDependenceFit:
             fit_sigma_dependence([(0.1, 1.0), (0.1, 2.0), (0.1, 3.0)])
         with pytest.raises(NumericalError, match=r"sigma-dependence fit .* got \(0\.5, inf\)"):
             fit_sigma_dependence([(0.1, 1.0), (0.5, math.inf), (0.9, 2.0)])
+
+    def test_mpf_past_the_double_range_is_not_finite(self):
+        # it read as inf and gave an all-NaN fit
+        with pytest.raises(NumericalError, match="sigma-dependence fit requires finite values"):
+            fit_sigma_dependence([(mpmath.mpf("1e400"), 1.0), (2.0, 3.0), (3.0, 4.0)])
 
     def test_non_positive_reported_with_sample(self):
         with pytest.raises(NumericalError, match=r"requires positive values, got \(0\.5, 0\.0\)"):

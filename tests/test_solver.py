@@ -18,16 +18,10 @@ from zetalab import (
 )
 from zetalab import experiments, oracle, solver
 from zetalab.errors import NumericalError, ValidationError
-from zetalab.powers import power_table
-from zetalab.precision import _format_real, _raw, _wrap, power_term
-from zetalab.solver import (
-    CoefficientSet,
-    GridSpec,
-    _eliminate,
-    _round_real,
-    _round_to_digits,
-    _row_step,
-)
+from zetalab import powers
+from zetalab.powers import N_TERMS_MAX, power_table
+from zetalab.precision import _format_real, _raw, _round_real, _wrap, power_term, round_to_digits
+from zetalab.solver import CoefficientSet, GridSpec, _eliminate, _row_step
 
 from .oracles import fdot_residual_inf, mpc_eliminate, per_row_assemble, sweep
 
@@ -65,6 +59,12 @@ class TestGridSpec:
         spec = GridSpec(sigma="1/2", t1="1/3", dt="1/7", n_rows=4, digits=20)
         assert spec.max_ordinate == pytest.approx(1 / 3 + 3 / 7, rel=1e-15)
         assert spec.ordinate_bound_ok
+
+    def test_row_count_bounded_like_every_table(self):
+        # a solve would build that many grid points before any table check; construction only
+        with pytest.raises(ValidationError, match=r"n_rows must be <= 1000000, got 1000001"):
+            GridSpec(sigma="0.5", t1="10", dt="0.1", n_rows=N_TERMS_MAX + 1, digits=15)
+        assert GridSpec(sigma="0.5", t1="10", dt="0.1", n_rows=N_TERMS_MAX, digits=15).n_rows == N_TERMS_MAX
 
     def test_float_parameters_normalized(self):
         spec = GridSpec(sigma=0.5, t1=10.25, dt=0.125, n_rows=4, digits=30)
@@ -143,7 +143,7 @@ class TestAssemble:
             grid = [make_complex(sigma, ctx.real(t1) + m * dt, ctx) for m in range(3)]
             matrix, _ = assemble_system(grid, 60, ctx)
             for s, row in zip(grid, matrix):
-                assert row == [_round_to_digits(power_term(n, s, ctx), ctx) for n in range(1, 61)]
+                assert row == [round_to_digits(power_term(n, s, ctx), ctx) for n in range(1, 61)]
 
     def test_near_zero_row(self):
         # grid through the first zeta zero ordinate
@@ -173,8 +173,8 @@ class TestLadder:
         # conjugate grid gets exactly conjugate rows
         spec = GridSpec(sigma="0.5", t1="188.4955592", dt="0.628318531", n_rows=100, digits=50)
         grid, work = build_grid(spec), oracle.working_context(spec.context())
-        conj = solver._ladder([s.conjugate() for s in grid], 65, work)
-        for m, ((re, im), (c_re, c_im)) in enumerate(zip(solver._ladder(grid, 65, work), conj)):
+        conj = powers.power_ladder([s.conjugate() for s in grid], 65, work)
+        for m, ((re, im), (c_re, c_im)) in enumerate(zip(powers.power_ladder(grid, 65, work), conj)):
             assert c_re == re and c_im == [-v for v in im]
             if m % 9 == 0:
                 table = power_table(grid[m], 65, work)
@@ -184,7 +184,7 @@ class TestLadder:
     def _power_tables(monkeypatch, spec):
         """power_table calls of one assemble_system on spec's grid."""
         calls = []
-        monkeypatch.setattr(solver, "power_table", lambda *args: calls.append(args) or power_table(*args))
+        monkeypatch.setattr(powers, "power_table", lambda *args: calls.append(args) or power_table(*args))
         assemble_system(build_grid(spec), spec.n_rows, spec.context())
         return len(calls)
 
